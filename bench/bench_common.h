@@ -9,8 +9,8 @@
 // instead — same byte-identical output, plus crash containment: a dead
 // worker is named and, with --retry-dead-shards, its missing sessions are
 // re-run in-process (see exp::PopulationConfig::processes).
-// `--chunk N` (or env WIRA_CHUNK) sets the dynamic dispatch chunk size (0 =
-// legacy static striping); `--workers host:port,...` (or env WIRA_WORKERS)
+// `--chunk N` (or env WIRA_CHUNK; N >= 1) sets the dispatch chunk size;
+// `--workers host:port,...` (or env WIRA_WORKERS)
 // dispatches the sweep to running wira_workerd daemons over TCP instead of
 // forking — output stays byte-identical at any worker topology.
 //
@@ -47,7 +47,7 @@ struct Args {
   size_t threads = 1;
   /// Worker processes: 1 = in-process, 0 = one per hardware thread.
   size_t procs = 1;
-  /// Dynamic dispatch chunk size; 0 = legacy static striping.
+  /// Dynamic dispatch chunk size (sessions per chunk, >= 1).
   size_t chunk = 64;
   /// Comma-separated wira_workerd endpoints; empty = fork pipe workers.
   std::string workers;
@@ -122,8 +122,8 @@ inline Args parse_args(int argc, char** argv) {
   }
   if (const char* env = std::getenv("WIRA_CHUNK")) {
     uint64_t v = 0;
-    if (!parse_u64(env, &v)) {
-      usage_error(argv[0], "WIRA_CHUNK must be a non-negative integer");
+    if (!parse_u64(env, &v) || v == 0) {
+      usage_error(argv[0], "WIRA_CHUNK must be a positive integer");
     }
     a.chunk = static_cast<size_t>(v);
   }
@@ -153,9 +153,8 @@ inline Args parse_args(int argc, char** argv) {
     }
     if (const char* val = flag_value("--chunk", argc, argv, &i)) {
       uint64_t v = 0;
-      // 0 is meaningful: legacy static striping (the A/B baseline).
-      if (!parse_u64(val, &v)) {
-        usage_error(argv[0], "--chunk must be a non-negative integer");
+      if (!parse_u64(val, &v) || v == 0) {
+        usage_error(argv[0], "--chunk must be a positive integer");
       }
       a.chunk = static_cast<size_t>(v);
       continue;

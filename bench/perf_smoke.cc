@@ -7,15 +7,8 @@
 // it to bench_history/; tools/bench_gate.py gates the throughput numbers,
 // including the multiprocess sessions_per_sec_np datapoint).
 //
-// A skewed-cost pass (linear per-index sleep ramp) then prices the
-// dynamic chunk scheduler against static striping at the same worker
-// count: sessions_per_sec_dyn and dispatch_speedup join the gated
-// trajectory (the ISSUE floor is dyn >= 1.3x static on 4 workers).
-//
 // Usage: perf_smoke [sessions] [seed] [--threads N] [--procs N]
-//        (N=0 -> hardware; --procs defaults to a 2-worker datapoint and
-//        the skew pass to 4 workers unless --procs overrides it)
-#include <algorithm>
+//        (N=0 -> hardware; --procs defaults to a 2-worker datapoint)
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -128,6 +121,12 @@ int main(int argc, char** argv) {
   const size_t par_threads =
       args.threads == 1 ? std::thread::hardware_concurrency() : args.threads;
 
+  // default_population copies --procs/--workers into the config; only the
+  // multiprocess pass below may shard, or every in-process pass would
+  // silently measure the sharded runner instead.
+  const std::vector<std::string> endpoints = std::move(cfg.workers);
+  cfg.workers.clear();
+  cfg.processes = 1;
   cfg.threads = 1;
   std::vector<SessionRecord> serial_records;
   const uint64_t allocs_before = util::heap_alloc_count();
@@ -169,50 +168,17 @@ int main(int argc, char** argv) {
   const size_t procs = args.procs == 1 ? 2 : args.procs;
   cfg.threads = 1;
   cfg.processes = procs;
+  cfg.workers = endpoints;
   std::vector<SessionRecord> procs_records;
   const double procs_sec = run_timed(cfg, &procs_records);
-
-  // Skewed-cost dispatch pass (DESIGN.md §6): a linear per-index cost
-  // ramp makes the front stripes expensive, so static striping (chunk=0)
-  // gates on its slowest stripe while the dynamic chunk scheduler routes
-  // work around it.  Interleaved best-of-2 keeps the comparison fair
-  // under machine noise; the injected sleeps dominate both runs, so the
-  // dyn/static ratio is stable across hosts and sanitizers.  The records
-  // must stay byte-identical either way — skew is wall-clock only.
-  // The injected ramp totals ~skew_budget_us of sleep whatever the
-  // session count: sleeps overlap across worker processes (they burn no
-  // CPU), so even on a single core static striping pays its slowest
-  // stripe's sleep serially while dynamic chunking spreads it ~evenly.
-  const size_t skew_procs = args.procs > 1 ? args.procs : 4;
-  const size_t dyn_chunk =
-      std::max<size_t>(1, args.sessions / (skew_procs * 8));
-  constexpr uint64_t kSkewBudgetUs = 6'000'000;
-  cfg.processes = skew_procs;
-  cfg.skew_delay_us = std::max<uint64_t>(
-      1000, 2 * kSkewBudgetUs / std::max<size_t>(1, args.sessions));
-  double static_sec = 0.0, dyn_sec = 0.0;
-  std::vector<SessionRecord> static_records, dyn_records;
-  for (int rep = 0; rep < 2; ++rep) {
-    cfg.chunk = 0;  // static striping baseline
-    std::vector<SessionRecord> s_records;
-    const double s = run_timed(cfg, &s_records);
-    static_records = std::move(s_records);
-    cfg.chunk = dyn_chunk;
-    const double d = run_timed(cfg, &dyn_records);
-    if (rep == 0 || s < static_sec) static_sec = s;
-    if (rep == 0 || d < dyn_sec) dyn_sec = d;
-  }
-  cfg.skew_delay_us = 0;
-  cfg.chunk = args.chunk;
+  cfg.workers.clear();
   cfg.processes = 1;
   cfg.threads = par_threads;
 
   const bool deterministic =
       records_identical(serial_records, parallel_records) &&
       records_identical(serial_records, procs_records) &&
-      records_identical(serial_records, recorder_off_records) &&
-      records_identical(serial_records, static_records) &&
-      records_identical(serial_records, dyn_records);
+      records_identical(serial_records, recorder_off_records);
 
   // Third pass with the full observability stack on (phase tracers +
   // per-worker registries): prices the opt-in overhead and produces the
@@ -250,11 +216,6 @@ int main(int argc, char** argv) {
       "  \"sessions_per_sec_1t\": %.1f,\n"
       "  \"sessions_per_sec_nt\": %.1f,\n"
       "  \"sessions_per_sec_np\": %.1f,\n"
-      "  \"skew_static_sec\": %.3f,\n"
-      "  \"skew_dyn_sec\": %.3f,\n"
-      "  \"sessions_per_sec_static\": %.1f,\n"
-      "  \"sessions_per_sec_dyn\": %.1f,\n"
-      "  \"dispatch_speedup\": %.2f,\n"
       "  \"speedup\": %.2f,\n"
       "  \"metrics_overhead\": %.3f,\n"
       "  \"allocs_per_session\": %.1f,\n"
@@ -274,8 +235,6 @@ int main(int argc, char** argv) {
       parallel_sec,
       procs_sec, metrics_sec, n / serial_sec, n / parallel_sec,
       n / procs_sec,
-      static_sec, dyn_sec, n / static_sec, n / dyn_sec,
-      static_sec / dyn_sec,
       serial_sec / parallel_sec,
       metrics_sec / parallel_sec - 1.0, allocs_per_session,
       arena_bytes_per_session, deterministic ? "true" : "false",

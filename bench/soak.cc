@@ -39,7 +39,7 @@ struct SoakArgs {
   uint64_t seed = 1;
   size_t threads = 1;
   size_t procs = 1;
-  size_t chunk = 64;     ///< dispatch chunk; 0 = static striping
+  size_t chunk = 64;     ///< dispatch chunk (sessions, >= 1)
   std::string workers;   ///< comma-separated wira_workerd endpoints
   std::string flush_out = "soak_flush.jsonl";
   std::string anomaly_dir;
@@ -99,9 +99,8 @@ SoakArgs parse_soak_args(int argc, char** argv) {
       continue;
     }
     if (const char* val = bench::flag_value("--chunk", argc, argv, &i)) {
-      if (!bench::parse_u64(val, &v)) {
-        soak_usage(argv[0], "--chunk must be a non-negative integer "
-                            "(0 = static striping)");
+      if (!bench::parse_u64(val, &v) || v == 0) {
+        soak_usage(argv[0], "--chunk must be a positive integer");
       }
       a.chunk = static_cast<size_t>(v);
       continue;

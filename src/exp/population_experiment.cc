@@ -6,14 +6,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <thread>
+#include <stdexcept>
 
 #include "exp/population_internal.h"
 #include "exp/record_sink.h"
@@ -294,14 +293,6 @@ SessionRecord run_one_session(const PopulationConfig& config,
     throw std::runtime_error("injected failure at session " +
                              std::to_string(i));
   }
-  if (config.skew_delay_us > 0 && config.sessions > 0) {
-    // Skewed-cost injection (perf_smoke / straggler tests): earlier
-    // indices cost more, a worst-first ramp.  Wall-clock only — the
-    // record itself is untouched, so byte-identity is preserved.
-    const uint64_t us =
-        config.skew_delay_us * (config.sessions - i) / config.sessions;
-    if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
   Rng rng(config.seed ^ (0x5DEECE66Dull * (i + 1)));
   const popgen::OdPair od = population.random_od(rng);
 
@@ -529,9 +520,7 @@ class OrderedFlusher {
   bool aborted_ = false;
 };
 
-/// Serial and threaded sweeps against a sink.  The vector overload routes
-/// through this with a CollectSink, so collect mode and streaming mode
-/// cannot drift apart.
+/// Serial and threaded sweeps against a sink.
 void run_population_streamed(const PopulationConfig& config,
                              obs::MetricsRegistry* metrics,
                              RecordSink& sink) {
@@ -654,6 +643,24 @@ void prepare_anomaly_dir(const PopulationConfig& config) {
 
 std::vector<SessionRecord> run_population(const PopulationConfig& config,
                                           obs::MetricsRegistry* metrics) {
+  CollectSink sink(config.sessions);
+  try {
+    run_population(config, metrics, sink);
+  } catch (PopulationShardError& e) {
+    // The sweep salvages only what never reached the sink; the delivered
+    // prefix [0, n) is this sink's.
+    std::vector<SessionRecord> delivered = sink.take();
+    std::move(delivered.begin(), delivered.end(), e.salvaged.begin());
+    throw;
+  }
+  return sink.take();
+}
+
+void run_population(const PopulationConfig& config,
+                    obs::MetricsRegistry* metrics, RecordSink& sink) {
+  if (config.chunk == 0) {
+    throw std::invalid_argument("run_population: chunk must be positive");
+  }
   internal::prepare_trace_dir(config);
   internal::prepare_anomaly_dir(config);
   const size_t processes =
@@ -661,20 +668,6 @@ std::vector<SessionRecord> run_population(const PopulationConfig& config,
   if (!config.workers.empty() || processes > 1) {
     // Shard dispatch (exp/shard_dispatch): pipe workers or TCP workerd
     // endpoints, dynamic chunk scheduling, index-addressed reassembly.
-    return dispatch_population_collect(config, metrics);
-  }
-  CollectSink sink(config.sessions);
-  run_population_streamed(config, metrics, sink);
-  return sink.take();
-}
-
-void run_population(const PopulationConfig& config,
-                    obs::MetricsRegistry* metrics, RecordSink& sink) {
-  internal::prepare_trace_dir(config);
-  internal::prepare_anomaly_dir(config);
-  const size_t processes =
-      util::ThreadPool::clamp_threads(config.processes, config.sessions);
-  if (!config.workers.empty() || processes > 1) {
     dispatch_population_stream(config, metrics, sink);
     return;
   }

@@ -62,11 +62,9 @@ struct PopulationConfig {
   /// named; see retry_dead_shards.  `threads` is ignored when
   /// processes > 1.
   size_t processes = 1;
-  /// Sessions per dispatch chunk for the dynamic scheduler.  Workers pull
-  /// the next chunk when idle, so one expensive stretch of indices no
-  /// longer gates the sweep the way a static stripe did.  0 = legacy
-  /// static striping (one balanced contiguous stripe per worker, no
-  /// re-dispatch) — kept as the A/B baseline for perf_smoke.
+  /// Sessions per dispatch chunk for the dynamic scheduler; must be
+  /// positive.  Workers pull the next chunk when idle, so one expensive
+  /// stretch of indices never gates the sweep.
   size_t chunk = 64;
   /// TCP dispatch endpoints ("host:port" each, the --workers flag).  When
   /// non-empty, `processes` is ignored and chunks are dispatched to these
@@ -151,18 +149,6 @@ struct PopulationConfig {
   /// complete, joinable session.  Honored only in worker children.
   size_t crash_after_index = kNoSessionIndex;
   int crash_after_signal = SIGABRT;
-
-  // ---- skew / straggler injection (tests and perf_smoke only) ----
-  /// Sleep `skew_delay_us * (sessions - i) / sessions` microseconds at the
-  /// top of session i: a deterministic worst-first cost ramp that makes
-  /// static stripe 0 the straggler.  Wall-clock only — records and
-  /// metrics are untouched, so skewed runs stay byte-identical.  0 = off.
-  uint64_t skew_delay_us = 0;
-  /// Sleep `straggler_delay_us` before every session run by this worker
-  /// id (pipe children and wira_workerd alike): simulates one slow host.
-  /// kNoSessionIndex = off.
-  size_t straggler_worker = kNoSessionIndex;
-  uint64_t straggler_delay_us = 0;
 };
 
 struct SessionRecord {
@@ -240,25 +226,30 @@ void record_session_metrics(obs::MetricsRegistry& m, const SessionRecord& rec,
 /// at any thread count.  With config.processes > 1 the same contract holds
 /// across forked worker processes: records come back over a pipe via the
 /// versioned record codec and registries are merged in worker order, so
-/// `--procs N` output is byte-identical to serial.
+/// `--procs N` output is byte-identical to serial.  A thin wrapper: a
+/// CollectSink plus the sink overload below, whose failure contract it
+/// shares; on PopulationShardError it moves the records the sink already
+/// holds into `salvaged`, so the salvage covers every arrived index.
+/// Throws std::invalid_argument when config.chunk is 0.
 std::vector<SessionRecord> run_population(const PopulationConfig& config,
                                           obs::MetricsRegistry* metrics);
 
 /// Streaming variant (DESIGN.md §6 memory model): every completed record
 /// is pushed into `sink` in strictly increasing index order and then
-/// dropped, so the sweep holds O(workers) records at any instant instead
-/// of O(sessions) — this is the million-session soak path.  Records,
-/// their order, and the metrics aggregate are byte-identical to the
-/// vector overload at any `threads`/`processes` setting (a CollectSink
-/// reproduces it exactly).
+/// dropped, so the sweep holds O(workers · chunk) records at any instant
+/// instead of O(sessions) — this is the million-session soak path.
+/// Records, their order, and the metrics aggregate are byte-identical at
+/// any `threads`/`processes` setting.
 ///
-/// Failure semantics differ from the vector overload in one way: records
-/// already delivered to the sink cannot be recalled, so when a worker
-/// process dies and retry_dead_shards is off, the PopulationShardError
-/// carries an empty `salvaged` vector and `missing` lists every index not
-/// yet delivered.  With retry_dead_shards on, the parent re-runs a dead
-/// worker's remaining sessions in-process and the sink sees the full
-/// uninterrupted index sequence.
+/// Failure contract (processes > 1 or workers set): when a worker dies
+/// and retry_dead_shards is off, dispatch stops dealing queued chunks,
+/// drains the surviving workers' in-flight assignments, and throws a
+/// PopulationShardError whose index-addressed `salvaged` holds every
+/// record that arrived but never reached the sink (the sink only ever
+/// receives whole chunks) and whose `missing` lists exactly the indices
+/// that never arrived.  With retry_dead_shards on, the parent re-runs a
+/// dead worker's remaining sessions in-process and the sink sees the
+/// full uninterrupted index sequence.
 void run_population(const PopulationConfig& config,
                     obs::MetricsRegistry* metrics, RecordSink& sink);
 

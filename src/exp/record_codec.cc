@@ -393,10 +393,6 @@ void encode_population_config(const PopulationConfig& c, CodecWriter& w) {
   w.u64(c.kill_at_index);
   w.u64(c.crash_after_index);
   w.i64(c.crash_after_signal);
-  w.u64(c.chunk);
-  w.u64(c.skew_delay_us);
-  w.u64(c.straggler_worker);
-  w.u64(c.straggler_delay_us);
 }
 
 bool decode_population_config(CodecReader& r, PopulationConfig* out) {
@@ -418,7 +414,6 @@ bool decode_population_config(CodecReader& r, PopulationConfig* out) {
   int64_t rtt = 0, staleness = 0, sync = 0, ffct = 0, crash_sig = 0;
   uint64_t cwnd = 0, trace_sample = 0, max_dumps = 0;
   uint64_t fail_at = 0, kill_at = 0, crash_after = 0;
-  uint64_t chunk = 0, skew = 0, straggler = 0, straggler_us = 0;
   if (!r.u64(&cwnd) || !r.i64(&rtt) || !r.i64(&staleness) ||
       !r.u32(&out->theta_vf) || !r.u8(&cc) || !r.i64(&sync) ||
       !r.boolean(&out->careful_resume) || !r.u8(&container) ||
@@ -426,8 +421,7 @@ bool decode_population_config(CodecReader& r, PopulationConfig* out) {
       !r.str(&out->trace_dir) || !r.boolean(&out->flight_recorder) ||
       !r.str(&out->anomaly_dir) || !r.i64(&ffct) || !r.u64(&max_dumps) ||
       !r.u64(&fail_at) || !r.u64(&kill_at) || !r.u64(&crash_after) ||
-      !r.i64(&crash_sig) || !r.u64(&chunk) || !r.u64(&skew) ||
-      !r.u64(&straggler) || !r.u64(&straggler_us)) {
+      !r.i64(&crash_sig)) {
     return false;
   }
   if (cc > static_cast<uint8_t>(cc::CcAlgo::kCubic)) return false;
@@ -447,10 +441,6 @@ bool decode_population_config(CodecReader& r, PopulationConfig* out) {
   out->kill_at_index = kill_at;
   out->crash_after_index = crash_after;
   out->crash_after_signal = static_cast<int>(crash_sig);
-  out->chunk = chunk;
-  out->skew_delay_us = skew;
-  out->straggler_worker = straggler;
-  out->straggler_delay_us = straggler_us;
   return true;
 }
 

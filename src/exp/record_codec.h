@@ -106,9 +106,10 @@ bool decode_metrics_registry(CodecReader& r, obs::MetricsRegistry* out);
 
 /// Workload description shipped to a remote shard worker (the kConfig
 /// control frame wira_workerd consumes).  Dispatcher-only fields —
-/// threads, processes, workers, retry_dead_shards, dispatch_stats — are
-/// *not* encoded: the receiving worker always runs its chunks serially
-/// in-process, so decode leaves those at their defaults.
+/// threads, processes, chunk, workers, retry_dead_shards, dispatch_stats
+/// — are *not* encoded: the receiving worker always runs its chunks
+/// serially in-process and learns their bounds from kChunkAssign frames,
+/// so decode leaves those at their defaults.
 void encode_population_config(const PopulationConfig& c, CodecWriter& w);
 bool decode_population_config(CodecReader& r, PopulationConfig* out);
 

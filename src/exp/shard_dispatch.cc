@@ -1,8 +1,8 @@
 // Dynamic chunk dispatcher over pluggable shard transports (DESIGN.md
 // §6).  See shard_dispatch.h for the scheduling and transport contracts;
 // this file holds the worker loop (shared by pipe children and
-// wira_workerd), the two channel implementations, and the collect/stream
-// dispatch drivers.
+// wira_workerd), the two channel implementations, and the dispatch
+// driver.
 #include "exp/shard_dispatch.h"
 
 #include <fcntl.h>
@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +23,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "exp/population_internal.h"
@@ -59,24 +57,8 @@ class SigpipeGuard {
 
 }  // namespace
 
-std::vector<Chunk> make_chunks(size_t sessions, size_t chunk_size,
-                               size_t workers) {
+std::vector<Chunk> make_chunks(size_t sessions, size_t chunk_size) {
   std::vector<Chunk> chunks;
-  if (sessions == 0) return chunks;
-  if (chunk_size == 0) {
-    // Static striping: one balanced contiguous stripe per worker.
-    if (workers == 0) workers = 1;
-    const size_t base = sessions / workers;
-    const size_t extra = sessions % workers;
-    size_t at = 0;
-    for (size_t w = 0; w < workers; ++w) {
-      const size_t len = base + (w < extra ? 1 : 0);
-      if (len == 0) continue;
-      chunks.push_back({at, at + len});
-      at += len;
-    }
-    return chunks;
-  }
   for (size_t at = 0; at < sessions; at += chunk_size) {
     chunks.push_back({at, std::min(sessions, at + chunk_size)});
   }
@@ -182,11 +164,6 @@ int run_shard_worker_frames(const PopulationConfig& config, size_t worker,
       const Chunk chunk = todo.front();
       todo.pop_front();
       for (size_t i = chunk.begin; i < chunk.end; ++i) {
-        if (worker == config.straggler_worker &&
-            config.straggler_delay_us > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(config.straggler_delay_us));
-        }
         if (i == config.kill_at_index) {
           // Fault injection: flush what we have (header included) so the
           // parent sees a well-formed prefix, then die like a crash would.
@@ -473,14 +450,12 @@ struct WorkerState {
   bool header_ok = false;
   bool end_seen = false;
   bool eof = false;
-  bool retired = false;   ///< stream mode: dead worker already handled
+  bool retired = false;   ///< dead worker whose sessions re-run in-process
   bool end_sent = false;  ///< kEnd control frame shipped
-  bool finished = false;
   std::string defect;         ///< first stream-level defect, latched
   std::string finish_reason;  ///< from ShardChannel::finish()
 
-  /// Parsed records not yet handed to the driver (stream mode bounds
-  /// this; collect mode drains it every pass).
+  /// Parsed records not yet handed to the sink, in index order.
   std::deque<std::pair<size_t, SessionRecord>> ready;
 
   // Last completed chunk, for naming deaths that happen between chunks.
@@ -488,18 +463,38 @@ struct WorkerState {
   size_t last_end = 0;
 };
 
-/// Stream-mode backpressure: max parsed-but-unflushed records per worker.
-constexpr size_t kStreamReadyCap = 8;
+/// Owner marker for a queue chunk the parent claimed to run in-process.
+constexpr int kInProcess = -2;
+
+/// Reads whatever is available on worker w's data fd into its buffer.
+/// Returns false on EOF (fd stays open; caller closes).
+bool drain_fd(WorkerState& ws) {
+  uint8_t tmp[65536];
+  const ssize_t n = read(ws.ch->data_fd(), tmp, sizeof(tmp));
+  if (n > 0) {
+    ws.buf.insert(ws.buf.end(), tmp, tmp + n);
+    return true;
+  }
+  if (n < 0 && (errno == EINTR || errno == EAGAIN)) return true;
+  return false;
+}
+
+/// "worker W (sessions [a,b)) <reason> while on session I".
+std::string describe(const ShardDeath& d) {
+  return "worker " + std::to_string(d.worker) + " (sessions [" +
+         std::to_string(d.stripe_begin) + "," + std::to_string(d.stripe_end) +
+         ")) " + d.reason + " while on session " + std::to_string(d.died_at);
+}
 
 class ChunkDispatcher {
  public:
-  ChunkDispatcher(const PopulationConfig& config, obs::MetricsRegistry* metrics)
-      : config_(config), metrics_(metrics), stats_(config.dispatch_stats) {
+  explicit ChunkDispatcher(const PopulationConfig& config)
+      : config_(config), stats_(config.dispatch_stats) {
     const size_t requested =
         config.workers.empty()
             ? util::ThreadPool::clamp_threads(config.processes, config.sessions)
             : config.workers.size();
-    chunks_ = make_chunks(config.sessions, config.chunk, requested);
+    chunks_ = make_chunks(config.sessions, config.chunk);
     chunk_owner_.assign(chunks_.size(), -1);
     // S1: never materialize a worker that would get an empty assignment.
     w_count_ = std::min(requested, chunks_.size());
@@ -515,7 +510,6 @@ class ChunkDispatcher {
   size_t worker_count() const { return w_count_; }
   std::vector<WorkerState>& workers() { return workers_; }
   int owner_of(size_t chunk_id) const { return chunk_owner_[chunk_id]; }
-  void orphan_chunk(size_t chunk_id) { chunk_owner_[chunk_id] = -2; }
   bool queue_empty() const { return next_chunk_ >= chunks_.size(); }
 
   /// Chunk containing session index i (chunks are contiguous and sorted).
@@ -599,6 +593,19 @@ class ChunkDispatcher {
     append_frame(FrameType::kEnd, {}, frame);
     ws.ch->send_control(frame.data(), frame.size());
     ws.end_sent = true;
+  }
+
+  /// Takes the queue head (chunk_id) off the queue to run in-process.
+  void claim_in_process(size_t chunk_id) {
+    next_chunk_++;
+    chunk_owner_[chunk_id] = kInProcess;
+  }
+
+  /// Failure path: deal no further queue chunks, so every surviving
+  /// worker ends its stream once its in-flight assignments drain.
+  void stop_dealing() {
+    next_chunk_ = chunks_.size();
+    for (size_t w = 0; w < w_count_; ++w) maybe_send_end(w);
   }
 
   /// Incremental parse of worker w's data buffer.  Records land in
@@ -686,20 +693,63 @@ class ChunkDispatcher {
     }
   }
 
-  /// EOF classification: defect > transport reason > protocol state.
-  std::string death_reason(const WorkerState& ws) const {
-    if (!ws.defect.empty()) return ws.defect;
-    if (!ws.finish_reason.empty()) return ws.finish_reason;
-    if (ws.end_seen && (!ws.assigned.empty() || !ws.end_sent)) {
-      return "end marker before assignment complete";
+  /// Waits for data on every live worker `pollable` admits and parses
+  /// what arrived.  False when no worker qualifies (or poll() fails).
+  template <typename Pollable>
+  bool pump(Pollable pollable) {
+    std::vector<struct pollfd> pfds;
+    std::vector<size_t> owner;
+    for (size_t w = 0; w < w_count_; ++w) {
+      const WorkerState& ws = workers_[w];
+      if (ws.retired || ws.eof || !ws.defect.empty() || !pollable(ws)) {
+        continue;
+      }
+      pfds.push_back({ws.ch->data_fd(), POLLIN, 0});
+      owner.push_back(w);
     }
-    if (!ws.header_ok) return "truncated record stream (no header)";
-    return "truncated record stream";
+    if (pfds.empty()) return false;
+    if (poll(pfds.data(), pfds.size(), -1) < 0) return errno == EINTR;
+    for (size_t p = 0; p < pfds.size(); ++p) {
+      if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      WorkerState& ws = workers_[owner[p]];
+      if (!drain_fd(ws)) {
+        ws.eof = true;
+        ws.ch->close_data();
+        continue;
+      }
+      parse(owner[p]);
+    }
+    return true;
   }
 
-  bool worker_dirty(const WorkerState& ws) const {
-    return !ws.defect.empty() || !ws.finish_reason.empty() ||
-           !ws.end_seen || !ws.assigned.empty();
+  /// Retry path: stops dead worker w.  Its chunks stay owned by it, so
+  /// the driver can still take the records it streamed.
+  ShardDeath retire(size_t w) {
+    WorkerState& ws = workers_[w];
+    ws.ch->hard_kill();
+    ws.ch->close_data();
+    ws.finish_reason = ws.ch->finish();
+    ws.retired = true;
+    update_busy();
+    return make_death(w);
+  }
+
+  /// Reaps every worker not already retired; returns the dirty ones.
+  std::vector<ShardDeath> reap() {
+    std::vector<ShardDeath> deaths;
+    for (size_t w = 0; w < w_count_; ++w) {
+      WorkerState& ws = workers_[w];
+      if (ws.retired) continue;
+      // A corrupt stream never recovers: stop the worker before waiting.
+      if (!ws.defect.empty()) ws.ch->hard_kill();
+      ws.ch->close_data();
+      ws.finish_reason = ws.ch->finish();
+      if (!ws.defect.empty() || !ws.finish_reason.empty() || !ws.end_seen ||
+          !ws.assigned.empty()) {
+        deaths.push_back(make_death(w));
+      }
+    }
+    return deaths;
   }
 
   /// Names the death: in-flight chunk if one exists, else the last chunk
@@ -722,6 +772,18 @@ class ChunkDispatcher {
     return d;
   }
 
+ private:
+  /// EOF classification: defect > transport reason > protocol state.
+  static std::string death_reason(const WorkerState& ws) {
+    if (!ws.defect.empty()) return ws.defect;
+    if (!ws.finish_reason.empty()) return ws.finish_reason;
+    if (ws.end_seen && (!ws.assigned.empty() || !ws.end_sent)) {
+      return "end marker before assignment complete";
+    }
+    if (!ws.header_ok) return "truncated record stream (no header)";
+    return "truncated record stream";
+  }
+
   void update_busy() {
     if (stats_ == nullptr) return;
     size_t busy = 0;
@@ -731,9 +793,6 @@ class ChunkDispatcher {
     stats_->busy_workers = std::max(stats_->busy_workers, busy);
   }
 
-  size_t take_next_chunk() { return next_chunk_++; }
-
- private:
   void spawn_pipe_workers() {
     std::vector<int> parent_fds;  // earlier workers' parent-side fds
     for (size_t w = 0; w < w_count_; ++w) {
@@ -773,150 +832,16 @@ class ChunkDispatcher {
   }
 
   const PopulationConfig& config_;
-  obs::MetricsRegistry* metrics_;
   DispatchStats* stats_;
   std::vector<Chunk> chunks_;
-  std::vector<int> chunk_owner_;  ///< -1 unassigned, -2 orphaned, else worker
+  /// -1 unassigned, kInProcess, else the worker it was dealt to.
+  std::vector<int> chunk_owner_;
   std::vector<WorkerState> workers_;
   size_t w_count_ = 0;
   size_t next_chunk_ = 0;
 };
 
-/// Reads whatever is available on worker w's data fd into its buffer.
-/// Returns false on EOF (fd stays open; caller closes).
-bool drain_fd(WorkerState& ws) {
-  uint8_t tmp[65536];
-  const ssize_t n = read(ws.ch->data_fd(), tmp, sizeof(tmp));
-  if (n > 0) {
-    ws.buf.insert(ws.buf.end(), tmp, tmp + n);
-    return true;
-  }
-  if (n < 0 && (errno == EINTR || errno == EAGAIN)) return true;
-  return false;
-}
-
 }  // namespace
-
-std::vector<SessionRecord> dispatch_population_collect(
-    const PopulationConfig& config, obs::MetricsRegistry* metrics) {
-  std::vector<SessionRecord> records(config.sessions);
-  std::vector<uint8_t> have(config.sessions, 0);
-  if (config.sessions == 0) return records;
-
-  SigpipeGuard sigpipe_guard;
-  ChunkDispatcher disp(config, metrics);
-  disp.spawn();
-  auto& workers = disp.workers();
-  const size_t w_count = disp.worker_count();
-
-  auto drain_ready = [&](WorkerState& ws) {
-    while (!ws.ready.empty()) {
-      auto& [idx, rec] = ws.ready.front();
-      records[idx] = std::move(rec);
-      have[idx] = 1;
-      ws.ready.pop_front();
-    }
-  };
-
-  size_t open_fds = w_count;
-  while (open_fds > 0) {
-    std::vector<struct pollfd> pfds;
-    std::vector<size_t> owner;
-    for (size_t w = 0; w < w_count; ++w) {
-      if (workers[w].eof || workers[w].ch->data_fd() < 0) continue;
-      pfds.push_back({workers[w].ch->data_fd(), POLLIN, 0});
-      owner.push_back(w);
-    }
-    if (pfds.empty()) break;
-    const int rc = poll(pfds.data(), pfds.size(), -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (size_t p = 0; p < pfds.size(); ++p) {
-      if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const size_t w = owner[p];
-      WorkerState& ws = workers[w];
-      if (!drain_fd(ws)) {
-        ws.eof = true;
-        ws.ch->close_data();
-        open_fds--;
-        continue;
-      }
-      disp.parse(w);
-      drain_ready(ws);
-      if (!ws.defect.empty()) {
-        // A corrupt stream never recovers: stop the worker and move on.
-        ws.ch->hard_kill();
-        ws.ch->close_data();
-        ws.eof = true;
-        open_fds--;
-      }
-    }
-  }
-
-  // Reap everything and classify.
-  std::vector<ShardDeath> deaths;
-  for (size_t w = 0; w < w_count; ++w) {
-    WorkerState& ws = workers[w];
-    disp.parse(w);
-    drain_ready(ws);
-    ws.finish_reason = ws.ch->finish();
-    ws.finished = true;
-    if (disp.worker_dirty(ws)) {
-      deaths.push_back(disp.make_death(w));
-    }
-  }
-  disp.update_busy();
-
-  std::vector<size_t> missing;
-  for (size_t i = 0; i < config.sessions; ++i) {
-    if (have[i] == 0) missing.push_back(i);
-  }
-
-  internal::materialize_crash_dumps(
-      config, std::max(w_count, static_cast<size_t>(1)), metrics);
-
-  if (!deaths.empty() || !missing.empty()) {
-    if (deaths.empty()) {
-      // Shouldn't happen (missing implies a dirty worker), but don't
-      // lose records over it.
-      ShardDeath d;
-      d.worker = 0;
-      d.reason = "incomplete record set";
-      deaths.push_back(d);
-    }
-    std::string msg = "run_population: ";
-    for (size_t d = 0; d < deaths.size(); ++d) {
-      if (d > 0) msg += "; ";
-      msg += "worker " + std::to_string(deaths[d].worker) + " (sessions [" +
-             std::to_string(deaths[d].stripe_begin) + "," +
-             std::to_string(deaths[d].stripe_end) + ")) " + deaths[d].reason +
-             " while on session " + std::to_string(deaths[d].died_at);
-    }
-    msg += "; salvaged " + std::to_string(config.sessions - missing.size()) +
-           " of " + std::to_string(config.sessions) + " records";
-    if (!config.retry_dead_shards) {
-      throw PopulationShardError(msg, std::move(deaths), std::move(records),
-                                 std::move(missing));
-    }
-    WIRA_WARN("population",
-              msg + "; retrying " + std::to_string(missing.size()) +
-                  " missing session(s) in-process");
-    popgen::Population population(config.seed * 31 + 7, config.num_groups);
-    SessionWorkspace ws;
-    for (const size_t i : missing) {
-      records[i] = internal::run_one_session(config, population, i, ws);
-    }
-  }
-
-  if (metrics != nullptr) {
-    for (size_t i = 0; i < config.sessions; ++i) {
-      record_session_metrics(*metrics, records[i], config.collect_metrics);
-    }
-  }
-  return records;
-}
 
 void dispatch_population_stream(const PopulationConfig& config,
                                 obs::MetricsRegistry* metrics,
@@ -927,123 +852,29 @@ void dispatch_population_stream(const PopulationConfig& config,
   }
 
   SigpipeGuard sigpipe_guard;
-  ChunkDispatcher disp(config, metrics);
+  ChunkDispatcher disp(config);
   disp.spawn();
   auto& workers = disp.workers();
-  const size_t w_count = disp.worker_count();
+  // Per-worker reorder bound.  A worker holds at most two outstanding
+  // chunks, so parking 2 x chunk records never stalls one that is merely
+  // ahead of the cursor, and memory stays O(workers · chunk).
+  const size_t ready_cap = std::max<size_t>(8, 2 * config.chunk);
+  const auto has_headroom = [ready_cap](const WorkerState& ws) {
+    return ws.ready.size() < ready_cap;
+  };
 
-  // Lazy in-process fallback for orphaned chunks under retry.
-  std::optional<popgen::Population> retry_population;
-  std::unique_ptr<SessionWorkspace> retry_ws;
-
-  auto flush = [&](size_t i, SessionRecord&& rec) {
+  size_t next = 0;  // cursor: every index below it went to the sink
+  auto deliver = [&](SessionRecord&& rec) {
     if (metrics != nullptr) {
       record_session_metrics(*metrics, rec, config.collect_metrics);
     }
-    sink.on_record(i, std::move(rec));
+    sink.on_record(next++, std::move(rec));
   };
 
-  auto live_worker_exists = [&]() {
-    for (const WorkerState& ws : workers) {
-      if (!ws.retired && !ws.eof && ws.defect.empty()) return true;
-    }
-    return false;
-  };
-
-  // Waits for data on any worker that still has headroom; returns false
-  // when nothing can make progress (every candidate dead or capped).
-  auto pump = [&]() -> bool {
-    std::vector<struct pollfd> pfds;
-    std::vector<size_t> owner;
-    for (size_t w = 0; w < w_count; ++w) {
-      const WorkerState& ws = workers[w];
-      if (ws.retired || ws.eof || ws.ch->data_fd() < 0) continue;
-      if (!ws.defect.empty()) continue;
-      if (ws.ready.size() >= kStreamReadyCap) continue;
-      pfds.push_back({ws.ch->data_fd(), POLLIN, 0});
-      owner.push_back(w);
-    }
-    if (pfds.empty()) return false;
-    const int rc = poll(pfds.data(), pfds.size(), -1);
-    if (rc < 0) {
-      if (errno == EINTR) return true;
-      return false;
-    }
-    for (size_t p = 0; p < pfds.size(); ++p) {
-      if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const size_t w = owner[p];
-      WorkerState& ws = workers[w];
-      if (!drain_fd(ws)) {
-        ws.eof = true;
-        ws.ch->close_data();
-        continue;
-      }
-      disp.parse(w);
-    }
-    return true;
-  };
-
-  size_t delivered = 0;
-
-  // Fails the sweep: snapshot every dead worker, reap everything, and
-  // throw with the streaming contract (delivered records are gone).
-  auto fail_sweep = [&](size_t dead_hint) {
-    std::vector<ShardDeath> deaths;
-    for (size_t w = 0; w < w_count; ++w) {
-      WorkerState& ws = workers[w];
-      if (ws.retired) continue;
-      if (!ws.finished) {
-        ws.ch->hard_kill();
-        ws.ch->close_data();
-        ws.finish_reason = ws.ch->finish();
-        ws.finished = true;
-      }
-      // Only report workers that actually died; healthy ones were just
-      // killed by us for cleanup.
-      if (!ws.defect.empty() || (ws.eof && !ws.end_seen)) {
-        deaths.push_back(disp.make_death(w));
-      }
-    }
-    if (deaths.empty()) deaths.push_back(disp.make_death(dead_hint));
-    std::vector<size_t> missing;
-    for (size_t i = delivered; i < config.sessions; ++i) missing.push_back(i);
-    internal::materialize_crash_dumps(
-        config, std::max(w_count, static_cast<size_t>(1)), metrics);
-    const ShardDeath& d = deaths.front();
-    std::string msg =
-        "run_population (streaming): worker " + std::to_string(d.worker) +
-        " (sessions [" + std::to_string(d.stripe_begin) + "," +
-        std::to_string(d.stripe_end) + ")) " + d.reason + " while on session " +
-        std::to_string(d.died_at) + "; " + std::to_string(delivered) + " of " +
-        std::to_string(config.sessions) +
-        " records already delivered to the sink";
-    throw PopulationShardError(msg, std::move(deaths), {}, std::move(missing));
-  };
-
-  // Retires a dead worker under retry: orphan its chunks and keep going.
-  auto retire_worker = [&](size_t w) {
-    WorkerState& ws = workers[w];
-    ws.ch->hard_kill();
-    ws.ch->close_data();
-    if (!ws.finished) {
-      ws.finish_reason = ws.ch->finish();
-      ws.finished = true;
-    }
-    const ShardDeath d = disp.make_death(w);
-    WIRA_WARN("population",
-              "stream worker " + std::to_string(d.worker) + " " + d.reason +
-                  " while on session " + std::to_string(d.died_at) +
-                  "; re-running its remaining sessions in-process");
-    for (const size_t chunk_id : ws.assigned) {
-      disp.orphan_chunk(chunk_id);
-    }
-    ws.assigned.clear();
-    ws.ready.clear();
-    ws.retired = true;
-    disp.update_busy();
-  };
-
-  auto run_inprocess = [&](size_t i) {
+  // Lazy in-process fallback for a dead worker's sessions under retry.
+  std::optional<popgen::Population> retry_population;
+  std::unique_ptr<SessionWorkspace> retry_ws;
+  auto run_in_process = [&](size_t i) {
     if (!retry_population.has_value()) {
       retry_population.emplace(config.seed * 31 + 7, config.num_groups);
       retry_ws = std::make_unique<SessionWorkspace>();
@@ -1051,104 +882,106 @@ void dispatch_population_stream(const PopulationConfig& config,
     return internal::run_one_session(config, *retry_population, i, *retry_ws);
   };
 
-  size_t next = 0;
+  // Owner of the cursor's chunk when it died with retry off.
+  std::optional<size_t> failed_owner;
   while (next < config.sessions) {
     const size_t cid = disp.chunk_index_of(next);
     const int owner = disp.owner_of(cid);
-    if (owner >= 0) {
-      WorkerState& ws = workers[static_cast<size_t>(owner)];
-      if (!ws.ready.empty() && ws.ready.front().first == next) {
-        flush(next, std::move(ws.ready.front().second));
-        ws.ready.pop_front();
-        ++next;
-        ++delivered;
-        continue;
-      }
-      const bool dead = ws.retired || !ws.defect.empty() ||
-                        (ws.eof && ws.ready.empty());
-      if (dead) {
-        if (!config.retry_dead_shards) {
-          fail_sweep(static_cast<size_t>(owner));
-        }
-        if (!ws.retired) retire_worker(static_cast<size_t>(owner));
-        // The cursor's chunk is now orphaned; next iteration handles it.
-        continue;
-      }
-      if (!pump()) {
-        // No pollable candidate can make progress: the cursor's owner is
-        // stuck.  Treat it as dead.
-        if (!config.retry_dead_shards) {
-          fail_sweep(static_cast<size_t>(owner));
-        }
-        if (!workers[static_cast<size_t>(owner)].retired) {
-          retire_worker(static_cast<size_t>(owner));
-        }
+    if (owner == kInProcess ||
+        (owner >= 0 && workers[static_cast<size_t>(owner)].retired)) {
+      // Take what a retired worker streamed; re-run the rest in-process.
+      auto* ready =
+          owner >= 0 ? &workers[static_cast<size_t>(owner)].ready : nullptr;
+      if (ready != nullptr && !ready->empty() &&
+          ready->front().first == next) {
+        deliver(std::move(ready->front().second));
+        ready->pop_front();
+      } else {
+        deliver(run_in_process(next));
       }
       continue;
     }
-    if (owner == -2) {
-      // Orphaned chunk: run the cursor's session in-process (retry mode
-      // only ever orphans chunks).
-      SessionRecord rec = run_inprocess(next);
-      flush(next, std::move(rec));
-      ++next;
-      ++delivered;
-      continue;
-    }
-    // Unassigned (-1): every chunk before cid is flushed (hence
-    // assigned), so cid is the queue head.  Defensive path — a live
-    // worker's chunk completion would have claimed it — but if nothing
-    // can make progress, run it in-process rather than spin.
-    if (live_worker_exists() && pump()) continue;
-    if (!config.retry_dead_shards) fail_sweep(0);
-    disp.take_next_chunk();
-    disp.orphan_chunk(cid);
-  }
-
-  // Drain tails: every live worker should deliver its end marker.
-  for (size_t w = 0; w < w_count; ++w) {
-    WorkerState& ws = workers[w];
-    if (ws.retired) continue;
-    while (!ws.eof && ws.defect.empty() && !ws.end_seen) {
-      if (!drain_fd(ws)) {
-        ws.eof = true;
+    if (owner < 0) {
+      // Unassigned: chunks are dealt in order, so this is the queue head
+      // and no live worker is left to deal it to.
+      if (disp.pump(has_headroom)) continue;
+      if (!config.retry_dead_shards) {
+        failed_owner = 0;
         break;
       }
-      disp.parse(w);
+      disp.claim_in_process(cid);
+      continue;
     }
-    ws.ch->close_data();
-    if (!ws.finished) {
-      ws.finish_reason = ws.ch->finish();
-      ws.finished = true;
+    WorkerState& ws = workers[static_cast<size_t>(owner)];
+    // The cursor's chunk is its owner's earliest unflushed one, so it is
+    // complete once it has left the owner's assignment queue.  Only whole
+    // chunks reach the sink: what a death leaves there (and what it
+    // leaves to salvage) then does not depend on timing.
+    if (ws.assigned.empty() || ws.assigned.front() != cid) {
+      const size_t end = disp.chunks()[cid].end;
+      while (next < end) {
+        deliver(std::move(ws.ready.front().second));
+        ws.ready.pop_front();
+      }
+      continue;
     }
+    if (!ws.eof && ws.defect.empty() && disp.pump(has_headroom)) continue;
+    // The owner died mid-chunk, or nothing can make progress.
+    if (!config.retry_dead_shards) {
+      failed_owner = static_cast<size_t>(owner);
+      break;
+    }
+    const ShardDeath death = disp.retire(static_cast<size_t>(owner));
+    WIRA_WARN("population", "run_population: " + describe(death) +
+                                "; re-running its remaining sessions "
+                                "in-process");
   }
 
-  // Post-sweep classification: a worker that delivered every record but
-  // exited dirty still fails the sweep (unless retrying — the records
-  // are all delivered, so there is nothing to re-run).
-  std::vector<ShardDeath> tail_deaths;
-  for (size_t w = 0; w < w_count; ++w) {
-    WorkerState& ws = workers[w];
-    if (ws.retired) continue;
-    if (disp.worker_dirty(ws)) {
-      tail_deaths.push_back(disp.make_death(w));
-    }
+  // Drain every live stream to its end marker (after a failure, the
+  // in-flight assignments of the surviving workers), then reap.
+  if (failed_owner.has_value()) disp.stop_dealing();
+  while (disp.pump([](const WorkerState& ws) { return !ws.end_seen; })) {
   }
+  std::vector<ShardDeath> deaths = disp.reap();
   internal::materialize_crash_dumps(
-      config, std::max(w_count, static_cast<size_t>(1)), metrics);
-  if (!tail_deaths.empty()) {
-    std::string msg = "run_population (streaming): ";
-    for (size_t d = 0; d < tail_deaths.size(); ++d) {
-      if (d > 0) msg += "; ";
-      msg += "worker " + std::to_string(tail_deaths[d].worker) + " " +
-             tail_deaths[d].reason + " after delivering its full assignment";
-    }
-    if (!config.retry_dead_shards) {
-      throw PopulationShardError(msg, std::move(tail_deaths), {}, {});
-    }
-    WIRA_WARN("population", msg + "; all records were delivered");
+      config, std::max<size_t>(disp.worker_count(), 1), metrics);
+  if (deaths.empty() && !failed_owner.has_value()) {
+    sink.on_complete(config.sessions);
+    return;
   }
-  sink.on_complete(config.sessions);
+  if (deaths.empty()) deaths.push_back(disp.make_death(*failed_owner));
+  std::string msg = "run_population: ";
+  for (size_t d = 0; d < deaths.size(); ++d) {
+    if (d > 0) msg += "; ";
+    msg += describe(deaths[d]);
+  }
+  if (!failed_owner.has_value() && config.retry_dead_shards) {
+    // A worker exited dirty after its records were all delivered:
+    // nothing is left to re-run.
+    WIRA_WARN("population", msg + "; all records were delivered");
+    sink.on_complete(config.sessions);
+    return;
+  }
+
+  // Salvage is index-addressed and holds what arrived but never reached
+  // the sink; missing is exactly what never arrived.
+  std::vector<SessionRecord> salvaged(config.sessions);
+  std::vector<uint8_t> arrived(config.sessions, 0);
+  std::fill(arrived.begin(), arrived.begin() + static_cast<long>(next), 1);
+  for (WorkerState& ws : workers) {
+    for (auto& [i, rec] : ws.ready) {
+      salvaged[i] = std::move(rec);
+      arrived[i] = 1;
+    }
+  }
+  std::vector<size_t> missing;
+  for (size_t i = 0; i < config.sessions; ++i) {
+    if (arrived[i] == 0) missing.push_back(i);
+  }
+  msg += "; salvaged " + std::to_string(config.sessions - missing.size()) +
+         " of " + std::to_string(config.sessions) + " records";
+  throw PopulationShardError(msg, std::move(deaths), std::move(salvaged),
+                             std::move(missing));
 }
 
 }  // namespace wira::exp

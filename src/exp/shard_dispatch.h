@@ -2,10 +2,9 @@
 // scheduling over pluggable shard transports.
 //
 // Scheduling: the parent cuts the session index space [0, sessions) into
-// contiguous chunks (PopulationConfig::chunk indices each; 0 = legacy
-// static striping, one balanced stripe per worker) and keeps a queue of
-// unassigned chunks.  Every worker holds at most two outstanding chunk
-// assignments — one in flight, one buffered so the worker never idles
+// contiguous chunks (PopulationConfig::chunk indices each) and keeps a
+// queue of unassigned chunks.  Every worker holds at most two outstanding
+// chunk assignments — one in flight, one buffered so the worker never idles
 // between chunks — and receives the next queue chunk the moment its
 // in-flight chunk completes.  Stragglers therefore stop gating the
 // sweep: a slow worker simply pulls fewer chunks.  Reassembly is
@@ -51,14 +50,9 @@ struct Chunk {
   size_t size() const { return end - begin; }
 };
 
-/// Cuts [0, sessions) into dispatch chunks.  chunk_size > 0: fixed-size
-/// chunks (the last one short).  chunk_size == 0: static striping — one
-/// balanced contiguous stripe per worker, empties skipped — which under
-/// the at-most-two-outstanding scheduler degenerates to exactly the old
-/// static assignment (every worker gets its one stripe up front and no
-/// re-dispatch ever happens): the A/B baseline for perf_smoke.
-std::vector<Chunk> make_chunks(size_t sessions, size_t chunk_size,
-                               size_t workers);
+/// Cuts [0, sessions) into fixed-size chunks (the last one short).
+/// chunk_size must be positive.
+std::vector<Chunk> make_chunks(size_t sessions, size_t chunk_size);
 
 /// One parent<->worker byte channel.  The dispatcher only needs: a
 /// readable fd for record frames, a control-frame writer, a hard-kill
@@ -99,7 +93,7 @@ std::unique_ptr<ShardChannel> connect_tcp_worker(const std::string& endpoint,
 /// kSessionRecord frame per completed session (plus a final kEnd) to
 /// data_fd.  Returns the worker exit code: 0 clean, 1 a session threw,
 /// 2 control-protocol violation, 3 data write failed (parent gone).
-/// Honors the fault-injection and straggler hooks in `config`.
+/// Honors the fault-injection hooks in `config`.
 int run_shard_worker(const PopulationConfig& config, size_t worker,
                      int control_fd, int data_fd);
 
@@ -110,20 +104,13 @@ int run_shard_worker(const PopulationConfig& config, size_t worker,
 /// (2 on a config/handshake violation).
 int serve_shard_worker(int fd);
 
-/// Multi-worker sweep, collect mode: spawns/connects workers (pipes when
-/// config.workers is empty, TCP otherwise), dispatches chunks, and
-/// returns the index-addressed records.  Metrics (when requested) are
-/// folded from the reassembled records in index order — bit-identical to
-/// the serial fold by construction.  Throws PopulationShardError on
-/// worker death unless config.retry_dead_shards.
-std::vector<SessionRecord> dispatch_population_collect(
-    const PopulationConfig& config, obs::MetricsRegistry* metrics);
-
-/// Streaming-sink mode: same dispatcher, but records flush to `sink` in
-/// strictly increasing index order as soon as the cursor's record
-/// arrives, holding O(workers · chunk) records at any instant.  Failure
-/// semantics follow the streaming contract: delivered records cannot be
-/// recalled, so a no-retry death throws with empty `salvaged`.
+/// The multi-worker sweep behind both run_population overloads:
+/// spawns/connects workers (pipes when config.workers is empty, TCP
+/// otherwise), dispatches chunks, and hands each completed chunk's
+/// records to `sink` in strictly increasing index order, holding
+/// O(workers · chunk) records at any instant.  Metrics (when requested)
+/// are folded in that same index order — bit-identical to the serial
+/// fold.  A worker death follows run_population's failure contract.
 void dispatch_population_stream(const PopulationConfig& config,
                                 obs::MetricsRegistry* metrics,
                                 RecordSink& sink);

@@ -1,7 +1,7 @@
 // Tests for the fleet-scale dispatch layer (DESIGN.md §6): the dynamic
-// chunk scheduler, its DispatchStats telemetry, the straggler win it was
-// built for, and the socket shard transport (loopback wira_workerd
-// endpoints, including one dying mid-sweep).
+// chunk scheduler, its DispatchStats telemetry, the failure contract the
+// vector and sink overloads share, and the socket shard transport
+// (loopback wira_workerd endpoints, including one dying mid-sweep).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,9 +10,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -34,21 +34,24 @@ PopulationConfig small_config(uint64_t seed = 23) {
 }
 
 // Encoded-bytes comparison: every field the codec carries participates.
+std::vector<uint8_t> encoded(const SessionRecord& rec) {
+  std::vector<uint8_t> out;
+  CodecWriter w(out);
+  encode_session_record(rec, w);
+  return out;
+}
+
 bool records_equal(const std::vector<SessionRecord>& a,
                    const std::vector<SessionRecord>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    std::vector<uint8_t> ea, eb;
-    CodecWriter wa(ea), wb(eb);
-    encode_session_record(a[i], wa);
-    encode_session_record(b[i], wb);
-    if (ea != eb) return false;
+    if (encoded(a[i]) != encoded(b[i])) return false;
   }
   return true;
 }
 
 TEST(Chunks, FixedSizeCutsWithShortTail) {
-  const auto c = make_chunks(10, 4, 3);
+  const auto c = make_chunks(10, 4);
   ASSERT_EQ(c.size(), 3u);
   EXPECT_EQ(c[0].begin, 0u);
   EXPECT_EQ(c[0].end, 4u);
@@ -59,45 +62,21 @@ TEST(Chunks, FixedSizeCutsWithShortTail) {
 }
 
 TEST(Chunks, OversizedChunkIsOneChunk) {
-  const auto c = make_chunks(12, 4096, 4);
+  const auto c = make_chunks(12, 4096);
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0].begin, 0u);
   EXPECT_EQ(c[0].end, 12u);
 }
 
-TEST(Chunks, ZeroMeansStaticBalancedStripes) {
-  // 14 over 4 workers: 4,4,3,3 — the legacy static assignment.
-  const auto c = make_chunks(14, 0, 4);
-  ASSERT_EQ(c.size(), 4u);
-  EXPECT_EQ(c[0].begin, 0u);
-  EXPECT_EQ(c[0].end, 4u);
-  EXPECT_EQ(c[1].begin, 4u);
-  EXPECT_EQ(c[1].end, 8u);
-  EXPECT_EQ(c[2].begin, 8u);
-  EXPECT_EQ(c[2].end, 11u);
-  EXPECT_EQ(c[3].begin, 11u);
-  EXPECT_EQ(c[3].end, 14u);
-}
-
-TEST(Chunks, StaticStripingSkipsEmptyStripes) {
-  // More workers than sessions: only non-empty stripes survive.
-  const auto c = make_chunks(3, 0, 8);
-  ASSERT_EQ(c.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(c[i].begin, i);
-    EXPECT_EQ(c[i].end, i + 1);
-  }
-}
-
 TEST(Chunks, EmptyPopulationHasNoChunks) {
-  EXPECT_TRUE(make_chunks(0, 64, 4).empty());
-  EXPECT_TRUE(make_chunks(0, 0, 4).empty());
+  EXPECT_TRUE(make_chunks(0, 64).empty());
 }
 
 // The tentpole contract: stdout-order records AND the metrics aggregate
 // are byte-identical to serial at any (worker count, chunk size) point,
 // because reassembly is index-addressed and per-session randomness
-// derives only from (seed, index).
+// derives only from (seed, index).  The vector overload is the sink
+// overload plus a CollectSink, so this also covers streamed delivery.
 TEST(Dispatch, ChunkMatrixMatchesSerialExactly) {
   PopulationConfig cfg = small_config(23);
   cfg.sessions = 24;
@@ -128,27 +107,48 @@ TEST(Dispatch, ChunkMatrixMatchesSerialExactly) {
   }
 }
 
-// The streaming sink sees the exact same bytes as collect mode under the
-// dynamic scheduler, even when chunks complete wildly out of order.
-TEST(Dispatch, StreamedSinkMatchesCollectUnderDynamicChunks) {
-  PopulationConfig cfg = small_config(29);
-  cfg.sessions = 18;
-  cfg.processes = 3;
-  cfg.chunk = 2;
-  cfg.collect_metrics = true;
-  obs::MetricsRegistry collect_m;
-  const auto collected = run_population(cfg, &collect_m);
+// The sink overload keeps the vector overload's failure contract: the
+// sink holds the whole chunks delivered before the death, `salvaged`
+// holds what arrived but never reached the sink, and `missing` is
+// exactly what never arrived.
+TEST(Dispatch, StreamNoRetryDeathSalvagesInFlight) {
+  PopulationConfig cfg = small_config(23);
+  cfg.sessions = 12;
+  cfg.processes = 2;
+  cfg.chunk = 6;          // chunks [0,6) and [6,12), dealt to workers 0/1
+  cfg.kill_at_index = 9;  // worker 1 dies after streaming 6..8
+  PopulationConfig clean = cfg;
+  clean.processes = 1;
+  clean.kill_at_index = kNoSessionIndex;
+  const auto serial = run_population(clean);
 
-  obs::MetricsRegistry stream_m;
   CollectSink sink(cfg.sessions);
-  run_population(cfg, &stream_m, sink);
+  try {
+    run_population(cfg, nullptr, sink);
+    FAIL() << "expected PopulationShardError";
+  } catch (const PopulationShardError& e) {
+    EXPECT_NE(std::string(e.what()).find("salvaged 9 of 12 records"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.missing, (std::vector<size_t>{9, 10, 11}));
+    ASSERT_EQ(sink.records().size(), 6u);
+    for (size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(encoded(sink.records()[i]), encoded(serial[i])) << i;
+    }
+    ASSERT_EQ(e.salvaged.size(), 12u);
+    for (size_t i = 6; i < 9; ++i) {
+      EXPECT_EQ(encoded(e.salvaged[i]), encoded(serial[i])) << i;
+    }
+  }
+}
 
-  EXPECT_TRUE(records_equal(collected, sink.records()));
-  EXPECT_EQ(collect_m.counters(), stream_m.counters());
-  std::ostringstream jc, js;
-  collect_m.write_json(jc);
-  stream_m.write_json(js);
-  EXPECT_EQ(jc.str(), js.str());
+// Static striping is gone: chunk 0 would leave make_chunks nothing to
+// cut, so it is a caller error rather than a silent mode switch.
+TEST(Dispatch, ChunkZeroIsRejected) {
+  PopulationConfig cfg = small_config(23);
+  cfg.processes = 2;
+  cfg.chunk = 0;
+  EXPECT_THROW(run_population(cfg), std::invalid_argument);
 }
 
 // S1: workers with an empty assignment are never spawned — the worker
@@ -184,41 +184,6 @@ TEST(Dispatch, EmptyAssignmentsSkipWorkers) {
   ASSERT_EQ(one.chunks_completed.size(), 1u);
   EXPECT_EQ(one.chunks_completed[0], 1u);
   EXPECT_EQ(one.sessions_completed[0], 3u);
-}
-
-// The reason the scheduler exists: with one injected straggler worker,
-// dynamic chunking routes work around it while static striping waits for
-// its whole stripe.  Sleeps dominate both runs, so the comparison is
-// robust under sanitizers; output must stay byte-identical either way.
-TEST(Dispatch, DynamicChunksBeatStaticStripingWithStraggler) {
-  using clock = std::chrono::steady_clock;
-  PopulationConfig cfg = small_config(37);
-  cfg.sessions = 24;
-  cfg.processes = 4;
-  cfg.straggler_worker = 0;
-  cfg.straggler_delay_us = 50000;  // 50 ms per session run by worker 0
-
-  cfg.chunk = 0;  // static striping: worker 0 serializes 6 x 50 ms
-  const auto t0 = clock::now();
-  const auto static_records = run_population(cfg);
-  const double static_s =
-      std::chrono::duration<double>(clock::now() - t0).count();
-
-  cfg.chunk = 1;  // dynamic: worker 0 pulls ~2 chunks, others take the rest
-  const auto t1 = clock::now();
-  const auto dyn_records = run_population(cfg);
-  const double dyn_s =
-      std::chrono::duration<double>(clock::now() - t1).count();
-
-  EXPECT_TRUE(records_equal(static_records, dyn_records));
-  PopulationConfig clean = cfg;
-  clean.processes = 1;
-  clean.straggler_worker = kNoSessionIndex;
-  clean.straggler_delay_us = 0;
-  EXPECT_TRUE(records_equal(run_population(clean), dyn_records));
-  // Static pays >= 300 ms on worker 0's stripe; dynamic pays ~100 ms.
-  EXPECT_LT(dyn_s, static_s * 0.85)
-      << "static " << static_s << "s vs dynamic " << dyn_s << "s";
 }
 
 // ---- loopback TCP transport --------------------------------------------
@@ -485,6 +450,24 @@ TEST(Dispatch, ConnectRefusedIsNamedShardDeath) {
               std::string::npos)
         << e.what();
   }
+}
+
+// Retry with every worker dead and chunks still queued: the parent claims
+// the queue head itself instead of waiting for a worker to deal it to.
+TEST(Dispatch, RetryRunsQueuedChunksWhenNoWorkerIsLeft) {
+  const TarpitListener tarpit;
+  PopulationConfig cfg = small_config(23);
+  cfg.sessions = 6;
+  cfg.chunk = 1;  // two chunks dealt to the dead worker, four left queued
+  cfg.workers = {tarpit.endpoint};
+  cfg.connect_timeout_ms = 300;
+  cfg.retry_dead_shards = true;
+  const auto salvaged = run_population(cfg);
+
+  PopulationConfig clean = cfg;
+  clean.workers.clear();
+  clean.retry_dead_shards = false;
+  EXPECT_TRUE(records_equal(run_population(clean), salvaged));
 }
 
 }  // namespace

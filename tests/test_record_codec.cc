@@ -445,10 +445,6 @@ PopulationConfig sample_population_config() {
   c.kill_at_index = 12;
   c.crash_after_index = 13;
   c.crash_after_signal = SIGTERM;
-  c.chunk = 5;
-  c.skew_delay_us = 250;
-  c.straggler_worker = 2;
-  c.straggler_delay_us = 777;
   return c;
 }
 
@@ -478,19 +474,18 @@ TEST(PopulationConfigCodec, RoundTripIsBitExact) {
   EXPECT_EQ(decoded.trace_dir, orig.trace_dir);
   EXPECT_EQ(decoded.anomaly_dir, orig.anomaly_dir);
   EXPECT_EQ(decoded.kill_at_index, orig.kill_at_index);
-  EXPECT_EQ(decoded.chunk, orig.chunk);
-  EXPECT_EQ(decoded.straggler_worker, orig.straggler_worker);
-  EXPECT_EQ(decoded.straggler_delay_us, orig.straggler_delay_us);
 }
 
 TEST(PopulationConfigCodec, DispatcherOnlyFieldsAreNotShipped) {
-  // threads/processes/workers/retry_dead_shards steer the *dispatcher*;
-  // the worker always runs its chunks serially, so they must not leak
-  // into the wire image.
+  // threads/processes/chunk/workers/retry_dead_shards steer the
+  // *dispatcher*; the worker always runs its chunks serially and learns
+  // their bounds from kChunkAssign frames, so they must not leak into
+  // the wire image.
   PopulationConfig a = sample_population_config();
   PopulationConfig b = a;
   b.threads = 8;
   b.processes = 4;
+  b.chunk = 1;
   b.workers = {"127.0.0.1:9999"};
   b.retry_dead_shards = true;
   std::vector<uint8_t> ea, eb;

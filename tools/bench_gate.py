@@ -4,10 +4,12 @@
 Compares one bench/perf_smoke JSON (a BENCH_<date>.json file) against the
 median of the last K comparable records in bench_history/
 perf_trajectory.jsonl and exits non-zero when any guarded metric regressed
-past its budget.  "Comparable" means same session count, seed and thread
-count: records from differently shaped runs are skipped (throughput is
-not comparable across thread counts), so resizing the smoke run never
-trips the gate, it just restarts the history window.
+past its budget.  "Comparable" means same session count, seed, thread
+count, worker-process count and hardware_concurrency: records from
+differently shaped runs or hosts are skipped (throughput is not
+comparable across thread or core counts), so resizing the smoke run or
+moving it to another host never trips the gate, it just restarts the
+history window.
 
 Guarded metrics and their default budgets:
 
@@ -19,16 +21,7 @@ Guarded metrics and their default budgets:
                         _np is the multiprocess (--procs) datapoint; it is
                         compared like the others when present in both the
                         run and the history (records predating it are
-                        skipped with a note, and runs with a different
-                        --procs count are only comparable to themselves in
-                        practice since the default is fixed at 2).
-  sessions_per_sec_dyn  The skewed-cost dynamic-dispatch datapoint (chunk
-                        scheduler routing work around an injected cost
-                        ramp).  Unlike _nt/_np it is gated even on
-                        single-core hosts: the injected sleeps dominate
-                        and overlap across worker processes, so the
-                        number measures the scheduler, not parallel
-                        compute speedup.
+                        skipped with a note).
 
   ffct_ms.<scheme>      relative, --budget-ffct (default 0.02): fail when
                         current > median * (1 + budget).  The simulation
@@ -72,6 +65,7 @@ Usage:
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -81,8 +75,11 @@ GATED_THROUGHPUT = [
     "sessions_per_sec_1t",
     "sessions_per_sec_nt",
     "sessions_per_sec_np",
-    "sessions_per_sec_dyn",
 ]
+
+# Fields that must match for a history record to be comparable.
+COMPARABILITY_KEY = ("sessions", "seed", "threads", "procs",
+                     "hardware_concurrency")
 
 
 def median(vals):
@@ -198,9 +195,7 @@ def run_gate(current, history, args, out=sys.stdout):
     comparable = [
         r
         for r in history
-        if r.get("sessions") == current.get("sessions")
-        and r.get("seed") == current.get("seed")
-        and r.get("threads") == current.get("threads")
+        if all(r.get(k) == current.get(k) for k in COMPARABILITY_KEY)
     ]
     window = comparable[-args.window :]
     if len(window) < args.min_history:
@@ -292,15 +287,16 @@ def self_test(args):
     """Synthetic-data checks of the gate logic itself (used as a ctest)."""
 
     def rec(sps=50.0, ffct=150.0, overhead=0.05, allocs=900.0,
-            sessions=300, seed=1):
+            sessions=300, seed=1, cores=4):
         return {
             "sessions": sessions,
             "seed": seed,
             "threads": 4,
+            "procs": 2,
+            "hardware_concurrency": cores,
             "sessions_per_sec_1t": sps,
             "sessions_per_sec_nt": sps * 1.8,
             "sessions_per_sec_np": sps * 1.7,
-            "sessions_per_sec_dyn": sps * 0.6,
             "metrics_overhead": overhead,
             "allocs_per_session": allocs,
             "ffct_ms": {"Baseline": ffct * 1.1, "Wira": ffct},
@@ -316,9 +312,11 @@ def self_test(args):
     noisy_ov_history = [rec(overhead=o)
                         for o in (0.01, 0.05, 0.10, 0.15, 0.20)]
     flat_history = [rec() for _ in range(5)]
-    sink = open(os.devnull, "w")
+    single_core_history = [rec(sps=50.0 + d, cores=1)
+                           for d in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     # (name, current, expected exit) — an optional 4th element substitutes
-    # the history for that case.
+    # the history for that case, an optional 5th is a note the gate must
+    # print.
     cases = [
         ("clean rerun passes", rec(), 0),
         ("20% sessions/sec regression fails", rec(sps=40.0), 1),
@@ -327,13 +325,6 @@ def self_test(args):
          {**rec(), "sessions_per_sec_np": 40.0 * 1.7}, 1),
         ("procs datapoint absent from run is skipped",
          {k: v for k, v in rec().items() if k != "sessions_per_sec_np"}, 0),
-        ("20% dyn dispatch sessions/sec regression fails",
-         {**rec(), "sessions_per_sec_dyn": 40.0 * 0.6}, 1),
-        ("dyn dispatch datapoint absent from run is skipped",
-         {k: v for k, v in rec().items() if k != "sessions_per_sec_dyn"}, 0),
-        ("single-core host still gates the dyn dispatch datapoint",
-         {**rec(), "hardware_concurrency": 1,
-          "sessions_per_sec_dyn": 40.0 * 0.6}, 1),
         ("throughput improvement passes", rec(sps=70.0), 0),
         ("5% mean FFCT regression fails", rec(ffct=157.5), 1),
         ("FFCT improvement passes", rec(ffct=120.0), 0),
@@ -346,11 +337,13 @@ def self_test(args):
         ("different workload skips comparison", rec(sps=10.0, sessions=50), 0),
         ("scheme absent from history is skipped",
          {**rec(), "ffct_ms": {"Wira": 150.0, "NewScheme": 1e9}}, 0),
+        ("history from another core count is skipped",
+         rec(sps=10.0, cores=1), 0, None, "only 0 comparable"),
         ("single-core host skips threaded speedup comparison",
-         {**rec(), "hardware_concurrency": 1,
-          "sessions_per_sec_nt": 1.0, "sessions_per_sec_np": 1.0}, 0),
+         {**rec(cores=1), "sessions_per_sec_nt": 1.0,
+          "sessions_per_sec_np": 1.0}, 0, single_core_history),
         ("single-core host still gates serial throughput",
-         {**rec(sps=40.0), "hardware_concurrency": 1}, 1),
+         rec(sps=40.0, cores=1), 1, single_core_history),
         # Variance-derived budgets (median +/- k*MAD with the flag floors):
         ("noisy throughput history widens the relative budget",
          rec(sps=40.0), 0, noisy_tp_history),
@@ -366,12 +359,14 @@ def self_test(args):
     failures = []
     for case in cases:
         name, current, expect = case[0], case[1], case[2]
-        case_history = case[3] if len(case) > 3 else history
-        got = run_gate(current, case_history, args, out=sink)
-        status = "ok" if got == expect else "FAIL"
+        case_history = case[3] if len(case) > 3 and case[3] else history
+        note = case[4] if len(case) > 4 else ""
+        out = io.StringIO()
+        got = run_gate(current, case_history, args, out=out)
+        ok = got == expect and note in out.getvalue()
         print("self-test: %-42s expect=%d got=%d %s"
-              % (name, expect, got, status))
-        if got != expect:
+              % (name, expect, got, "ok" if ok else "FAIL"))
+        if not ok:
             failures.append(name)
     if failures:
         print("self-test FAILED: " + ", ".join(failures))
