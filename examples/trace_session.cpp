@@ -1,14 +1,17 @@
 // Trace a Wira session: attaches a Tracer to the server connection, runs
-// one session, prints a startup timeline and writes session_trace.csv /
-// session_trace.json next to the binary.
+// one session, prints a startup timeline from an in-memory EventLog and
+// writes the same events as standard qlog to session_trace.sqlog in the
+// current directory.
 //
 //   $ ./trace_session
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
 #include "app/player_client.h"
 #include "app/wira_server.h"
 #include "media/stream_source.h"
+#include "obs/qlog.h"
 #include "sim/path.h"
 #include "trace/tracer.h"
 
@@ -62,7 +65,14 @@ int main() {
     for (sim::Datagram& d : batch) server.on_datagram(d.payload);
   });
 
+  std::ofstream sqlog("session_trace.sqlog");
+  obs::QlogTraceInfo info;
+  info.title = "wira trace_session";
+  obs::QlogStreamWriter writer(sqlog, info);
+  trace::EventLog log;
   trace::Tracer tracer;
+  tracer.add_sink(&writer);
+  tracer.add_sink(&log);
   server.connection().set_tracer(&tracer);
   client.set_on_frame_complete([&](uint32_t idx) {
     tracer.record(loop.now(), trace::EventType::kFrameComplete, idx);
@@ -71,11 +81,18 @@ int main() {
   loop.schedule_at(minutes(5), [&client] { client.start(); });
   loop.run_until(minutes(5) + seconds(4));
 
+  uint64_t peak_in_flight = 0;
+  for (const trace::Event& e : log.events) {
+    if (e.type == trace::EventType::kCwndSample) {
+      peak_in_flight = std::max(peak_in_flight, e.b);
+    }
+  }
+
   std::printf("Startup timeline (server-side events, first 400 ms):\n");
   std::printf("%10s  %-16s %s\n", "t (ms)", "event", "values");
   const TimeNs t0 = minutes(5);
   size_t printed = 0;
-  for (const auto& e : tracer.events()) {
+  for (const trace::Event& e : log.events) {
     if (e.time - t0 > milliseconds(400)) break;
     // Keep the narrative readable: skip the chatty per-packet events
     // except the first few of each type.
@@ -90,18 +107,13 @@ int main() {
     std::printf("%10.2f  %-16s a=%llu b=%llu %s\n", to_ms(e.time - t0),
                 trace::event_type_name(e.type),
                 static_cast<unsigned long long>(e.a),
-                static_cast<unsigned long long>(e.b), e.detail.c_str());
+                static_cast<unsigned long long>(e.b), e.detail);
     printed++;
   }
   std::printf("... %zu events total; FFCT %.1f ms; peak in-flight %.1f "
               "KB\n",
-              tracer.events().size(), to_ms(client.metrics().ffct()),
-              static_cast<double>(tracer.peak_bytes_in_flight()) / 1000.0);
-
-  std::ofstream csv("session_trace.csv");
-  tracer.write_csv(csv);
-  std::ofstream json("session_trace.json");
-  tracer.write_json(json, "wira quickstart session");
-  std::printf("Wrote session_trace.csv and session_trace.json\n");
-  return 0;
+              log.events.size(), to_ms(client.metrics().ffct()),
+              static_cast<double>(peak_in_flight) / 1000.0);
+  std::printf("Wrote session_trace.sqlog\n");
+  return sqlog ? 0 : 1;
 }

@@ -138,8 +138,8 @@ class PlayerClient {
 
   trace::Tracer* tracer_ = nullptr;
   void trace(trace::EventType type, uint64_t a = 0, uint64_t b = 0,
-             std::string detail = {}) {
-    if (tracer_) tracer_->record(loop_.now(), type, a, b, std::move(detail));
+             const char* detail = "") {
+    if (tracer_) tracer_->record(loop_.now(), type, a, b, detail);
   }
 };
 

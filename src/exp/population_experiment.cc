@@ -384,8 +384,7 @@ SessionRecord run_one_session(const PopulationConfig& config,
         info.title = name;
         info.group_id = name;
         qlog_writer.emplace(qlog, info);
-        qlog_tracer.stream_to(&*qlog_writer,
-                              /*keep_buffer=*/cfg.collect_phases);
+        qlog_tracer.add_sink(&*qlog_writer);
         cfg.tracer = &qlog_tracer;
       } else {
         WIRA_WARN("population",
@@ -402,8 +401,7 @@ SessionRecord run_one_session(const PopulationConfig& config,
         info.vantage_point_name = "wira-client";
         info.vantage_point_type = "client";
         client_qlog_writer.emplace(client_qlog, info);
-        client_qlog_tracer.stream_to(&*client_qlog_writer,
-                                     /*keep_buffer=*/false);
+        client_qlog_tracer.add_sink(&*client_qlog_writer);
         cfg.client_tracer = &client_qlog_tracer;
       } else {
         WIRA_WARN("population",

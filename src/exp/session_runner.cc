@@ -124,12 +124,11 @@ SessionResult run_impl(const SessionConfig& cfg,
   }
   if (client_tracer) client.set_tracer(client_tracer);
   if (cfg.recorder) {
-    // The tap slot is recorder-reserved, so it composes with any qlog
-    // streaming sink the caller attached above.  keep_buffer mirrors the
-    // phase-extraction requirement; the client vantage never buffers.
+    // Sits next to any qlog writer the caller attached; removed again
+    // before returning, so a caller's tracer keeps no recorder pointer.
     cfg.recorder->reset();
-    tracer->set_tap(&cfg.recorder->server(), cfg.collect_phases);
-    client_tracer->set_tap(&cfg.recorder->client(), /*keep_buffer=*/false);
+    tracer->add_sink(&cfg.recorder->server());
+    client_tracer->add_sink(&cfg.recorder->client());
   }
 
   // Per-frame loss windows over the bottleneck (data) direction.  The
@@ -204,6 +203,10 @@ SessionResult run_impl(const SessionConfig& cfg,
     result.phases = obs::ffct_phases(b);
   }
   result.arena_bytes = loop.arena().total_allocated() - arena_total_before;
+  if (cfg.recorder) {
+    tracer->remove_sink(&cfg.recorder->server());
+    client_tracer->remove_sink(&cfg.recorder->client());
+  }
   return result;
 }
 

@@ -52,21 +52,18 @@ struct SessionConfig {
   /// default: it attaches a tracer to the server connection, which costs
   /// an event record per packet.
   bool collect_phases = false;
-  /// External tracer to attach to the server (e.g. a streaming qlog
-  /// dumper); not owned.  When collect_phases is also set, the tracer
-  /// must keep its event buffer (Tracer::stream_to keep_buffer=true) so
-  /// phase boundaries can be extracted after the run.
+  /// External tracer to attach to the server (e.g. one feeding a qlog
+  /// writer); not owned.  Phase extraction reads its first-time marks.
   trace::Tracer* tracer = nullptr;
   /// External tracer for the *client* connection (the client-vantage half
-  /// of a paired qlog sample; see obs/trace_join.h); not owned.  Phase
-  /// extraction never reads it, so it needs no buffer.
+  /// of a paired qlog sample; see obs/trace_join.h); not owned.
   trace::Tracer* client_tracer = nullptr;
   /// Always-on flight recorder (obs/flight_recorder.h); not owned, must
-  /// outlive the run.  When set, both vantages' tracers get the recorder
-  /// attached as a tap (reset() first), coexisting with any qlog sinks
-  /// above; the caller inspects it afterwards for anomaly triggers.  The
-  /// recorder is bounded and POD-backed, so this costs no steady-state
-  /// heap allocations.
+  /// outlive the run.  When set, it is reset() and added as a sink to both
+  /// vantages' tracers for the run (next to any qlog writer above); the
+  /// caller inspects it afterwards for anomaly triggers.  The recorder is
+  /// bounded and POD-backed, so this costs no steady-state heap
+  /// allocations.
   obs::FlightRecorder* recorder = nullptr;
 };
 

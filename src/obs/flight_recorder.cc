@@ -7,6 +7,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <span>
 
 namespace wira::obs {
 
@@ -34,23 +35,12 @@ bool write_fd_all(int fd, const void* data, size_t n) {
   return true;
 }
 
-trace::Event to_event(const RecorderEvent& s) {
-  trace::Event e;
-  e.time = s.time;
-  e.type = static_cast<trace::EventType>(s.type);
-  e.a = s.a;
-  e.b = s.b;
-  const size_t len = ::strnlen(s.detail, sizeof(s.detail));
-  e.detail.assign(s.detail, len);
-  return e;
-}
-
 /// Merges two individually time-ordered slot sequences into one
-/// time-ordered trace::Event list (qlog consumers require non-decreasing
-/// time).  Both inputs are subsequences of one monotone event stream, so
-/// a plain two-way merge restores global order.
-std::vector<trace::Event> merge_slots(std::vector<RecorderEvent> milestones,
-                                      std::vector<RecorderEvent> ring) {
+/// time-ordered list (qlog consumers require non-decreasing time).  Both
+/// inputs are subsequences of one monotone event stream, so a plain
+/// two-way merge restores global order.
+std::vector<trace::Event> merge_slots(std::span<const trace::Event> milestones,
+                                      std::span<const trace::Event> ring) {
   std::vector<trace::Event> out;
   out.reserve(milestones.size() + ring.size());
   size_t m = 0, r = 0;
@@ -58,7 +48,7 @@ std::vector<trace::Event> merge_slots(std::vector<RecorderEvent> milestones,
     const bool take_milestone =
         r >= ring.size() ||
         (m < milestones.size() && milestones[m].time <= ring[r].time);
-    out.push_back(to_event(take_milestone ? milestones[m++] : ring[r++]));
+    out.push_back(take_milestone ? milestones[m++] : ring[r++]);
   }
   return out;
 }
@@ -71,10 +61,10 @@ bool read_pod(std::istream& in, T* out) {
 }
 
 bool read_slots(std::istream& in, uint64_t n,
-                std::vector<RecorderEvent>* out) {
+                std::vector<trace::Event>* out) {
   if (n > kMaxDumpSlots) return false;
   out->resize(static_cast<size_t>(n));
-  for (RecorderEvent& s : *out) {
+  for (trace::Event& s : *out) {
     if (!read_pod(in, &s)) return false;
     s.detail[sizeof(s.detail) - 1] = '\0';
   }
@@ -88,13 +78,13 @@ bool read_vantage(std::istream& in, std::vector<trace::Event>* out,
     *error = "truncated crash dump (vantage header)";
     return false;
   }
-  std::vector<RecorderEvent> milestones, ring;
+  std::vector<trace::Event> milestones, ring;
   if (!read_slots(in, counts[0], &milestones) ||
       !read_slots(in, counts[1], &ring)) {
     *error = "truncated crash dump (event slots)";
     return false;
   }
-  *out = merge_slots(std::move(milestones), std::move(ring));
+  *out = merge_slots(milestones, ring);
   return true;
 }
 
@@ -126,17 +116,10 @@ VantageRecorder::VantageRecorder(const RecorderConfig& cfg) {
   ring_.resize(std::max<size_t>(cfg.ring_capacity, 1));
 }
 
-void VantageRecorder::store(std::vector<RecorderEvent>& slots,
+void VantageRecorder::store(std::vector<trace::Event>& slots,
                             std::atomic<uint64_t>& seq, size_t slot,
                             const trace::Event& e) {
-  RecorderEvent& s = slots[slot];
-  s.time = e.time;
-  s.a = e.a;
-  s.b = e.b;
-  s.type = static_cast<uint16_t>(e.type);
-  const size_t len = std::min(e.detail.size(), sizeof(s.detail) - 1);
-  std::memcpy(s.detail, e.detail.data(), len);
-  s.detail[len] = '\0';
+  slots[slot] = e;
   // Commit: the release store is what a signal handler's acquire load
   // pairs with — slots beyond the committed count are never read.
   seq.fetch_add(1, std::memory_order_release);
@@ -144,7 +127,7 @@ void VantageRecorder::store(std::vector<RecorderEvent>& slots,
 
 void VantageRecorder::on_event(const trace::Event& e) {
   const size_t t = static_cast<size_t>(e.type);
-  if (t < kRecorderTypeCount) type_counts_[t]++;
+  if (t < trace::kEventTypeCount) type_counts_[t]++;
   const uint64_t mc = milestone_count_.load(std::memory_order_relaxed);
   if (recorder_milestone(e.type) && mc < milestones_.size()) {
     store(milestones_, milestone_count_, static_cast<size_t>(mc), e);
@@ -169,7 +152,7 @@ uint64_t VantageRecorder::total_events() const {
 
 uint32_t VantageRecorder::count(trace::EventType t) const {
   const size_t i = static_cast<size_t>(t);
-  return i < kRecorderTypeCount ? type_counts_[i] : 0;
+  return i < trace::kEventTypeCount ? type_counts_[i] : 0;
 }
 
 size_t VantageRecorder::retained() const {
@@ -182,10 +165,7 @@ size_t VantageRecorder::retained() const {
 std::vector<trace::Event> VantageRecorder::snapshot() const {
   const uint64_t mc = milestone_count_.load(std::memory_order_acquire);
   const uint64_t seq = ring_seq_.load(std::memory_order_acquire);
-  std::vector<RecorderEvent> milestones(
-      milestones_.begin(),
-      milestones_.begin() + static_cast<ptrdiff_t>(mc));
-  std::vector<RecorderEvent> ring;
+  std::vector<trace::Event> ring;
   const uint64_t cap = ring_.size();
   const uint64_t rc = std::min(seq, cap);
   ring.reserve(static_cast<size_t>(rc));
@@ -193,7 +173,7 @@ std::vector<trace::Event> VantageRecorder::snapshot() const {
   for (uint64_t k = 0; k < rc; ++k) {
     ring.push_back(ring_[static_cast<size_t>((start + k) % cap)]);
   }
-  return merge_slots(std::move(milestones), std::move(ring));
+  return merge_slots({milestones_.data(), static_cast<size_t>(mc)}, ring);
 }
 
 bool VantageRecorder::dump_raw(int fd) const {
@@ -204,19 +184,19 @@ bool VantageRecorder::dump_raw(int fd) const {
   const uint64_t counts[2] = {mc, rc};
   if (!write_fd_all(fd, counts, sizeof(counts))) return false;
   if (!write_fd_all(fd, milestones_.data(),
-                    static_cast<size_t>(mc) * sizeof(RecorderEvent))) {
+                    static_cast<size_t>(mc) * sizeof(trace::Event))) {
     return false;
   }
   if (seq <= cap) {
     return write_fd_all(fd, ring_.data(),
-                        static_cast<size_t>(rc) * sizeof(RecorderEvent));
+                        static_cast<size_t>(rc) * sizeof(trace::Event));
   }
   // Wrapped ring: oldest-first is [seq % cap, cap) then [0, seq % cap).
   const size_t start = static_cast<size_t>(seq % cap);
   return write_fd_all(fd, ring_.data() + start,
                       (static_cast<size_t>(cap) - start) *
-                          sizeof(RecorderEvent)) &&
-         write_fd_all(fd, ring_.data(), start * sizeof(RecorderEvent));
+                          sizeof(trace::Event)) &&
+         write_fd_all(fd, ring_.data(), start * sizeof(trace::Event));
 }
 
 void write_events_sqlog(std::ostream& os,

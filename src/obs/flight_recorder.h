@@ -15,15 +15,15 @@
 //
 // Every event slot is preallocated in the constructor and recycled with
 // reset(): steady-state recording performs zero heap allocations, so the
-// recorder rides inside the soak's allocs-per-session gate.  Details are
-// truncated into a fixed char field (RecorderEvent::detail).
+// recorder rides inside the soak's allocs-per-session gate.  A slot is a
+// trace::Event, which is already POD (fixed, truncated detail field).
 //
 // Two materialization paths:
-//   - write_sqlog_pair(): the anomaly path.  Rebuilds trace::Events from
-//     the POD slots (merging milestones and ring by time) and streams
-//     them through the standard QlogStreamWriter, producing the same
-//     paired .server.sqlog/.client.sqlog artifact a sampled session
-//     writes — wira_trace_join joins it with no special casing.
+//   - write_sqlog_pair(): the anomaly path.  Merges the milestone and ring
+//     slots by time and streams them through the standard
+//     QlogStreamWriter, producing the same paired .server.sqlog/
+//     .client.sqlog artifact a sampled session writes — wira_trace_join
+//     joins it with no special casing.
 //   - crash_dump(): the forensic path.  Async-signal-safe raw dump of
 //     both vantages to a pre-opened fd — only write() and arithmetic, no
 //     allocation, no locks, no stdio — so a worker dying on SIGSEGV can
@@ -41,30 +41,12 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "obs/qlog.h"
 #include "trace/tracer.h"
 
 namespace wira::obs {
-
-/// One POD-encoded trace event (48 bytes).  `detail` is NUL-terminated
-/// and truncated; every detail string the stack emits fits.
-struct RecorderEvent {
-  int64_t time = 0;
-  uint64_t a = 0;
-  uint64_t b = 0;
-  uint16_t type = 0;  ///< trace::EventType
-  char detail[22] = {};
-};
-static_assert(sizeof(RecorderEvent) == 48, "keep the slot compact");
-static_assert(std::is_trivially_copyable_v<RecorderEvent>,
-              "crash_dump() writes raw slot bytes");
-
-/// Number of distinct trace::EventType values (per-type counters).
-inline constexpr size_t kRecorderTypeCount =
-    static_cast<size_t>(trace::EventType::kDecodeError) + 1;
 
 /// True for low-rate events kept in the milestone array (everything the
 /// cross-vantage join or an anomaly trigger reads); false for the
@@ -77,7 +59,7 @@ struct RecorderConfig {
 };
 
 /// One vantage point's bounded recording.  Attach with
-/// Tracer::set_tap(&recorder) — it coexists with qlog streaming sinks.
+/// Tracer::add_sink(&recorder) — it coexists with a qlog writer sink.
 class VantageRecorder : public trace::EventSink {
  public:
   explicit VantageRecorder(const RecorderConfig& cfg);
@@ -94,8 +76,8 @@ class VantageRecorder : public trace::EventSink {
   /// Events currently retained (milestones + ring occupancy).
   size_t retained() const;
 
-  /// Retained events rebuilt as trace::Events in non-decreasing time
-  /// order (milestones and ring merged).  Allocates — dump path only.
+  /// Retained events in non-decreasing time order (milestones and ring
+  /// merged).  Allocates — dump path only.
   std::vector<trace::Event> snapshot() const;
 
   /// Async-signal-safe raw dump: writes the committed milestone slots and
@@ -104,17 +86,17 @@ class VantageRecorder : public trace::EventSink {
   bool dump_raw(int fd) const;
 
  private:
-  void store(std::vector<RecorderEvent>& slots, std::atomic<uint64_t>& seq,
+  void store(std::vector<trace::Event>& slots, std::atomic<uint64_t>& seq,
              size_t slot, const trace::Event& e);
 
-  std::vector<RecorderEvent> milestones_;
-  std::vector<RecorderEvent> ring_;
+  std::vector<trace::Event> milestones_;
+  std::vector<trace::Event> ring_;
   /// Committed event counts (see the commit protocol above).  milestone_
   /// count_ never exceeds the array capacity; ring_seq_ counts every ring
   /// push (occupancy = min(seq, capacity), next slot = seq % capacity).
   std::atomic<uint64_t> milestone_count_{0};
   std::atomic<uint64_t> ring_seq_{0};
-  uint32_t type_counts_[kRecorderTypeCount] = {};
+  uint32_t type_counts_[trace::kEventTypeCount] = {};
 };
 
 /// Streams `events` (already time-ordered) as one standard qlog file.

@@ -60,9 +60,9 @@ inline constexpr size_t kNumPhases = 5;
 /// never sent a request or never completed its first frame.
 std::vector<PhaseSpan> ffct_phases(const FfctBoundaries& b);
 
-/// Extracts the server-side boundaries from a buffered session trace
-/// (first occurrence of each marker event); client-side fields are left
-/// for the caller.
+/// Extracts the server-side boundaries from a session tracer's first-time
+/// marks (first occurrence of each marker event); client-side fields are
+/// left for the caller.
 FfctBoundaries boundaries_from_trace(const trace::Tracer& server_trace);
 
 }  // namespace wira::obs

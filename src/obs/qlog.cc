@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ostream>
+#include <string_view>
 
 #include "util/json.h"
 
@@ -26,7 +27,7 @@ void append_kv(std::string& out, const char* key, uint64_t value) {
   out += std::to_string(value);
 }
 
-void append_kv(std::string& out, const char* key, const std::string& value) {
+void append_kv(std::string& out, const char* key, std::string_view value) {
   out += '"';
   out += key;
   out += "\": \"";
@@ -44,6 +45,7 @@ void append_kv_ms(std::string& out, const char* key, uint64_t us) {
 /// The event's "data" member, serialized per the mapping in DESIGN.md §7.
 void append_data(std::string& out, const trace::Event& e) {
   using trace::EventType;
+  const std::string_view detail(e.detail);
   out += '{';
   switch (e.type) {
     case EventType::kPacketSent:
@@ -64,9 +66,9 @@ void append_data(std::string& out, const trace::Event& e) {
       append_kv(out, "length", e.b);
       break;
     case EventType::kPtoFired:
-      append_kv(out, "event_type", std::string("expired"));
+      append_kv(out, "event_type", "expired");
       out += ", ";
-      append_kv(out, "timer_type", std::string("pto"));
+      append_kv(out, "timer_type", "pto");
       out += ", ";
       append_kv(out, "pto_count", e.a);
       break;
@@ -85,15 +87,15 @@ void append_data(std::string& out, const trace::Event& e) {
       append_kv(out, "pacing_rate", e.a * 8);
       break;
     case EventType::kCcStateChanged:
-      append_kv(out, "new", e.detail);
+      append_kv(out, "new", detail);
       break;
     case EventType::kHandshakeEvent:
-      if (e.detail == "established") {
-        append_kv(out, "new", e.detail);
+      if (detail == "established") {
+        append_kv(out, "new", detail);
         out += ", \"zero_rtt\": ";
         out += e.a == 0 ? "true" : "false";
       } else {
-        append_kv(out, "message", e.detail);
+        append_kv(out, "message", detail);
       }
       break;
     case EventType::kInitApplied:
@@ -102,7 +104,7 @@ void append_data(std::string& out, const trace::Event& e) {
       append_kv(out, "init_pacing", e.b);
       break;
     case EventType::kCookieEvent:
-      append_kv(out, "action", e.detail);
+      append_kv(out, "action", detail);
       out += ", ";
       append_kv(out, "size", e.a);
       break;
@@ -123,7 +125,7 @@ void append_data(std::string& out, const trace::Event& e) {
       append_kv(out, "bytes_fed", e.b);
       break;
     case EventType::kCornerCase:
-      append_kv(out, "kind", e.detail);
+      append_kv(out, "kind", detail);
       out += ", ";
       append_kv(out, "init_cwnd", e.a);
       break;
@@ -134,7 +136,7 @@ void append_data(std::string& out, const trace::Event& e) {
       append_kv(out, "total_bytes", e.a);
       break;
     case EventType::kStallObserved:
-      append_kv(out, "kind", e.detail);
+      append_kv(out, "kind", detail);
       out += ", \"gap\": ";
       append_ms(out, e.a * 1000);  // a is microseconds; qlog wants ms
       out += ", ";
@@ -144,7 +146,7 @@ void append_data(std::string& out, const trace::Event& e) {
       out += "\"raw\": {";
       append_kv(out, "length", e.a);
       out += "}, ";
-      append_kv(out, "trigger", std::string("decoding_failure"));
+      append_kv(out, "trigger", "decoding_failure");
       break;
   }
   out += '}';
@@ -166,7 +168,7 @@ std::string qlog_event_name(const trace::Event& e) {
     case EventType::kCcStateChanged:
       return "recovery:congestion_state_updated";
     case EventType::kHandshakeEvent:
-      return e.detail == "established"
+      return std::string_view(e.detail) == "established"
                  ? "connectivity:connection_state_updated"
                  : "wira:handshake_message";
     case EventType::kInitApplied: return "wira:init_applied";

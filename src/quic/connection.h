@@ -266,8 +266,8 @@ class Connection {
   trace::Tracer* tracer_ = nullptr;
   const char* last_cc_state_ = nullptr;  ///< last state traced (literal)
   void trace(trace::EventType type, uint64_t a = 0, uint64_t b = 0,
-             std::string detail = {}) {
-    if (tracer_) tracer_->record(now(), type, a, b, std::move(detail));
+             const char* detail = "") {
+    if (tracer_) tracer_->record(now(), type, a, b, detail);
   }
   /// Emits kCcStateChanged when the controller's state-machine position
   /// moved since the last call (first call emits the initial state).

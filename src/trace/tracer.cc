@@ -1,27 +1,10 @@
 #include "trace/tracer.h"
 
 #include <algorithm>
-#include <ostream>
-
-#include "util/json.h"
+#include <cstring>
+#include <stdexcept>
 
 namespace wira::trace {
-
-namespace {
-
-void write_event_object(std::ostream& os, const Event& e) {
-  // Integer microseconds: ostream's default 6-significant-digit double
-  // formatting would lose precision on absolute sim times (~1e9 us).
-  os << "{\"time_us\": " << e.time / 1000 << ", \"name\": \""
-     << event_type_name(e.type) << "\", \"a\": " << e.a
-     << ", \"b\": " << e.b;
-  if (!e.detail.empty()) {
-    os << ", \"detail\": \"" << util::json_escape(e.detail) << "\"";
-  }
-  os << "}";
-}
-
-}  // namespace
 
 const char* event_type_name(EventType t) {
   switch (t) {
@@ -51,98 +34,27 @@ const char* event_type_name(EventType t) {
 }
 
 void Tracer::record(TimeNs time, EventType type, uint64_t a, uint64_t b,
-                    std::string detail) {
-  Event e{time, type, a, b, std::move(detail)};
-  if (sink_) {
-    write_event_object(*sink_, e);
-    *sink_ << "\n";
+                    const char* detail) {
+  Event e{time, a, b, type};
+  std::memcpy(e.detail, detail, ::strnlen(detail, sizeof(e.detail) - 1));
+  TimeNs& first = first_time_[static_cast<size_t>(type)];
+  if (first == kNoTime) first = time;
+  for (size_t i = 0; i < num_sinks_; ++i) sinks_[i]->on_event(e);
+}
+
+void Tracer::add_sink(EventSink* sink) {
+  if (num_sinks_ == kMaxSinks) {
+    throw std::length_error("trace::Tracer: too many sinks");
   }
-  if (event_sink_) event_sink_->on_event(e);
-  if (tap_) tap_->on_event(e);
-  if ((sink_ || event_sink_ || tap_) && !keep_buffer_) return;
-  events_.push_back(std::move(e));
+  sinks_[num_sinks_++] = sink;
 }
 
-void Tracer::stream_to(std::ostream* os, bool keep_buffer) {
-  sink_ = os;
-  keep_buffer_ = (os == nullptr && event_sink_ == nullptr && tap_ == nullptr)
-                     ? true
-                     : keep_buffer;
-}
-
-void Tracer::stream_to(EventSink* sink, bool keep_buffer) {
-  event_sink_ = sink;
-  keep_buffer_ = (sink == nullptr && sink_ == nullptr && tap_ == nullptr)
-                     ? true
-                     : keep_buffer;
-}
-
-void Tracer::set_tap(EventSink* tap, bool keep_buffer) {
-  tap_ = tap;
-  keep_buffer_ = (tap == nullptr && sink_ == nullptr && event_sink_ == nullptr)
-                     ? true
-                     : keep_buffer;
-}
-
-size_t Tracer::count(EventType type) const {
-  return static_cast<size_t>(
-      std::count_if(events_.begin(), events_.end(),
-                    [type](const Event& e) { return e.type == type; }));
-}
-
-std::vector<Event> Tracer::of_type(EventType type) const {
-  std::vector<Event> out;
-  for (const Event& e : events_) {
-    if (e.type == type) out.push_back(e);
-  }
-  return out;
-}
-
-TimeNs Tracer::first_time(EventType type) const {
-  for (const Event& e : events_) {
-    if (e.type == type) return e.time;
-  }
-  return kNoTime;
-}
-
-void Tracer::write_csv(std::ostream& os) const {
-  os << "time_us,event,a,b,detail\n";
-  for (const Event& e : events_) {
-    os << e.time / 1000 << ',' << event_type_name(e.type) << ',' << e.a
-       << ',' << e.b << ',';
-    // RFC-4180 quoting: details containing a delimiter, quote or newline
-    // are wrapped in quotes with embedded quotes doubled.
-    if (e.detail.find_first_of(",\"\n\r") != std::string::npos) {
-      os << '"';
-      for (char c : e.detail) {
-        if (c == '"') os << '"';
-        os << c;
-      }
-      os << '"';
-    } else {
-      os << e.detail;
-    }
-    os << '\n';
-  }
-}
-
-void Tracer::write_json(std::ostream& os, const std::string& title) const {
-  os << "{\n  \"qlog_version\": \"wira-0.1\",\n  \"title\": \""
-     << util::json_escape(title) << "\",\n  \"events\": [\n";
-  for (size_t i = 0; i < events_.size(); ++i) {
-    os << "    ";
-    write_event_object(os, events_[i]);
-    os << (i + 1 < events_.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
-uint64_t Tracer::peak_bytes_in_flight() const {
-  uint64_t peak = 0;
-  for (const Event& e : events_) {
-    if (e.type == EventType::kCwndSample) peak = std::max(peak, e.b);
-  }
-  return peak;
+void Tracer::remove_sink(EventSink* sink) {
+  const auto end = sinks_.begin() + num_sinks_;
+  const auto it = std::find(sinks_.begin(), end, sink);
+  if (it == end) return;
+  std::copy(it + 1, end, it);
+  sinks_[--num_sinks_] = nullptr;
 }
 
 }  // namespace wira::trace

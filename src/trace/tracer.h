@@ -1,30 +1,26 @@
-// Connection event tracing (qlog-flavoured): records transport events on
-// the simulated clock for debugging, visualization and assertions in
-// tests.  Tracing is opt-in per connection and free when disabled.
+// Connection event tracing (qlog-flavoured): the QUIC connection, the Wira
+// server and the player client record transport and application events on
+// the simulated clock.  Tracing is opt-in per connection and free when
+// disabled.
 //
-// Two capture modes, combinable:
-//   - buffered (default): events accumulate in a vector for queries and
-//     batch export (write_csv / write_json);
-//   - streaming: stream_to(os) writes each event as one JSON line (JSONL
-//     qlog) the moment it is recorded, so arbitrarily long sessions never
-//     buffer everything.  stream_to(os, /*keep_buffer=*/true) does both —
-//     the observability layer uses that to extract phase boundaries from
-//     a session that is also being dumped.  stream_to(EventSink*) is the
-//     structured flavour of the same hook: the sink sees each Event object
-//     and owns its own serialization (obs::QlogStreamWriter emits
-//     standard draft-ietf-quic-qlog from it).
+// A Tracer buffers nothing.  It hands each event to the attached sinks the
+// moment it is recorded (obs::QlogStreamWriter writes standard qlog, the
+// flight recorder keeps a bounded POD copy, tests and examples attach an
+// EventLog) and remembers when each event type first fired — all the FFCT
+// phase decomposition (obs/phase_timeline.h) reads.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/units.h"
 
 namespace wira::trace {
 
-enum class EventType {
+enum class EventType : uint16_t {
   kPacketSent,
   kPacketReceived,
   kPacketAcked,
@@ -52,15 +48,25 @@ enum class EventType {
   kDecodeError,      ///< datagram failed packet parsing; a = datagram bytes
 };
 
+/// Number of distinct EventType values (per-type arrays).
+inline constexpr size_t kEventTypeCount =
+    static_cast<size_t>(EventType::kDecodeError) + 1;
+
 const char* event_type_name(EventType t);
 
+/// One trace event.  A 48-byte trivially copyable slot, so the flight
+/// recorder stores and crash-dumps it as raw bytes.  `detail` is always
+/// NUL-terminated: Tracer::record keeps at most 21 bytes, and every detail
+/// the stack emits (at most 20 bytes, "congestion_avoidance") fits.
 struct Event {
   TimeNs time = 0;
-  EventType type = EventType::kPacketSent;
   uint64_t a = 0;  ///< primary value (packet number, bytes, ...)
   uint64_t b = 0;  ///< secondary value
-  std::string detail;
+  EventType type = EventType::kPacketSent;
+  char detail[22] = {};
 };
+static_assert(sizeof(Event) == 48 && std::is_trivially_copyable_v<Event>,
+              "the flight recorder writes raw Event bytes");
 
 /// Receives each event the moment it is recorded.  Implementations own
 /// their serialization format; the tracer never writes through a sink
@@ -71,57 +77,43 @@ class EventSink {
   virtual void on_event(const Event& e) = 0;
 };
 
+/// A sink that keeps every event in order, for tests and examples that want
+/// the whole list.  Production paths never attach one.
+class EventLog : public EventSink {
+ public:
+  void on_event(const Event& e) override { events.push_back(e); }
+
+  std::vector<Event> events;
+};
+
 class Tracer {
  public:
-  void record(TimeNs time, EventType type, uint64_t a = 0, uint64_t b = 0,
-              std::string detail = {});
+  /// Sink slots; a session attaches at most a qlog writer and the flight
+  /// recorder.
+  static constexpr size_t kMaxSinks = 4;
 
-  /// Streams every subsequent event to `os` as one JSON object per line
-  /// (nullptr stops streaming).  Unless `keep_buffer` is set, streamed
-  /// events are not retained in memory.
-  void stream_to(std::ostream* os, bool keep_buffer = false);
-  /// Structured streaming: forwards every subsequent event to `sink`
-  /// (nullptr stops).  Same keep_buffer semantics as the ostream flavour.
-  /// An ostream sink and an EventSink may be active simultaneously; each
-  /// writes to its own destination, so outputs never interleave.
-  void stream_to(EventSink* sink, bool keep_buffer = false);
-  /// Third, independent sink slot for the always-on flight recorder: a
-  /// tap can coexist with both streaming sinks without either evicting
-  /// the other (stream_to(EventSink*) would).  Same keep_buffer
-  /// semantics; nullptr detaches.
-  void set_tap(EventSink* tap, bool keep_buffer = false);
-  /// Detaches all sinks and resumes buffering (bare `stream_to(nullptr)`
-  /// would be ambiguous between the two overloads).
-  void stop_streaming() {
-    sink_ = nullptr;
-    event_sink_ = nullptr;
-    tap_ = nullptr;
-    keep_buffer_ = true;
+  Tracer() { first_time_.fill(kNoTime); }
+
+  /// Builds the event (copying at most 21 bytes of the non-null `detail`)
+  /// and hands it to every attached sink, in attach order.
+  void record(TimeNs time, EventType type, uint64_t a = 0, uint64_t b = 0,
+              const char* detail = "");
+
+  /// Attaches `sink` (not owned; it must stay alive until removed or the
+  /// tracer goes quiet).  Throws std::length_error past kMaxSinks.
+  void add_sink(EventSink* sink);
+  /// Detaches `sink`; a sink that is not attached is ignored.
+  void remove_sink(EventSink* sink);
+
+  /// Time of the first event of `type`, or kNoTime if none was recorded.
+  TimeNs first_time(EventType type) const {
+    return first_time_[static_cast<size_t>(type)];
   }
 
-  const std::vector<Event>& events() const { return events_; }
-  size_t count(EventType type) const;
-  /// Events of one type, in order.
-  std::vector<Event> of_type(EventType type) const;
-  /// Time of the first event of `type`, or kNoTime if none was recorded.
-  TimeNs first_time(EventType type) const;
-
-  /// CSV: time_us,event,a,b,detail
-  void write_csv(std::ostream& os) const;
-  /// A minimal qlog-like JSON document (one trace, event array).
-  void write_json(std::ostream& os, const std::string& title) const;
-
-  /// Peak bytes-in-flight observed via kCwndSample events.
-  uint64_t peak_bytes_in_flight() const;
-
-  void clear() { events_.clear(); }
-
  private:
-  std::vector<Event> events_;
-  std::ostream* sink_ = nullptr;
-  EventSink* event_sink_ = nullptr;
-  EventSink* tap_ = nullptr;
-  bool keep_buffer_ = true;
+  std::array<EventSink*, kMaxSinks> sinks_{};
+  size_t num_sinks_ = 0;
+  std::array<TimeNs, kEventTypeCount> first_time_;
 };
 
 }  // namespace wira::trace

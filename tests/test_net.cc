@@ -158,8 +158,8 @@ TEST(RealSocketLoopback, SessionCompletesAndVantagesJoin) {
   obs::QlogStreamWriter client_writer(client_qlog, client_info);
   trace::Tracer server_tracer;
   trace::Tracer client_tracer;
-  server_tracer.stream_to(&server_writer, /*keep_buffer=*/false);
-  client_tracer.stream_to(&client_writer, /*keep_buffer=*/false);
+  server_tracer.add_sink(&server_writer);
+  client_tracer.add_sink(&client_writer);
 
   media::LiveStream stream(media::StreamProfile{}, /*corpus_seed=*/42);
   app::ServerConfig server_cfg;
@@ -230,8 +230,8 @@ TEST(RealSocketLoopback, SessionCompletesAndVantagesJoin) {
 
   // Detach (flushes nothing — streaming — but stops further writes), then
   // join the two vantages exactly as wira_trace_join would from disk.
-  server_tracer.stream_to(static_cast<trace::EventSink*>(nullptr));
-  client_tracer.stream_to(static_cast<trace::EventSink*>(nullptr));
+  server_tracer.remove_sink(&server_writer);
+  client_tracer.remove_sink(&client_writer);
   obs::ParsedQlog server_parsed;
   obs::ParsedQlog client_parsed;
   ASSERT_TRUE(obs::parse_sqlog_text(server_qlog.str(), &server_parsed,

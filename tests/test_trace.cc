@@ -3,118 +3,98 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "exp/session_runner.h"
+#include "obs/qlog.h"
 #include "quic/connection.h"
 #include "sim/path.h"
 
 namespace wira::trace {
 namespace {
 
+size_t count(const EventLog& log, EventType type) {
+  return static_cast<size_t>(
+      std::count_if(log.events.begin(), log.events.end(),
+                    [type](const Event& e) { return e.type == type; }));
+}
+
 TEST(Tracer, RecordsAndCounts) {
   Tracer t;
+  EventLog log;
+  t.add_sink(&log);
   t.record(milliseconds(1), EventType::kPacketSent, 1, 100);
   t.record(milliseconds(2), EventType::kPacketSent, 2, 100);
   t.record(milliseconds(3), EventType::kPacketLost, 1, 100);
-  EXPECT_EQ(t.events().size(), 3u);
-  EXPECT_EQ(t.count(EventType::kPacketSent), 2u);
-  EXPECT_EQ(t.count(EventType::kPacketLost), 1u);
-  EXPECT_EQ(t.count(EventType::kPtoFired), 0u);
-  const auto sent = t.of_type(EventType::kPacketSent);
-  ASSERT_EQ(sent.size(), 2u);
-  EXPECT_EQ(sent[1].a, 2u);
+  ASSERT_EQ(log.events.size(), 3u);
+  EXPECT_EQ(count(log, EventType::kPacketSent), 2u);
+  EXPECT_EQ(count(log, EventType::kPacketLost), 1u);
+  EXPECT_EQ(count(log, EventType::kPtoFired), 0u);
+  EXPECT_EQ(log.events[1].time, milliseconds(2));
+  EXPECT_EQ(log.events[1].a, 2u);
+  EXPECT_EQ(log.events[1].b, 100u);
+  EXPECT_STREQ(log.events[1].detail, "");
 }
 
-TEST(Tracer, CsvOutput) {
-  Tracer t;
-  t.record(milliseconds(1), EventType::kRttSample, 50'000, 51'000);
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(),
-            "time_us,event,a,b,detail\n1000,rtt_sample,50000,51000,\n");
-}
-
-TEST(Tracer, JsonOutputWellFormedish) {
-  Tracer t;
-  t.record(0, EventType::kHandshakeEvent, 0, 0, "chlo");
-  t.record(milliseconds(5), EventType::kPacketSent, 1, 1400);
-  std::ostringstream os;
-  t.write_json(os, "unit");
-  const std::string s = os.str();
-  EXPECT_NE(s.find("\"qlog_version\""), std::string::npos);
-  EXPECT_NE(s.find("\"name\": \"handshake\""), std::string::npos);
-  EXPECT_NE(s.find("\"detail\": \"chlo\""), std::string::npos);
-  // Exactly one trailing comma structure: last event has none.
-  EXPECT_EQ(std::count(s.begin(), s.end(), '{'), 3L);
-  EXPECT_EQ(std::count(s.begin(), s.end(), '}'), 3L);
-}
-
-// Golden outputs: the exporters escape hostile title/detail strings so the
-// files stay machine-parseable (qlog consumers, CSV importers).
-TEST(Tracer, CsvGoldenEscapesDelimitersAndQuotes) {
-  Tracer t;
-  t.record(microseconds(1), EventType::kHandshakeEvent, 0, 0, "plain");
-  t.record(microseconds(2), EventType::kCookieEvent, 1, 2, "a,b");
-  t.record(microseconds(3), EventType::kCornerCase, 3, 4, "say \"hi\"");
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(),
-            "time_us,event,a,b,detail\n"
-            "1,handshake,0,0,plain\n"
-            "2,cookie,1,2,\"a,b\"\n"
-            "3,corner_case,3,4,\"say \"\"hi\"\"\"\n");
-}
-
-TEST(Tracer, JsonGoldenEscapesTitleAndDetail) {
-  Tracer t;
-  t.record(0, EventType::kHandshakeEvent, 0, 0, "quote\" back\\ nl\n");
-  std::ostringstream os;
-  t.write_json(os, "run \"7\"\ttab");
-  EXPECT_EQ(os.str(),
-            "{\n"
-            "  \"qlog_version\": \"wira-0.1\",\n"
-            "  \"title\": \"run \\\"7\\\"\\ttab\",\n"
-            "  \"events\": [\n"
-            "    {\"time_us\": 0, \"name\": \"handshake\", \"a\": 0, "
-            "\"b\": 0, \"detail\": \"quote\\\" back\\\\ nl\\n\"}\n"
-            "  ]\n"
-            "}\n");
-}
-
+// The qlog writer is a sink like any other: each record() appends its line
+// at once (nothing is buffered in the tracer), and a removed sink sees no
+// further events while the others keep receiving them.
 TEST(Tracer, StreamingSinkWritesJsonlImmediately) {
-  Tracer t;
   std::ostringstream os;
-  t.stream_to(&os);  // default: do not also buffer
+  obs::QlogStreamWriter writer(os, obs::QlogTraceInfo{});
+  os.str("");  // drop the header line
+  EventLog log;
+  Tracer t;
+  t.add_sink(&writer);
+  t.add_sink(&log);
   t.record(microseconds(5), EventType::kPacketSent, 1, 1200);
   EXPECT_EQ(os.str(),
-            "{\"time_us\": 5, \"name\": \"packet_sent\", \"a\": 1, "
-            "\"b\": 1200}\n");
-  EXPECT_TRUE(t.events().empty());
-  // keep_buffer = true streams AND buffers (phase extraction needs both).
-  t.stream_to(&os, /*keep_buffer=*/true);
+            "{\"time\": 0.005, \"name\": \"transport:packet_sent\", "
+            "\"data\": {\"header\": {\"packet_number\": 1}, \"raw\": "
+            "{\"length\": 1200}}}\n");
+  t.remove_sink(&writer);
   t.record(microseconds(6), EventType::kPacketAcked, 1, 1200);
-  EXPECT_EQ(t.events().size(), 1u);
-  EXPECT_NE(os.str().find("packet_acked"), std::string::npos);
-  // Detaching restores buffer-only behaviour.
-  t.stop_streaming();
-  t.record(microseconds(7), EventType::kPacketLost, 2, 1200);
-  EXPECT_EQ(t.events().size(), 2u);
+  EXPECT_EQ(os.str().find("packets_acked"), std::string::npos);
+  EXPECT_EQ(log.events.size(), 2u);
+}
+
+TEST(Tracer, SinkListIsFixedCapacity) {
+  Tracer t;
+  EventLog logs[Tracer::kMaxSinks + 1];
+  for (size_t i = 0; i < Tracer::kMaxSinks; ++i) t.add_sink(&logs[i]);
+  EXPECT_THROW(t.add_sink(&logs[Tracer::kMaxSinks]), std::length_error);
+  t.remove_sink(&logs[Tracer::kMaxSinks]);  // never attached: ignored
+  t.remove_sink(&logs[1]);
+  t.add_sink(&logs[Tracer::kMaxSinks]);  // the freed slot is reusable
+  t.record(0, EventType::kPtoFired, 1);
+  for (size_t i = 0; i <= Tracer::kMaxSinks; ++i) {
+    EXPECT_EQ(logs[i].events.size(), i == 1 ? 0u : 1u) << i;
+  }
 }
 
 TEST(Tracer, FirstTimeReturnsEarliestOrNoTime) {
-  Tracer t;
+  Tracer t;  // no sink attached: the first-time marks need none
   EXPECT_EQ(t.first_time(EventType::kFfParsed), kNoTime);
   t.record(milliseconds(4), EventType::kFfParsed, 1, 1);
   t.record(milliseconds(9), EventType::kFfParsed, 2, 2);
   EXPECT_EQ(t.first_time(EventType::kFfParsed), milliseconds(4));
+  EXPECT_EQ(t.first_time(EventType::kOriginByte), kNoTime);
 }
 
-TEST(Tracer, PeakBytesInFlight) {
+TEST(Tracer, LongDetailIsTruncatedNulTerminated) {
   Tracer t;
-  t.record(0, EventType::kCwndSample, 50'000, 10'000);
-  t.record(0, EventType::kCwndSample, 50'000, 42'000);
-  t.record(0, EventType::kCwndSample, 50'000, 30'000);
-  EXPECT_EQ(t.peak_bytes_in_flight(), 42'000u);
+  EventLog log;
+  t.add_sink(&log);
+  const std::string longer(40, 'x');
+  t.record(1, EventType::kCcStateChanged, 0, 0, longer.c_str());
+  ASSERT_EQ(log.events.size(), 1u);
+  EXPECT_EQ(std::string(log.events[0].detail),
+            std::string(sizeof(Event::detail) - 1, 'x'));
 }
 
 TEST(TracerIntegration, ConnectionEmitsLifecycleEvents) {
@@ -147,6 +127,8 @@ TEST(TracerIntegration, ConnectionEmitsLifecycleEvents) {
   server.set_server_options({});
 
   Tracer tracer;
+  EventLog log;
+  tracer.add_sink(&log);
   server.set_tracer(&tracer);
   server.set_on_established([&server] {
     server.set_initial_parameters(60'000, mbps(10));
@@ -156,31 +138,88 @@ TEST(TracerIntegration, ConnectionEmitsLifecycleEvents) {
   client.connect({});
   loop.run_until(seconds(20));
 
-  EXPECT_GT(tracer.count(EventType::kPacketSent), 50u);
-  EXPECT_GT(tracer.count(EventType::kPacketAcked), 20u);
-  EXPECT_GT(tracer.count(EventType::kPacketLost), 0u);  // 5% loss path
-  EXPECT_GT(tracer.count(EventType::kRttSample), 10u);
-  EXPECT_GT(tracer.count(EventType::kCwndSample), 10u);
-  EXPECT_EQ(tracer.count(EventType::kInitApplied), 1u);
+  EXPECT_GT(count(log, EventType::kPacketSent), 50u);
+  EXPECT_GT(count(log, EventType::kPacketAcked), 20u);
+  EXPECT_GT(count(log, EventType::kPacketLost), 0u);  // 5% loss path
+  EXPECT_GT(count(log, EventType::kRttSample), 10u);
+  EXPECT_GT(count(log, EventType::kCwndSample), 10u);
+  EXPECT_EQ(count(log, EventType::kInitApplied), 1u);
   // Handshake trail: CHLO seen by server, established marker.
   bool saw_chlo = false, saw_established = false;
-  for (const auto& e : tracer.of_type(EventType::kHandshakeEvent)) {
-    saw_chlo |= e.detail == "chlo";
-    saw_established |= e.detail == "established";
+  for (const Event& e : log.events) {
+    if (e.type != EventType::kHandshakeEvent) continue;
+    saw_chlo |= std::string(e.detail) == "chlo";
+    saw_established |= std::string(e.detail) == "established";
   }
   EXPECT_TRUE(saw_chlo);
   EXPECT_TRUE(saw_established);
   // Events are time-ordered.
   TimeNs prev = 0;
-  for (const auto& e : tracer.events()) {
+  for (const Event& e : log.events) {
     EXPECT_GE(e.time, prev);
     prev = e.time;
   }
   // The init event carries the values we set.
-  const auto inits = tracer.of_type(EventType::kInitApplied);
-  ASSERT_EQ(inits.size(), 1u);
-  EXPECT_EQ(inits[0].a, 60'000u);
-  EXPECT_EQ(inits[0].b, mbps(10));
+  const auto init = std::find_if(
+      log.events.begin(), log.events.end(),
+      [](const Event& e) { return e.type == EventType::kInitApplied; });
+  ASSERT_NE(init, log.events.end());
+  EXPECT_EQ(init->a, 60'000u);
+  EXPECT_EQ(init->b, mbps(10));
+}
+
+// Every detail the stack emits is one of its literals and fits the 21-byte
+// field whole: a literal that outgrew it would reach qlog truncated and no
+// longer match its entry below.
+TEST(TracerIntegration, DetailsAreStackLiterals) {
+  const std::set<std::string> literals = {
+      "",
+      // quic::Connection handshake trail and cookie actions.
+      "chlo", "rej", "shlo", "established", "opened", "rejected", "sealed",
+      // WiraServer corner cases, PlayerClient stalls.
+      "cwnd_before_parse", "stale_cookie", "recv_gap",
+      // Controller state names (cc::CongestionController::state_name).
+      "startup", "drain", "probe_bw", "probe_rtt", "recovery", "slow_start",
+      "congestion_avoidance"};
+  std::set<std::string> seen;
+  for (const cc::CcAlgo algo :
+       {cc::CcAlgo::kBbrV1, cc::CcAlgo::kNewReno, cc::CcAlgo::kCubic}) {
+    exp::SessionConfig cfg;
+    cfg.path.bandwidth = mbps(8);
+    cfg.path.rtt = milliseconds(60);
+    cfg.path.loss_rate = 0.02;
+    cfg.path.buffer_bytes = 64 * 1024;
+    cfg.stream.iframe_mean_bytes = 60'000;
+    cfg.scheme = core::Scheme::kWira;
+    cfg.cc_algo = algo;
+    cfg.seed = 5;
+    core::HxQosRecord cookie;
+    cookie.min_rtt = milliseconds(60);
+    cookie.max_bw = mbps(8);
+    cookie.server_timestamp = 0;
+    cfg.cookie = cookie;
+    cfg.start_time = minutes(5);
+    Tracer server_tracer, client_tracer;
+    EventLog server_log, client_log;
+    server_tracer.add_sink(&server_log);
+    client_tracer.add_sink(&client_log);
+    cfg.tracer = &server_tracer;
+    cfg.client_tracer = &client_tracer;
+    ASSERT_TRUE(exp::run_session(cfg).first_frame_completed);
+    for (const EventLog* log : {&server_log, &client_log}) {
+      for (const Event& e : log->events) {
+        const std::string detail(e.detail);
+        EXPECT_TRUE(literals.count(detail))
+            << event_type_name(e.type) << " detail \"" << detail << "\"";
+        seen.insert(detail);
+      }
+    }
+  }
+  // The sweep actually exercised the longest literals and every controller.
+  for (const char* d : {"established", "opened", "sealed", "startup",
+                        "slow_start", "congestion_avoidance"}) {
+    EXPECT_TRUE(seen.count(d)) << d;
+  }
 }
 
 TEST(TracerIntegration, NoTracerMeansNoCrash) {

@@ -34,6 +34,11 @@ Guarded metrics and their default budgets:
                         when current > median + budget.  A ratio near 0;
                         relative budgets are meaningless for it.
 
+  recorder_overhead     absolute, fixed RECORDER_OVERHEAD_BUDGET (0.03):
+                        fail when current > median + budget — the <=3%
+                        price of leaving the flight recorder on.  Skipped
+                        with a note while the history lacks the key.
+
   allocs_per_session    relative, --budget-allocs (default 0.10): fail
                         when current > median * (1 + budget).  Operator-new
                         calls per (session, scheme) run in the serial pass.
@@ -80,6 +85,9 @@ GATED_THROUGHPUT = [
 # Fields that must match for a history record to be comparable.
 COMPARABILITY_KEY = ("sessions", "seed", "threads", "procs",
                      "hardware_concurrency")
+
+# Absolute budget on recorder_overhead (the flight recorder's <=3% cost).
+RECORDER_OVERHEAD_BUDGET = 0.03
 
 
 def median(vals):
@@ -263,18 +271,17 @@ def run_gate(current, history, args, out=sys.stdout):
         gate.note("allocs_per_session           skipped (absent from run "
                   "or history)")
 
-    cur_ov = current.get("metrics_overhead")
-    base_ov = [
-        r["metrics_overhead"]
-        for r in window
-        if isinstance(r.get("metrics_overhead"), (int, float))
-    ]
-    if isinstance(cur_ov, (int, float)) and base_ov:
-        gate.check("metrics_overhead", float(cur_ov), median(base_ov),
-                   budget_for("metrics_overhead", args.budget_overhead,
-                              base_ov, absolute=True), "higher_fails_abs")
-    else:
-        gate.note("metrics_overhead             skipped (absent)")
+    for name, floor in (("metrics_overhead", args.budget_overhead),
+                        ("recorder_overhead", RECORDER_OVERHEAD_BUDGET)):
+        cur_ov = current.get(name)
+        base_ov = [r[name] for r in window
+                   if isinstance(r.get(name), (int, float))]
+        if isinstance(cur_ov, (int, float)) and base_ov:
+            gate.check(name, float(cur_ov), median(base_ov),
+                       budget_for(name, floor, base_ov, absolute=True),
+                       "higher_fails_abs")
+        else:
+            gate.note("%-28s skipped (absent from run or history)" % name)
 
     if gate.passed():
         gate.note("PASS (%d metric(s) checked)" % gate.checks)
@@ -287,7 +294,7 @@ def self_test(args):
     """Synthetic-data checks of the gate logic itself (used as a ctest)."""
 
     def rec(sps=50.0, ffct=150.0, overhead=0.05, allocs=900.0,
-            sessions=300, seed=1, cores=4):
+            sessions=300, seed=1, cores=4, recorder=0.02):
         return {
             "sessions": sessions,
             "seed": seed,
@@ -298,6 +305,7 @@ def self_test(args):
             "sessions_per_sec_nt": sps * 1.8,
             "sessions_per_sec_np": sps * 1.7,
             "metrics_overhead": overhead,
+            "recorder_overhead": recorder,
             "allocs_per_session": allocs,
             "ffct_ms": {"Baseline": ffct * 1.1, "Wira": ffct},
         }
@@ -330,6 +338,15 @@ def self_test(args):
         ("FFCT improvement passes", rec(ffct=120.0), 0),
         ("overhead above absolute budget fails", rec(overhead=0.2), 1),
         ("overhead within absolute budget passes", rec(overhead=0.12), 0),
+        ("recorder overhead above absolute budget fails",
+         rec(recorder=0.06), 1),
+        ("recorder overhead within absolute budget passes",
+         rec(recorder=0.045), 0),
+        ("recorder overhead absent from history is skipped",
+         rec(recorder=0.5), 0,
+         [{k: v for k, v in r.items() if k != "recorder_overhead"}
+          for r in history],
+         "recorder_overhead            skipped"),
         ("15% allocs/session regression fails", rec(allocs=1035.0), 1),
         ("allocs/session improvement passes", rec(allocs=150.0), 0),
         ("allocs absent from run is skipped",

@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
           info.vantage_point_name = "wira-client";
           info.vantage_point_type = "client";
           s->qlog_writer.emplace(s->qlog, info);
-          s->tracer.stream_to(&*s->qlog_writer, /*keep_buffer=*/false);
+          s->tracer.add_sink(&*s->qlog_writer);
           s->client->set_tracer(&s->tracer);
         }
       }

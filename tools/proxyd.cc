@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
               info.title = name;
               info.group_id = name;
               s->qlog_writer.emplace(s->qlog, info);
-              s->tracer.stream_to(&*s->qlog_writer, /*keep_buffer=*/false);
+              s->tracer.add_sink(&*s->qlog_writer);
             }
           }
           app::ServerConfig cfg;
