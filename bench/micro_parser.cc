@@ -5,11 +5,13 @@
 // The FrameParser benchmarks report parses per second (items/s, one per
 // iteration): the parser skips tag payloads and stops once FF_Size is
 // known, so most stream bytes are never read and bytes/s would overstate
-// it.  Only BM_FlvDemuxer, which reads every byte, reports bytes/s.
+// it.  BM_FlvDemuxer, which reads every byte, reports bytes/s, and so do
+// the two muxer benchmarks, which write every byte of one I-frame.
 #include <benchmark/benchmark.h>
 
 #include "core/frame_parser.h"
 #include "media/flv.h"
+#include "media/mpegts.h"
 #include "media/stream_source.h"
 
 namespace {
@@ -69,6 +71,35 @@ void BM_FlvDemuxer(benchmark::State& state) {
                           static_cast<int64_t>(bytes.size()));
 }
 BENCHMARK(BM_FlvDemuxer);
+
+// Muxes one key frame of state.range(0) KB per iteration into a buffer
+// recycled across iterations, as LiveStream::mux_frame does with its pool.
+template <typename Muxer>
+void mux_key_frame(benchmark::State& state) {
+  const media::MediaFrame f{media::TagType::kVideo, media::VideoKind::kKey,
+                            static_cast<uint32_t>(state.range(0) * 1000),
+                            milliseconds(40)};
+  std::vector<uint8_t> buf;
+  for (auto _ : state) {
+    Muxer mux(std::move(buf));
+    mux.write_frame(f);
+    buf = mux.take();
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buf.size()));
+}
+
+void BM_FlvMuxFrame(benchmark::State& state) {
+  mux_key_frame<media::FlvMuxer>(state);
+}
+BENCHMARK(BM_FlvMuxFrame)->Arg(20)->Arg(66)->Arg(200);
+
+void BM_TsMuxFrame(benchmark::State& state) {
+  mux_key_frame<media::TsMuxer>(state);
+}
+BENCHMARK(BM_TsMuxFrame)->Arg(20)->Arg(66)->Arg(200);
 
 void BM_GopGeneration(benchmark::State& state) {
   media::StreamProfile p;

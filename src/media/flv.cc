@@ -3,13 +3,12 @@
 #include <algorithm>
 
 #include "media/amf0.h"
+#include "media/filler.h"
 
 namespace wira::media {
 
 namespace {
-/// Deterministic filler byte for synthetic frame payloads; varies with the
-/// position so compression-like tooling can't collapse it accidentally.
-uint8_t filler(size_t i) { return static_cast<uint8_t>(0xA5 ^ (i * 31)); }
+constexpr PayloadFiller kFiller(0xA5, 31);
 }  // namespace
 
 void FlvMuxer::write_header(bool has_audio, bool has_video) {
@@ -34,9 +33,9 @@ void FlvMuxer::write_tag(TagType type, TimeNs pts,
 }
 
 void FlvMuxer::write_frame(const MediaFrame& frame) {
-  // Synthetic payloads are generated straight into the writer (one exact
-  // reserve, no intermediate body buffer): this is the origin's per-frame
-  // hot path, and the byte-by-byte vector growth dominated its allocs.
+  // Synthetic payloads are copied straight into the writer from the filler
+  // table (one exact reserve, no intermediate body buffer): this is the
+  // origin's per-frame hot path.
   const bool has_marker =
       frame.type == TagType::kVideo || frame.type == TagType::kAudio;
   const size_t body_size =
@@ -57,9 +56,9 @@ void FlvMuxer::write_frame(const MediaFrame& frame) {
     // SoundFormat 10 (AAC), 44kHz stereo 16-bit.
     writer_.u8(0xAF);
   }
-  for (size_t i = has_marker ? 1 : 0; i < body_size; ++i) {
-    writer_.u8(filler(i));
-  }
+  // The filler index counts the marker byte, so it starts at 1 after it.
+  const size_t first = has_marker ? 1 : 0;
+  kFiller.append(writer_, first, body_size - first);
   writer_.u32be(static_cast<uint32_t>(kFlvTagHeaderSize + body_size));
 }
 

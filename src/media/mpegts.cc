@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "media/filler.h"
+
 namespace wira::media {
 
 namespace {
@@ -25,7 +27,18 @@ uint32_t crc32_mpeg2(std::span<const uint8_t> data) {
   return crc;
 }
 
-uint8_t filler(size_t i) { return static_cast<uint8_t>(0x3C ^ (i * 17)); }
+constexpr PayloadFiller kFiller(0x3C, 17);
+
+/// PES header as TsMuxer writes it: start code, stream id, length, flags,
+/// header length and a 5-byte PTS.
+constexpr size_t kPesHeaderSize = 6 + 3 + 5;
+
+/// Adaptation-field stuffing bytes.
+constexpr auto kStuffing = [] {
+  std::array<uint8_t, kTsPacketSize> a{};
+  a.fill(0xFF);
+  return a;
+}();
 
 /// 90 kHz PTS from nanoseconds.
 uint64_t to_pts90k(TimeNs t) {
@@ -39,13 +52,13 @@ TimeNs from_pts90k(uint64_t pts) {
                              90'000);
 }
 
-void append_pts(ByteWriter& w, uint64_t pts) {
+void put_pts(uint8_t* dst, uint64_t pts) {
   // '0010' pts[32..30] marker | pts[29..22] | pts[21..15] marker | ...
-  w.u8(static_cast<uint8_t>(0x21 | ((pts >> 29) & 0x0E)));
-  w.u8(static_cast<uint8_t>((pts >> 22) & 0xFF));
-  w.u8(static_cast<uint8_t>(0x01 | ((pts >> 14) & 0xFE)));
-  w.u8(static_cast<uint8_t>((pts >> 7) & 0xFF));
-  w.u8(static_cast<uint8_t>(0x01 | ((pts << 1) & 0xFE)));
+  dst[0] = static_cast<uint8_t>(0x21 | ((pts >> 29) & 0x0E));
+  dst[1] = static_cast<uint8_t>((pts >> 22) & 0xFF);
+  dst[2] = static_cast<uint8_t>(0x01 | ((pts >> 14) & 0xFE));
+  dst[3] = static_cast<uint8_t>((pts >> 7) & 0xFF);
+  dst[4] = static_cast<uint8_t>(0x01 | ((pts << 1) & 0xFE));
 }
 
 std::optional<uint64_t> parse_pts(std::span<const uint8_t> b) {
@@ -83,26 +96,25 @@ std::vector<uint8_t> make_psi_section(uint8_t table_id,
 }  // namespace
 
 uint8_t TsMuxer::next_cc(uint16_t pid) {
-  uint8_t& cc = continuity_[pid];
+  size_t slot;
+  switch (pid) {
+    case kTsPidPat: slot = 0; break;
+    case kTsPidPmt: slot = 1; break;
+    case kTsPidVideo: slot = 2; break;
+    default: slot = 3; break;  // kTsPidAudio
+  }
+  uint8_t& cc = continuity_[slot];
   const uint8_t out = cc;
   cc = (cc + 1) & 0x0F;
   return out;
 }
 
-void TsMuxer::write_ts_packet(uint16_t pid, bool payload_start,
-                              bool random_access,
-                              std::span<const uint8_t> payload) {
-  // payload must fit in one packet (<= 184, less with adaptation field).
+void TsMuxer::write_ts_header(uint16_t pid, bool payload_start,
+                              bool random_access, size_t payload_size) {
+  // Adaptation field: a length byte, then (if room) a flags byte and
+  // stuffing.  A full 184-byte payload without RAI needs no field.
   const size_t header_size = 4;
-  size_t adaptation = 0;
-  const bool need_adaptation =
-      random_access || payload.size() < kTsPacketSize - header_size;
-  if (need_adaptation) {
-    adaptation = kTsPacketSize - header_size - payload.size();
-    // Adaptation field needs at least the length byte; with content, a
-    // flags byte too.
-    if (adaptation == 0) adaptation = 0;  // exactly full: no field
-  }
+  const size_t adaptation = kTsPacketSize - header_size - payload_size;
 
   out_.u8(kTsSyncByte);
   out_.u16be(static_cast<uint16_t>((payload_start ? 0x4000 : 0) |
@@ -113,9 +125,15 @@ void TsMuxer::write_ts_packet(uint16_t pid, bool payload_start,
     out_.u8(static_cast<uint8_t>(adaptation - 1));  // field length
     if (adaptation > 1) {
       out_.u8(random_access ? 0x40 : 0x00);  // flags (RAI)
-      for (size_t i = 0; i < adaptation - 2; ++i) out_.u8(0xFF);
+      out_.bytes(kStuffing.data(), adaptation - 2);
     }
   }
+}
+
+void TsMuxer::write_ts_packet(uint16_t pid, bool payload_start,
+                              bool random_access,
+                              std::span<const uint8_t> payload) {
+  write_ts_header(pid, payload_start, random_access, payload.size());
   out_.bytes(payload);
 }
 
@@ -159,44 +177,48 @@ void TsMuxer::write_frame(const MediaFrame& frame) {
       break;
   }
 
-  // Build the PES packet.  Video uses PES_packet_length = 0 (the norm for
-  // H.264 in TS: the access-unit end is known only when the next unit
-  // starts); audio/private declare their length.
-  ByteWriter pes;
-  pes.u24be(0x000001);
-  pes.u8(stream_id);
-  const size_t header_tail = 3 + 5;  // flags+hdrlen + PTS
-  const size_t pes_len = header_tail + frame.payload_bytes;
+  // The PES header, on the stack.  Video uses PES_packet_length = 0 (the
+  // norm for H.264 in TS: the access-unit end is known only when the next
+  // unit starts); audio/private declare their length, which counts the
+  // bytes after the 6-byte start code + stream id + length prefix.
+  const size_t pes_len = kPesHeaderSize - 6 + frame.payload_bytes;
   const bool declare_length =
       frame.type != TagType::kVideo && pes_len <= 0xFFFF;
-  pes.u16be(declare_length ? static_cast<uint16_t>(pes_len) : 0);
-  pes.u8(0x80);  // '10' + no scrambling/priority/alignment
-  pes.u8(0x80);  // PTS only
-  pes.u8(5);     // PES_header_data_length
-  append_pts(pes, to_pts90k(frame.pts));
-  for (size_t i = 0; i < frame.payload_bytes; ++i) pes.u8(filler(i));
-  const auto bytes = pes.take();
+  const uint16_t length_field =
+      declare_length ? static_cast<uint16_t>(pes_len) : 0;
+  std::array<uint8_t, kPesHeaderSize> header = {
+      0x00, 0x00, 0x01, stream_id,
+      static_cast<uint8_t>(length_field >> 8),
+      static_cast<uint8_t>(length_field & 0xFF),
+      0x80,  // '10' + no scrambling/priority/alignment
+      0x80,  // PTS only
+      5,     // PES_header_data_length
+  };
+  put_pts(header.data() + 9, to_pts90k(frame.pts));
 
-  // Slice into TS packets.
-  size_t offset = 0;
-  bool first = true;
-  while (offset < bytes.size()) {
-    const size_t room = first && frame.video_kind == VideoKind::kKey &&
-                                frame.type == TagType::kVideo
-                            ? kTsPacketSize - 4 - 2  // RAI field
-                            : kTsPacketSize - 4;
-    const size_t n = std::min(room, bytes.size() - offset);
-    write_ts_packet(pid, first,
-                    first && frame.type == TagType::kVideo &&
-                        frame.video_kind == VideoKind::kKey,
-                    std::span<const uint8_t>(bytes.data() + offset, n));
-    offset += n;
-    first = false;
+  // Cut TS packets straight from header + filler into the output.  The
+  // first packet carries the whole PES header (key frames also a 2-byte
+  // RAI adaptation field) and as much filler as fits after it.
+  const bool key_video = frame.type == TagType::kVideo &&
+                         frame.video_kind == VideoKind::kKey;
+  const size_t payload = frame.payload_bytes;
+  out_.reserve(out_.size() + ts_frame_wire_size(frame));
+  const size_t first_room =
+      (key_video ? kTsPacketSize - 4 - 2 : kTsPacketSize - 4) -
+      kPesHeaderSize;
+  size_t fill = std::min(first_room, payload);
+  write_ts_header(pid, true, key_video, kPesHeaderSize + fill);
+  out_.bytes(header.data(), header.size());
+  kFiller.append(out_, 0, fill);
+  for (size_t at = fill; at < payload; at += fill) {
+    fill = std::min(kTsPacketSize - 4, payload - at);
+    write_ts_header(pid, false, false, fill);
+    kFiller.append(out_, at, fill);
   }
 }
 
 size_t ts_frame_wire_size(const MediaFrame& frame) {
-  const size_t pes_bytes = 6 + 3 + 5 + frame.payload_bytes;
+  const size_t pes_bytes = kPesHeaderSize + frame.payload_bytes;
   const bool key_video = frame.type == TagType::kVideo &&
                          frame.video_kind == VideoKind::kKey;
   const size_t first_room =

@@ -8,6 +8,7 @@
 // indicator on key frames.  No PCR jitter modelling, no scrambling.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -54,12 +55,19 @@ class TsMuxer {
   std::span<const uint8_t> span() const { return out_.span(); }
 
  private:
+  /// Writes a packet's 4-byte header plus the adaptation field that pads
+  /// it to 188 bytes around `payload_size` bytes of payload (<= 184, less
+  /// with the RAI flag); the caller appends the payload.
+  void write_ts_header(uint16_t pid, bool payload_start, bool random_access,
+                       size_t payload_size);
   void write_ts_packet(uint16_t pid, bool payload_start, bool random_access,
                        std::span<const uint8_t> payload);
   uint8_t next_cc(uint16_t pid);
 
   ByteWriter out_;
-  std::map<uint16_t, uint8_t> continuity_;
+  /// Continuity counters of the four PIDs the muxer emits: PAT, PMT,
+  /// video, audio.
+  std::array<uint8_t, 4> continuity_{};
 };
 
 /// A reassembled PES unit.

@@ -46,9 +46,11 @@ struct StreamProfile {
 /// Draws a stream profile from the corpus distribution (Fig. 1a shape).
 StreamProfile sample_stream_profile(Rng& rng, uint64_t stream_id);
 
-/// A muxed per-frame chunk ready for transmission: one FLV tag (plus its
-/// trailing PreviousTagSize); the very first chunk of a session additionally
-/// carries the FLV header and metadata script tag.
+/// A muxed per-frame chunk ready for transmission: one frame in the
+/// stream's container, i.e. one FLV tag plus its trailing PreviousTagSize,
+/// or one PES packet cut into 188-byte TS packets.  The very first chunk of
+/// a session additionally carries the container prelude: the FLV header
+/// and onMetaData script tag, or the TS PAT + PMT.
 struct StreamChunk {
   TimeNs pts = 0;
   std::vector<uint8_t> bytes;

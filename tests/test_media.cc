@@ -2,9 +2,11 @@
 // calibrated live-stream generator.
 #include <gtest/gtest.h>
 
+#include "exp/record_codec.h"
 #include "media/amf0.h"
 #include "media/flv.h"
 #include "media/stream_source.h"
+#include "util/buffer_pool.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -214,6 +216,46 @@ TEST(StreamSource, FirstFrameSizeMatchesDemuxedPrefix) {
   });
   ASSERT_TRUE(demux.feed(all));
   EXPECT_EQ(expected, measured);
+}
+
+TEST(StreamSource, MuxedCorpusHashIsPinned) {
+  // Every byte a session sends: the join burst plus 1 s of live tail for
+  // 12 sampled streams per container, muxed through a recycled buffer
+  // pool as the session runner does.  Pinned so a muxer rewrite must be
+  // byte-identical over real frame mixes, not only the golden frames.
+  struct Pin {
+    Container container;
+    uint64_t bytes;
+    uint64_t fnv;
+  };
+  const Pin pins[] = {{Container::kFlv, 5'463'557, 0x7f28400c8bafa4cfull},
+                      {Container::kMpegTs, 5'590'744, 0x83c37dd69aeebdd5ull}};
+  for (const Pin& pin : pins) {
+    Rng rng(pin.container == Container::kFlv ? 7 : 8);
+    util::BufferPool pool;
+    std::vector<StreamChunk> chunks;
+    std::vector<uint8_t> all;
+    auto drain = [&] {
+      for (StreamChunk& c : chunks) {
+        all.insert(all.end(), c.bytes.begin(), c.bytes.end());
+        pool.release(std::move(c.bytes));
+      }
+    };
+    for (uint64_t id = 0; id < 12; ++id) {
+      StreamProfile p = sample_stream_profile(rng, id);
+      p.container = pin.container;
+      LiveStream s(p, 42);
+      const TimeNs join =
+          seconds(static_cast<int64_t>(rng.uniform(0, 20))) +
+          milliseconds(333);
+      s.join_chunks(join, chunks, &pool);
+      drain();
+      s.chunks_between(join, join + seconds(1), chunks, &pool);
+      drain();
+    }
+    EXPECT_EQ(all.size(), pin.bytes) << static_cast<int>(pin.container);
+    EXPECT_EQ(exp::fnv1a64(all), pin.fnv) << static_cast<int>(pin.container);
+  }
 }
 
 TEST(StreamSource, CorpusCalibrationMatchesFig1) {
