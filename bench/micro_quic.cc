@@ -1,9 +1,11 @@
-// Microbenchmarks: QUIC wire codecs and end-to-end emulated sessions
-// (sessions/second bounds how large the Monte-Carlo experiments can be).
+// Microbenchmarks: QUIC wire codecs, connection-timer churn on the event
+// loop, and end-to-end emulated sessions (sessions/second bounds how large
+// the Monte-Carlo experiments can be).
 #include <benchmark/benchmark.h>
 
 #include "exp/session_runner.h"
 #include "quic/packet.h"
+#include "sim/event_loop.h"
 
 namespace {
 
@@ -62,6 +64,46 @@ void BM_HandshakeSerializeParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HandshakeSerializeParse);
+
+// Event-loop timer churn as a busy connection sees it: 64 pending
+// link-style events, each rescheduling itself after it runs, plus one
+// PTO-style timer re-armed 200 ms ahead after every pop (so it never
+// fires).  `rearm` is the only difference between the two variants.
+template <typename Rearm>
+void run_timer_churn(benchmark::State& state, Rearm rearm) {
+  struct Links {
+    sim::EventLoop loop;
+    void depart(int i) {
+      loop.schedule_in(microseconds(40 + i), [this, i] { depart(i); });
+    }
+  } links;
+  for (int i = 0; i < 64; ++i) links.depart(i);
+  sim::EventId timer =
+      links.loop.schedule_in(milliseconds(200), [] {});
+  for (auto _ : state) {
+    links.loop.run(1);
+    rearm(links.loop, timer, links.loop.now() + milliseconds(200));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetLabel("items = events");
+}
+
+void BM_EventLoopCancelSchedule(benchmark::State& state) {
+  run_timer_churn(state, [](sim::EventLoop& loop, sim::EventId& timer,
+                            TimeNs when) {
+    loop.cancel(timer);
+    timer = loop.schedule_at(when, [] {});
+  });
+}
+BENCHMARK(BM_EventLoopCancelSchedule);
+
+void BM_EventLoopReschedule(benchmark::State& state) {
+  run_timer_churn(state, [](sim::EventLoop& loop, sim::EventId& timer,
+                            TimeNs when) {
+    if (!loop.reschedule(timer, when)) timer = loop.schedule_at(when, [] {});
+  });
+}
+BENCHMARK(BM_EventLoopReschedule);
 
 void BM_FullSession(benchmark::State& state) {
   // One complete emulated live-streaming session (handshake, ~1 MB of

@@ -148,9 +148,20 @@ SessionResult run_impl(const SessionConfig& cfg,
     client.start();
   });
 
+  // The loop advances in 100-ms steps so the break check below samples a
+  // fixed grid.  A population session starts minutes into simulated time,
+  // so first jump straight to the last grid point strictly before the
+  // earliest pending event: nothing runs in the skipped steps, and the
+  // break check cannot fire there (it needs now >= start_time >= that
+  // event), so the jump is unobservable.
+  const TimeNs step = milliseconds(100);
   const TimeNs deadline = cfg.start_time + cfg.max_session_time;
+  const TimeNs first = std::min(loop.next_event_time(), deadline);
+  if (first > loop.now()) {
+    loop.run_until(first - 1 - (first - 1 - loop.now()) % step);
+  }
   while (loop.now() < deadline) {
-    loop.run_until(std::min(loop.now() + milliseconds(100), deadline));
+    loop.run_until(std::min(loop.now() + step, deadline));
     if (client.metrics().frame_complete_at.size() >= cfg.track_frames &&
         loop.now() >= cfg.start_time + 2 * cfg.sync_period) {
       break;  // everything measured (incl. at least one cookie sync)

@@ -575,7 +575,9 @@ void Connection::cancel_timer(std::optional<sim::EventId>& id) {
 }
 
 void Connection::arm_loss_timer(TimeNs when) {
-  cancel_timer(loss_timer_);
+  // Re-arm in place while the timer is pending; reschedule orders exactly
+  // as cancel + schedule_at would.
+  if (loss_timer_ && loop_.reschedule(*loss_timer_, when)) return;
   loss_timer_ = loop_.schedule_at(when, [this] {
     loss_timer_.reset();
     on_loss_timer();
@@ -603,9 +605,12 @@ void Connection::on_loss_timer() {
 }
 
 void Connection::arm_pto() {
-  cancel_timer(pto_timer_);
-  const TimeNs timeout = rtt_.pto(config_.max_ack_delay) << pto_count_;
-  pto_timer_ = loop_.schedule_in(timeout, [this] {
+  // Loop time, not now(): timers live on the loop's clock even when now()
+  // reads a real clock (wira_proxyd).
+  const TimeNs when =
+      loop_.now() + (rtt_.pto(config_.max_ack_delay) << pto_count_);
+  if (pto_timer_ && loop_.reschedule(*pto_timer_, when)) return;
+  pto_timer_ = loop_.schedule_at(when, [this] {
     pto_timer_.reset();
     on_pto();
   });

@@ -10,11 +10,15 @@
 //   - callbacks are SmallFn's: captures up to 64 bytes live inline in a
 //     pooled slot instead of behind a std::function heap allocation, and
 //     move-only captures (recycled buffers) are allowed;
-//   - the binary heap orders 24-byte POD entries {when, seq, id}; the
-//     callable never moves during sifting — it stays put in its slot;
-//   - cancel() is O(1) generation-stamped lazy deletion: the heap entry
-//     stays and is discarded when it surfaces, the callable (and anything
-//     it captured) is destroyed immediately — no hash-set lookup per pop;
+//   - an indexed binary heap orders 24-byte POD entries {when, seq, slot};
+//     the callable never moves during sifting — it stays put in its slot,
+//     and the slot records its entry's heap position;
+//   - cancel() removes the entry eagerly in O(log n) through that index,
+//     so the heap holds exactly the pending events: no stale entries to
+//     skip on pop, and pending() is the heap size;
+//   - reschedule() moves a pending event to a new time in place (one
+//     sift, callable untouched), so connection timers that re-arm on
+//     every send/ACK (PTO, loss) cost no slot churn;
 //   - the loop owns a BufferPool so links/connections recycle datagram
 //     buffers instead of allocating per packet;
 //   - the loop owns a bump Arena for tick-scoped scratch (parsed packets,
@@ -24,7 +28,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <typeindex>
 #include <unordered_map>
 #include <vector>
@@ -36,9 +39,9 @@
 
 namespace wira::sim {
 
-/// Handle for cancelling a scheduled event: packs a slot index and the
-/// slot's generation at scheduling time, so a handle outliving its event
-/// (slot since reused) cancels nothing.
+/// Handle for cancelling or rescheduling a scheduled event: packs a slot
+/// index and the slot's generation at scheduling time, so a handle
+/// outliving its event (slot since reused) touches nothing.
 using EventId = uint64_t;
 
 class EventLoop {
@@ -62,6 +65,14 @@ class EventLoop {
   /// Cancels a pending event; no-op if it already ran or was cancelled.
   void cancel(EventId id);
 
+  /// Moves a pending event to absolute time `when` (clamped to now()),
+  /// keeping its callable and handle.  The event takes a fresh insertion
+  /// sequence number, so it orders exactly as cancel() followed by
+  /// schedule_at() would — FIFO after everything already scheduled for
+  /// the same instant.  Returns false (and does nothing) if the handle is
+  /// stale: the event already ran, was cancelled, or reset() intervened.
+  bool reschedule(EventId id, TimeNs when);
+
   /// Returns the loop to its freshly constructed state while KEEPING every
   /// capacity it has grown: callable slots, the heap's backing vector, the
   /// buffer pool's recycled buffers and the arena's blocks all survive, so
@@ -81,16 +92,18 @@ class EventLoop {
   /// guard); returns the number of events executed.
   size_t run(size_t max_events = SIZE_MAX);
 
-  bool empty() const { return live_ == 0; }
+  bool empty() const { return heap_.empty(); }
   /// Number of scheduled events that are neither run nor cancelled.
-  size_t pending() const { return live_; }
+  size_t pending() const { return heap_.size(); }
 
   /// Absolute time of the earliest live event, or kNoEvent when the queue
   /// is empty.  This is what lets a real-time driver (net::EpollRuntime)
   /// use the loop as its timer wheel: run_until(clock-now) fires everything
   /// due, next_event_time() says how long the driver may sleep.
   static constexpr TimeNs kNoEvent = INT64_MAX;
-  TimeNs next_event_time();
+  TimeNs next_event_time() const {
+    return heap_.empty() ? kNoEvent : heap_.front().when;
+  }
 
   /// Scratch byte-buffer pool shared by everything driven by this loop.
   util::BufferPool& buffers() { return buffers_; }
@@ -127,25 +140,15 @@ class EventLoop {
   struct HeapEntry {
     TimeNs when;
     uint64_t seq;  ///< FIFO tiebreak among simultaneous events
-    EventId id;
+    uint32_t slot;
   };
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  /// priority_queue with an O(1) clear that keeps the backing vector's
-  /// capacity (std::priority_queue only clears by assignment, which
-  /// frees).
-  struct EventQueue
-      : std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> {
-    void clear() { c.clear(); }
-  };
+  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
   struct Slot {
     EventFn fn;
     uint32_t gen = 0;
-    bool cancelled = false;
+    uint32_t heap_pos = 0;  ///< index into heap_; meaningful while pending
   };
   using ScratchPtr = std::unique_ptr<void, void (*)(void*)>;
   struct Scratch {
@@ -160,17 +163,32 @@ class EventLoop {
     return static_cast<uint32_t>(id >> 32);
   }
 
-  bool pop_one();  // executes the next non-cancelled event, if any
-  /// Invalidates outstanding handles to the popped event and recycles its
-  /// slot; true if the event is live (not cancelled) and should run.
-  bool retire(EventId id);
-  /// Discards cancelled events sitting at the top of the heap.
-  void skip_cancelled();
+  /// The slot a handle names while its event is pending, or nullptr if
+  /// the handle is stale.  A slot's generation is bumped whenever its
+  /// event leaves the heap (run, cancel, reset), so a generation match
+  /// alone proves the event is still queued.
+  Slot* live_slot(EventId id) {
+    const uint32_t slot = slot_of(id);
+    if (slot >= slots_.size()) return nullptr;
+    Slot& s = slots_[slot];
+    return s.gen == gen_of(id) ? &s : nullptr;
+  }
+  /// Places `e` at heap index `pos` and records the position in its slot.
+  void place(size_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].heap_pos = static_cast<uint32_t>(pos);
+  }
+  void sift_up(size_t pos);
+  void sift_down(size_t pos);
+  /// Unlinks the entry at `pos` from the heap (O(log n)).
+  void remove_at(size_t pos);
+  /// Stales every handle to `slot` and returns it to the free list.
+  void release_slot(uint32_t slot);
+  bool pop_one();  // executes the next event, if any
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
-  size_t live_ = 0;
-  EventQueue queue_;
+  std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   /// 256 buffers: sized for the origin join burst, where one simulated

@@ -6,6 +6,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <random>
 #include <vector>
 
 namespace wira::sim {
@@ -110,7 +111,7 @@ TEST(EventLoop, RunUntilWithEmptyQueueAdvancesClock) {
   EXPECT_EQ(loop.now(), seconds(5));
 }
 
-// ---- generation-stamped lazy deletion ----
+// ---- cancellation and stale handles ----
 
 TEST(EventLoop, CancelIsIdempotentAndUpdatesPending) {
   EventLoop loop;
@@ -189,6 +190,203 @@ TEST(EventLoop, SlotReuseKeepsFifoOrderForSimultaneousEvents) {
   }
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+// ---- reschedule: in-place re-arm ----
+
+TEST(EventLoop, RescheduleLaterRunsAtNewTime) {
+  EventLoop loop;
+  TimeNs observed = -1;
+  const EventId id =
+      loop.schedule_at(milliseconds(10), [&] { observed = loop.now(); });
+  EXPECT_TRUE(loop.reschedule(id, milliseconds(25)));
+  EXPECT_EQ(loop.next_event_time(), milliseconds(25));
+  EXPECT_EQ(loop.run_until(milliseconds(20)), 0u);
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(observed, milliseconds(25));
+}
+
+TEST(EventLoop, RescheduleEarlierOvertakesOtherEvents) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule_at(milliseconds(10), [&] { order.push_back(1); });
+  loop.schedule_at(milliseconds(20), [&] { order.push_back(2); });
+  const EventId id =
+      loop.schedule_at(milliseconds(30), [&] { order.push_back(3); });
+  EXPECT_TRUE(loop.reschedule(id, milliseconds(5)));
+  EXPECT_EQ(loop.next_event_time(), milliseconds(5));
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
+}
+
+TEST(EventLoop, ReschedulePastTimeClampsToNow) {
+  EventLoop loop;
+  TimeNs observed = -1;
+  const EventId id =
+      loop.schedule_at(milliseconds(50), [&] { observed = loop.now(); });
+  loop.run_until(milliseconds(20));
+  EXPECT_TRUE(loop.reschedule(id, milliseconds(3)));
+  EXPECT_EQ(loop.next_event_time(), milliseconds(20));
+  loop.run();
+  EXPECT_EQ(observed, milliseconds(20));
+}
+
+TEST(EventLoop, RescheduledTieRunsAfterEarlierScheduledPeers) {
+  // The re-armed event takes a fresh sequence number, so among events at
+  // the same instant it runs last, exactly as cancel + schedule_at would.
+  EventLoop loop;
+  std::vector<int> order;
+  const EventId first =
+      loop.schedule_at(milliseconds(10), [&] { order.push_back(0); });
+  loop.schedule_at(milliseconds(10), [&] { order.push_back(1); });
+  loop.schedule_at(milliseconds(10), [&] { order.push_back(2); });
+  EXPECT_TRUE(loop.reschedule(first, milliseconds(10)));
+  loop.schedule_at(milliseconds(10), [&] { order.push_back(3); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 3}));
+}
+
+TEST(EventLoop, RescheduleStaleHandleIsRejectedAndHarmless) {
+  EventLoop loop;
+  int runs = 0;
+  // Already ran: the slot is reused by `occupant`, which must not move.
+  const EventId ran = loop.schedule_at(milliseconds(1), [&] { runs++; });
+  loop.run();
+  const EventId occupant =
+      loop.schedule_at(milliseconds(5), [&] { runs += 10; });
+  EXPECT_FALSE(loop.reschedule(ran, milliseconds(2)));
+  EXPECT_EQ(loop.next_event_time(), milliseconds(5));
+  // Cancelled: nothing is resurrected.
+  const EventId cancelled =
+      loop.schedule_at(milliseconds(6), [&] { runs += 100; });
+  loop.cancel(cancelled);
+  EXPECT_FALSE(loop.reschedule(cancelled, milliseconds(7)));
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run();
+  EXPECT_EQ(runs, 11);
+  // Staled by reset(): the pre-reset handle names a recycled slot.
+  const EventId before_reset =
+      loop.schedule_at(milliseconds(20), [&] { runs += 1000; });
+  loop.reset();
+  loop.schedule_at(milliseconds(3), [&] { runs += 10000; });
+  EXPECT_FALSE(loop.reschedule(before_reset, milliseconds(9)));
+  EXPECT_FALSE(loop.reschedule(occupant, milliseconds(9)));
+  EXPECT_EQ(loop.next_event_time(), milliseconds(3));
+  loop.run();
+  EXPECT_EQ(runs, 10011);
+  EXPECT_EQ(loop.now(), milliseconds(3));
+}
+
+TEST(EventLoop, RescheduleFromInsideHandler) {
+  EventLoop loop;
+  std::vector<std::pair<int, TimeNs>> log;
+  const EventId timer = loop.schedule_at(milliseconds(10), [&] {
+    log.emplace_back(1, loop.now());
+  });
+  loop.schedule_at(milliseconds(5), [&] {
+    log.emplace_back(0, loop.now());
+    EXPECT_TRUE(loop.reschedule(timer, loop.now() + milliseconds(20)));
+  });
+  loop.schedule_at(milliseconds(12), [&] { log.emplace_back(2, loop.now()); });
+  loop.run();
+  EXPECT_EQ(log, (std::vector<std::pair<int, TimeNs>>{
+                     {0, milliseconds(5)},
+                     {2, milliseconds(12)},
+                     {1, milliseconds(25)}}));
+}
+
+TEST(EventLoop, PendingStaysExactThroughCancelAndReschedule) {
+  EventLoop loop;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10; ++i) {
+    ids.push_back(loop.schedule_at(milliseconds(10 + i), [] {}));
+  }
+  EXPECT_EQ(loop.pending(), 10u);
+  for (int i = 0; i < 10; i += 3) loop.cancel(ids[i]);  // 0, 3, 6, 9
+  EXPECT_EQ(loop.pending(), 6u);
+  EXPECT_TRUE(loop.reschedule(ids[1], milliseconds(100)));
+  EXPECT_FALSE(loop.reschedule(ids[3], milliseconds(100)));
+  EXPECT_EQ(loop.pending(), 6u);
+  EXPECT_EQ(loop.run_until(milliseconds(50)), 5u);
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_FALSE(loop.empty());
+  EXPECT_EQ(loop.next_event_time(), milliseconds(100));
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.next_event_time(), EventLoop::kNoEvent);
+}
+
+// Differential check of the reschedule contract: one loop re-arms timers
+// in place, the other cancels and schedules anew.  Under a seeded stream
+// of schedule / cancel / re-arm / run operations — including re-arms from
+// inside handlers and plenty of same-instant ties — both must execute the
+// same callbacks at the same times and agree on pending() throughout.
+TEST(EventLoop, RescheduleMatchesCancelThenSchedule) {
+  struct Side {
+    explicit Side(bool in_place) : in_place(in_place) {}
+    bool in_place;
+    EventLoop loop;
+    std::vector<EventId> ids;  // handle per label
+    std::vector<std::pair<size_t, TimeNs>> log;
+
+    void fire(size_t label) {
+      log.emplace_back(label, loop.now());
+      // Every fifth handler re-arms another label from inside the loop.
+      if (label % 5 == 0) rearm((label * 7 + 3) % ids.size(),
+                                loop.now() + milliseconds(label % 4));
+    }
+    EventId add(size_t label, TimeNs when) {
+      return loop.schedule_at(when, [this, label] { fire(label); });
+    }
+    void schedule(TimeNs when) { ids.push_back(add(ids.size(), when)); }
+    void rearm(size_t label, TimeNs when) {
+      if (in_place) {
+        if (loop.reschedule(ids[label], when)) return;
+      } else {
+        loop.cancel(ids[label]);
+      }
+      ids[label] = add(label, when);
+    }
+  };
+  Side a(/*in_place=*/true);
+  Side b(/*in_place=*/false);
+  std::mt19937_64 rng(20240715);
+  auto pick = [&](uint64_t n) { return static_cast<size_t>(rng() % n); };
+  for (int op = 0; op < 10000; ++op) {
+    const TimeNs when = a.loop.now() + milliseconds(pick(8));
+    switch (a.ids.empty() ? 0 : pick(5)) {
+      case 0:
+        a.schedule(when);
+        b.schedule(when);
+        break;
+      case 1: {
+        const size_t label = pick(a.ids.size());
+        a.loop.cancel(a.ids[label]);
+        b.loop.cancel(b.ids[label]);
+        break;
+      }
+      case 2:
+      case 3: {
+        const size_t label = pick(a.ids.size());
+        a.rearm(label, when);
+        b.rearm(label, when);
+        break;
+      }
+      default: {
+        const TimeNs until = a.loop.now() + milliseconds(pick(3));
+        EXPECT_EQ(a.loop.run_until(until), b.loop.run_until(until));
+        break;
+      }
+    }
+    ASSERT_EQ(a.loop.pending(), b.loop.pending()) << "op " << op;
+    ASSERT_EQ(a.loop.next_event_time(), b.loop.next_event_time())
+        << "op " << op;
+  }
+  a.loop.run();
+  b.loop.run();
+  EXPECT_GT(a.log.size(), 1000u);
+  EXPECT_EQ(a.log, b.log);
 }
 
 TEST(EventLoop, MoveOnlyCallablesAreSupported) {

@@ -720,6 +720,34 @@ TEST(Harness, CodecStreamSinkReplaysExactly) {
   EXPECT_TRUE(records_equal(collected, replayed));
 }
 
+// Every record byte of a small population, in both containers and all four
+// schemes, pinned through the wire codec.  The other harness tests compare
+// two runs of the same build; this one catches a change that reorders
+// simulated events (event-loop or timer rework) and so shifts records that
+// would otherwise only show up as a drifting figure.
+TEST(Harness, PopulationRecordDigestIsPinned) {
+  struct Pin {
+    media::Container container;
+    size_t bytes;
+    uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {media::Container::kFlv, 25'680, 0x3a830c7965cb0e9cull},
+      {media::Container::kMpegTs, 25'680, 0xfe211c93f8d1c4e7ull}};
+  for (const Pin& pin : pins) {
+    PopulationConfig cfg = small_config(7);
+    cfg.sessions = 24;
+    cfg.container = pin.container;
+    ASSERT_EQ(cfg.schemes.size(), 4u);
+    const auto records = run_population(cfg);
+    std::vector<uint8_t> bytes;
+    CodecWriter w(bytes);
+    for (const SessionRecord& rec : records) encode_session_record(rec, w);
+    EXPECT_EQ(bytes.size(), pin.bytes) << static_cast<int>(pin.container);
+    EXPECT_EQ(fnv1a64(bytes), pin.fnv) << static_cast<int>(pin.container);
+  }
+}
+
 // Mini-soak: a streaming run with periodic flushes must emit one JSONL
 // line per flush (plus the final line), fire the flush hook each time,
 // and keep resident memory flat — the in-test plateau bound is loose

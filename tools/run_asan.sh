@@ -41,6 +41,9 @@ ctest --test-dir "${build_dir}" -L gate --output-on-failure \
 # (snapshot, sqlog serialization, crash-fd plumbing) under the
 # sanitizers too; the seeded 1 ms deadline guarantees dumps happen.
 rm -rf "${build_dir}/anomaly"
+# The daemons below announce their ports through these files; a file left
+# by an earlier run would send the readiness waits to a dead port.
+rm -f "${build_dir}"/{exporter,workerd1,workerd2,proxyd}.port
 "${build_dir}/bench/soak" --sessions 200 --flush-every 50 \
   --flush-out "${build_dir}/soak_flush.jsonl" \
   --anomaly-dir "${build_dir}/anomaly" --anomaly-ffct-ms 1 \
