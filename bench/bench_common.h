@@ -3,12 +3,12 @@
 // Every binary accepts an optional first argument overriding the number of
 // Monte-Carlo sessions (default kDefaultSessions) and an optional second
 // argument overriding the seed, so `./fig11_overall 2000 7` scales the run.
-// `--threads N` (or env WIRA_THREADS) parallelizes the session sweep; any
-// thread count produces identical output (sessions are seeded per index).
-// `--procs N` (or env WIRA_PROCS) shards it over forked worker processes
-// instead — same byte-identical output, plus crash containment: a dead
-// worker is named and, with --retry-dead-shards, its missing sessions are
-// re-run in-process (see exp::PopulationConfig::processes).
+// `--threads N` (or env WIRA_THREADS) shards the session sweep over
+// worker threads; `--procs N` (or env WIRA_PROCS) over forked worker
+// processes instead, which also contains crashes.  Either way the output
+// is identical at any worker count (sessions are seeded per index), and
+// a dead worker is named and, with --retry-dead-shards, its missing
+// sessions are re-run in-process (see exp::PopulationConfig::processes).
 // `--chunk N` (or env WIRA_CHUNK; N >= 1) sets the dispatch chunk size;
 // `--workers host:port,...` (or env WIRA_WORKERS)
 // dispatches the sweep to running wira_workerd daemons over TCP instead of
@@ -48,7 +48,7 @@ struct Args {
   /// Worker processes: 1 = in-process, 0 = one per hardware thread.
   size_t procs = 1;
   /// Dynamic dispatch chunk size (sessions per chunk, >= 1).
-  size_t chunk = 64;
+  size_t chunk = exp::PopulationConfig{}.chunk;
   /// Comma-separated wira_workerd endpoints; empty = fork pipe workers.
   std::string workers;
   /// TCP connect budget per --workers endpoint (ms); an endpoint that is

@@ -1,5 +1,6 @@
-// Performance smoke: runs the same Monte-Carlo population serially, in
-// parallel (threads), and sharded over forked worker processes, verifies
+// Performance smoke: runs the same Monte-Carlo population serially, over
+// worker threads, and over forked worker processes (both sharded by the
+// one chunk dealer, exp/shard_dispatch), verifies
 // all records are identical (the determinism contract), then reruns with
 // full metrics collection to price the observability overhead, and prints
 // one JSON object with sessions/sec plus the aggregate metrics registry so
@@ -45,8 +46,9 @@ std::string ms(double us) {
 // Per-scheme mean FFCT (ms) and per-scheme-per-phase {p50,p90,p99} (ms)
 // from the aggregate registry.  These two objects are the QoE half of the
 // perf trajectory: tools/bench_gate.py compares them across runs, so they
-// must stay deterministic at any --threads N (they are: the registry merge
-// is order-independent and percentiles are pure functions of the counts).
+// must stay deterministic at any --threads N (they are: the parent folds
+// the registry in index order and percentiles are pure functions of the
+// counts).
 void summarize_qoe(const obs::MetricsRegistry& registry,
                    const std::vector<core::Scheme>& schemes,
                    std::string* ffct_json, std::string* phases_json) {
@@ -158,14 +160,15 @@ int main(int argc, char** argv) {
   const double recorder_off_sec = run_timed(cfg, &recorder_off_records);
   cfg.flight_recorder = true;
 
+  // Thread pass: worker threads stream serialized records back over
+  // pipes to the chunk dealer, which reassembles them index-addressed.
   cfg.threads = par_threads;
   std::vector<SessionRecord> parallel_records;
   const double parallel_sec = run_timed(cfg, &parallel_records);
 
-  // Multiprocess pass (PR 5): forked workers stream serialized records
-  // back over pipes and the parent reassembles them index-addressed — the
-  // identical-records check below extends the determinism contract across
-  // the process boundary and the wire codec.
+  // Multiprocess pass: the same dealer and wire codec with forked
+  // workers — the identical-records check below extends the determinism
+  // contract across the process boundary.
   const size_t procs = args.procs == 1 ? 2 : args.procs;
   cfg.threads = 1;
   cfg.processes = procs;
@@ -181,9 +184,10 @@ int main(int argc, char** argv) {
       records_identical(serial_records, procs_records) &&
       records_identical(serial_records, recorder_off_records);
 
-  // Third pass with the full observability stack on (phase tracers +
-  // per-worker registries): prices the opt-in overhead and produces the
-  // aggregate metrics object recorded in the perf trajectory.
+  // Third pass, over worker threads, with the full observability stack
+  // on (phase tracers + the parent's index-order registry fold): prices
+  // the opt-in overhead and produces the aggregate metrics object
+  // recorded in the perf trajectory.
   cfg.collect_metrics = true;
   obs::MetricsRegistry registry;
   std::vector<SessionRecord> metrics_records;

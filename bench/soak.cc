@@ -39,7 +39,7 @@ struct SoakArgs {
   uint64_t seed = 1;
   size_t threads = 1;
   size_t procs = 1;
-  size_t chunk = 64;     ///< dispatch chunk (sessions, >= 1)
+  size_t chunk = PopulationConfig{}.chunk;  ///< dispatch chunk (>= 1)
   std::string workers;   ///< comma-separated wira_workerd endpoints
   std::string flush_out = "soak_flush.jsonl";
   std::string anomaly_dir;

@@ -6,12 +6,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "exp/population_internal.h"
@@ -20,7 +17,6 @@
 #include "media/stream_source.h"
 #include "obs/qlog.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace wira::exp {
 
@@ -152,8 +148,9 @@ void write_anomaly_dump(const PopulationConfig& config,
 // history.  Everything the handler touches is async-signal-safe:
 // lock-free atomics, raw write(2) via FlightRecorder::crash_dump, no
 // allocation, no locks, no stdio.  The globals are per-process state;
-// only forked worker children arm the handler, so the parent process
-// (and the threaded runner) never take this path.
+// only workers that own their process (forked children, wira_workerd)
+// arm the handler, so the parent and its worker threads never take
+// this path.
 
 struct CrashForensics {
   std::atomic<int> fd{-1};  ///< pre-opened dump fd; -1 = disarmed
@@ -282,8 +279,8 @@ void materialize_crash_dumps(const PopulationConfig& config, size_t workers,
 
 /// Simulates session `i` of the population sweep.  All randomness derives
 /// from (config.seed, i) and `population` is read-only, so sessions are
-/// independent: the parallel runner calls this from worker threads and the
-/// result is identical to the serial loop.  `ws` is the caller's recycled
+/// independent: every worker (thread, forked child, wira_workerd) calls
+/// this and the result is identical to the serial loop.  `ws` is the caller's recycled
 /// session machinery (one per worker): reusing it across sessions is what
 /// keeps steady-state heap allocations bounded (DESIGN.md §6).
 SessionRecord run_one_session(const PopulationConfig& config,
@@ -459,144 +456,6 @@ bool write_all(int fd, const uint8_t* data, size_t n) {
 
 }  // namespace internal
 
-namespace {
-
-// ---- streaming sink paths (DESIGN.md §6 memory model) -------------------
-
-/// Serializes sink delivery for the threaded sweep: sessions complete in
-/// scheduling order, but the sink contract is strict index order.  A
-/// worker finishing index i parks until i fits the bounded reorder window
-/// [next, next + cap), so at most `cap` completed records are ever
-/// buffered no matter how far a fast worker runs ahead.  Deadlock-free:
-/// the worker holding index == next always fits the window (cap >= 1),
-/// delivers, and advances it, which unparks the others.
-class OrderedFlusher {
- public:
-  OrderedFlusher(RecordSink& sink, size_t cap)
-      : sink_(sink), cap_(cap < 1 ? 1 : cap) {}
-
-  void push(size_t index, SessionRecord&& rec) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return aborted_ || index < next_ + cap_; });
-    if (aborted_) return;
-    pending_.emplace(index, std::move(rec));
-    bool advanced = false;
-    while (!pending_.empty() && pending_.begin()->first == next_) {
-      SessionRecord out = std::move(pending_.begin()->second);
-      pending_.erase(pending_.begin());
-      try {
-        // Sink call under the lock: the sink contract serializes
-        // on_record anyway, and delivery (a metrics fold or a vector
-        // push) is cheap next to the session that produced the record.
-        sink_.on_record(next_, std::move(out));
-      } catch (...) {
-        aborted_ = true;
-        cv_.notify_all();
-        throw;
-      }
-      ++next_;
-      advanced = true;
-    }
-    if (advanced) cv_.notify_all();
-  }
-
-  /// Releases every parked worker after a failure; records still pending
-  /// are dropped (the sweep is about to rethrow).
-  void abort() {
-    std::lock_guard<std::mutex> lk(mu_);
-    aborted_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  RecordSink& sink_;
-  const size_t cap_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<size_t, SessionRecord> pending_;  ///< completed, not yet next_
-  size_t next_ = 0;
-  bool aborted_ = false;
-};
-
-/// Serial and threaded sweeps against a sink.
-void run_population_streamed(const PopulationConfig& config,
-                             obs::MetricsRegistry* metrics,
-                             RecordSink& sink) {
-  const size_t threads =
-      util::ThreadPool::clamp_threads(config.threads, config.sessions);
-  if (threads <= 1) {
-    popgen::Population population(config.seed * 31 + 7, config.num_groups);
-    SessionWorkspace session_ws;
-    for (size_t i = 0; i < config.sessions; ++i) {
-      SessionRecord rec =
-          internal::run_one_session(config, population, i, session_ws);
-      if (metrics) {
-        record_session_metrics(*metrics, rec, config.collect_metrics);
-      }
-      sink.on_record(i, std::move(rec));
-    }
-    sink.on_complete(config.sessions);
-    return;
-  }
-
-  // Parallel sweep: workers pull session indices from a shared counter, so
-  // scheduling order never affects the output; the OrderedFlusher puts
-  // records back into index order before the sink sees them.  Each worker
-  // owns its Population, SessionWorkspace and (when metrics are on) a
-  // private registry merged after the join — the merge is commutative, so
-  // which worker ran which session cannot leak into the aggregate.
-  std::vector<obs::MetricsRegistry> worker_metrics(metrics ? threads : 0);
-  OrderedFlusher flusher(sink, std::max<size_t>(2 * threads, 8));
-  std::atomic<size_t> next{0};
-  util::ThreadPool pool(threads);
-  std::vector<std::future<void>> futures;
-  futures.reserve(threads);
-  for (size_t w = 0; w < threads; ++w) {
-    obs::MetricsRegistry* local = metrics ? &worker_metrics[w] : nullptr;
-    futures.push_back(pool.submit([&config, &flusher, &next, local] {
-      popgen::Population population(config.seed * 31 + 7, config.num_groups);
-      SessionWorkspace session_ws;
-      for (;;) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= config.sessions) return;
-        try {
-          SessionRecord rec =
-              internal::run_one_session(config, population, i, session_ws);
-          if (local) {
-            record_session_metrics(*local, rec, config.collect_metrics);
-          }
-          flusher.push(i, std::move(rec));
-        } catch (...) {
-          // Park the shared counter at the end so the other workers stop
-          // claiming new sessions, and unblock anyone waiting on the
-          // reorder window — without both, one failure would leave the
-          // sweep running (or parked) before the rethrow surfaced it.
-          next.store(config.sessions, std::memory_order_relaxed);
-          flusher.abort();
-          throw;
-        }
-      }
-    }));
-  }
-  std::exception_ptr first_error;
-  for (auto& fut : futures) {
-    try {
-      fut.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  if (metrics) {
-    for (const obs::MetricsRegistry& local : worker_metrics) {
-      metrics->merge(local);
-    }
-  }
-  sink.on_complete(config.sessions);
-}
-
-}  // namespace
-
 namespace internal {
 
 /// Shared sweep prologue: materialize the qlog sample directory.
@@ -661,15 +520,25 @@ void run_population(const PopulationConfig& config,
   }
   internal::prepare_trace_dir(config);
   internal::prepare_anomaly_dir(config);
-  const size_t processes =
-      util::ThreadPool::clamp_threads(config.processes, config.sessions);
-  if (!config.workers.empty() || processes > 1) {
-    // Shard dispatch (exp/shard_dispatch): pipe workers or TCP workerd
-    // endpoints, dynamic chunk scheduling, index-addressed reassembly.
+  if (!config.workers.empty() ||
+      clamp_threads(config.processes, config.sessions) > 1 ||
+      clamp_threads(config.threads, config.sessions) > 1) {
+    // Shard dispatch (exp/shard_dispatch): worker threads, pipe children
+    // or TCP workerd endpoints behind one dynamic chunk dealer and
+    // index-addressed reassembly.
     dispatch_population_stream(config, metrics, sink);
     return;
   }
-  run_population_streamed(config, metrics, sink);
+  // The serial sweep: the reference every sharded run must match.
+  popgen::Population population(config.seed * 31 + 7, config.num_groups);
+  SessionWorkspace session_ws;
+  for (size_t i = 0; i < config.sessions; ++i) {
+    SessionRecord rec =
+        internal::run_one_session(config, population, i, session_ws);
+    if (metrics) record_session_metrics(*metrics, rec, config.collect_metrics);
+    sink.on_record(i, std::move(rec));
+  }
+  sink.on_complete(config.sessions);
 }
 
 }  // namespace wira::exp

@@ -31,8 +31,8 @@ inline constexpr size_t kNoSessionIndex = static_cast<size_t>(-1);
 /// flush JSONL, where wira_exporterd turns it into
 /// wira_dispatch_chunks_total{worker=...} / wira_dispatch_worker_busy.
 struct DispatchStats {
-  /// Workers actually forked/connected (empty assignments are skipped, so
-  /// this is min(requested workers, number of chunks)).
+  /// Workers actually started, forked or connected (empty assignments are
+  /// skipped, so this is min(requested workers, number of chunks)).
   size_t workers_spawned = 0;
   /// High-watermark of workers holding an in-flight chunk at once.
   size_t busy_workers = 0;
@@ -47,25 +47,28 @@ struct PopulationConfig {
   size_t sessions = 300;
   size_t num_groups = 64;
   /// Worker threads for the session sweep: 1 = serial (default),
-  /// 0 = one per hardware thread, N = exactly N.  Sessions are seeded per
-  /// index, so any thread count produces bit-identical records in
-  /// identical order.
+  /// 0 = one per hardware thread, N = exactly N.  Threads are one more
+  /// shard channel kind: each runs the shard worker loop over a pipe
+  /// pair, behind the same chunk dealer, failure taxonomy and salvage as
+  /// `processes` (exp/shard_dispatch).  Ignored when processes > 1 or
+  /// `workers` is set.
   size_t threads = 1;
   /// Worker *processes* for the session sweep (the beyond-one-host shard
-  /// unit): 1 = in-process (default; `threads` decides serial vs thread
-  /// pool), 0 = one per hardware thread, N = fork exactly N workers.
+  /// unit): 1 = in-process (default; `threads` decides serial vs worker
+  /// threads), 0 = one per hardware thread, N = fork exactly N workers.
   /// Workers pull index chunks (see `chunk`) from a shared queue and
   /// stream serialized records back over a pipe (exp/record_codec);
   /// per-index seeding and index-addressed reassembly make the output
   /// byte-identical to serial at any worker count or chunk size.  A
-  /// worker that dies (crash, signal, truncated stream) is detected and
-  /// named; see retry_dead_shards.  `threads` is ignored when
-  /// processes > 1.
+  /// worker that dies (crash, signal, truncated stream, thrown session)
+  /// is detected and named; see retry_dead_shards.
   size_t processes = 1;
-  /// Sessions per dispatch chunk for the dynamic scheduler; must be
-  /// positive.  Workers pull the next chunk when idle, so one expensive
-  /// stretch of indices never gates the sweep.
-  size_t chunk = 64;
+  /// Sessions per dispatch chunk for every worker kind; must be positive.
+  /// Workers pull the next chunk when idle, so one expensive stretch of
+  /// indices never gates the sweep.  Small chunks keep the tail balanced
+  /// (the last chunks finish close together); each chunk costs only one
+  /// control frame.
+  size_t chunk = 4;
   /// TCP dispatch endpoints ("host:port" each, the --workers flag).  When
   /// non-empty, `processes` is ignored and chunks are dispatched to these
   /// wira_workerd instances over sockets instead of forked children; the
@@ -82,7 +85,7 @@ struct PopulationConfig {
   /// When non-null, the dispatcher keeps this updated with live chunk
   /// placement (soak flush hook reads it).  Not owned.
   DispatchStats* dispatch_stats = nullptr;
-  /// When a worker process dies mid-stripe: salvage its completed records
+  /// When a worker dies mid-chunk: salvage its completed records
   /// and re-run only the missing indices in the parent (true), or throw a
   /// PopulationShardError carrying the salvage (false, default).
   bool retry_dead_shards = false;
@@ -140,13 +143,14 @@ struct PopulationConfig {
   /// the worker-failure paths without patching the runner.
   size_t fail_at_index = kNoSessionIndex;
   /// raise(SIGKILL) when a forked worker reaches this session index.
-  /// Honored only inside multiprocess worker children, so the test
-  /// process itself never dies.
+  /// Honored only by workers that own their process (forked children,
+  /// wira_workerd), never by worker threads, so the test process itself
+  /// never dies.
   size_t kill_at_index = kNoSessionIndex;
   /// raise(crash_after_signal) after a forked worker *finishes* this
   /// session index (its record already streamed): exercises the
   /// signal-dump forensics path with the recorder rings still holding a
-  /// complete, joinable session.  Honored only in worker children.
+  /// complete, joinable session.  Same scope as kill_at_index.
   size_t crash_after_index = kNoSessionIndex;
   int crash_after_signal = SIGABRT;
 };
@@ -184,10 +188,11 @@ struct ShardDeath {
                             ///< 1", "truncated record stream", ...
 };
 
-/// Thrown by run_population (processes > 1, retry_dead_shards off) when
-/// one or more workers die.  Carries everything the caller needs to
-/// salvage: the index-addressed records that did arrive (missing slots
-/// are default-constructed) and the exact indices still owed.
+/// Thrown by a sharded run_population (threads, processes or workers;
+/// retry_dead_shards off) when one or more workers die.  Carries
+/// everything the caller needs to salvage: the index-addressed records
+/// that did arrive (missing slots are default-constructed) and the exact
+/// indices still owed.
 class PopulationShardError : public std::runtime_error {
  public:
   PopulationShardError(const std::string& what,
@@ -220,15 +225,12 @@ void record_session_metrics(obs::MetricsRegistry& m, const SessionRecord& rec,
 /// Runs the population sweep.  When `metrics` is non-null, per-scheme
 /// counters and histograms (FFCT, corner-case rates, and — with
 /// config.collect_metrics — the per-phase breakdown) are accumulated into
-/// it.  Each worker owns a private registry; the locals are merged in
-/// worker-index order after the join, and because the merge is
-/// order-independent (bucket-wise addition) the aggregate is bit-identical
-/// at any thread count.  With config.processes > 1 the same contract holds
-/// across forked worker processes: records come back over a pipe via the
-/// versioned record codec and registries are merged in worker order, so
-/// `--procs N` output is byte-identical to serial.  A thin wrapper: a
-/// CollectSink plus the sink overload below, whose failure contract it
-/// shares; on PopulationShardError it moves the records the sink already
+/// it.  Sharded runs (worker threads, forked processes or TCP workers)
+/// send every record back through the versioned record codec, and the
+/// parent folds the registry in index order as records reach the sink,
+/// so `--threads N` / `--procs N` output is byte-identical to serial.  A
+/// thin wrapper: a CollectSink plus the sink overload below, whose
+/// failure contract it shares; on PopulationShardError it moves the records the sink already
 /// holds into `salvaged`, so the salvage covers every arrived index.
 /// Throws std::invalid_argument when config.chunk is 0.
 std::vector<SessionRecord> run_population(const PopulationConfig& config,
@@ -241,8 +243,8 @@ std::vector<SessionRecord> run_population(const PopulationConfig& config,
 /// Records, their order, and the metrics aggregate are byte-identical at
 /// any `threads`/`processes` setting.
 ///
-/// Failure contract (processes > 1 or workers set): when a worker dies
-/// and retry_dead_shards is off, dispatch stops dealing queued chunks,
+/// Failure contract (any sharded run): when a worker dies and
+/// retry_dead_shards is off, dispatch stops dealing queued chunks,
 /// drains the surviving workers' in-flight assignments, and throws a
 /// PopulationShardError whose index-addressed `salvaged` holds every
 /// record that arrived but never reached the sink (the sink only ever

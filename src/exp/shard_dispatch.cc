@@ -1,8 +1,8 @@
 // Dynamic chunk dispatcher over pluggable shard transports (DESIGN.md
 // §6).  See shard_dispatch.h for the scheduling and transport contracts;
-// this file holds the worker loop (shared by pipe children and
-// wira_workerd), the two channel implementations, and the dispatch
-// driver.
+// this file holds the worker loop (shared by worker threads, pipe
+// children and wira_workerd), the channel implementations, and the
+// dispatch driver.
 #include "exp/shard_dispatch.h"
 
 #include <fcntl.h>
@@ -23,6 +23,8 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "exp/population_internal.h"
@@ -31,7 +33,6 @@
 #include "obs/metrics.h"
 #include "popgen/population.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace wira::exp {
 namespace {
@@ -63,6 +64,13 @@ std::vector<Chunk> make_chunks(size_t sessions, size_t chunk_size) {
     chunks.push_back({at, std::min(sessions, at + chunk_size)});
   }
   return chunks;
+}
+
+size_t clamp_threads(size_t requested, size_t n) {
+  if (requested == 0) {
+    requested = std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+  return std::max<size_t>(1, std::min(requested, n));
 }
 
 namespace {
@@ -129,16 +137,22 @@ class ControlReader {
 };
 
 /// Shared worker loop body: `control` is already past the stream header
-/// (and, for wira_workerd, past the kConfig frame).
-int run_shard_worker_frames(const PopulationConfig& config, size_t worker,
-                            ControlReader& control, int data_fd) {
-  std::signal(SIGPIPE, SIG_IGN);
+/// (and, for wira_workerd, past the kConfig frame).  A worker that owns
+/// its process (forked child, wira_workerd) arms crash forensics and
+/// honors the signal-raising fault hooks; a thread worker shares the
+/// parent's process and does neither.  A throwing session returns 1 with
+/// the exception text in *error.
+int run_worker_loop(const PopulationConfig& config, size_t worker,
+                    ControlReader& control, int data_fd, bool owns_process,
+                    std::string* error) {
   std::vector<uint8_t> out;
   append_stream_header(out);
   try {
     popgen::Population population(config.seed * 31 + 7, config.num_groups);
     SessionWorkspace ws;
-    internal::arm_crash_forensics(config, worker, &ws.flight_recorder());
+    if (owns_process) {
+      internal::arm_crash_forensics(config, worker, &ws.flight_recorder());
+    }
 
     bool end = false;
     std::deque<Chunk> todo;
@@ -164,7 +178,7 @@ int run_shard_worker_frames(const PopulationConfig& config, size_t worker,
       const Chunk chunk = todo.front();
       todo.pop_front();
       for (size_t i = chunk.begin; i < chunk.end; ++i) {
-        if (i == config.kill_at_index) {
+        if (owns_process && i == config.kill_at_index) {
           // Fault injection: flush what we have (header included) so the
           // parent sees a well-formed prefix, then die like a crash would.
           (void)internal::write_all(data_fd, out.data(), out.size());
@@ -180,7 +194,7 @@ int run_shard_worker_frames(const PopulationConfig& config, size_t worker,
                      out);
         if (!internal::write_all(data_fd, out.data(), out.size())) return 3;
         out.clear();
-        if (i == config.crash_after_index) {
+        if (owns_process && i == config.crash_after_index) {
           std::raise(config.crash_after_signal);
         }
       }
@@ -189,13 +203,28 @@ int run_shard_worker_frames(const PopulationConfig& config, size_t worker,
     if (!internal::write_all(data_fd, out.data(), out.size())) return 3;
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "wira population worker %zu: %s\n", worker, e.what());
+    *error = e.what();
     return 1;
   } catch (...) {
-    std::fprintf(stderr, "wira population worker %zu: unknown exception\n",
-                 worker);
+    *error = "unknown exception";
     return 1;
   }
+}
+
+/// A worker that owns its process: a write to a vanished parent must fail
+/// (exit 3) instead of raising SIGPIPE, and a throwing session is
+/// reported on stderr, since the exit status alone cannot carry it.
+int run_process_worker(const PopulationConfig& config, size_t worker,
+                       ControlReader& control, int data_fd) {
+  std::signal(SIGPIPE, SIG_IGN);
+  std::string error;
+  const int code = run_worker_loop(config, worker, control, data_fd,
+                                   /*owns_process=*/true, &error);
+  if (code == 1) {
+    std::fprintf(stderr, "wira population worker %zu: %s\n", worker,
+                 error.c_str());
+  }
+  return code;
 }
 
 }  // namespace
@@ -204,7 +233,7 @@ int run_shard_worker(const PopulationConfig& config, size_t worker,
                      int control_fd, int data_fd) {
   ControlReader control(control_fd);
   if (!control.read_header()) return 2;
-  return run_shard_worker_frames(config, worker, control, data_fd);
+  return run_process_worker(config, worker, control, data_fd);
 }
 
 int serve_shard_worker(int fd) {
@@ -222,13 +251,114 @@ int serve_shard_worker(int fd) {
   }
   internal::prepare_trace_dir(config);
   internal::prepare_anomaly_dir(config);
-  return run_shard_worker_frames(config, static_cast<size_t>(worker_id),
-                                 control, fd);
+  return run_process_worker(config, static_cast<size_t>(worker_id), control,
+                            fd);
 }
 
 namespace {
 
 // ---- transports ---------------------------------------------------------
+
+/// Opens one local worker's control pipe (parent writes cfds[1]) and data
+/// pipe (parent reads dfds[0]).  Throws, leaking nothing, on failure.
+void open_worker_pipes(int cfds[2], int dfds[2]) {
+  if (pipe(cfds) != 0) {
+    throw std::runtime_error("run_population: pipe() failed");
+  }
+  if (pipe(dfds) != 0) {
+    close(cfds[0]);
+    close(cfds[1]);
+    throw std::runtime_error("run_population: pipe() failed");
+  }
+}
+
+/// Closes *fd once (idempotent: -1 afterwards).
+void close_fd(int* fd) {
+  if (*fd >= 0) {
+    close(*fd);
+    *fd = -1;
+  }
+}
+
+/// In-process worker: a std::thread running the worker loop over a
+/// control pipe and a data pipe, so it reaches the parser, reorder bound,
+/// metrics fold and salvage through the same frames a forked child
+/// sends.  It shares the parent's process, so the loop leaves
+/// process-wide state alone; the dispatcher's SigpipeGuard outlives the
+/// join and turns a closed data pipe into a failed write.
+class ThreadShardChannel final : public ShardChannel {
+ public:
+  ThreadShardChannel(const PopulationConfig& config, size_t worker) {
+    int cfds[2];
+    int dfds[2];
+    open_worker_pipes(cfds, dfds);
+    control_fd_ = cfds[1];
+    data_fd_ = dfds[0];
+    try {
+      thread_ = std::thread([this, &config, worker, control_rd = cfds[0],
+                             data_wr = dfds[1]] {
+        ControlReader control(control_rd);
+        try {
+          status_ = control.read_header()
+                        ? run_worker_loop(config, worker, control, data_wr,
+                                          /*owns_process=*/false, &error_)
+                        : 2;
+        } catch (const std::exception& e) {  // the header read's buffer
+          status_ = 1;
+          error_ = e.what();
+        }
+        close(control_rd);
+        close(data_wr);  // the parent's EOF
+      });
+    } catch (const std::system_error&) {
+      close(cfds[0]);
+      close(dfds[1]);
+      close_fd(&control_fd_);
+      close_fd(&data_fd_);
+      throw std::runtime_error("run_population: cannot start worker thread");
+    }
+  }
+
+  ~ThreadShardChannel() override {
+    hard_kill();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  // The thread holds `this`.
+  ThreadShardChannel(const ThreadShardChannel&) = delete;
+  ThreadShardChannel& operator=(const ThreadShardChannel&) = delete;
+
+  int data_fd() const override { return data_fd_; }
+  void close_data() override { close_fd(&data_fd_); }
+
+  bool send_control(const uint8_t* data, size_t n) override {
+    if (control_fd_ < 0) return false;
+    return internal::write_all(control_fd_, data, n);
+  }
+
+  // The worker's next control read sees EOF and its next record write
+  // fails, so it stops at the end of its current session.
+  void hard_kill() override {
+    close_fd(&control_fd_);
+    close_fd(&data_fd_);
+  }
+
+  std::string finish() override {
+    close_fd(&control_fd_);
+    thread_.join();
+    if (status_ == 0) return "";
+    if (status_ == 1) return "threw: " + error_;
+    return "exited with status " + std::to_string(status_);
+  }
+
+ private:
+  int control_fd_ = -1;
+  int data_fd_ = -1;
+  // Written by the thread, read after the join.
+  int status_ = 0;
+  std::string error_;
+  std::thread thread_;
+};
 
 class PipeShardChannel : public ShardChannel {
  public:
@@ -236,8 +366,8 @@ class PipeShardChannel : public ShardChannel {
       : pid_(pid), control_fd_(control_fd), data_fd_(data_fd) {}
 
   ~PipeShardChannel() override {
-    if (control_fd_ >= 0) close(control_fd_);
-    if (data_fd_ >= 0) close(data_fd_);
+    close_fd(&control_fd_);
+    close_fd(&data_fd_);
     if (!reaped_) {
       kill(pid_, SIGKILL);
       int status = 0;
@@ -247,13 +377,7 @@ class PipeShardChannel : public ShardChannel {
   }
 
   int data_fd() const override { return data_fd_; }
-
-  void close_data() override {
-    if (data_fd_ >= 0) {
-      close(data_fd_);
-      data_fd_ = -1;
-    }
-  }
+  void close_data() override { close_fd(&data_fd_); }
 
   bool send_control(const uint8_t* data, size_t n) override {
     if (control_fd_ < 0) return false;
@@ -263,10 +387,7 @@ class PipeShardChannel : public ShardChannel {
   void hard_kill() override { kill(pid_, SIGKILL); }
 
   std::string finish() override {
-    if (control_fd_ >= 0) {
-      close(control_fd_);
-      control_fd_ = -1;
-    }
+    close_fd(&control_fd_);
     int status = 0;
     while (waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
     }
@@ -291,18 +412,10 @@ class TcpShardChannel : public ShardChannel {
  public:
   explicit TcpShardChannel(int fd) : fd_(fd) {}
 
-  ~TcpShardChannel() override {
-    if (fd_ >= 0) close(fd_);
-  }
+  ~TcpShardChannel() override { close_fd(&fd_); }
 
   int data_fd() const override { return fd_; }
-
-  void close_data() override {
-    if (fd_ >= 0) {
-      close(fd_);
-      fd_ = -1;
-    }
-  }
+  void close_data() override { close_fd(&fd_); }
 
   bool send_control(const uint8_t* data, size_t n) override {
     if (fd_ < 0) return false;
@@ -490,10 +603,13 @@ class ChunkDispatcher {
  public:
   explicit ChunkDispatcher(const PopulationConfig& config)
       : config_(config), stats_(config.dispatch_stats) {
-    const size_t requested =
-        config.workers.empty()
-            ? util::ThreadPool::clamp_threads(config.processes, config.sessions)
-            : config.workers.size();
+    // Channel kind: workers > processes > 1 > threads.
+    size_t requested = config.workers.size();
+    if (requested == 0) {
+      requested = clamp_threads(config.processes, config.sessions);
+      fork_ = requested > 1;
+      if (!fork_) requested = clamp_threads(config.threads, config.sessions);
+    }
     chunks_ = make_chunks(config.sessions, config.chunk);
     chunk_owner_.assign(chunks_.size(), -1);
     // S1: never materialize a worker that would get an empty assignment.
@@ -529,8 +645,12 @@ class ChunkDispatcher {
 
   void spawn() {
     workers_.resize(w_count_);
-    if (config_.workers.empty()) {
+    if (fork_) {
       spawn_pipe_workers();
+    } else if (config_.workers.empty()) {
+      for (size_t w = 0; w < w_count_; ++w) {
+        workers_[w].ch = std::make_unique<ThreadShardChannel>(config_, w);
+      }
     } else {
       for (size_t w = 0; w < w_count_; ++w) {
         workers_[w].ch = connect_tcp_worker(config_.workers[w],
@@ -712,12 +832,20 @@ class ChunkDispatcher {
     for (size_t p = 0; p < pfds.size(); ++p) {
       if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       WorkerState& ws = workers_[owner[p]];
-      if (!drain_fd(ws)) {
+      if (drain_fd(ws)) {
+        parse(owner[p]);
+      } else {
         ws.eof = true;
         ws.ch->close_data();
-        continue;
       }
-      parse(owner[p]);
+      // A worker that dies holding assignments sinks the sweep (retry
+      // off): deal survivors nothing further, so what they complete —
+      // and so the salvage — does not depend on when the cursor gets
+      // to the dead worker's chunk.
+      if ((ws.eof || !ws.defect.empty()) && !ws.assigned.empty() &&
+          !config_.retry_dead_shards) {
+        stop_dealing();
+      }
     }
     return true;
   }
@@ -798,14 +926,7 @@ class ChunkDispatcher {
     for (size_t w = 0; w < w_count_; ++w) {
       int cfds[2];  // parent writes control -> child reads
       int dfds[2];  // child writes data -> parent reads
-      if (pipe(cfds) != 0) {
-        throw std::runtime_error("run_population: pipe() failed");
-      }
-      if (pipe(dfds) != 0) {
-        close(cfds[0]);
-        close(cfds[1]);
-        throw std::runtime_error("run_population: pipe() failed");
-      }
+      open_worker_pipes(cfds, dfds);
       const pid_t pid = fork();
       if (pid < 0) {
         close(cfds[0]);
@@ -838,6 +959,7 @@ class ChunkDispatcher {
   std::vector<int> chunk_owner_;
   std::vector<WorkerState> workers_;
   size_t w_count_ = 0;
+  bool fork_ = false;  ///< pipe children; else TCP (workers set) or threads
   size_t next_chunk_ = 0;
 };
 

@@ -13,21 +13,24 @@
 // are byte-identical to serial at any worker count or chunk size.
 //
 // Transport: a ShardChannel abstracts the parent<->worker byte streams.
-//   - pipe (default, config.processes): fork; the child inherits the
-//     config, a control pipe carries chunk assignments, a data pipe
-//     carries record frames back.  waitpid gives exact death diagnoses
-//     ("killed by signal 9", "exited with status 1").
+//   - thread (config.threads > 1): a std::thread in the parent's process
+//     runs the worker loop over a control pipe and a data pipe.  Its
+//     death reason is the exception a session threw ("threw: ...").
+//   - pipe (config.processes > 1): fork; the child inherits the config,
+//     a control pipe carries chunk assignments, a data pipe carries
+//     record frames back.  waitpid gives exact death diagnoses ("killed
+//     by signal 9", "exited with status 1").
 //   - tcp (config.workers = {"host:port", ...}): connect to wira_workerd
 //     daemons; one bidirectional socket carries a kConfig frame plus
 //     assignments out and record frames back.  No exit status exists, so
 //     a dead daemon is diagnosed from its stream state ("truncated
 //     record stream", ...).
 //
-// Both directions speak exp/record_codec frames: control streams are
+// All three speak exp/record_codec frames: control streams are
 // [header][kConfig?][kChunkAssign...][kEnd], data streams are
-// [header][kSessionRecord...][kEnd] — the same wire format, failure
-// taxonomy (PopulationShardError, retry_dead_shards) and salvage
-// contract as the PR 5 pipe runner.
+// [header][kSessionRecord...][kEnd] — one wire format, one parser, one
+// failure taxonomy (PopulationShardError, retry_dead_shards) and one
+// salvage contract for every channel kind.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +57,10 @@ struct Chunk {
 /// chunk_size must be positive.
 std::vector<Chunk> make_chunks(size_t sessions, size_t chunk_size);
 
+/// Workers worth using for `n` independent items given a requested
+/// count (0 = hardware concurrency); always at least 1.
+size_t clamp_threads(size_t requested, size_t n);
+
 /// One parent<->worker byte channel.  The dispatcher only needs: a
 /// readable fd for record frames, a control-frame writer, a hard-kill
 /// lever for cleanup, and a terminal classification.
@@ -68,12 +75,14 @@ class ShardChannel {
   /// Ships control bytes (assignments / end marker).  Failure means the
   /// worker is gone; its death is classified from the data stream.
   virtual bool send_control(const uint8_t* data, size_t n) = 0;
-  /// Forcibly terminates the worker (cleanup after a defect).  Harmless
-  /// on an already-dead worker.
+  /// Forcibly stops the worker (cleanup after a defect): a signal for a
+  /// process, closed streams for a thread or socket.  Harmless on an
+  /// already-dead worker.
   virtual void hard_kill() = 0;
   /// Reaps the worker and returns a dirty-exit reason ("killed by signal
-  /// 9", "exited with status 3") or "" when the transport has no exit
-  /// status (TCP) or the exit was clean.  Call at most once, after EOF.
+  /// 9", "exited with status 3", "threw: ...") or "" when the transport
+  /// has no exit status (TCP) or the exit was clean.  Call at most once,
+  /// after EOF.
   virtual std::string finish() = 0;
 };
 
@@ -87,13 +96,14 @@ class ShardChannel {
 std::unique_ptr<ShardChannel> connect_tcp_worker(const std::string& endpoint,
                                                  int connect_timeout_ms);
 
-/// Shard worker loop, shared by forked pipe children and wira_workerd:
-/// reads kChunkAssign/kEnd control frames from control_fd, runs each
-/// assigned chunk through the serial session code, and streams one
-/// kSessionRecord frame per completed session (plus a final kEnd) to
-/// data_fd.  Returns the worker exit code: 0 clean, 1 a session threw,
-/// 2 control-protocol violation, 3 data write failed (parent gone).
-/// Honors the fault-injection hooks in `config`.
+/// Shard worker loop of a forked pipe child (wira_workerd and thread
+/// workers run the same loop): reads kChunkAssign/kEnd control frames
+/// from control_fd, runs each assigned chunk through the serial session
+/// code, and streams one kSessionRecord frame per completed session
+/// (plus a final kEnd) to data_fd.  Returns the worker exit code: 0
+/// clean, 1 a session threw, 2 control-protocol violation, 3 data write
+/// failed (parent gone).  Owns its process: ignores SIGPIPE, arms crash
+/// forensics and honors every fault-injection hook in `config`.
 int run_shard_worker(const PopulationConfig& config, size_t worker,
                      int control_fd, int data_fd);
 
@@ -105,12 +115,13 @@ int run_shard_worker(const PopulationConfig& config, size_t worker,
 int serve_shard_worker(int fd);
 
 /// The multi-worker sweep behind both run_population overloads:
-/// spawns/connects workers (pipes when config.workers is empty, TCP
-/// otherwise), dispatches chunks, and hands each completed chunk's
-/// records to `sink` in strictly increasing index order, holding
-/// O(workers · chunk) records at any instant.  Metrics (when requested)
-/// are folded in that same index order — bit-identical to the serial
-/// fold.  A worker death follows run_population's failure contract.
+/// spawns/connects workers (TCP when config.workers is set, else forked
+/// pipe children when processes > 1, else threads), dispatches chunks,
+/// and hands each completed chunk's records to `sink` in strictly
+/// increasing index order, holding O(workers · chunk) records at any
+/// instant.  Metrics (when requested) are folded in that same index
+/// order — bit-identical to the serial fold.  A worker death follows
+/// run_population's failure contract.
 void dispatch_population_stream(const PopulationConfig& config,
                                 obs::MetricsRegistry* metrics,
                                 RecordSink& sink);

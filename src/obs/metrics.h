@@ -5,11 +5,10 @@
 //   - cheap: recording a histogram sample is two integer ops + one array
 //     increment; no per-sample allocation (unlike Samples, which retains
 //     every value);
-//   - mergeable and order-independent: every worker of the parallel
-//     population runner owns a private registry, and merging them after
-//     the join is commutative (bucket-wise addition), so the aggregate is
-//     bit-identical at any --threads N even though the work-stealing
-//     schedule is not;
+//   - mergeable and order-independent: merging is commutative
+//     (bucket-wise addition), so registries folded over any partition of
+//     a record set and merged equal the single fold bit-exactly (the
+//     streaming AggregateSink relies on this);
 //   - deterministic export: names iterate in lexicographic order and all
 //     stored quantities are integers (percentiles interpolate within a
 //     bucket, which is a pure function of the counts).
@@ -89,8 +88,8 @@ class LatencyHistogram {
 };
 
 /// Flat, name-addressed collection of counters, gauges and histograms.
-/// Lookup creates on first use.  Not thread-safe: each worker owns one and
-/// the owner merges them after the join.
+/// Lookup creates on first use.  Not thread-safe: one owner folds into
+/// it (the population sweep's parent folds every record in index order).
 class MetricsRegistry {
  public:
   /// Adds `n` to the named counter.

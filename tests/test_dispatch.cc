@@ -1,5 +1,6 @@
 // Tests for the fleet-scale dispatch layer (DESIGN.md §6): the dynamic
-// chunk scheduler, its DispatchStats telemetry, the failure contract the
+// chunk scheduler over all three channel kinds, its DispatchStats
+// telemetry, the failure contract the
 // vector and sink overloads share, and the socket shard transport
 // (loopback wira_workerd endpoints, including one dying mid-sweep).
 #include <gtest/gtest.h>
@@ -72,11 +73,19 @@ TEST(Chunks, EmptyPopulationHasNoChunks) {
   EXPECT_TRUE(make_chunks(0, 64).empty());
 }
 
+TEST(Chunks, ClampThreads) {
+  EXPECT_EQ(clamp_threads(8, 3), 3u);
+  EXPECT_EQ(clamp_threads(2, 100), 2u);
+  EXPECT_GE(clamp_threads(0, 100), 1u);
+  EXPECT_EQ(clamp_threads(4, 0), 1u);
+}
+
 // The tentpole contract: stdout-order records AND the metrics aggregate
-// are byte-identical to serial at any (worker count, chunk size) point,
-// because reassembly is index-addressed and per-session randomness
-// derives only from (seed, index).  The vector overload is the sink
-// overload plus a CollectSink, so this also covers streamed delivery.
+// are byte-identical to serial at any (channel kind, worker count, chunk
+// size) point, because reassembly is index-addressed and per-session
+// randomness derives only from (seed, index).  The vector overload is
+// the sink overload plus a CollectSink, so this also covers streamed
+// delivery.
 TEST(Dispatch, ChunkMatrixMatchesSerialExactly) {
   PopulationConfig cfg = small_config(23);
   cfg.sessions = 24;
@@ -86,23 +95,26 @@ TEST(Dispatch, ChunkMatrixMatchesSerialExactly) {
   std::ostringstream serial_js;
   serial_m.write_json(serial_js);
 
-  for (size_t procs : {2u, 4u}) {
-    for (size_t chunk : {size_t{1}, size_t{5}, size_t{4096}}) {
-      PopulationConfig sharded_cfg = cfg;
-      sharded_cfg.processes = procs;
-      sharded_cfg.chunk = chunk;
-      obs::MetricsRegistry sharded_m;
-      const auto sharded = run_population(sharded_cfg, &sharded_m);
-      EXPECT_TRUE(records_equal(serial, sharded))
-          << procs << " procs, chunk " << chunk;
-      std::ostringstream ls, lp;
-      write_records_jsonl(serial, ls);
-      write_records_jsonl(sharded, lp);
-      EXPECT_EQ(ls.str(), lp.str()) << procs << " procs, chunk " << chunk;
-      std::ostringstream sharded_js;
-      sharded_m.write_json(sharded_js);
-      EXPECT_EQ(serial_js.str(), sharded_js.str())
-          << procs << " procs, chunk " << chunk;
+  for (const bool fork : {true, false}) {
+    for (size_t n : {2u, 4u}) {
+      for (size_t chunk : {size_t{1}, size_t{5}, size_t{4096}}) {
+        PopulationConfig sharded_cfg = cfg;
+        (fork ? sharded_cfg.processes : sharded_cfg.threads) = n;
+        sharded_cfg.chunk = chunk;
+        const std::string label = std::to_string(n) +
+                                  (fork ? " procs" : " threads") +
+                                  ", chunk " + std::to_string(chunk);
+        obs::MetricsRegistry sharded_m;
+        const auto sharded = run_population(sharded_cfg, &sharded_m);
+        EXPECT_TRUE(records_equal(serial, sharded)) << label;
+        std::ostringstream ls, lp;
+        write_records_jsonl(serial, ls);
+        write_records_jsonl(sharded, lp);
+        EXPECT_EQ(ls.str(), lp.str()) << label;
+        std::ostringstream sharded_js;
+        sharded_m.write_json(sharded_js);
+        EXPECT_EQ(serial_js.str(), sharded_js.str()) << label;
+      }
     }
   }
 }
@@ -140,6 +152,30 @@ TEST(Dispatch, StreamNoRetryDeathSalvagesInFlight) {
       EXPECT_EQ(encoded(e.salvaged[i]), encoded(serial[i])) << i;
     }
   }
+}
+
+// Retry off, the first observed death ends dealing: the survivor drains
+// only the chunks it already held, however long the in-order cursor
+// takes to reach the dead worker's chunk.
+TEST(Dispatch, NoDealingAfterObservedDeath) {
+  PopulationConfig cfg = small_config(23);
+  cfg.sessions = 64;
+  cfg.processes = 2;
+  cfg.chunk = 8;          // the initial deal: 0,2 -> worker 0; 1,3 -> worker 1
+  cfg.kill_at_index = 8;  // worker 1 dies before its first session
+  DispatchStats stats;
+  cfg.dispatch_stats = &stats;
+  try {
+    run_population(cfg);
+    FAIL() << "expected PopulationShardError";
+  } catch (const PopulationShardError& e) {
+    EXPECT_NE(std::string(e.what()).find("salvaged 16 of 64 records"),
+              std::string::npos)
+        << e.what();
+  }
+  ASSERT_EQ(stats.chunks_completed.size(), 2u);
+  EXPECT_EQ(stats.chunks_completed[0], 2u);
+  EXPECT_EQ(stats.chunks_completed[1], 0u);
 }
 
 // Static striping is gone: chunk 0 would leave make_chunks nothing to

@@ -406,6 +406,37 @@ TEST(Harness, MultiprocessWorkerExceptionIsNamed) {
   }
 }
 
+// Worker threads share the failure contract: a throwing session is a
+// named death carrying the exception text, and everything that arrived
+// is salvaged exactly as serial produced it.
+TEST(Harness, ThreadWorkerExceptionIsNamed) {
+  PopulationConfig cfg = small_config(23);
+  cfg.sessions = 12;
+  cfg.threads = 2;
+  cfg.chunk = 6;  // chunks [0,6) and [6,12), dealt to workers 0/1
+  cfg.fail_at_index = 7;
+  PopulationConfig clean = cfg;
+  clean.threads = 1;
+  clean.fail_at_index = kNoSessionIndex;
+  const auto serial = run_population(clean);
+  try {
+    run_population(cfg);
+    FAIL() << "expected PopulationShardError";
+  } catch (const PopulationShardError& e) {
+    ASSERT_EQ(e.deaths.size(), 1u);
+    EXPECT_EQ(e.deaths[0].worker, 1);
+    EXPECT_EQ(e.deaths[0].reason, "threw: injected failure at session 7");
+    EXPECT_EQ(e.deaths[0].died_at, 7u);
+    EXPECT_EQ(e.missing, (std::vector<size_t>{7, 8, 9, 10, 11}));
+    ASSERT_EQ(e.salvaged.size(), 12u);
+    const std::vector<SessionRecord> arrived(e.salvaged.begin(),
+                                             e.salvaged.begin() + 7);
+    EXPECT_TRUE(records_equal(
+        std::vector<SessionRecord>(serial.begin(), serial.begin() + 7),
+        arrived));
+  }
+}
+
 // Signal-dump forensics (DESIGN.md §7): a forked worker dying on a fatal
 // signal leaves its in-flight session's flight-recorder rings behind via
 // the async-signal-safe handler, and the parent materializes them as a
@@ -500,10 +531,10 @@ TEST(Harness, MultiprocessRetryDeadShardsCompletesIdentically) {
   EXPECT_EQ(js.str(), jp.str());
 }
 
-// A worker exception in the *threaded* runner must both surface and park
-// the shared index counter, so the other workers stop claiming sessions
-// instead of finishing the whole sweep first.  Trace sampling makes the
-// drain observable: every completed session leaves schemes.size() files.
+// A worker exception in a threaded sweep must both surface and stop the
+// dealer, so the other workers stop taking sessions instead of finishing
+// the whole sweep first.  Trace sampling makes the drain observable:
+// every completed session leaves schemes.size() files.
 TEST(Harness, ThreadedWorkerFailureDrainsSweepPromptly) {
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -514,6 +545,7 @@ TEST(Harness, ThreadedWorkerFailureDrainsSweepPromptly) {
   PopulationConfig cfg = small_config(23);
   cfg.sessions = 40;
   cfg.threads = 2;
+  cfg.chunk = 1;  // one session per claim
   cfg.fail_at_index = 4;
   cfg.trace_sample = 1;
   cfg.trace_dir = dir.string();
@@ -532,8 +564,8 @@ TEST(Harness, ThreadedWorkerFailureDrainsSweepPromptly) {
   }
   fs::remove_all(dir);
   // Sessions completed after the failure: at most the ones already
-  // claimed (one per worker).  Without the counter park, the surviving
-  // worker finishes all 39 remaining sessions first (312 files).  Each
+  // dealt to the other worker (two).  Without the dealer stop, it
+  // finishes all 39 remaining sessions first (312 files).  Each
   // sampled (session, scheme) writes two files, one per vantage.
   const size_t bound = (4 + cfg.threads + 2) * cfg.schemes.size() * 2;
   EXPECT_LE(traced_files, bound);

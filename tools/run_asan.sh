@@ -5,10 +5,10 @@
 # borrowed spans and pool-recycled buffers, so use-after-free and
 # use-after-reset bugs are the failure class this script exists to catch;
 # run it after any change to the arena, the parser, or buffer recycling.
-# The gate label also covers the multiprocess population runner
-# (test_exp's Harness.Multiprocess* fork real workers and exercise the
-# record codec + salvage/retry paths under the sanitizers; worker children
-# _Exit, so LSan only audits the parent).
+# The gate label also covers the sharded population runner (test_exp's
+# Harness.Multiprocess* and test_dispatch fork real workers and start
+# worker threads, exercising the record codec + salvage/retry paths under
+# the sanitizers; worker children _Exit, so LSan only audits the parent).
 #
 # Usage: tools/run_asan.sh [extra ctest args...]
 set -euo pipefail
@@ -116,6 +116,19 @@ kill "${workerd1_pid}" "${workerd2_pid}"
 wait "${workerd1_pid}" "${workerd2_pid}" || true
 trap - EXIT
 echo "sanitized loopback dispatch sweep passed"
+
+# The same sweep over worker threads: the thread shard channel shares
+# the parent's heap with its workers, so ASan sees both sides of every
+# record handoff in one process.  Same byte-identity check.
+for chunk in 1 8; do
+  "${build_dir}/bench/fig11_overall" 40 3 --threads 4 --chunk "${chunk}" \
+    --metrics-out "${build_dir}/fig11_threads_metrics.jsonl" \
+    > "${build_dir}/fig11_threads.txt"
+  diff "${build_dir}/fig11_serial.txt" "${build_dir}/fig11_threads.txt"
+  diff "${build_dir}/fig11_serial_metrics.jsonl" \
+    "${build_dir}/fig11_threads_metrics.jsonl"
+done
+echo "sanitized thread dispatch sweep passed"
 
 # Real-socket serving mode under the sanitizers: wira_proxyd serves all
 # four schemes over loopback UDP while a sanitized wira_loadgen runs a

@@ -17,10 +17,11 @@ build_dir="${repo_root}/build-release"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "$(nproc)" \
-  --target perf_smoke test_thread_pool test_event_loop test_exp test_obs
+  --target perf_smoke test_dispatch test_event_loop test_exp test_obs
 
-# Quick correctness gate before trusting the numbers.
-ctest --test-dir "${build_dir}" -R 'ThreadPool|EventLoop|Harness' \
+# Quick correctness gate before trusting the numbers (Dispatch covers the
+# thread, pipe and TCP shard channels the parallel passes run on).
+ctest --test-dir "${build_dir}" -R 'Dispatch|EventLoop|Harness' \
   --output-on-failure -j "$(nproc)"
 
 out="${repo_root}/BENCH_$(date +%Y-%m-%d).json"
