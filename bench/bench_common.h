@@ -3,16 +3,15 @@
 // Every binary accepts an optional first argument overriding the number of
 // Monte-Carlo sessions (default kDefaultSessions) and an optional second
 // argument overriding the seed, so `./fig11_overall 2000 7` scales the run.
-// `--threads N` (or env WIRA_THREADS) shards the session sweep over
-// worker threads; `--procs N` (or env WIRA_PROCS) over forked worker
-// processes instead, which also contains crashes.  Either way the output
-// is identical at any worker count (sessions are seeded per index), and
-// a dead worker is named and, with --retry-dead-shards, its missing
-// sessions are re-run in-process (see exp::PopulationConfig::processes).
-// `--chunk N` (or env WIRA_CHUNK; N >= 1) sets the dispatch chunk size;
-// `--workers host:port,...` (or env WIRA_WORKERS)
-// dispatches the sweep to running wira_workerd daemons over TCP instead of
-// forking — output stays byte-identical at any worker topology.
+// `--threads N` shards the session sweep over worker threads; `--procs N`
+// over forked worker processes instead, which also contains crashes.
+// Either way the output is identical at any worker count (sessions are
+// seeded per index), and a dead worker is named and, with
+// --retry-dead-shards, its missing sessions are re-run in-process (see
+// exp::PopulationConfig::processes).  `--chunk N` (N >= 1) sets the
+// dispatch chunk size; `--workers host:port,...` dispatches the sweep to
+// running wira_workerd daemons over TCP instead of forking — output stays
+// byte-identical at any worker topology.
 //
 // Observability flags (PR 2):
 //   --metrics-out FILE   write one JSONL line per (session, scheme) with
@@ -106,30 +105,6 @@ inline const char* flag_value(const char* name, int argc, char** argv,
 
 inline Args parse_args(int argc, char** argv) {
   Args a;
-  if (const char* env = std::getenv("WIRA_THREADS")) {
-    uint64_t v = 0;
-    if (!parse_u64(env, &v)) {
-      usage_error(argv[0], "WIRA_THREADS must be a non-negative integer");
-    }
-    a.threads = static_cast<size_t>(v);
-  }
-  if (const char* env = std::getenv("WIRA_PROCS")) {
-    uint64_t v = 0;
-    if (!parse_u64(env, &v)) {
-      usage_error(argv[0], "WIRA_PROCS must be a non-negative integer");
-    }
-    a.procs = static_cast<size_t>(v);
-  }
-  if (const char* env = std::getenv("WIRA_CHUNK")) {
-    uint64_t v = 0;
-    if (!parse_u64(env, &v) || v == 0) {
-      usage_error(argv[0], "WIRA_CHUNK must be a positive integer");
-    }
-    a.chunk = static_cast<size_t>(v);
-  }
-  if (const char* env = std::getenv("WIRA_WORKERS")) {
-    a.workers = env;
-  }
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -219,6 +194,26 @@ inline Args parse_args(int argc, char** argv) {
   return a;
 }
 
+/// Splits a --workers CSV into endpoints; an empty field is a usage
+/// error (exit 2), an empty CSV yields no endpoints.
+inline std::vector<std::string> split_endpoints(const std::string& csv) {
+  std::vector<std::string> endpoints;
+  if (csv.empty()) return endpoints;
+  size_t at = 0;
+  for (;;) {
+    const size_t comma = csv.find(',', at);
+    std::string endpoint = csv.substr(
+        at, comma == std::string::npos ? std::string::npos : comma - at);
+    if (endpoint.empty()) {
+      std::fprintf(stderr, "error: --workers has an empty endpoint\n");
+      std::exit(2);
+    }
+    endpoints.push_back(std::move(endpoint));
+    if (comma == std::string::npos) return endpoints;
+    at = comma + 1;
+  }
+}
+
 inline exp::PopulationConfig default_population(const Args& a) {
   exp::PopulationConfig cfg;
   cfg.sessions = a.sessions;
@@ -226,23 +221,7 @@ inline exp::PopulationConfig default_population(const Args& a) {
   cfg.threads = a.threads;
   cfg.processes = a.procs;
   cfg.chunk = a.chunk;
-  // Split the --workers CSV into endpoints (empty fields rejected).
-  if (!a.workers.empty()) {
-    size_t at = 0;
-    while (at <= a.workers.size()) {
-      const size_t comma = a.workers.find(',', at);
-      const std::string endpoint =
-          a.workers.substr(at, comma == std::string::npos ? std::string::npos
-                                                          : comma - at);
-      if (endpoint.empty()) {
-        std::fprintf(stderr, "error: --workers has an empty endpoint\n");
-        std::exit(2);
-      }
-      cfg.workers.push_back(endpoint);
-      if (comma == std::string::npos) break;
-      at = comma + 1;
-    }
-  }
+  cfg.workers = split_endpoints(a.workers);
   cfg.connect_timeout_ms = a.connect_timeout_ms;
   cfg.retry_dead_shards = a.retry_dead_shards;
   cfg.collect_metrics = !a.metrics_out.empty();

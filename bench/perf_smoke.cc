@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "bench_common.h"
+#include "exp/record_codec.h"
 #include "obs/phase_timeline.h"
 #include "obs/rss.h"
 #include "util/alloc_stats.h"
@@ -89,29 +90,13 @@ void summarize_qoe(const obs::MetricsRegistry& registry,
   *phases_json = ph.str();
 }
 
-bool records_identical(const std::vector<SessionRecord>& a,
-                       const std::vector<SessionRecord>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].ff_size != b[i].ff_size || a[i].zero_rtt != b[i].zero_rtt ||
-        a[i].had_cookie != b[i].had_cookie ||
-        a[i].cookie_age != b[i].cookie_age ||
-        a[i].results.size() != b[i].results.size()) {
-      return false;
-    }
-    for (const auto& [scheme, res] : a[i].results) {
-      const auto it = b[i].results.find(scheme);
-      if (it == b[i].results.end()) return false;
-      const SessionResult& other = it->second;
-      if (res.ffct != other.ffct || res.fflr != other.fflr ||
-          res.init.init_cwnd != other.init.init_cwnd ||
-          res.init.init_pacing != other.init.init_pacing ||
-          res.server_stats.packets_sent != other.server_stats.packets_sent) {
-        return false;
-      }
-    }
-  }
-  return true;
+// Every record byte through the wire codec, so the determinism check
+// covers each field a sharded worker ships, not a hand-picked subset.
+std::vector<uint8_t> record_bytes(const std::vector<SessionRecord>& records) {
+  std::vector<uint8_t> out;
+  CodecWriter w(out);
+  for (const SessionRecord& rec : records) encode_session_record(rec, w);
+  return out;
 }
 
 }  // namespace
@@ -154,7 +139,8 @@ int main(int argc, char** argv) {
   // (obs/flight_recorder.h) against the pass above.  recorder_overhead is
   // the fractional sessions/sec cost of leaving it on; tools/bench_gate.py
   // allows it 0.03 above the history median.  Records must stay
-  // identical — the recorder is only a trace sink.
+  // identical apart from the four anomaly-trigger counters, the only
+  // record fields the recorder writes.
   cfg.flight_recorder = false;
   std::vector<SessionRecord> recorder_off_records;
   const double recorder_off_sec = run_timed(cfg, &recorder_off_records);
@@ -179,10 +165,17 @@ int main(int argc, char** argv) {
   cfg.processes = 1;
   cfg.threads = par_threads;
 
+  const std::vector<uint8_t> serial_bytes = record_bytes(serial_records);
+  for (SessionRecord& rec : serial_records) {
+    rec.anomaly_stall_dumps = 0;
+    rec.anomaly_corner_dumps = 0;
+    rec.anomaly_decode_dumps = 0;
+    rec.anomaly_ffct_dumps = 0;
+  }
   const bool deterministic =
-      records_identical(serial_records, parallel_records) &&
-      records_identical(serial_records, procs_records) &&
-      records_identical(serial_records, recorder_off_records);
+      serial_bytes == record_bytes(parallel_records) &&
+      serial_bytes == record_bytes(procs_records) &&
+      record_bytes(serial_records) == record_bytes(recorder_off_records);
 
   // Third pass, over worker threads, with the full observability stack
   // on (phase tracers + the parent's index-order registry fold): prices

@@ -233,22 +233,7 @@ int main(int argc, char** argv) {
   cfg.threads = args.threads;
   cfg.processes = args.procs;
   cfg.chunk = args.chunk;
-  if (!args.workers.empty()) {
-    size_t at = 0;
-    while (at <= args.workers.size()) {
-      const size_t comma = args.workers.find(',', at);
-      const std::string endpoint =
-          comma == std::string::npos ? args.workers.substr(at)
-                                     : args.workers.substr(at, comma - at);
-      if (endpoint.empty()) {
-        std::fprintf(stderr, "error: --workers has an empty endpoint\n");
-        return 2;
-      }
-      cfg.workers.push_back(endpoint);
-      if (comma == std::string::npos) break;
-      at = comma + 1;
-    }
-  }
+  cfg.workers = bench::split_endpoints(args.workers);
   cfg.anomaly_dir = args.anomaly_dir;
   if (args.anomaly_ffct_ms > 0) {
     cfg.anomaly_ffct =

@@ -253,16 +253,8 @@ void materialize_crash_dumps(const PopulationConfig& config, size_t workers,
         std::ofstream server_os(base + ".server.sqlog", std::ios::trunc);
         std::ofstream client_os(base + ".client.sqlog", std::ios::trunc);
         if (server_os && client_os) {
-          obs::QlogTraceInfo sinfo;
-          sinfo.title = name;
-          sinfo.group_id = name;
-          obs::write_events_sqlog(server_os, dump.server_events, sinfo);
-          obs::QlogTraceInfo cinfo;
-          cinfo.title = name;
-          cinfo.group_id = name;
-          cinfo.vantage_point_name = "wira-client";
-          cinfo.vantage_point_type = "client";
-          obs::write_events_sqlog(client_os, dump.client_events, cinfo);
+          obs::write_sqlog_pair(server_os, client_os, name,
+                                dump.server_events, dump.client_events);
           WIRA_WARN("population", "crash forensics: worker " +
                                       std::to_string(w) + " left " + base +
                                       ".{server,client}.sqlog");
@@ -377,10 +369,8 @@ SessionRecord run_one_session(const PopulationConfig& config,
       const std::string server_path = base_path + ".server.sqlog";
       qlog.open(server_path, std::ios::trunc);
       if (qlog) {
-        obs::QlogTraceInfo info;
-        info.title = name;
-        info.group_id = name;
-        qlog_writer.emplace(qlog, info);
+        qlog_writer.emplace(
+            qlog, obs::paired_trace_info(name, obs::QlogVantage::kServer));
         qlog_tracer.add_sink(&*qlog_writer);
         cfg.tracer = &qlog_tracer;
       } else {
@@ -392,12 +382,9 @@ SessionRecord run_one_session(const PopulationConfig& config,
       const std::string client_path = base_path + ".client.sqlog";
       client_qlog.open(client_path, std::ios::trunc);
       if (client_qlog) {
-        obs::QlogTraceInfo info;
-        info.title = name;
-        info.group_id = name;
-        info.vantage_point_name = "wira-client";
-        info.vantage_point_type = "client";
-        client_qlog_writer.emplace(client_qlog, info);
+        client_qlog_writer.emplace(
+            client_qlog,
+            obs::paired_trace_info(name, obs::QlogVantage::kClient));
         client_qlog_tracer.add_sink(&*client_qlog_writer);
         cfg.client_tracer = &client_qlog_tracer;
       } else {

@@ -211,14 +211,13 @@ class PopulationShardError : public std::runtime_error {
 
 class RecordSink;
 
-/// Folds one session's results into a registry.  Only additive quantities
-/// are recorded (counters and histogram buckets), so folds commute: any
-/// partition of a record set folded into private registries and merged
-/// reproduces the single-registry fold bit-exactly.  `include_phases`
-/// additionally folds the per-phase latency histograms (the runner passes
-/// config.collect_metrics).  Exposed so streaming sinks (exp/record_sink)
-/// and the multiprocess parent use the exact same fold as the batch
-/// runner.
+/// Folds one session's results into a registry (counters and histogram
+/// buckets).  The sweep's parent is the only caller that owns a registry:
+/// it folds every record once, in index order, whichever way the records
+/// were produced.  `include_phases` additionally folds the per-phase
+/// latency histograms (the runner passes config.collect_metrics).
+/// Exposed so streaming sinks (exp/record_sink) use the exact same fold
+/// as the batch runner.
 void record_session_metrics(obs::MetricsRegistry& m, const SessionRecord& rec,
                             bool include_phases);
 

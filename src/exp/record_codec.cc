@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstring>
 
-#include "obs/metrics.h"
 #include "obs/phase_timeline.h"
 
 namespace wira::exp {
@@ -300,72 +299,6 @@ bool decode_session_record(CodecReader& r, SessionRecord* out) {
          r.u64(&out->anomaly_ffct_dumps);
 }
 
-void encode_metrics_registry(const obs::MetricsRegistry& m, CodecWriter& w) {
-  w.u32(static_cast<uint32_t>(m.counters().size()));
-  for (const auto& [name, v] : m.counters()) {
-    w.str(name);
-    w.u64(v);
-  }
-  w.u32(static_cast<uint32_t>(m.gauges().size()));
-  for (const auto& [name, v] : m.gauges()) {
-    w.str(name);
-    w.f64(v);
-  }
-  w.u32(static_cast<uint32_t>(m.histograms().size()));
-  for (const auto& [name, h] : m.histograms()) {
-    w.str(name);
-    w.u64(h.count());
-    w.u64(h.sum());
-    w.u64(h.min());
-    w.u64(h.max());
-    const auto& counts = h.bucket_counts();
-    w.u32(static_cast<uint32_t>(counts.size()));
-    for (uint64_t c : counts) w.u64(c);
-  }
-}
-
-bool decode_metrics_registry(CodecReader& r, obs::MetricsRegistry* out) {
-  uint32_t n = 0;
-  if (!r.u32(&n)) return false;
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    uint64_t v = 0;
-    if (!r.str(&name) || !r.u64(&v)) return false;
-    out->inc(name, v);
-  }
-  if (!r.u32(&n)) return false;
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    double v = 0;
-    if (!r.str(&name) || !r.f64(&v)) return false;
-    out->set_gauge(name, v);
-  }
-  if (!r.u32(&n)) return false;
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    uint64_t count = 0, sum = 0, min = 0, max = 0;
-    uint32_t n_buckets = 0;
-    if (!r.str(&name) || !r.u64(&count) || !r.u64(&sum) || !r.u64(&min) ||
-        !r.u64(&max) || !r.u32(&n_buckets)) {
-      return false;
-    }
-    std::vector<uint64_t> counts;
-    counts.reserve(std::min<uint32_t>(n_buckets, 1024));
-    uint64_t total = 0;
-    for (uint32_t b = 0; b < n_buckets; ++b) {
-      uint64_t c = 0;
-      if (!r.u64(&c)) return false;
-      total += c;
-      counts.push_back(c);
-    }
-    if (total != count) return false;
-    out->histogram(name) =
-        obs::LatencyHistogram::from_state(std::move(counts), count, sum,
-                                          min, max);
-  }
-  return true;
-}
-
 void encode_population_config(const PopulationConfig& c, CodecWriter& w) {
   w.u64(c.seed);
   w.u64(c.sessions);
@@ -482,9 +415,14 @@ FrameStatus next_frame(std::span<const uint8_t> data, size_t* offset,
   if (!r.u8(&type) || !r.u32(&len) || !r.u64(&checksum)) {
     return FrameStatus::kNeedMore;
   }
-  if (type < static_cast<uint8_t>(FrameType::kSessionRecord) ||
-      type > static_cast<uint8_t>(FrameType::kChunkAssign)) {
-    return FrameStatus::kCorrupt;
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kSessionRecord:
+    case FrameType::kEnd:
+    case FrameType::kConfig:
+    case FrameType::kChunkAssign:
+      break;
+    default:
+      return FrameStatus::kCorrupt;
   }
   if (r.remaining() < len) return FrameStatus::kNeedMore;
   const std::span<const uint8_t> payload =

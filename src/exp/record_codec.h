@@ -1,7 +1,7 @@
-// Versioned wire codec for the multiprocess population runner (DESIGN.md
-// §6): workers stream length-prefixed, checksummed frames carrying
-// serialized SessionRecords plus one serialized MetricsRegistry back to
-// the parent over a pipe, and the parent reassembles them index-addressed.
+// Versioned wire codec for the sharded population runner (DESIGN.md §6):
+// workers stream length-prefixed, checksummed frames carrying serialized
+// SessionRecords back to the parent over a pipe or socket, and the parent
+// reassembles them index-addressed and folds its one MetricsRegistry.
 //
 // Layering:
 //   - primitives: CodecWriter / CodecReader — little-endian fixed-width
@@ -9,9 +9,9 @@
 //     bounds-checked (a failed read latches the reader into a failed
 //     state; no partial-field tearing).
 //   - values: encode/decode for SessionRecord, SessionResult, HxQosRecord
-//     and obs::MetricsRegistry.  Round trips are bit-exact (doubles are
-//     bit-cast, histograms ship raw bucket counts), which is what makes
-//     `--procs N` output byte-identical to serial.
+//     and PopulationConfig.  Round trips are bit-exact (doubles are
+//     bit-cast), which is what makes `--procs N` output byte-identical to
+//     serial.
 //   - frames: a stream header (magic + codec version) followed by
 //     [type u8][len u32][fnv1a-64 checksum u64][payload] frames and a
 //     terminating kEnd frame.  EOF before kEnd means the worker died
@@ -28,10 +28,6 @@
 #include <vector>
 
 #include "exp/population_experiment.h"
-
-namespace wira::obs {
-class MetricsRegistry;
-}
 
 namespace wira::exp {
 
@@ -101,9 +97,6 @@ bool decode_session_result(CodecReader& r, SessionResult* out);
 void encode_session_record(const SessionRecord& rec, CodecWriter& w);
 bool decode_session_record(CodecReader& r, SessionRecord* out);
 
-void encode_metrics_registry(const obs::MetricsRegistry& m, CodecWriter& w);
-bool decode_metrics_registry(CodecReader& r, obs::MetricsRegistry* out);
-
 /// Workload description shipped to a remote shard worker (the kConfig
 /// control frame wira_workerd consumes).  Dispatcher-only fields —
 /// threads, processes, chunk, workers, retry_dead_shards, dispatch_stats
@@ -117,7 +110,7 @@ bool decode_population_config(CodecReader& r, PopulationConfig* out);
 
 enum class FrameType : uint8_t {
   kSessionRecord = 1,  ///< payload: u64 session index + SessionRecord
-  kMetrics = 2,        ///< payload: MetricsRegistry
+  // 2 is retired and stays unassigned; next_frame rejects it as corrupt.
   kEnd = 3,            ///< empty payload; clean end-of-stream marker
   // Control frames (parent → worker).  They share the frame layer with
   // the data stream but travel on the opposite direction of the channel,

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "exp/record_codec.h"
 #include "util/json.h"
 
 namespace wira::exp {
@@ -32,11 +31,6 @@ void AggregateSink::on_record(size_t index, SessionRecord&& rec) {
 void AggregateSink::on_complete(size_t sessions) {
   (void)sessions;
   if (options_.flush_out != nullptr) flush_line(/*final_line=*/true);
-}
-
-void AggregateSink::merge(const AggregateSink& other) {
-  registry_.merge(other.registry_);
-  sessions_seen_ += other.sessions_seen_;
 }
 
 namespace {
@@ -132,38 +126,6 @@ void AggregateSink::flush_line(bool final_line) {
   write_summary_line(*options_.flush_out, final_line);
   options_.flush_out->flush();
   ++flushes_written_;
-}
-
-// ---- CodecStreamSink ----------------------------------------------------
-
-CodecStreamSink::CodecStreamSink(std::ostream& os) : os_(os) {
-  frame_.clear();
-  append_stream_header(frame_);
-  write_buf();
-}
-
-void CodecStreamSink::on_record(size_t index, SessionRecord&& rec) {
-  payload_.clear();
-  CodecWriter w(payload_);
-  w.u64(index);
-  encode_session_record(rec, w);
-  frame_.clear();
-  append_frame(FrameType::kSessionRecord, payload_, frame_);
-  write_buf();
-}
-
-void CodecStreamSink::on_complete(size_t sessions) {
-  (void)sessions;
-  frame_.clear();
-  append_frame(FrameType::kEnd, {}, frame_);
-  write_buf();
-  os_.flush();
-}
-
-void CodecStreamSink::write_buf() {
-  os_.write(reinterpret_cast<const char*>(frame_.data()),
-            static_cast<std::streamsize>(frame_.size()));
-  bytes_written_ += frame_.size();
 }
 
 }  // namespace wira::exp

@@ -4,20 +4,16 @@
 // `run_population(config, metrics, sink)` pushes every completed
 // SessionRecord into a RecordSink in index order instead of retaining it,
 // so a million-session sweep holds O(workers) records in memory at any
-// instant rather than O(sessions).  Three sinks cover the ROADMAP uses:
+// instant rather than O(sessions).  Two sinks cover the ROADMAP uses:
 //
 //   - CollectSink: in-memory vector — the classic API.  The vector
 //     overload of run_population is exactly this sink, so collect mode
 //     stays byte-identical to streaming mode by construction.
-//   - AggregateSink: streaming aggregation — folds each record into a
-//     mergeable obs::MetricsRegistry whose log-bucketed histograms act as
-//     quantile sketches (no util::Samples, no per-session retention) and
+//   - AggregateSink: streaming aggregation — folds each record into an
+//     obs::MetricsRegistry whose log-bucketed histograms act as quantile
+//     sketches (no util::Samples, no per-session retention) and
 //     optionally emits one cumulative JSONL summary line every
 //     `flush_every` sessions.  This is what the fleet-scale soak runs.
-//   - CodecStreamSink: serializes each record as an exp/record_codec
-//     frame onto an ostream — the same wire format multiprocess workers
-//     speak, so a soak can feed a pipe/file that a future multi-host
-//     dispatcher (or today's tests) replays frame by frame.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +64,8 @@ class CollectSink final : public RecordSink {
 /// Every record folds into `registry()` via record_session_metrics — the
 /// same fold the batch runner uses, so the aggregate is bit-identical to
 /// a collect-mode run's registry.  Per-scheme FFCT/FFLR quantiles come
-/// from the registry's log-bucketed histograms (<=6.25% quantization,
-/// commutative merge); no per-session value is ever retained.
+/// from the registry's log-bucketed histograms (<=6.25% quantization);
+/// no per-session value is ever retained.
 class AggregateSink final : public RecordSink {
  public:
   struct Options {
@@ -91,11 +87,6 @@ class AggregateSink final : public RecordSink {
   const obs::MetricsRegistry& registry() const { return registry_; }
   uint64_t sessions_seen() const { return sessions_seen_; }
   uint64_t flushes_written() const { return flushes_written_; }
-
-  /// Merges another sink's aggregate into this one (order-independent,
-  /// like the registries it wraps): sharded soaks aggregate per worker
-  /// and merge, identically to one big run.
-  void merge(const AggregateSink& other);
 
   /// Hook appending extra JSON fields to each flush line (the soak bench
   /// injects `"rss_mb": ...`): append `,"key":value` text to *extra.
@@ -121,28 +112,6 @@ class AggregateSink final : public RecordSink {
   uint64_t flushes_written_ = 0;
   void (*flush_hook_)(uint64_t, std::string*, void*) = nullptr;
   void* flush_hook_arg_ = nullptr;
-};
-
-/// Streams records in the multiprocess wire format (exp/record_codec):
-/// stream header at construction, one checksummed kSessionRecord frame
-/// per record, kEnd at on_complete.  The output is exactly what a worker
-/// child writes to its pipe, so any codec consumer can replay it.
-class CodecStreamSink final : public RecordSink {
- public:
-  explicit CodecStreamSink(std::ostream& os);
-
-  void on_record(size_t index, SessionRecord&& rec) override;
-  void on_complete(size_t sessions) override;
-
-  uint64_t bytes_written() const { return bytes_written_; }
-
- private:
-  void write_buf();
-
-  std::ostream& os_;
-  std::vector<uint8_t> frame_;    ///< reused frame scratch
-  std::vector<uint8_t> payload_;  ///< reused payload scratch
-  uint64_t bytes_written_ = 0;
 };
 
 }  // namespace wira::exp

@@ -26,14 +26,12 @@ double window_loss(const LinkSnapshot& before, const LinkSnapshot& after) {
 SessionResult run_impl(const SessionConfig& cfg,
                        const std::optional<app::ServerConfig::ManualInit>&
                            manual_init,
-                       sim::EventLoop* reuse_loop,
-                       std::vector<LinkSnapshot>* reuse_snapshots) {
-  // Workspace mode: recycle the caller's loop (reset keeps slot/heap/
-  // pool/arena capacity) instead of building one.  Everything below is
-  // loop-relative, so a reset loop is indistinguishable from a fresh one.
-  sim::EventLoop local_loop_storage;
-  sim::EventLoop& loop = reuse_loop ? *reuse_loop : local_loop_storage;
-  if (reuse_loop) loop.reset();
+                       sim::EventLoop& loop,
+                       std::vector<LinkSnapshot>& frame_snapshots) {
+  // Recycle the workspace's loop (reset keeps slot/heap/pool/arena
+  // capacity).  Everything below is loop-relative, so a reset loop is
+  // indistinguishable from a fresh one.
+  loop.reset();
   // Arena accounting must stay per-session even though the recycled
   // arena's total is cumulative across sessions.
   const uint64_t arena_total_before = loop.arena().total_allocated();
@@ -132,11 +130,8 @@ SessionResult run_impl(const SessionConfig& cfg,
   }
 
   // Per-frame loss windows over the bottleneck (data) direction.  The
-  // snapshot vector is workspace scratch when recycling (cleared here,
-  // capacity retained).
-  std::vector<LinkSnapshot> local_snapshots_storage;
-  std::vector<LinkSnapshot>& frame_snapshots =
-      reuse_snapshots ? *reuse_snapshots : local_snapshots_storage;
+  // snapshot vector is workspace scratch (cleared here, capacity
+  // retained).
   frame_snapshots.clear();
   LinkSnapshot start_snapshot;
   client.set_on_frame_complete([&](uint32_t /*frame_index*/) {
@@ -224,18 +219,13 @@ SessionResult run_impl(const SessionConfig& cfg,
 }  // namespace
 
 SessionResult run_session(const SessionConfig& config) {
-  return run_impl(config, std::nullopt, nullptr, nullptr);
+  SessionWorkspace ws;
+  return run_session(config, ws);
 }
 
 SessionResult run_session(const SessionConfig& config, SessionWorkspace& ws) {
-  return run_session_with_workspace(config, &ws);
-}
-
-SessionResult run_session_with_workspace(const SessionConfig& config,
-                                         SessionWorkspace* ws) {
-  if (ws == nullptr) return run_impl(config, std::nullopt, nullptr, nullptr);
-  ws->sessions_run_++;
-  return run_impl(config, std::nullopt, &ws->loop_, &ws->frame_snapshots_);
+  ws.sessions_run_++;
+  return run_impl(config, std::nullopt, ws.loop_, ws.frame_snapshots_);
 }
 
 SessionResult run_manual_init_session(const ManualInitConfig& config) {
@@ -250,7 +240,8 @@ SessionResult run_manual_init_session(const ManualInitConfig& config) {
   cfg.collect_phases = config.collect_phases;
   app::ServerConfig::ManualInit manual{config.init_cwnd_bytes,
                                        config.init_pacing};
-  return run_impl(cfg, manual, nullptr, nullptr);
+  SessionWorkspace ws;
+  return run_impl(cfg, manual, ws.loop_, ws.frame_snapshots_);
 }
 
 }  // namespace wira::exp

@@ -82,6 +82,7 @@ struct LinkWindow {
 }  // namespace detail
 
 struct SessionResult;
+struct ManualInitConfig;
 
 /// Reusable per-worker session machinery (DESIGN.md §6 memory model).
 ///
@@ -118,8 +119,8 @@ class SessionWorkspace {
   uint64_t anomaly_dumps_written = 0;
 
  private:
-  friend SessionResult run_session_with_workspace(const SessionConfig&,
-                                                  SessionWorkspace*);
+  friend SessionResult run_session(const SessionConfig&, SessionWorkspace&);
+  friend SessionResult run_manual_init_session(const ManualInitConfig&);
 
   sim::EventLoop loop_;
   std::vector<detail::LinkWindow> frame_snapshots_;  ///< scratch
@@ -156,6 +157,7 @@ struct SessionResult {
   uint64_t arena_bytes = 0;
 };
 
+/// One session on a fresh, local SessionWorkspace.
 SessionResult run_session(const SessionConfig& config);
 
 /// Workspace-recycling variant: byte-identical results, but the event
@@ -163,10 +165,6 @@ SessionResult run_session(const SessionConfig& config);
 /// (reset + reused) instead of being rebuilt, cutting steady-state heap
 /// allocations per session (the soak path; see DESIGN.md §6).
 SessionResult run_session(const SessionConfig& config, SessionWorkspace& ws);
-
-/// Implementation hook shared by both overloads: ws may be nullptr.
-SessionResult run_session_with_workspace(const SessionConfig& config,
-                                         SessionWorkspace* ws);
 
 /// Convenience: session on the paper's Fig. 2 testbed path with explicit
 /// init parameters (bypassing the schemes) — used by the init sweeps.

@@ -763,10 +763,6 @@ class ChunkDispatcher {
         }
         return;
       }
-      if (view.type == FrameType::kMetrics) {
-        ws.defect = "unexpected metrics frame";
-        return;
-      }
       if (view.type != FrameType::kSessionRecord) {
         ws.defect = "unexpected control frame on record stream";
         return;

@@ -9,8 +9,8 @@
 // in-flight chunk completes.  Stragglers therefore stop gating the
 // sweep: a slow worker simply pulls fewer chunks.  Reassembly is
 // index-addressed and per-session seeding depends only on
-// (config.seed, index), so stdout, metrics JSONL, and merged registries
-// are byte-identical to serial at any worker count or chunk size.
+// (config.seed, index), so stdout, metrics JSONL, and the parent's
+// registry are byte-identical to serial at any worker count or chunk size.
 //
 // Transport: a ShardChannel abstracts the parent<->worker byte streams.
 //   - thread (config.threads > 1): a std::thread in the parent's process

@@ -9,6 +9,8 @@
 #include <ostream>
 #include <span>
 
+#include "obs/qlog.h"
+
 namespace wira::obs {
 
 namespace {
@@ -199,27 +201,11 @@ bool VantageRecorder::dump_raw(int fd) const {
          write_fd_all(fd, ring_.data(), start * sizeof(trace::Event));
 }
 
-void write_events_sqlog(std::ostream& os,
-                        const std::vector<trace::Event>& events,
-                        const QlogTraceInfo& info) {
-  QlogStreamWriter writer(os, info);
-  for (const trace::Event& e : events) writer.on_event(e);
-}
-
 void FlightRecorder::write_sqlog_pair(std::ostream& server_os,
                                       std::ostream& client_os,
                                       const std::string& name) const {
-  QlogTraceInfo server_info;
-  server_info.title = name;
-  server_info.group_id = name;
-  write_events_sqlog(server_os, server_.snapshot(), server_info);
-
-  QlogTraceInfo client_info;
-  client_info.title = name;
-  client_info.group_id = name;
-  client_info.vantage_point_name = "wira-client";
-  client_info.vantage_point_type = "client";
-  write_events_sqlog(client_os, client_.snapshot(), client_info);
+  obs::write_sqlog_pair(server_os, client_os, name, server_.snapshot(),
+                        client_.snapshot());
 }
 
 bool FlightRecorder::crash_dump(int fd, uint64_t session_index,

@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/qlog.h"
 #include "trace/tracer.h"
 
 namespace wira::obs {
@@ -99,11 +98,6 @@ class VantageRecorder : public trace::EventSink {
   uint32_t type_counts_[trace::kEventTypeCount] = {};
 };
 
-/// Streams `events` (already time-ordered) as one standard qlog file.
-void write_events_sqlog(std::ostream& os,
-                        const std::vector<trace::Event>& events,
-                        const QlogTraceInfo& info);
-
 /// Both vantages of one session plus the crash-forensics entry points.
 class FlightRecorder {
  public:
@@ -125,9 +119,9 @@ class FlightRecorder {
     return server_.count(t) + client_.count(t);
   }
 
-  /// Materializes the retained events as a paired qlog sample correlated
-  /// by `name` (title == group_id == name, matching --trace-sample
-  /// artifacts) so obs/trace_join joins the pair unchanged.
+  /// Materializes the retained events as a paired qlog sample named
+  /// `name` (obs::write_sqlog_pair, the same convention --trace-sample
+  /// artifacts follow) so obs/trace_join joins the pair unchanged.
   void write_sqlog_pair(std::ostream& server_os, std::ostream& client_os,
                         const std::string& name) const;
 

@@ -93,32 +93,6 @@ double LatencyHistogram::percentile(double p) const {
   return static_cast<double>(max());
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  if (other.counts_.size() > counts_.size()) {
-    counts_.resize(other.counts_.size(), 0);
-  }
-  for (size_t i = 0; i < other.counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-LatencyHistogram LatencyHistogram::from_state(std::vector<uint64_t> counts,
-                                              uint64_t count, uint64_t sum,
-                                              uint64_t min, uint64_t max) {
-  LatencyHistogram h;
-  h.counts_ = std::move(counts);
-  h.count_ = count;
-  h.sum_ = sum;
-  h.min_ = count == 0 ? UINT64_MAX : min;
-  h.max_ = max;
-  return h;
-}
-
 std::vector<LatencyHistogram::Bucket> LatencyHistogram::buckets() const {
   std::vector<Bucket> out;
   for (size_t i = 0; i < counts_.size(); ++i) {
@@ -163,19 +137,6 @@ const LatencyHistogram* MetricsRegistry::find_histogram(
     std::string_view name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, v] : other.counters_) inc(name, v);
-  for (const auto& [name, v] : other.gauges_) {
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-      gauges_.emplace(name, v);
-    } else {
-      it->second += v;  // gauges hold additive quantities by contract
-    }
-  }
-  for (const auto& [name, h] : other.histograms_) histogram(name).merge(h);
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {

@@ -5,10 +5,6 @@
 //   - cheap: recording a histogram sample is two integer ops + one array
 //     increment; no per-sample allocation (unlike Samples, which retains
 //     every value);
-//   - mergeable and order-independent: merging is commutative
-//     (bucket-wise addition), so registries folded over any partition of
-//     a record set and merged equal the single fold bit-exactly (the
-//     streaming AggregateSink relies on this);
 //   - deterministic export: names iterate in lexicographic order and all
 //     stored quantities are integers (percentiles interpolate within a
 //     bucket, which is a pure function of the counts).
@@ -50,20 +46,6 @@ class LatencyHistogram {
   /// quantization never reports a value outside the observed range.
   double percentile(double p) const;
 
-  /// Commutative, associative merge: the result is independent of merge
-  /// order (the parallel-runner contract).
-  void merge(const LatencyHistogram& other);
-
-  /// Rebuilds a histogram from previously exported state — the inverse of
-  /// (bucket_counts, count, sum, min, max) as read through the accessors.
-  /// Used by the multiprocess runner's wire codec (exp/record_codec) to
-  /// round-trip worker registries bit-exactly; `counts` must be
-  /// index-aligned with bucket_index and `min` is the accessor value
-  /// (0 for an empty histogram).
-  static LatencyHistogram from_state(std::vector<uint64_t> counts,
-                                     uint64_t count, uint64_t sum,
-                                     uint64_t min, uint64_t max);
-
   struct Bucket {
     uint64_t lo = 0;     ///< inclusive
     uint64_t hi = 0;     ///< exclusive
@@ -94,8 +76,7 @@ class MetricsRegistry {
  public:
   /// Adds `n` to the named counter.
   void inc(std::string_view name, uint64_t n = 1);
-  /// Sets the named gauge (merge sums gauges, so use them for additive
-  /// quantities like bytes-on-wire, not instantaneous readings).
+  /// Sets the named gauge; the last value set wins.
   void set_gauge(std::string_view name, double value);
   /// Named histogram, created empty on first access.
   LatencyHistogram& histogram(std::string_view name);
@@ -104,9 +85,6 @@ class MetricsRegistry {
   uint64_t counter(std::string_view name) const;
   /// Histogram lookup without creation; nullptr when absent.
   const LatencyHistogram* find_histogram(std::string_view name) const;
-
-  /// Order-independent merge (counters/gauges add, histograms merge).
-  void merge(const MetricsRegistry& other);
 
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();

@@ -217,4 +217,28 @@ void QlogStreamWriter::on_event(const trace::Event& e) {
   os_ << line;
 }
 
+QlogTraceInfo paired_trace_info(const std::string& name,
+                                QlogVantage vantage) {
+  QlogTraceInfo info;
+  info.title = name;
+  info.group_id = name;
+  if (vantage == QlogVantage::kClient) {
+    info.vantage_point_name = "wira-client";
+    info.vantage_point_type = "client";
+  }
+  return info;
+}
+
+void write_sqlog_pair(std::ostream& server_os, std::ostream& client_os,
+                      const std::string& name,
+                      const std::vector<trace::Event>& server_events,
+                      const std::vector<trace::Event>& client_events) {
+  QlogStreamWriter server(server_os,
+                          paired_trace_info(name, QlogVantage::kServer));
+  for (const trace::Event& e : server_events) server.on_event(e);
+  QlogStreamWriter client(client_os,
+                          paired_trace_info(name, QlogVantage::kClient));
+  for (const trace::Event& e : client_events) client.on_event(e);
+}
+
 }  // namespace wira::obs

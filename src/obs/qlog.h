@@ -17,6 +17,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "trace/tracer.h"
 
@@ -29,6 +30,23 @@ struct QlogTraceInfo {
   std::string vantage_point_name = "wira-server";
   std::string vantage_point_type = "server";  ///< "client"/"server"/"network"
 };
+
+/// Which half of a joinable trace pair a file holds.
+enum class QlogVantage { kServer, kClient };
+
+/// Header for one half of a trace pair, following the convention
+/// obs/trace_join (wira_trace_join) pairs files by: both halves share
+/// title == group_id == `name`; the server half is vantage
+/// "wira-server"/"server" and the client half "wira-client"/"client".
+QlogTraceInfo paired_trace_info(const std::string& name, QlogVantage vantage);
+
+/// Writes both vantages of one session as a joinable pair named `name`
+/// (paired_trace_info).  Used by every path that materializes recorded
+/// events after the fact: flight-recorder anomaly dumps and crash dumps.
+void write_sqlog_pair(std::ostream& server_os, std::ostream& client_os,
+                      const std::string& name,
+                      const std::vector<trace::Event>& server_events,
+                      const std::vector<trace::Event>& client_events);
 
 /// Standard qlog event name for an internal tracer event, e.g.
 /// "transport:packet_sent" or "wira:ff_parsed".  Depends on the detail for

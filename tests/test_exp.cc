@@ -83,9 +83,9 @@ TEST(Harness, ParallelRunMatchesSerialExactly) {
   }
 }
 
-// Metrics extension of the same contract: per-worker registries merged in
-// index order must equal the registry filled by a serial run — exactly,
-// down to raw histogram buckets.
+// Metrics extension of the same contract: the parent's registry, folded
+// from sharded records in index order, must equal the registry filled by
+// a serial run — exactly, down to raw histogram buckets.
 TEST(Harness, ParallelMetricsMatchSerialExactly) {
   PopulationConfig cfg = small_config(23);
   cfg.sessions = 24;
@@ -508,7 +508,7 @@ TEST(Harness, SigsegvWorkerLeavesJoinableCrashDump) {
 }
 
 // With retry_dead_shards the parent re-runs only the missing indices and
-// rebuilds the dead worker's registry from the reassembled records, so
+// folds the registry from the reassembled records, so
 // the final output is still bit-identical to serial.
 TEST(Harness, MultiprocessRetryDeadShardsCompletesIdentically) {
   PopulationConfig cfg = small_config(23);
@@ -677,79 +677,6 @@ TEST(Harness, AggregateSinkMatchesBatchRegistry) {
   batch.write_json(jb);
   sink.registry().write_json(js);
   EXPECT_EQ(jb.str(), js.str());
-}
-
-// Sharded soaks aggregate per worker and merge; the merge must be
-// indistinguishable from one sink having seen every record.
-TEST(Harness, AggregateSinkMergeMatchesSingleFold) {
-  PopulationConfig cfg = small_config(41);
-  cfg.sessions = 12;
-  cfg.collect_metrics = true;
-  CollectSink all;
-  run_population(cfg, nullptr, all);
-
-  AggregateSink::Options opts;
-  opts.include_phases = true;
-  AggregateSink whole(opts), even(opts), odd(opts);
-  for (size_t i = 0; i < all.records().size(); ++i) {
-    SessionRecord copy_whole = all.records()[i];
-    SessionRecord copy_shard = all.records()[i];
-    whole.on_record(i, std::move(copy_whole));
-    (i % 2 == 0 ? even : odd).on_record(i, std::move(copy_shard));
-  }
-  even.merge(odd);
-
-  EXPECT_EQ(even.sessions_seen(), whole.sessions_seen());
-  std::ostringstream jw, jm;
-  whole.registry().write_json(jw);
-  even.registry().write_json(jm);
-  EXPECT_EQ(jw.str(), jm.str());
-  std::ostringstream sw, sm;
-  whole.write_summary_line(sw, /*final_line=*/true);
-  even.write_summary_line(sm, /*final_line=*/true);
-  EXPECT_EQ(sw.str(), sm.str());
-}
-
-// The codec sink writes exactly the multiprocess wire format: header,
-// one checksummed frame per record in index order, clean end marker —
-// and replaying the stream reproduces the collect-mode records bit for
-// bit.
-TEST(Harness, CodecStreamSinkReplaysExactly) {
-  PopulationConfig cfg = small_config(43);
-  cfg.sessions = 8;
-  const auto collected = run_population(cfg);
-
-  std::ostringstream os;
-  CodecStreamSink sink(os);
-  run_population(cfg, nullptr, sink);
-  const std::string wire = os.str();
-  EXPECT_EQ(sink.bytes_written(), wire.size());
-
-  const std::span<const uint8_t> data(
-      reinterpret_cast<const uint8_t*>(wire.data()), wire.size());
-  size_t offset = 0;
-  ASSERT_EQ(read_stream_header(data, &offset), FrameStatus::kOk);
-  std::vector<SessionRecord> replayed;
-  bool saw_end = false;
-  while (offset < data.size()) {
-    FrameView frame;
-    ASSERT_EQ(next_frame(data, &offset, &frame), FrameStatus::kOk);
-    if (frame.type == FrameType::kEnd) {
-      saw_end = true;
-      break;
-    }
-    ASSERT_EQ(frame.type, FrameType::kSessionRecord);
-    CodecReader r(frame.payload);
-    uint64_t index = 0;
-    ASSERT_TRUE(r.u64(&index));
-    EXPECT_EQ(index, replayed.size());
-    SessionRecord rec;
-    ASSERT_TRUE(decode_session_record(r, &rec));
-    replayed.push_back(std::move(rec));
-  }
-  EXPECT_TRUE(saw_end);
-  EXPECT_EQ(offset, data.size());
-  EXPECT_TRUE(records_equal(collected, replayed));
 }
 
 // Every record byte of a small population, in both containers and all four

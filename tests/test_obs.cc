@@ -1,10 +1,9 @@
 // Unit tests for the observability subsystem: log-bucketed histograms,
-// the metrics registry merge contract, and the FFCT phase decomposition.
+// the metrics registry, and the FFCT phase decomposition.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include <random>
 #include <sstream>
 
 #include "obs/phase_timeline.h"
@@ -76,52 +75,6 @@ TEST(LatencyHistogram, EmptyIsSafe) {
   EXPECT_TRUE(h.buckets().empty());
 }
 
-TEST(LatencyHistogram, MergeEqualsUnion) {
-  // Splitting a sample stream across two histograms and merging must give
-  // exactly the same buckets as recording everything into one.
-  std::mt19937_64 rng(7);
-  LatencyHistogram a, b, whole;
-  for (int i = 0; i < 5000; ++i) {
-    const uint64_t v = rng() % 1'000'000;
-    whole.record(v);
-    (i % 2 == 0 ? a : b).record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_EQ(a.sum(), whole.sum());
-  EXPECT_EQ(a.min(), whole.min());
-  EXPECT_EQ(a.max(), whole.max());
-  EXPECT_EQ(a.bucket_counts(), whole.bucket_counts());
-  EXPECT_DOUBLE_EQ(a.percentile(99), whole.percentile(99));
-}
-
-TEST(LatencyHistogram, MergeIsCommutative) {
-  LatencyHistogram ab, ba, a, b;
-  for (uint64_t v : {1ull, 100ull, 10'000ull}) a.record(v);
-  for (uint64_t v : {5ull, 500ull, 50'000ull}) b.record(v);
-  ab = a;
-  ab.merge(b);
-  ba = b;
-  ba.merge(a);
-  EXPECT_EQ(ab.bucket_counts(), ba.bucket_counts());
-  EXPECT_EQ(ab.sum(), ba.sum());
-  EXPECT_EQ(ab.min(), ba.min());
-  EXPECT_EQ(ab.max(), ba.max());
-}
-
-TEST(LatencyHistogram, MergeWithEmptyIsIdentity) {
-  LatencyHistogram a, empty;
-  a.record(42);
-  const auto before = a.bucket_counts();
-  a.merge(empty);
-  EXPECT_EQ(a.bucket_counts(), before);
-  EXPECT_EQ(a.min(), 42u);
-  LatencyHistogram e2;
-  e2.merge(a);
-  EXPECT_EQ(e2.bucket_counts(), a.bucket_counts());
-  EXPECT_EQ(e2.min(), 42u);
-}
-
 TEST(MetricsRegistry, CountersAndGauges) {
   MetricsRegistry r;
   EXPECT_TRUE(r.empty());
@@ -135,25 +88,6 @@ TEST(MetricsRegistry, CountersAndGauges) {
   r.histogram("lat").record(10);
   ASSERT_NE(r.find_histogram("lat"), nullptr);
   EXPECT_EQ(r.find_histogram("lat")->count(), 1u);
-}
-
-TEST(MetricsRegistry, MergeAddsEverything) {
-  MetricsRegistry a, b;
-  a.inc("c", 2);
-  b.inc("c", 3);
-  b.inc("only_b");
-  a.set_gauge("g", 1.5);
-  b.set_gauge("g", 2.5);
-  a.histogram("h").record(100);
-  b.histogram("h").record(200);
-  b.histogram("h2").record(7);
-  a.merge(b);
-  EXPECT_EQ(a.counter("c"), 5u);
-  EXPECT_EQ(a.counter("only_b"), 1u);
-  EXPECT_DOUBLE_EQ(a.gauges().at("g"), 4.0);
-  EXPECT_EQ(a.find_histogram("h")->count(), 2u);
-  EXPECT_EQ(a.find_histogram("h")->sum(), 300u);
-  EXPECT_EQ(a.find_histogram("h2")->count(), 1u);
 }
 
 TEST(MetricsRegistry, JsonIsDeterministicAndOrdered) {

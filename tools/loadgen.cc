@@ -296,12 +296,8 @@ int main(int argc, char** argv) {
         s->qlog.open(args.trace_dir + "/" + name + ".client.sqlog",
                      std::ios::trunc);
         if (s->qlog) {
-          obs::QlogTraceInfo info;
-          info.title = name;
-          info.group_id = name;
-          info.vantage_point_name = "wira-client";
-          info.vantage_point_type = "client";
-          s->qlog_writer.emplace(s->qlog, info);
+          s->qlog_writer.emplace(
+              s->qlog, obs::paired_trace_info(name, obs::QlogVantage::kClient));
           s->tracer.add_sink(&*s->qlog_writer);
           s->client->set_tracer(&s->tracer);
         }

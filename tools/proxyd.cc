@@ -216,10 +216,9 @@ int main(int argc, char** argv) {
             s->qlog.open(args.trace_dir + "/" + name + ".server.sqlog",
                          std::ios::trunc);
             if (s->qlog) {
-              obs::QlogTraceInfo info;
-              info.title = name;
-              info.group_id = name;
-              s->qlog_writer.emplace(s->qlog, info);
+              s->qlog_writer.emplace(
+                  s->qlog,
+                  obs::paired_trace_info(name, obs::QlogVantage::kServer));
               s->tracer.add_sink(&*s->qlog_writer);
             }
           }
