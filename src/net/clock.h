@@ -6,15 +6,16 @@
 // runtime (net::EpollRuntime) keeps the *same* loop synchronized to
 // CLOCK_MONOTONIC, so session objects run unmodified in both worlds:
 //
-//   world      timebase                     who advances it
-//   ---------  ---------------------------  ---------------------------
-//   simulated  virtual ns from 0            EventLoop::run/run_until
-//   real       raw CLOCK_MONOTONIC ns       EpollRuntime (run_until(now))
+//   world      timebase                who advances it                read through
+//   ---------  ----------------------  -----------------------------  --------------
+//   simulated  virtual ns from 0       EventLoop::run/run_until       loop.now()
+//   real       raw CLOCK_MONOTONIC ns  EpollRuntime (run_until(now))  MonotonicClock
 //
-// Clock is the read-side of that contract: LoopClock reads the loop's
-// clock (exact in simulation, poll-batch granular in real time) and
-// MonotonicClock reads the kernel clock directly (for timestamping
-// events *between* loop advances — e.g. a datagram's true receive time).
+// Clock is the read-side of that contract.  A session without a Clock
+// reads loop.now() (exact in simulation, poll-batch granular in real
+// time); MonotonicClock reads the kernel clock directly, for
+// timestamping events *between* loop advances — e.g. a datagram's true
+// receive time.
 // MonotonicClock is deliberately offset-free: every process on a host
 // shares the CLOCK_MONOTONIC epoch, which is what makes cross-process
 // sqlog pairs (wira_proxyd + wira_loadgen) joinable by obs/trace_join
@@ -23,7 +24,6 @@
 
 #include <ctime>
 
-#include "sim/event_loop.h"
 #include "util/units.h"
 
 namespace wira::net {
@@ -35,17 +35,6 @@ class Clock {
  public:
   virtual ~Clock() = default;
   virtual TimeNs now() const = 0;
-};
-
-/// The driving loop's clock: exact in simulation; in real time it lags
-/// the kernel clock by at most one poll dispatch.
-class LoopClock final : public Clock {
- public:
-  explicit LoopClock(const sim::EventLoop& loop) : loop_(loop) {}
-  TimeNs now() const override { return loop_.now(); }
-
- private:
-  const sim::EventLoop& loop_;
 };
 
 /// Raw CLOCK_MONOTONIC nanoseconds.

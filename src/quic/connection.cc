@@ -201,11 +201,7 @@ void Connection::close(uint64_t error_code, std::string reason) {
   p.conn_id = config_.conn_id;
   p.frames.push_back(ConnectionCloseFrame{error_code, std::move(reason)});
   send_packet(std::move(p), /*bypass_pacer=*/true);
-  closed_ = true;
-  cancel_timer(ack_timer_);
-  cancel_timer(loss_timer_);
-  cancel_timer(pto_timer_);
-  cancel_timer(send_timer_);
+  mark_closed();
 }
 
 bool Connection::has_pending_stream_data() const {
@@ -367,11 +363,7 @@ void Connection::on_datagram(std::span<const uint8_t> data) {
     } else if (const auto* hx = std::get_if<HxQosFrame>(&f)) {
       if (on_hxqos_) on_hxqos_(*hx);
     } else if (std::get_if<ConnectionCloseFrame>(&f)) {
-      closed_ = true;
-      cancel_timer(ack_timer_);
-      cancel_timer(loss_timer_);
-      cancel_timer(pto_timer_);
-      cancel_timer(send_timer_);
+      mark_closed();
       return;
     }
   }
@@ -524,7 +516,9 @@ void Connection::detect_losses(PacketNumber largest_acked,
     const bool time_thresh = now() >= lost_at;
     if (packet_thresh || time_thresh) {
       lost.push_back(cc::LostPacket{pn, info.bytes});
-      on_packet_lost_internal(pn, info);
+      stats_.packets_lost++;
+      trace(trace::EventType::kPacketLost, pn, info.bytes);
+      requeue_lost_payload(pn, info);
       it = release_sent_node(it);
     } else {
       if (next_loss_time == kNoTime || lost_at < next_loss_time) {
@@ -536,10 +530,8 @@ void Connection::detect_losses(PacketNumber largest_acked,
   if (next_loss_time != kNoTime) arm_loss_timer(next_loss_time);
 }
 
-void Connection::on_packet_lost_internal(PacketNumber pn,
-                                         const SentPacketInfo& info) {
-  stats_.packets_lost++;
-  trace(trace::EventType::kPacketLost, pn, info.bytes);
+void Connection::requeue_lost_payload(PacketNumber pn,
+                                      const SentPacketInfo& info) {
   bytes_in_flight_ -= std::min(bytes_in_flight_, info.bytes);
   sampler_.on_packet_lost(pn);
   for (const StreamRef& ref : info.stream_refs) {
@@ -572,6 +564,14 @@ void Connection::cancel_timer(std::optional<sim::EventId>& id) {
     loop_.cancel(*id);
     id.reset();
   }
+}
+
+void Connection::mark_closed() {
+  closed_ = true;
+  cancel_timer(ack_timer_);
+  cancel_timer(loss_timer_);
+  cancel_timer(pto_timer_);
+  cancel_timer(send_timer_);
 }
 
 void Connection::arm_loss_timer(TimeNs when) {
@@ -624,27 +624,12 @@ void Connection::on_pto() {
 
   // Probe: treat the oldest in-flight packet's payload as needing resend.
   // Extract (not erase) so the node can be recycled at the end; the node
-  // must stay out of the free list until after the crypto re-send below,
-  // whose frame span borrows info.crypto_data — recycling earlier would
-  // let send_packet assign into the very buffer the span points at.
+  // must stay out of the free list until after requeue_lost_payload's
+  // crypto re-send, whose frame span borrows the node's crypto_data —
+  // recycling earlier would let send_packet assign into the very buffer
+  // the span points at.
   auto nh = sent_.extract(sent_.begin());
-  const PacketNumber pn = nh.key();
-  const SentPacketInfo& info = nh.mapped();
-  bytes_in_flight_ -= std::min(bytes_in_flight_, info.bytes);
-  sampler_.on_packet_lost(pn);
-  for (const StreamRef& ref : info.stream_refs) {
-    send_stream(ref.stream_id).on_range_lost(ref.offset, ref.length, ref.fin);
-    stats_.stream_bytes_retransmitted += ref.length;
-  }
-  if (!info.crypto_data.empty()) {
-    CryptoFrame f;
-    f.data = info.crypto_data;
-    Packet p(&loop_.arena());
-    p.type = PacketType::kInitial;
-    p.conn_id = config_.conn_id;
-    p.frames.emplace_back(f);
-    send_packet(std::move(p), /*bypass_pacer=*/true);
-  }
+  requeue_lost_payload(nh.key(), nh.mapped());
   if (pto_count_ >= 2) {
     cc_->on_retransmission_timeout(now());
     trace_cc_state();

@@ -184,7 +184,11 @@ class Connection {
   void handle_stream(const StreamFrame& frame);
   void detect_losses(PacketNumber largest_acked,
                      std::vector<cc::LostPacket>& lost);
-  void on_packet_lost_internal(PacketNumber pn, const SentPacketInfo& info);
+  /// Takes a lost (or PTO-probed) packet out of flight and queues its
+  /// payload again: stream ranges become resendable, crypto data is
+  /// re-sent at once.  `info` must stay alive until this returns — the
+  /// crypto re-send borrows info.crypto_data.
+  void requeue_lost_payload(PacketNumber pn, const SentPacketInfo& info);
 
   // Timers.
   void arm_pto();
@@ -192,6 +196,8 @@ class Connection {
   void arm_loss_timer(TimeNs when);
   void on_loss_timer();
   void cancel_timer(std::optional<sim::EventId>& id);
+  /// Marks the connection closed and cancels every timer.
+  void mark_closed();
 
   // sent_ node recycling: per-packet tracking reuses extracted map nodes
   // (and the stream_refs/crypto_data capacity inside them), so the

@@ -68,11 +68,6 @@ void EventLoop::reset() {
   next_seq_ = 0;
   now_ = 0;
   arena_.reset();
-  // Scratch objects survive with their capacities; those with a reset
-  // hook reclaim whatever the destroyed callables stranded.
-  for (auto& [key, s] : scratch_) {
-    if (s.reset_fn != nullptr) s.reset_fn(s.ptr.get());
-  }
 }
 
 void EventLoop::sift_up(size_t pos) {

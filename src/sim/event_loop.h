@@ -113,23 +113,19 @@ class EventLoop {
   /// survive session recycling (exp::SessionWorkspace).  The first
   /// scratch<T>() default-constructs the loop's T; later calls return the
   /// same instance.  Contract: a scratch object must hold capacity-only
-  /// state — recycled values have to be fully overwritten before reuse, so
-  /// a reset loop stays indistinguishable from a fresh one.  If T declares
-  /// `void on_loop_reset()`, reset() invokes it (e.g. to reclaim objects
-  /// stranded by cancelled events).
+  /// state — recycled values have to be fully overwritten before reuse,
+  /// and reset() never touches it, so it must not own anything a pending
+  /// event still refers to.  A reset loop then stays indistinguishable
+  /// from a fresh one.
   template <typename T>
   T& scratch() {
     const std::type_index key(typeid(T));
     auto it = scratch_.find(key);
     if (it == scratch_.end()) {
-      Scratch s;
-      s.ptr = ScratchPtr(new T(), [](void* p) { delete static_cast<T*>(p); });
-      if constexpr (requires(T& t) { t.on_loop_reset(); }) {
-        s.reset_fn = [](void* p) { static_cast<T*>(p)->on_loop_reset(); };
-      }
-      it = scratch_.emplace(key, std::move(s)).first;
+      ScratchPtr p(new T(), [](void* v) { delete static_cast<T*>(v); });
+      it = scratch_.emplace(key, std::move(p)).first;
     }
-    return *static_cast<T*>(it->second.ptr.get());
+    return *static_cast<T*>(it->second.get());
   }
 
   /// Tick-scoped bump arena: reset whenever the clock advances, so
@@ -151,10 +147,6 @@ class EventLoop {
     uint32_t heap_pos = 0;  ///< index into heap_; meaningful while pending
   };
   using ScratchPtr = std::unique_ptr<void, void (*)(void*)>;
-  struct Scratch {
-    ScratchPtr ptr{nullptr, [](void*) {}};
-    void (*reset_fn)(void*) = nullptr;
-  };
 
   static constexpr uint32_t slot_of(EventId id) {
     return static_cast<uint32_t>(id);
@@ -196,7 +188,7 @@ class EventLoop {
   /// delivered back (64 starves, forcing fresh allocations every burst).
   util::BufferPool buffers_{256};
   util::Arena arena_;
-  std::unordered_map<std::type_index, Scratch> scratch_;
+  std::unordered_map<std::type_index, ScratchPtr> scratch_;
 };
 
 }  // namespace wira::sim

@@ -5,10 +5,7 @@
 namespace wira::sim {
 
 Link::Link(EventLoop& loop, LinkConfig config, uint64_t seed)
-    : loop_(loop),
-      config_(config),
-      rng_(seed),
-      batches_(loop.scratch<detail::DgramBatchPool>()) {}
+    : loop_(loop), config_(config), rng_(seed) {}
 
 bool Link::roll_loss() {
   const LossModel& m = config_.loss;
@@ -68,45 +65,15 @@ void Link::send(Datagram d) {
   schedule_delivery(std::move(d), arrive);
 }
 
-Link::Batch* Link::acquire_batch() {
-  if (!batches_.free.empty()) {
-    Batch* b = batches_.free.back();
-    batches_.free.pop_back();
-    return b;
-  }
-  batches_.all.push_back(std::make_unique<Batch>());
-  return batches_.all.back().get();
-}
-
 void Link::schedule_delivery(Datagram d, TimeNs arrive) {
-  if (pending_batch_ != nullptr && pending_time_ == arrive) {
-    // Same instant as the batch scheduled last: ride its event.
-    pending_batch_->dgrams.push_back(std::move(d));
-    return;
-  }
-  Batch* b = acquire_batch();
-  b->dgrams.push_back(std::move(d));
-  pending_batch_ = b;
-  pending_time_ = arrive;
-  loop_.schedule_at(arrive, [this, b] {
-    if (pending_batch_ == b) pending_batch_ = nullptr;
-    deliver_batch(b);
-  });
-}
-
-void Link::deliver_batch(Batch* b) {
-  for (const Datagram& d : b->dgrams) {
+  loop_.schedule_at(arrive, [this, d = std::move(d)]() mutable {
     stats_.delivered_packets++;
     stats_.delivered_bytes += d.size;
-  }
-  if (deliver_) deliver_(std::span<Datagram>(b->dgrams));
-  // Whatever buffers the receiver left behind go back into the pool for
-  // the next serialized packets.
-  for (Datagram& d : b->dgrams) {
+    if (deliver_) deliver_(std::span<Datagram>(&d, 1));
+    // Whatever buffer the receiver left behind goes back into the pool
+    // for the next serialized packets.
     loop_.buffers().release(std::move(d.payload));
-  }
-  b->dgrams.clear();
-  batches_.free.push_back(b);
+  });
 }
 
 }  // namespace wira::sim

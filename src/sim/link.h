@@ -4,17 +4,15 @@
 // This is the emulator analogue of the paper's testbed configuration
 // ("8Mbps bandwidth, 3% loss rate, 50ms RTT and 25KB network buffer").
 //
-// Delivery is batched: datagrams arriving at the same simulated instant
-// coalesce into one event and reach the receiver as a single span, so a
-// burst costs one scheduled event instead of one per packet.  Coalescing
-// only joins a datagram onto the most recently scheduled batch and only
-// when the arrival times are exactly equal — arrivals at distinct times
-// keep their own events, preserving (time, insertion-order) semantics.
+// Each surviving datagram is one loop event whose closure owns it (a
+// Datagram fits SmallFn's inline buffer), so delivery follows the loop's
+// (time, insertion-order) semantics: same-instant arrivals reach the
+// receiver in send order, one call each.  A loop reset destroys the
+// pending closures and with them every datagram still in flight.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -60,32 +58,6 @@ struct LinkConfig {
   double duplicate_rate = 0;
 };
 
-namespace detail {
-/// Datagrams sharing one arrival instant (see Link::schedule_delivery).
-struct DgramBatch {
-  std::vector<Datagram> dgrams;
-};
-/// Per-loop batch pool (EventLoop::scratch): shared by every Link on the
-/// loop and persisting across loop resets, so steady-state delivery —
-/// including recycled-workspace sessions — allocates nothing.
-struct DgramBatchPool {
-  std::vector<std::unique_ptr<DgramBatch>> all;  ///< owns every batch
-  std::vector<DgramBatch*> free;
-
-  /// Batches stranded in flight when the loop resets (their delivery
-  /// events were destroyed) rejoin the freelist; their stale payloads are
-  /// dropped — pooled values must never cross sessions.
-  void on_loop_reset() {
-    free.clear();
-    free.reserve(all.size());
-    for (auto& b : all) {
-      b->dgrams.clear();
-      free.push_back(b.get());
-    }
-  }
-};
-}  // namespace detail
-
 struct LinkStats {
   uint64_t delivered_packets = 0;
   uint64_t delivered_bytes = 0;
@@ -96,11 +68,11 @@ struct LinkStats {
 
 class Link {
  public:
-  /// Receives the batch of datagrams arriving at this instant (usually
-  /// one).  The span stays valid only for the duration of the call; after
-  /// it returns, the link reclaims any payload buffers left in place into
-  /// the loop's BufferPool (receivers that keep the bytes simply move the
-  /// payload out).
+  /// Receives one arriving datagram as a span of exactly one.  The span
+  /// stays valid only for the duration of the call; after it returns, the
+  /// link reclaims a payload buffer left in place into the loop's
+  /// BufferPool (receivers that keep the bytes simply move the payload
+  /// out).
   using DeliverFn = std::function<void(std::span<Datagram>)>;
 
   Link(EventLoop& loop, LinkConfig config, uint64_t seed);
@@ -120,14 +92,9 @@ class Link {
   const LinkStats& stats() const { return stats_; }
 
  private:
-  using Batch = detail::DgramBatch;
-
   bool roll_loss();
-  /// Appends to the pending batch when `arrive` matches its instant,
-  /// otherwise opens (and schedules) a new batch.
+  /// Schedules `d`'s arrival at `arrive`: one event owning the datagram.
   void schedule_delivery(Datagram d, TimeNs arrive);
-  void deliver_batch(Batch* b);
-  Batch* acquire_batch();
 
   EventLoop& loop_;
   LinkConfig config_;
@@ -136,9 +103,6 @@ class Link {
   TimeNs busy_until_ = 0;   ///< when the serializer frees up
   uint64_t queued_bytes_ = 0;
   bool ge_bad_state_ = false;
-  detail::DgramBatchPool& batches_;  ///< loop-scoped, shared across links
-  Batch* pending_batch_ = nullptr;  ///< most recently scheduled, not yet run
-  TimeNs pending_time_ = 0;         ///< its arrival instant
   LinkStats stats_;
 };
 

@@ -425,19 +425,6 @@ TEST(EventLoop, ScratchPersistsAcrossReset) {
   EXPECT_EQ(again.items.size(), 100u);  // state untouched by reset
 }
 
-TEST(EventLoop, ScratchResetHookRunsOnEveryReset) {
-  struct Hooked {
-    int resets = 0;
-    void on_loop_reset() { ++resets; }
-  };
-  EventLoop loop;
-  Hooked& hooked = loop.scratch<Hooked>();
-  EXPECT_EQ(hooked.resets, 0);
-  loop.reset();
-  loop.reset();
-  EXPECT_EQ(hooked.resets, 2);
-}
-
 TEST(EventLoop, ScratchIsPerTypeSingleton) {
   struct A {
     int v = 0;

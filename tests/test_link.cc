@@ -1,5 +1,6 @@
 // Unit tests for the emulated link and duplex path: serialization delay,
-// queueing, buffer overflow, and stochastic loss.
+// queueing, buffer overflow, stochastic loss, and one delivery call per
+// datagram.
 #include "sim/link.h"
 
 #include <gtest/gtest.h>
@@ -200,38 +201,66 @@ TEST(Link, DuplicationDeliversTwice) {
   EXPECT_EQ(delivered, 100u);
 }
 
-TEST(Link, SameInstantArrivalsCoalesceIntoOneBatch) {
+TEST(Link, SameInstantArrivalsKeepSendOrder) {
   EventLoop loop;
   LinkConfig cfg;
   cfg.rate = mbps(8'000'000);  // 100-byte tx time rounds to 0 ns
   cfg.delay = milliseconds(5);
   Link link(loop, cfg, 1);
-  std::vector<size_t> batch_sizes;
-  link.set_receiver([&](std::span<Datagram> batch) {
-    batch_sizes.push_back(batch.size());
+  std::vector<size_t> span_sizes;
+  std::vector<uint8_t> tags;
+  std::vector<TimeNs> arrivals;
+  link.set_receiver([&](std::span<Datagram> dgrams) {
+    span_sizes.push_back(dgrams.size());
+    for (const Datagram& d : dgrams) tags.push_back(d.payload[0]);
+    arrivals.push_back(loop.now());
   });
-  for (int i = 0; i < 4; ++i) link.send(make_dgram(100));
+  for (uint8_t tag = 0; tag < 4; ++tag) {
+    Datagram d = make_dgram(100);
+    d.payload[0] = tag;
+    link.send(std::move(d));
+  }
   loop.run();
-  ASSERT_EQ(batch_sizes.size(), 1u);
-  EXPECT_EQ(batch_sizes[0], 4u);
+  EXPECT_EQ(span_sizes, (std::vector<size_t>{1, 1, 1, 1}));
+  EXPECT_EQ(tags, (std::vector<uint8_t>{0, 1, 2, 3}));
+  for (TimeNs t : arrivals) EXPECT_EQ(t, milliseconds(5));
   EXPECT_EQ(link.stats().delivered_packets, 4u);
   EXPECT_EQ(link.stats().delivered_bytes, 400u);
 }
 
-TEST(Link, DistinctArrivalInstantsStaySeparateBatches) {
-  EventLoop loop;
+TEST(Link, LoopResetDropsInFlightDatagrams) {
   LinkConfig cfg;
-  cfg.rate = mbps(8);  // 1 ms per 1000-byte packet: arrivals never collide
+  cfg.rate = mbps(8);  // 1 ms per 1000-byte packet
   cfg.delay = milliseconds(5);
-  Link link(loop, cfg, 1);
-  std::vector<size_t> batch_sizes;
-  link.set_receiver([&](std::span<Datagram> batch) {
-    batch_sizes.push_back(batch.size());
-  });
-  for (int i = 0; i < 3; ++i) link.send(make_dgram(1000));
+  auto arrivals_on = [&](EventLoop& loop) {
+    Link link(loop, cfg, 1);
+    std::vector<TimeNs> arrivals;
+    link.set_receiver([&](std::span<Datagram> dgrams) {
+      for (size_t i = 0; i < dgrams.size(); ++i) {
+        arrivals.push_back(loop.now());
+      }
+    });
+    for (int i = 0; i < 3; ++i) link.send(make_dgram(1000));
+    loop.run();
+    return arrivals;
+  };
+
+  EventLoop loop;
+  Link stale(loop, cfg, 1);
+  size_t stale_calls = 0;
+  stale.set_receiver([&](std::span<Datagram>) { ++stale_calls; });
+  for (int i = 0; i < 3; ++i) stale.send(make_dgram(1000));
+  loop.run_until(milliseconds(2));  // all three still in flight
+  loop.reset();
   loop.run();
-  ASSERT_EQ(batch_sizes.size(), 3u);
-  for (size_t n : batch_sizes) EXPECT_EQ(n, 1u);
+  EXPECT_EQ(stale_calls, 0u);
+  EXPECT_EQ(stale.stats().delivered_packets, 0u);
+
+  EventLoop fresh;
+  const std::vector<TimeNs> expected = arrivals_on(fresh);
+  ASSERT_EQ(expected.size(), 3u);
+  EXPECT_EQ(expected[0], milliseconds(6));
+  EXPECT_EQ(arrivals_on(loop), expected);
 }
 
 TEST(Path, TestbedMatchesPaperParameters) {

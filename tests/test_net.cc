@@ -40,14 +40,6 @@ TEST(Clock, MonotonicNeverGoesBackwards) {
   EXPECT_GE(clock.now(), b);
 }
 
-TEST(Clock, LoopClockReadsTheLoop) {
-  sim::EventLoop loop;
-  const LoopClock clock(loop);
-  EXPECT_EQ(clock.now(), 0);
-  loop.run_until(milliseconds(5));
-  EXPECT_EQ(clock.now(), milliseconds(5));
-}
-
 TEST(EventLoopTimerWheel, NextEventTimeTracksScheduleAndCancel) {
   sim::EventLoop loop;
   EXPECT_EQ(loop.next_event_time(), sim::EventLoop::kNoEvent);

@@ -1,5 +1,5 @@
-// Loss-recovery timing behaviour: PTO under blackholes, ack-delay
-// batching, and recovery after the path heals — driven by mutating link
+// Loss-recovery timing behaviour: PTO under blackholes, the delayed-ACK
+// timer, and recovery after the path heals — driven by mutating link
 // conditions mid-run.
 #include <gtest/gtest.h>
 

@@ -24,7 +24,8 @@ cmake --build "${build_dir}" -j "$(nproc)" --target soak
 
 # halt_on_error keeps UBSan failures fatal so ctest sees them; ASan is
 # fatal by default.  detect_leaks stays on: the arena owns its blocks and
-# the batch pool owns batches, so a leak report means ownership drifted.
+# each in-flight datagram is owned by its link delivery event, so a leak
+# report means ownership drifted.
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export ASAN_OPTIONS="detect_leaks=1"
 
