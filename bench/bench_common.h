@@ -3,6 +3,8 @@
 // Every binary accepts an optional first argument overriding the number of
 // Monte-Carlo sessions (default kDefaultSessions) and an optional second
 // argument overriding the seed, so `./fig11_overall 2000 7` scales the run.
+//
+// Dispatch flags (parse_dispatch_flag; soak parses the same set):
 // `--threads N` shards the session sweep over worker threads; `--procs N`
 // over forked worker processes instead, which also contains crashes.
 // Either way the output is identical at any worker count (sessions are
@@ -11,7 +13,9 @@
 // exp::PopulationConfig::processes).  `--chunk N` (N >= 1) sets the
 // dispatch chunk size; `--workers host:port,...` dispatches the sweep to
 // running wira_workerd daemons over TCP instead of forking — output stays
-// byte-identical at any worker topology.
+// byte-identical at any worker topology.  run_with_obs applies them to
+// every sweep it runs, so every sweep binary honours them; a dead shard
+// without --retry-dead-shards ends the run with "error: ..." and exit 3.
 //
 // Observability flags (PR 2):
 //   --metrics-out FILE   write one JSONL line per (session, scheme) with
@@ -39,9 +43,8 @@ namespace wira::bench {
 
 inline constexpr size_t kDefaultSessions = 250;
 
-struct Args {
-  size_t sessions = kDefaultSessions;
-  uint64_t seed = 1;
+/// The dispatch flags every sweep binary and soak accept.
+struct DispatchArgs {
   /// Worker threads: 1 = serial, 0 = one per hardware thread.
   size_t threads = 1;
   /// Worker processes: 1 = in-process, 0 = one per hardware thread.
@@ -56,6 +59,11 @@ struct Args {
   int connect_timeout_ms = 5000;
   /// Salvage + re-run sessions lost to a dead worker process.
   bool retry_dead_shards = false;
+};
+
+struct Args : DispatchArgs {
+  size_t sessions = kDefaultSessions;
+  uint64_t seed = 1;
   /// Per-session JSONL metrics file; empty = metrics collection off.
   std::string metrics_out;
   /// Dump a full qlog of every Nth session (0 = off) into trace_dir.
@@ -86,10 +94,14 @@ inline bool parse_u64(const char* s, uint64_t* out) {
   std::exit(2);
 }
 
+/// Reports a usage error for argv[0] and exits 2.
+using UsageFn = void (*)(const char* prog, const char* msg);
+
 /// Extracts the value of `--name VALUE` / `--name=VALUE` style flags.
-/// Returns nullptr when argv[*i] is not this flag; exits on missing value.
+/// Returns nullptr when argv[*i] is not this flag; a missing value goes
+/// to `usage`.
 inline const char* flag_value(const char* name, int argc, char** argv,
-                              int* i) {
+                              int* i, UsageFn usage = usage_error) {
   const size_t len = std::strlen(name);
   const char* arg = argv[*i];
   if (std::strncmp(arg, name, len) != 0) return nullptr;
@@ -98,9 +110,58 @@ inline const char* flag_value(const char* name, int argc, char** argv,
   if (++*i >= argc) {
     std::string msg(name);
     msg += " needs a value";
-    usage_error(argv[0], msg.c_str());
+    usage(argv[0], msg.c_str());
   }
   return argv[*i];
+}
+
+/// Consumes argv[*i] when it is a dispatch flag, sending a bad value to
+/// `usage`.  Returns false for any other argument.
+inline bool parse_dispatch_flag(int argc, char** argv, int* i,
+                                DispatchArgs* d, UsageFn usage) {
+  uint64_t v = 0;
+  if (const char* val = flag_value("--threads", argc, argv, i, usage)) {
+    // 0 is meaningful here: auto-detect hardware threads.
+    if (!parse_u64(val, &v)) {
+      usage(argv[0], "--threads must be a non-negative integer");
+    }
+    d->threads = static_cast<size_t>(v);
+    return true;
+  }
+  if (const char* val = flag_value("--procs", argc, argv, i, usage)) {
+    // 0 is meaningful here too: one worker per hardware thread.
+    if (!parse_u64(val, &v)) {
+      usage(argv[0], "--procs must be a non-negative integer");
+    }
+    d->procs = static_cast<size_t>(v);
+    return true;
+  }
+  if (const char* val = flag_value("--chunk", argc, argv, i, usage)) {
+    if (!parse_u64(val, &v) || v == 0) {
+      usage(argv[0], "--chunk must be a positive integer");
+    }
+    d->chunk = static_cast<size_t>(v);
+    return true;
+  }
+  if (const char* val = flag_value("--workers", argc, argv, i, usage)) {
+    if (*val == '\0') usage(argv[0], "--workers needs host:port,...");
+    d->workers = val;
+    return true;
+  }
+  if (const char* val =
+          flag_value("--connect-timeout-ms", argc, argv, i, usage)) {
+    // 0 is meaningful: fall back to the kernel's own connect timeout.
+    if (!parse_u64(val, &v) || v > 3600000) {
+      usage(argv[0], "--connect-timeout-ms must be an integer (0-3600000)");
+    }
+    d->connect_timeout_ms = static_cast<int>(v);
+    return true;
+  }
+  if (std::strcmp(argv[*i], "--retry-dead-shards") == 0) {
+    d->retry_dead_shards = true;
+    return true;
+  }
+  return false;
 }
 
 inline Args parse_args(int argc, char** argv) {
@@ -108,53 +169,7 @@ inline Args parse_args(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (const char* val = flag_value("--threads", argc, argv, &i)) {
-      uint64_t v = 0;
-      // 0 is meaningful here: auto-detect hardware threads.
-      if (!parse_u64(val, &v)) {
-        usage_error(argv[0], "--threads must be a non-negative integer");
-      }
-      a.threads = static_cast<size_t>(v);
-      continue;
-    }
-    if (const char* val = flag_value("--procs", argc, argv, &i)) {
-      uint64_t v = 0;
-      // 0 is meaningful here too: one worker per hardware thread.
-      if (!parse_u64(val, &v)) {
-        usage_error(argv[0], "--procs must be a non-negative integer");
-      }
-      a.procs = static_cast<size_t>(v);
-      continue;
-    }
-    if (const char* val = flag_value("--chunk", argc, argv, &i)) {
-      uint64_t v = 0;
-      if (!parse_u64(val, &v) || v == 0) {
-        usage_error(argv[0], "--chunk must be a positive integer");
-      }
-      a.chunk = static_cast<size_t>(v);
-      continue;
-    }
-    if (const char* val = flag_value("--workers", argc, argv, &i)) {
-      if (*val == '\0') {
-        usage_error(argv[0], "--workers needs host:port,...");
-      }
-      a.workers = val;
-      continue;
-    }
-    if (const char* val = flag_value("--connect-timeout-ms", argc, argv, &i)) {
-      uint64_t v = 0;
-      // 0 is meaningful: fall back to the kernel's own connect timeout.
-      if (!parse_u64(val, &v) || v > 3600000) {
-        usage_error(argv[0],
-                    "--connect-timeout-ms must be an integer (0-3600000)");
-      }
-      a.connect_timeout_ms = static_cast<int>(v);
-      continue;
-    }
-    if (std::strcmp(arg, "--retry-dead-shards") == 0) {
-      a.retry_dead_shards = true;
-      continue;
-    }
+    if (parse_dispatch_flag(argc, argv, &i, &a, usage_error)) continue;
     if (const char* val = flag_value("--metrics-out", argc, argv, &i)) {
       if (*val == '\0') usage_error(argv[0], "--metrics-out needs a path");
       a.metrics_out = val;
@@ -214,26 +229,32 @@ inline std::vector<std::string> split_endpoints(const std::string& csv) {
   }
 }
 
+/// Copies the dispatch flags into `cfg`.
+inline void apply_dispatch(const DispatchArgs& d, exp::PopulationConfig* cfg) {
+  cfg->threads = d.threads;
+  cfg->processes = d.procs;
+  cfg->chunk = d.chunk;
+  cfg->workers = split_endpoints(d.workers);
+  cfg->connect_timeout_ms = d.connect_timeout_ms;
+  cfg->retry_dead_shards = d.retry_dead_shards;
+}
+
 inline exp::PopulationConfig default_population(const Args& a) {
   exp::PopulationConfig cfg;
   cfg.sessions = a.sessions;
   cfg.seed = a.seed;
-  cfg.threads = a.threads;
-  cfg.processes = a.procs;
-  cfg.chunk = a.chunk;
-  cfg.workers = split_endpoints(a.workers);
-  cfg.connect_timeout_ms = a.connect_timeout_ms;
-  cfg.retry_dead_shards = a.retry_dead_shards;
   cfg.collect_metrics = !a.metrics_out.empty();
   cfg.trace_sample = a.trace_sample;
   cfg.trace_dir = a.trace_dir;
   return cfg;
 }
 
-/// Runs the population sweep and honours the observability flags: when
-/// --metrics-out was given, writes the per-session JSONL (post-join, index
-/// order — byte-identical at any thread count).  All fig/abl binaries go
-/// through this instead of calling run_population directly.
+/// Runs the population sweep with the dispatch flags applied and honours
+/// the observability flags: when --metrics-out was given, writes the
+/// per-session JSONL (post-join, index order — byte-identical at any
+/// thread count).  A dead shard (retry off) prints "error: <what>" and
+/// exits 3.  All fig/abl binaries go through this instead of calling
+/// run_population directly.
 inline std::vector<exp::SessionRecord> run_with_obs(
     exp::PopulationConfig cfg, const Args& a,
     obs::MetricsRegistry* registry = nullptr) {
@@ -246,7 +267,14 @@ inline std::vector<exp::SessionRecord> run_with_obs(
   cfg.collect_metrics = true;
   if (cfg.trace_sample == 0) cfg.trace_sample = a.trace_sample;
   cfg.trace_dir = a.trace_dir;
-  auto records = exp::run_population(cfg, registry);
+  apply_dispatch(a, &cfg);
+  std::vector<exp::SessionRecord> records;
+  try {
+    records = exp::run_population(cfg, registry);
+  } catch (const exp::PopulationShardError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(3);
+  }
   if (!a.metrics_out.empty()) {
     const int run = run_counter++;
     std::ofstream os(a.metrics_out,

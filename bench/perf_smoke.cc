@@ -104,11 +104,12 @@ std::vector<uint8_t> record_bytes(const std::vector<SessionRecord>& records) {
 int main(int argc, char** argv) {
   const bench::Args args = bench::parse_args(argc, argv);
   auto cfg = bench::default_population(args);
+  bench::apply_dispatch(args, &cfg);
 
   const size_t par_threads =
       args.threads == 1 ? std::thread::hardware_concurrency() : args.threads;
 
-  // default_population copies --procs/--workers into the config; only the
+  // apply_dispatch copies --procs/--workers into the config; only the
   // multiprocess pass below may shard, or every in-process pass would
   // silently measure the sharded runner instead.
   const std::vector<std::string> endpoints = std::move(cfg.workers);

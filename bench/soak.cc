@@ -33,14 +33,10 @@ using exp::PopulationConfig;
 
 namespace {
 
-struct SoakArgs {
+struct SoakArgs : bench::DispatchArgs {
   size_t sessions = 20'000;
   size_t flush_every = 10'000;
   uint64_t seed = 1;
-  size_t threads = 1;
-  size_t procs = 1;
-  size_t chunk = PopulationConfig{}.chunk;  ///< dispatch chunk (>= 1)
-  std::string workers;   ///< comma-separated wira_workerd endpoints
   std::string flush_out = "soak_flush.jsonl";
   std::string anomaly_dir;
   uint64_t anomaly_ffct_ms = 0;  ///< 0 = FFCT trigger disabled
@@ -51,6 +47,7 @@ struct SoakArgs {
                "error: %s\nusage: %s [sessions] [seed] [--sessions N] "
                "[--flush-every N] [--seed N] [--threads N] [--procs N] "
                "[--chunk N] [--workers host:port,...] "
+               "[--connect-timeout-ms N] [--retry-dead-shards] "
                "[--flush-out FILE] [--anomaly-dir DIR] "
                "[--anomaly-ffct-ms N]\n",
                msg, prog);
@@ -61,8 +58,10 @@ SoakArgs parse_soak_args(int argc, char** argv) {
   SoakArgs a;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
+    if (bench::parse_dispatch_flag(argc, argv, &i, &a, soak_usage)) continue;
     uint64_t v = 0;
-    if (const char* val = bench::flag_value("--sessions", argc, argv, &i)) {
+    if (const char* val =
+            bench::flag_value("--sessions", argc, argv, &i, soak_usage)) {
       if (!bench::parse_u64(val, &v) || v == 0) {
         soak_usage(argv[0], "--sessions must be a positive integer");
       }
@@ -70,61 +69,35 @@ SoakArgs parse_soak_args(int argc, char** argv) {
       continue;
     }
     if (const char* val =
-            bench::flag_value("--flush-every", argc, argv, &i)) {
+            bench::flag_value("--flush-every", argc, argv, &i, soak_usage)) {
       if (!bench::parse_u64(val, &v) || v == 0) {
         soak_usage(argv[0], "--flush-every must be a positive integer");
       }
       a.flush_every = static_cast<size_t>(v);
       continue;
     }
-    if (const char* val = bench::flag_value("--seed", argc, argv, &i)) {
+    if (const char* val =
+            bench::flag_value("--seed", argc, argv, &i, soak_usage)) {
       if (!bench::parse_u64(val, &v) || v == 0) {
         soak_usage(argv[0], "--seed must be a positive integer");
       }
       a.seed = v;
       continue;
     }
-    if (const char* val = bench::flag_value("--threads", argc, argv, &i)) {
-      if (!bench::parse_u64(val, &v)) {
-        soak_usage(argv[0], "--threads must be a non-negative integer");
-      }
-      a.threads = static_cast<size_t>(v);
-      continue;
-    }
-    if (const char* val = bench::flag_value("--procs", argc, argv, &i)) {
-      if (!bench::parse_u64(val, &v)) {
-        soak_usage(argv[0], "--procs must be a non-negative integer");
-      }
-      a.procs = static_cast<size_t>(v);
-      continue;
-    }
-    if (const char* val = bench::flag_value("--chunk", argc, argv, &i)) {
-      if (!bench::parse_u64(val, &v) || v == 0) {
-        soak_usage(argv[0], "--chunk must be a positive integer");
-      }
-      a.chunk = static_cast<size_t>(v);
-      continue;
-    }
-    if (const char* val = bench::flag_value("--workers", argc, argv, &i)) {
-      if (*val == '\0') {
-        soak_usage(argv[0], "--workers needs host:port,...");
-      }
-      a.workers = val;
-      continue;
-    }
-    if (const char* val = bench::flag_value("--flush-out", argc, argv, &i)) {
+    if (const char* val =
+            bench::flag_value("--flush-out", argc, argv, &i, soak_usage)) {
       if (*val == '\0') soak_usage(argv[0], "--flush-out needs a path");
       a.flush_out = val;
       continue;
     }
     if (const char* val =
-            bench::flag_value("--anomaly-dir", argc, argv, &i)) {
+            bench::flag_value("--anomaly-dir", argc, argv, &i, soak_usage)) {
       if (*val == '\0') soak_usage(argv[0], "--anomaly-dir needs a path");
       a.anomaly_dir = val;
       continue;
     }
-    if (const char* val =
-            bench::flag_value("--anomaly-ffct-ms", argc, argv, &i)) {
+    if (const char* val = bench::flag_value("--anomaly-ffct-ms", argc, argv,
+                                            &i, soak_usage)) {
       if (!bench::parse_u64(val, &v) || v == 0) {
         soak_usage(argv[0], "--anomaly-ffct-ms must be a positive integer");
       }
@@ -230,10 +203,7 @@ int main(int argc, char** argv) {
   PopulationConfig cfg;
   cfg.sessions = args.sessions;
   cfg.seed = args.seed;
-  cfg.threads = args.threads;
-  cfg.processes = args.procs;
-  cfg.chunk = args.chunk;
-  cfg.workers = bench::split_endpoints(args.workers);
+  bench::apply_dispatch(args, &cfg);
   cfg.anomaly_dir = args.anomaly_dir;
   if (args.anomaly_ffct_ms > 0) {
     cfg.anomaly_ffct =

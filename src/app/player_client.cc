@@ -3,6 +3,14 @@
 #include <string_view>
 
 namespace wira::app {
+namespace {
+
+/// Receive gap while streaming at or above this duration is surfaced as a
+/// wira:stall_observed trace event (client-vantage qlog only; never
+/// affects metrics).
+constexpr TimeNs kStallThreshold = milliseconds(250);
+
+}  // namespace
 
 PlayerClient::PlayerClient(sim::EventLoop& loop, ClientConfig config,
                            ClientCache& cache, SendFn send)
@@ -82,7 +90,7 @@ void PlayerClient::on_stream_data(std::span<const uint8_t> data) {
   // *resumes*, so the event carries the gap it just ended.
   if (tracer_ != nullptr && last_data_at_ != kNoTime && !data.empty()) {
     const TimeNs gap = loop_.now() - last_data_at_;
-    if (gap >= config_.stall_threshold) {
+    if (gap >= kStallThreshold) {
       trace(trace::EventType::kStallObserved,
             static_cast<uint64_t>(gap / 1000),
             metrics_.total_bytes_received, "recv_gap");

@@ -40,10 +40,6 @@ struct ClientConfig {
   uint32_t track_frames = 4;
   /// Container the requested stream is delivered in (selects the demuxer).
   media::Container container = media::Container::kFlv;
-  /// Receive gap while streaming at or above this duration is surfaced as
-  /// a wira:stall_observed trace event (client-vantage qlog only; never
-  /// affects metrics).
-  TimeNs stall_threshold = milliseconds(250);
 };
 
 class PlayerClient {

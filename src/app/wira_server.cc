@@ -6,6 +6,12 @@
 #include "util/logging.h"
 
 namespace wira::app {
+namespace {
+
+/// Proxy<->origin throughput; staggers join-burst chunk arrivals.
+constexpr Bandwidth kOriginBandwidth = mbps(200);
+
+}  // namespace
 
 WiraServer::WiraServer(sim::EventLoop& loop, const media::LiveStream& stream,
                        ServerConfig config, SendFn send)
@@ -133,7 +139,7 @@ void WiraServer::start_streaming() {
   TimeNs arrival = loop_.now() + config_.origin_latency;
   stream_.join_chunks(join_time_, chunk_scratch_, &loop_.buffers());
   for (media::StreamChunk& chunk : chunk_scratch_) {
-    arrival += transfer_time(chunk.bytes.size(), config_.origin_bandwidth);
+    arrival += transfer_time(chunk.bytes.size(), kOriginBandwidth);
     loop_.schedule_at(arrival, [this, c = std::move(chunk)]() mutable {
       deliver_from_origin(std::move(c));
     });

@@ -41,8 +41,6 @@ struct ServerConfig {
   /// proxy and stream bytes arriving from the origin.  Non-zero values
   /// exercise corner case 1 (FF_Size parsed after the first bytes ship).
   TimeNs origin_latency = milliseconds(5);
-  /// Proxy<->origin throughput; staggers join-burst chunk arrivals.
-  Bandwidth origin_bandwidth = mbps(200);
   /// Stop producing live frames after this stream-time horizon.
   TimeNs stream_horizon = seconds(12);
   /// Testbed override: fixed init_cwnd/init_pacing instead of the Table-I

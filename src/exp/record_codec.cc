@@ -1,40 +1,16 @@
 #include "exp/record_codec.h"
 
+#include <unistd.h>
+
 #include <bit>
+#include <cerrno>
 #include <cstring>
+#include <map>
+#include <string>
 
 #include "obs/phase_timeline.h"
 
 namespace wira::exp {
-
-namespace {
-
-/// Phase names are static literals (obs::kPhaseNames); spans travel as an
-/// index so the decoded PhaseSpan::name pointer is valid forever.  0xFE
-/// encodes the empty default name.
-constexpr uint8_t kEmptyPhaseName = 0xFE;
-
-bool phase_name_index(const char* name, uint8_t* out) {
-  if (name == nullptr || *name == '\0') {
-    *out = kEmptyPhaseName;
-    return true;
-  }
-  for (size_t i = 0; i < obs::kNumPhases; ++i) {
-    if (std::strcmp(name, obs::kPhaseNames[i]) == 0) {
-      *out = static_cast<uint8_t>(i);
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* phase_name_from_index(uint8_t idx) {
-  if (idx == kEmptyPhaseName) return "";
-  if (idx < obs::kNumPhases) return obs::kPhaseNames[idx];
-  return nullptr;
-}
-
-}  // namespace
 
 uint64_t fnv1a64(std::span<const uint8_t> data) {
   uint64_t h = 0xcbf29ce484222325ull;
@@ -135,246 +111,259 @@ bool CodecReader::str(std::string* s) {
 
 // ---- value codecs -------------------------------------------------------
 
-void encode_hxqos_record(const core::HxQosRecord& r, CodecWriter& w) {
-  w.i64(r.min_rtt);
-  w.u64(r.max_bw);
-  w.i64(r.server_timestamp);
-  w.u64(r.od_key);
-  w.f64(r.loss_rate);
+namespace {
+
+/// Phase names are static literals (obs::kPhaseNames); spans travel as an
+/// index so the decoded PhaseSpan::name pointer is valid forever.  0xFE
+/// encodes the empty default name.
+constexpr uint8_t kEmptyPhaseName = 0xFE;
+
+/// Writes each field by its C++ type: bool -> u8, uint32 -> u32,
+/// uint64/size_t -> u64, TimeNs/int -> i64, double -> f64, string -> str.
+class Encoder {
+ public:
+  explicit Encoder(CodecWriter& w) : w_(w) {}
+
+  void operator()(bool v) { w_.boolean(v); }
+  void operator()(uint8_t v) { w_.u8(v); }
+  void operator()(uint32_t v) { w_.u32(v); }
+  void operator()(uint64_t v) { w_.u64(v); }
+  void operator()(int64_t v) { w_.i64(v); }
+  void operator()(int v) { w_.i64(v); }
+  void operator()(double v) { w_.f64(v); }
+  void operator()(const std::string& v) { w_.str(v); }
+
+  /// u32 count, then each element through `each(*this, element)`.
+  template <typename T, typename Each>
+  void seq(const std::vector<T>& xs, Each each) {
+    w_.u32(static_cast<uint32_t>(xs.size()));
+    for (const T& x : xs) each(*this, x);
+  }
+
+  /// u32 count, then `each(*this, key, value)` per entry in key order.
+  template <typename K, typename T, typename Each>
+  void map(const std::map<K, T>& m, Each each) {
+    w_.u32(static_cast<uint32_t>(m.size()));
+    for (const auto& [key, value] : m) each(*this, key, value);
+  }
+
+  /// An enum as its `Wire`-typed value.
+  template <typename Wire, typename E>
+  void enumeration(E e, E /*max*/) {
+    (*this)(static_cast<Wire>(e));
+  }
+
+  /// Unknown names cannot round-trip to a stable pointer; they travel as
+  /// the empty name rather than as a dangling char*.
+  void phase_name(const char* name) {
+    uint8_t idx = kEmptyPhaseName;
+    for (size_t i = 0; name != nullptr && i < obs::kNumPhases; ++i) {
+      if (std::strcmp(name, obs::kPhaseNames[i]) == 0) {
+        idx = static_cast<uint8_t>(i);
+      }
+    }
+    w_.u8(idx);
+  }
+
+ private:
+  CodecWriter& w_;
+};
+
+/// Reads what Encoder wrote.  A short read, an out-of-range enum or phase
+/// index, or a repeated map key latches the reader's failed().
+class Decoder {
+ public:
+  explicit Decoder(CodecReader& r) : r_(r) {}
+
+  bool ok() const { return !r_.failed(); }
+
+  void operator()(bool& v) { r_.boolean(&v); }
+  void operator()(uint8_t& v) { r_.u8(&v); }
+  void operator()(uint32_t& v) { r_.u32(&v); }
+  void operator()(uint64_t& v) { r_.u64(&v); }
+  void operator()(int64_t& v) { r_.i64(&v); }
+  void operator()(int& v) {
+    int64_t wide = 0;
+    r_.i64(&wide);
+    v = static_cast<int>(wide);
+  }
+  void operator()(double& v) { r_.f64(&v); }
+  void operator()(std::string& v) { r_.str(&v); }
+
+  template <typename T, typename Each>
+  void seq(std::vector<T>& xs, Each each) {
+    uint32_t n = 0;
+    r_.u32(&n);
+    xs.clear();
+    for (uint32_t i = 0; i < n && ok(); ++i) {
+      each(*this, xs.emplace_back());
+    }
+  }
+
+  template <typename K, typename T, typename Each>
+  void map(std::map<K, T>& m, Each each) {
+    uint32_t n = 0;
+    r_.u32(&n);
+    m.clear();
+    for (uint32_t i = 0; i < n && ok(); ++i) {
+      K key{};
+      T value{};
+      each(*this, key, value);
+      if (ok() && !m.emplace(key, std::move(value)).second) r_.fail();
+    }
+  }
+
+  template <typename Wire, typename E>
+  void enumeration(E& e, E max) {
+    Wire v = 0;
+    (*this)(v);
+    if (v > static_cast<Wire>(max)) r_.fail();
+    e = static_cast<E>(v);
+  }
+
+  void phase_name(const char*& name) {
+    uint8_t idx = 0;
+    r_.u8(&idx);
+    name = idx < obs::kNumPhases ? obs::kPhaseNames[idx] : "";
+    if (idx >= obs::kNumPhases && idx != kEmptyPhaseName) r_.fail();
+  }
+
+ private:
+  CodecReader& r_;
+};
+
+// One field list per type, in wire order, walked by both Encoder (R
+// const) and Decoder.  A layout change is made here and nowhere else, and
+// it bumps kRecordCodecVersion.
+
+template <typename V, typename R>
+void walk_result(V& v, R& res) {
+  v(res.first_frame_completed);
+  v(res.ffct);
+  v(res.fflr);
+  v.seq(res.frames, [](V& v, auto& f) {
+    v(f.completion);
+    v(f.loss_rate);
+  });
+  v(res.zero_rtt);
+  v(res.ff_size);
+  v(res.init.init_cwnd);
+  v(res.init.init_pacing);
+  v(res.init.used_ff_size);
+  v(res.init.used_hx_qos);
+  v(res.init.hx_stale);
+  v(res.init.ff_pending);
+  auto& stats = res.server_stats;
+  v(stats.packets_sent);
+  v(stats.data_packets_sent);
+  v(stats.packets_received);
+  v(stats.packets_acked);
+  v(stats.packets_lost);
+  v(stats.ptos_fired);
+  v(stats.bytes_sent);
+  v(stats.stream_bytes_sent);
+  v(stats.stream_bytes_retransmitted);
+  v(stats.handshake_rtt);
+  v(res.retransmission_ratio);
+  v(res.cookies_synced);
+  v(res.client_cookies_received);
+  v.seq(res.phases, [](V& v, auto& span) {
+    v.phase_name(span.name);
+    v(span.begin);
+    v(span.end);
+  });
+  v(res.cwnd_fallback);
+  v(res.zero_rtt_rejected);
+  v(res.arena_bytes);
+  v(stats.packets_undecodable);  // v2
 }
 
-bool decode_hxqos_record(CodecReader& r, core::HxQosRecord* out) {
-  return r.i64(&out->min_rtt) && r.u64(&out->max_bw) &&
-         r.i64(&out->server_timestamp) && r.u64(&out->od_key) &&
-         r.f64(&out->loss_rate);
+template <typename V, typename R>
+void walk_record(V& v, R& rec) {
+  v(rec.conditions.min_rtt);
+  v(rec.conditions.max_bw);
+  v(rec.conditions.loss_rate);
+  v(rec.conditions.buffer_bytes);
+  v(rec.cookie_age);
+  v(rec.zero_rtt);
+  v(rec.had_cookie);
+  v(rec.ff_size);
+  v(rec.trace_open_failures);
+  v.map(rec.results, [](V& v, auto& scheme, auto& res) {
+    v.template enumeration<uint32_t>(scheme, core::Scheme::kWiraPlus);
+    walk_result(v, res);
+  });
+  // v2: flight-recorder anomaly-trigger counts.
+  v(rec.anomaly_stall_dumps);
+  v(rec.anomaly_corner_dumps);
+  v(rec.anomaly_decode_dumps);
+  v(rec.anomaly_ffct_dumps);
 }
+
+template <typename V, typename R>
+void walk_config(V& v, R& c) {
+  v(c.seed);
+  v(c.sessions);
+  v(c.num_groups);
+  v(c.p_zero_rtt);
+  v(c.p_cookie);
+  v.seq(c.schemes, [](V& v, auto& s) {
+    v.template enumeration<uint32_t>(s, core::Scheme::kWiraPlus);
+  });
+  v(c.defaults.init_cwnd_exp);
+  v(c.defaults.init_rtt_exp);
+  v(c.staleness_threshold);
+  v(c.theta_vf);
+  v.template enumeration<uint8_t>(c.cc_algo, cc::CcAlgo::kCubic);
+  v(c.sync_period);
+  v(c.careful_resume);
+  v.template enumeration<uint8_t>(c.container, media::Container::kMpegTs);
+  v(c.collect_metrics);
+  v(c.trace_sample);
+  v(c.trace_dir);
+  v(c.flight_recorder);
+  v(c.anomaly_dir);
+  v(c.anomaly_ffct);
+  v(c.anomaly_max_dumps);
+  v(c.fail_at_index);
+  v(c.kill_at_index);
+  v(c.crash_after_index);
+  v(c.crash_after_signal);
+}
+
+}  // namespace
 
 void encode_session_result(const SessionResult& res, CodecWriter& w) {
-  w.boolean(res.first_frame_completed);
-  w.i64(res.ffct);
-  w.f64(res.fflr);
-  w.u32(static_cast<uint32_t>(res.frames.size()));
-  for (const FrameStat& f : res.frames) {
-    w.i64(f.completion);
-    w.f64(f.loss_rate);
-  }
-  w.boolean(res.zero_rtt);
-  w.u64(res.ff_size);
-  w.u64(res.init.init_cwnd);
-  w.u64(res.init.init_pacing);
-  w.boolean(res.init.used_ff_size);
-  w.boolean(res.init.used_hx_qos);
-  w.boolean(res.init.hx_stale);
-  w.boolean(res.init.ff_pending);
-  w.u64(res.server_stats.packets_sent);
-  w.u64(res.server_stats.data_packets_sent);
-  w.u64(res.server_stats.packets_received);
-  w.u64(res.server_stats.packets_acked);
-  w.u64(res.server_stats.packets_lost);
-  w.u64(res.server_stats.ptos_fired);
-  w.u64(res.server_stats.bytes_sent);
-  w.u64(res.server_stats.stream_bytes_sent);
-  w.u64(res.server_stats.stream_bytes_retransmitted);
-  w.i64(res.server_stats.handshake_rtt);
-  w.f64(res.retransmission_ratio);
-  w.u64(res.cookies_synced);
-  w.u64(res.client_cookies_received);
-  w.u32(static_cast<uint32_t>(res.phases.size()));
-  for (const obs::PhaseSpan& span : res.phases) {
-    uint8_t idx = 0;
-    // Unknown names cannot round-trip to a stable pointer; encode as
-    // empty rather than shipping a dangling char*.
-    if (!phase_name_index(span.name, &idx)) idx = kEmptyPhaseName;
-    w.u8(idx);
-    w.i64(span.begin);
-    w.i64(span.end);
-  }
-  w.boolean(res.cwnd_fallback);
-  w.boolean(res.zero_rtt_rejected);
-  w.u64(res.arena_bytes);
-  w.u64(res.server_stats.packets_undecodable);  // appended in v2
+  Encoder e(w);
+  walk_result(e, res);
 }
 
 bool decode_session_result(CodecReader& r, SessionResult* out) {
-  if (!r.boolean(&out->first_frame_completed) || !r.i64(&out->ffct) ||
-      !r.f64(&out->fflr)) {
-    return false;
-  }
-  uint32_t n_frames = 0;
-  if (!r.u32(&n_frames)) return false;
-  out->frames.clear();
-  for (uint32_t i = 0; i < n_frames; ++i) {
-    FrameStat f;
-    if (!r.i64(&f.completion) || !r.f64(&f.loss_rate)) return false;
-    out->frames.push_back(f);
-  }
-  if (!r.boolean(&out->zero_rtt) || !r.u64(&out->ff_size) ||
-      !r.u64(&out->init.init_cwnd) || !r.u64(&out->init.init_pacing) ||
-      !r.boolean(&out->init.used_ff_size) ||
-      !r.boolean(&out->init.used_hx_qos) ||
-      !r.boolean(&out->init.hx_stale) ||
-      !r.boolean(&out->init.ff_pending) ||
-      !r.u64(&out->server_stats.packets_sent) ||
-      !r.u64(&out->server_stats.data_packets_sent) ||
-      !r.u64(&out->server_stats.packets_received) ||
-      !r.u64(&out->server_stats.packets_acked) ||
-      !r.u64(&out->server_stats.packets_lost) ||
-      !r.u64(&out->server_stats.ptos_fired) ||
-      !r.u64(&out->server_stats.bytes_sent) ||
-      !r.u64(&out->server_stats.stream_bytes_sent) ||
-      !r.u64(&out->server_stats.stream_bytes_retransmitted) ||
-      !r.i64(&out->server_stats.handshake_rtt) ||
-      !r.f64(&out->retransmission_ratio) || !r.u64(&out->cookies_synced) ||
-      !r.u64(&out->client_cookies_received)) {
-    return false;
-  }
-  uint32_t n_phases = 0;
-  if (!r.u32(&n_phases)) return false;
-  out->phases.clear();
-  for (uint32_t i = 0; i < n_phases; ++i) {
-    uint8_t idx = 0;
-    obs::PhaseSpan span;
-    if (!r.u8(&idx) || !r.i64(&span.begin) || !r.i64(&span.end)) {
-      return false;
-    }
-    span.name = phase_name_from_index(idx);
-    if (span.name == nullptr) return false;
-    out->phases.push_back(span);
-  }
-  return r.boolean(&out->cwnd_fallback) &&
-         r.boolean(&out->zero_rtt_rejected) && r.u64(&out->arena_bytes) &&
-         r.u64(&out->server_stats.packets_undecodable);
+  Decoder d(r);
+  walk_result(d, *out);
+  return d.ok();
 }
 
 void encode_session_record(const SessionRecord& rec, CodecWriter& w) {
-  w.i64(rec.conditions.min_rtt);
-  w.u64(rec.conditions.max_bw);
-  w.f64(rec.conditions.loss_rate);
-  w.u64(rec.conditions.buffer_bytes);
-  w.i64(rec.cookie_age);
-  w.boolean(rec.zero_rtt);
-  w.boolean(rec.had_cookie);
-  w.u64(rec.ff_size);
-  w.u64(rec.trace_open_failures);
-  w.u32(static_cast<uint32_t>(rec.results.size()));
-  for (const auto& [scheme, res] : rec.results) {
-    w.u32(static_cast<uint32_t>(scheme));
-    encode_session_result(res, w);
-  }
-  // v2: flight-recorder anomaly-trigger counts (appended after the
-  // results so every pre-existing field offset is unchanged).
-  w.u64(rec.anomaly_stall_dumps);
-  w.u64(rec.anomaly_corner_dumps);
-  w.u64(rec.anomaly_decode_dumps);
-  w.u64(rec.anomaly_ffct_dumps);
+  Encoder e(w);
+  walk_record(e, rec);
 }
 
 bool decode_session_record(CodecReader& r, SessionRecord* out) {
-  if (!r.i64(&out->conditions.min_rtt) || !r.u64(&out->conditions.max_bw) ||
-      !r.f64(&out->conditions.loss_rate) ||
-      !r.u64(&out->conditions.buffer_bytes) || !r.i64(&out->cookie_age) ||
-      !r.boolean(&out->zero_rtt) || !r.boolean(&out->had_cookie) ||
-      !r.u64(&out->ff_size) || !r.u64(&out->trace_open_failures)) {
-    return false;
-  }
-  uint32_t n_results = 0;
-  if (!r.u32(&n_results)) return false;
-  out->results.clear();
-  for (uint32_t i = 0; i < n_results; ++i) {
-    uint32_t scheme = 0;
-    if (!r.u32(&scheme)) return false;
-    if (scheme > static_cast<uint32_t>(core::Scheme::kWiraPlus)) {
-      return false;
-    }
-    SessionResult res;
-    if (!decode_session_result(r, &res)) return false;
-    const auto [it, inserted] =
-        out->results.emplace(static_cast<core::Scheme>(scheme),
-                             std::move(res));
-    if (!inserted) return false;  // duplicate scheme = corrupt payload
-  }
-  return r.u64(&out->anomaly_stall_dumps) &&
-         r.u64(&out->anomaly_corner_dumps) &&
-         r.u64(&out->anomaly_decode_dumps) &&
-         r.u64(&out->anomaly_ffct_dumps);
+  Decoder d(r);
+  walk_record(d, *out);
+  return d.ok();
 }
 
 void encode_population_config(const PopulationConfig& c, CodecWriter& w) {
-  w.u64(c.seed);
-  w.u64(c.sessions);
-  w.u64(c.num_groups);
-  w.f64(c.p_zero_rtt);
-  w.f64(c.p_cookie);
-  w.u32(static_cast<uint32_t>(c.schemes.size()));
-  for (core::Scheme s : c.schemes) w.u32(static_cast<uint32_t>(s));
-  w.u64(c.defaults.init_cwnd_exp);
-  w.i64(c.defaults.init_rtt_exp);
-  w.i64(c.staleness_threshold);
-  w.u32(c.theta_vf);
-  w.u8(static_cast<uint8_t>(c.cc_algo));
-  w.i64(c.sync_period);
-  w.boolean(c.careful_resume);
-  w.u8(static_cast<uint8_t>(c.container));
-  w.boolean(c.collect_metrics);
-  w.u64(c.trace_sample);
-  w.str(c.trace_dir);
-  w.boolean(c.flight_recorder);
-  w.str(c.anomaly_dir);
-  w.i64(c.anomaly_ffct);
-  w.u64(c.anomaly_max_dumps);
-  w.u64(c.fail_at_index);
-  w.u64(c.kill_at_index);
-  w.u64(c.crash_after_index);
-  w.i64(c.crash_after_signal);
+  Encoder e(w);
+  walk_config(e, c);
 }
 
 bool decode_population_config(CodecReader& r, PopulationConfig* out) {
-  if (!r.u64(&out->seed) || !r.u64(&out->sessions) ||
-      !r.u64(&out->num_groups) || !r.f64(&out->p_zero_rtt) ||
-      !r.f64(&out->p_cookie)) {
-    return false;
-  }
-  uint32_t n_schemes = 0;
-  if (!r.u32(&n_schemes)) return false;
-  out->schemes.clear();
-  for (uint32_t i = 0; i < n_schemes; ++i) {
-    uint32_t s = 0;
-    if (!r.u32(&s)) return false;
-    if (s > static_cast<uint32_t>(core::Scheme::kWiraPlus)) return false;
-    out->schemes.push_back(static_cast<core::Scheme>(s));
-  }
-  uint8_t cc = 0, container = 0;
-  int64_t rtt = 0, staleness = 0, sync = 0, ffct = 0, crash_sig = 0;
-  uint64_t cwnd = 0, trace_sample = 0, max_dumps = 0;
-  uint64_t fail_at = 0, kill_at = 0, crash_after = 0;
-  if (!r.u64(&cwnd) || !r.i64(&rtt) || !r.i64(&staleness) ||
-      !r.u32(&out->theta_vf) || !r.u8(&cc) || !r.i64(&sync) ||
-      !r.boolean(&out->careful_resume) || !r.u8(&container) ||
-      !r.boolean(&out->collect_metrics) || !r.u64(&trace_sample) ||
-      !r.str(&out->trace_dir) || !r.boolean(&out->flight_recorder) ||
-      !r.str(&out->anomaly_dir) || !r.i64(&ffct) || !r.u64(&max_dumps) ||
-      !r.u64(&fail_at) || !r.u64(&kill_at) || !r.u64(&crash_after) ||
-      !r.i64(&crash_sig)) {
-    return false;
-  }
-  if (cc > static_cast<uint8_t>(cc::CcAlgo::kCubic)) return false;
-  if (container > static_cast<uint8_t>(media::Container::kMpegTs)) {
-    return false;
-  }
-  out->defaults.init_cwnd_exp = cwnd;
-  out->defaults.init_rtt_exp = rtt;
-  out->staleness_threshold = staleness;
-  out->cc_algo = static_cast<cc::CcAlgo>(cc);
-  out->sync_period = sync;
-  out->container = static_cast<media::Container>(container);
-  out->trace_sample = trace_sample;
-  out->anomaly_ffct = ffct;
-  out->anomaly_max_dumps = max_dumps;
-  out->fail_at_index = fail_at;
-  out->kill_at_index = kill_at;
-  out->crash_after_index = crash_after;
-  out->crash_after_signal = static_cast<int>(crash_sig);
-  return true;
+  Decoder d(r);
+  walk_config(d, *out);
+  return d.ok();
 }
 
 // ---- frame layer --------------------------------------------------------
@@ -432,6 +421,28 @@ FrameStatus next_frame(std::span<const uint8_t> data, size_t* offset,
   out->payload = payload;
   *offset += r.offset() + len;
   return FrameStatus::kOk;
+}
+
+ssize_t FrameReader::fill(int fd) {
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(off_));
+  off_ = 0;
+  uint8_t tmp[65536];
+  for (;;) {
+    const ssize_t n = read(fd, tmp, sizeof(tmp));
+    if (n < 0 && errno == EINTR) continue;
+    if (n > 0) buf_.insert(buf_.end(), tmp, tmp + n);
+    return n < 0 ? -1 : n;
+  }
+}
+
+FrameStatus FrameReader::next(FrameView* out) {
+  const std::span<const uint8_t> data(buf_.data(), buf_.size());
+  if (!header_seen_) {
+    const FrameStatus st = read_stream_header(data, &off_);
+    if (st != FrameStatus::kOk) return st;
+    header_seen_ = true;
+  }
+  return next_frame(data, &off_, out);
 }
 
 }  // namespace wira::exp

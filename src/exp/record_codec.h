@@ -8,20 +8,26 @@
 //     integers, bit-cast doubles, length-prefixed strings, all reads
 //     bounds-checked (a failed read latches the reader into a failed
 //     state; no partial-field tearing).
-//   - values: encode/decode for SessionRecord, SessionResult, HxQosRecord
-//     and PopulationConfig.  Round trips are bit-exact (doubles are
-//     bit-cast), which is what makes `--procs N` output byte-identical to
-//     serial.
+//   - values: encode/decode for SessionRecord, SessionResult and
+//     PopulationConfig.  Each type's layout is one field list in
+//     record_codec.cc, walked by both directions.  Round trips are
+//     bit-exact (doubles are bit-cast), which is what makes `--procs N`
+//     output byte-identical to serial.
 //   - frames: a stream header (magic + codec version) followed by
 //     [type u8][len u32][fnv1a-64 checksum u64][payload] frames and a
 //     terminating kEnd frame.  EOF before kEnd means the worker died
 //     mid-stripe: everything decoded up to that point is salvageable and
 //     the first missing index names the session the worker was on.
+//   - FrameReader: the one buffered reader of such a stream off an fd,
+//     used by both directions of the shard protocol (the worker's
+//     control stream, the parent's record streams).
 //
 // Versioning: bump kRecordCodecVersion on any layout change; the parent
 // rejects streams from a mismatched worker outright (both sides are the
 // same binary, so a mismatch means memory corruption, not skew).
 #pragma once
+
+#include <sys/types.h>
 
 #include <cstdint>
 #include <span>
@@ -75,6 +81,8 @@ class CodecReader {
   bool str(std::string* s);
 
   bool failed() const { return failed_; }
+  /// Latches failed(): a value read fine but failed validation.
+  void fail() { failed_ = true; }
   size_t offset() const { return off_; }
   size_t remaining() const { return data_.size() - off_; }
 
@@ -87,9 +95,6 @@ class CodecReader {
 };
 
 // ---- value codecs -------------------------------------------------------
-
-void encode_hxqos_record(const core::HxQosRecord& r, CodecWriter& w);
-bool decode_hxqos_record(CodecReader& r, core::HxQosRecord* out);
 
 void encode_session_result(const SessionResult& res, CodecWriter& w);
 bool decode_session_result(CodecReader& r, SessionResult* out);
@@ -145,5 +150,29 @@ FrameStatus read_stream_header(std::span<const uint8_t> data,
 /// Parses the next frame at *offset.  On kOk the view borrows `data`.
 FrameStatus next_frame(std::span<const uint8_t> data, size_t* offset,
                        FrameView* out);
+
+/// Buffered reader of one stream: header, then frames, off a blocking or
+/// poll()-ready fd.
+class FrameReader {
+ public:
+  /// Drops the bytes of frames already returned, then appends what one
+  /// read(2) yields (EINTR retried).  Returns the byte count, 0 on EOF,
+  /// -1 on error.
+  ssize_t fill(int fd);
+
+  /// Checks the stream header on first use, then parses the next frame.
+  /// kCorrupt is a bad header while !header_seen(), else a bad frame.
+  /// On kOk the view borrows the buffer until the next fill().
+  FrameStatus next(FrameView* out);
+
+  bool header_seen() const { return header_seen_; }
+  /// Buffered bytes past the last frame next() returned.
+  size_t pending() const { return buf_.size() - off_; }
+
+ private:
+  std::vector<uint8_t> buf_;
+  size_t off_ = 0;
+  bool header_seen_ = false;
+};
 
 }  // namespace wira::exp

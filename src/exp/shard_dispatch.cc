@@ -2,7 +2,10 @@
 // §6).  See shard_dispatch.h for the scheduling and transport contracts;
 // this file holds the worker loop (shared by worker threads, pipe
 // children and wira_workerd), the channel implementations, and the
-// dispatch driver.
+// dispatch driver.  Both ends read their incoming stream through one
+// exp::FrameReader: the worker blocks on its control stream
+// (next_control), the parent parses each record stream as poll() reports
+// data (ChunkDispatcher::parse).
 #include "exp/shard_dispatch.h"
 
 #include <fcntl.h>
@@ -77,77 +80,28 @@ namespace {
 
 // ---- worker side --------------------------------------------------------
 
-/// Incremental frame reader over a control fd (pipe read end or socket).
-class ControlReader {
- public:
-  explicit ControlReader(int fd) : fd_(fd) {}
-
-  bool read_header() {
-    for (;;) {
-      size_t off = off_;
-      const FrameStatus st =
-          read_stream_header({buf_.data(), buf_.size()}, &off);
-      if (st == FrameStatus::kOk) {
-        off_ = off;
-        return true;
-      }
-      if (st == FrameStatus::kCorrupt) return false;
-      if (!fill()) return false;
-    }
+/// Blocks for the next control frame on `fd`.  False on EOF, a read
+/// error or corruption.  The view borrows `reader` until its next fill().
+bool next_control(FrameReader& reader, int fd, FrameView* view) {
+  for (;;) {
+    const FrameStatus st = reader.next(view);
+    if (st == FrameStatus::kOk) return true;
+    if (st == FrameStatus::kCorrupt || reader.fill(fd) <= 0) return false;
   }
+}
 
-  /// Blocks for the next control frame; copies the payload out (the
-  /// buffer is compacted between frames).  False on EOF or corruption.
-  bool next(FrameType* type, std::vector<uint8_t>* payload) {
-    for (;;) {
-      size_t off = off_;
-      FrameView view;
-      const FrameStatus st = next_frame({buf_.data(), buf_.size()}, &off, &view);
-      if (st == FrameStatus::kOk) {
-        *type = view.type;
-        payload->assign(view.payload.begin(), view.payload.end());
-        off_ = off;
-        buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(off_));
-        off_ = 0;
-        return true;
-      }
-      if (st == FrameStatus::kCorrupt) return false;
-      if (!fill()) return false;
-    }
-  }
-
- private:
-  bool fill() {
-    uint8_t tmp[4096];
-    for (;;) {
-      const ssize_t n = read(fd_, tmp, sizeof(tmp));
-      if (n > 0) {
-        buf_.insert(buf_.end(), tmp, tmp + n);
-        return true;
-      }
-      if (n == 0) return false;
-      if (errno == EINTR) continue;
-      return false;
-    }
-  }
-
-  int fd_;
-  std::vector<uint8_t> buf_;
-  size_t off_ = 0;
-};
-
-/// Shared worker loop body: `control` is already past the stream header
-/// (and, for wira_workerd, past the kConfig frame).  A worker that owns
-/// its process (forked child, wira_workerd) arms crash forensics and
-/// honors the signal-raising fault hooks; a thread worker shares the
-/// parent's process and does neither.  A throwing session returns 1 with
-/// the exception text in *error.
+/// Shared worker loop body: reads the control stream on `control_fd`
+/// through `control` (for wira_workerd already past the kConfig frame).
+/// A worker that owns its process (forked child, wira_workerd) arms crash
+/// forensics and honors the signal-raising fault hooks; a thread worker
+/// shares the parent's process and does neither.  A throwing session
+/// returns 1 with the exception text in *error.
 int run_worker_loop(const PopulationConfig& config, size_t worker,
-                    ControlReader& control, int data_fd, bool owns_process,
-                    std::string* error) {
+                    FrameReader& control, int control_fd, int data_fd,
+                    bool owns_process, std::string* error) {
   std::vector<uint8_t> out;
-  append_stream_header(out);
   try {
+    append_stream_header(out);
     popgen::Population population(config.seed * 31 + 7, config.num_groups);
     SessionWorkspace ws;
     if (owns_process) {
@@ -158,15 +112,14 @@ int run_worker_loop(const PopulationConfig& config, size_t worker,
     std::deque<Chunk> todo;
     while (!end || !todo.empty()) {
       if (todo.empty()) {
-        FrameType type;
-        std::vector<uint8_t> payload;
-        if (!control.next(&type, &payload)) return 2;
-        if (type == FrameType::kEnd) {
+        FrameView view;
+        if (!next_control(control, control_fd, &view)) return 2;
+        if (view.type == FrameType::kEnd) {
           end = true;
           continue;
         }
-        if (type != FrameType::kChunkAssign) return 2;
-        CodecReader r({payload.data(), payload.size()});
+        if (view.type != FrameType::kChunkAssign) return 2;
+        CodecReader r(view.payload);
         uint64_t begin = 0;
         uint64_t e = 0;
         if (!r.u64(&begin) || !r.u64(&e) || r.remaining() != 0 || begin > e) {
@@ -215,11 +168,11 @@ int run_worker_loop(const PopulationConfig& config, size_t worker,
 /// (exit 3) instead of raising SIGPIPE, and a throwing session is
 /// reported on stderr, since the exit status alone cannot carry it.
 int run_process_worker(const PopulationConfig& config, size_t worker,
-                       ControlReader& control, int data_fd) {
+                       FrameReader& control, int control_fd, int data_fd) {
   std::signal(SIGPIPE, SIG_IGN);
   std::string error;
-  const int code = run_worker_loop(config, worker, control, data_fd,
-                                   /*owns_process=*/true, &error);
+  const int code = run_worker_loop(config, worker, control, control_fd,
+                                   data_fd, /*owns_process=*/true, &error);
   if (code == 1) {
     std::fprintf(stderr, "wira population worker %zu: %s\n", worker,
                  error.c_str());
@@ -231,18 +184,17 @@ int run_process_worker(const PopulationConfig& config, size_t worker,
 
 int run_shard_worker(const PopulationConfig& config, size_t worker,
                      int control_fd, int data_fd) {
-  ControlReader control(control_fd);
-  if (!control.read_header()) return 2;
-  return run_process_worker(config, worker, control, data_fd);
+  FrameReader control;
+  return run_process_worker(config, worker, control, control_fd, data_fd);
 }
 
 int serve_shard_worker(int fd) {
-  ControlReader control(fd);
-  if (!control.read_header()) return 2;
-  FrameType type;
-  std::vector<uint8_t> payload;
-  if (!control.next(&type, &payload) || type != FrameType::kConfig) return 2;
-  CodecReader r({payload.data(), payload.size()});
+  FrameReader control;
+  FrameView view;
+  if (!next_control(control, fd, &view) || view.type != FrameType::kConfig) {
+    return 2;
+  }
+  CodecReader r(view.payload);
   uint64_t worker_id = 0;
   PopulationConfig config;
   if (!r.u64(&worker_id) || !decode_population_config(r, &config) ||
@@ -252,7 +204,7 @@ int serve_shard_worker(int fd) {
   internal::prepare_trace_dir(config);
   internal::prepare_anomaly_dir(config);
   return run_process_worker(config, static_cast<size_t>(worker_id), control,
-                            fd);
+                            fd, fd);
 }
 
 namespace {
@@ -297,16 +249,9 @@ class ThreadShardChannel final : public ShardChannel {
     try {
       thread_ = std::thread([this, &config, worker, control_rd = cfds[0],
                              data_wr = dfds[1]] {
-        ControlReader control(control_rd);
-        try {
-          status_ = control.read_header()
-                        ? run_worker_loop(config, worker, control, data_wr,
-                                          /*owns_process=*/false, &error_)
-                        : 2;
-        } catch (const std::exception& e) {  // the header read's buffer
-          status_ = 1;
-          error_ = e.what();
-        }
+        FrameReader control;
+        status_ = run_worker_loop(config, worker, control, control_rd,
+                                  data_wr, /*owns_process=*/false, &error_);
         close(control_rd);
         close(data_wr);  // the parent's EOF
       });
@@ -558,9 +503,7 @@ struct WorkerState {
   std::deque<size_t> assigned;  ///< chunk ids; front is in flight
   size_t pos = 0;               ///< sessions completed of the front chunk
 
-  std::vector<uint8_t> buf;
-  size_t off = 0;
-  bool header_ok = false;
+  FrameReader reader;
   bool end_seen = false;
   bool eof = false;
   bool retired = false;   ///< dead worker whose sessions re-run in-process
@@ -578,19 +521,6 @@ struct WorkerState {
 
 /// Owner marker for a queue chunk the parent claimed to run in-process.
 constexpr int kInProcess = -2;
-
-/// Reads whatever is available on worker w's data fd into its buffer.
-/// Returns false on EOF (fd stays open; caller closes).
-bool drain_fd(WorkerState& ws) {
-  uint8_t tmp[65536];
-  const ssize_t n = read(ws.ch->data_fd(), tmp, sizeof(tmp));
-  if (n > 0) {
-    ws.buf.insert(ws.buf.end(), tmp, tmp + n);
-    return true;
-  }
-  if (n < 0 && (errno == EINTR || errno == EAGAIN)) return true;
-  return false;
-}
 
 /// "worker W (sessions [a,b)) <reason> while on session I".
 std::string describe(const ShardDeath& d) {
@@ -728,37 +658,24 @@ class ChunkDispatcher {
     for (size_t w = 0; w < w_count_; ++w) maybe_send_end(w);
   }
 
-  /// Incremental parse of worker w's data buffer.  Records land in
-  /// ws.ready; chunk completions trigger the next assignment (or kEnd).
-  /// Any wire defect latches ws.defect and stops the parse.
+  /// Incremental parse of worker w's buffered record stream.  Records
+  /// land in ws.ready; chunk completions trigger the next assignment (or
+  /// kEnd).  Any wire defect latches ws.defect and stops the parse.
   void parse(size_t w) {
     WorkerState& ws = workers_[w];
     if (!ws.defect.empty() || ws.end_seen) return;
-    const std::span<const uint8_t> data(ws.buf.data(), ws.buf.size());
-    if (!ws.header_ok) {
-      size_t off = ws.off;
-      const FrameStatus st = read_stream_header(data, &off);
+    for (;;) {
+      FrameView view;
+      const FrameStatus st = ws.reader.next(&view);
       if (st == FrameStatus::kNeedMore) return;
       if (st == FrameStatus::kCorrupt) {
-        ws.defect = "bad codec magic/version";
-        return;
-      }
-      ws.header_ok = true;
-      ws.off = off;
-    }
-    for (;;) {
-      size_t off = ws.off;
-      FrameView view;
-      const FrameStatus st = next_frame(data, &off, &view);
-      if (st == FrameStatus::kNeedMore) break;
-      if (st == FrameStatus::kCorrupt) {
-        ws.defect = "corrupt frame (checksum or type)";
+        ws.defect = ws.reader.header_seen() ? "corrupt frame (checksum or type)"
+                                            : "bad codec magic/version";
         return;
       }
       if (view.type == FrameType::kEnd) {
-        ws.off = off;
         ws.end_seen = true;
-        if (off != ws.buf.size()) {
+        if (ws.reader.pending() != 0) {
           ws.defect = "trailing bytes after end marker";
         }
         return;
@@ -785,7 +702,6 @@ class ChunkDispatcher {
         return;
       }
       ws.ready.emplace_back(static_cast<size_t>(index), std::move(rec));
-      ws.off = off;
       ws.pos++;
       if (stats_ != nullptr) stats_->sessions_completed[w]++;
       if (ws.pos == cur.size()) {
@@ -801,11 +717,6 @@ class ChunkDispatcher {
         }
         update_busy();
       }
-    }
-    // Compact consumed bytes so the buffer stays O(frame), not O(stream).
-    if (ws.off > 0) {
-      ws.buf.erase(ws.buf.begin(), ws.buf.begin() + static_cast<long>(ws.off));
-      ws.off = 0;
     }
   }
 
@@ -828,7 +739,7 @@ class ChunkDispatcher {
     for (size_t p = 0; p < pfds.size(); ++p) {
       if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       WorkerState& ws = workers_[owner[p]];
-      if (drain_fd(ws)) {
+      if (ws.reader.fill(ws.ch->data_fd()) > 0) {
         parse(owner[p]);
       } else {
         ws.eof = true;
@@ -904,7 +815,9 @@ class ChunkDispatcher {
     if (ws.end_seen && (!ws.assigned.empty() || !ws.end_sent)) {
       return "end marker before assignment complete";
     }
-    if (!ws.header_ok) return "truncated record stream (no header)";
+    if (!ws.reader.header_seen()) {
+      return "truncated record stream (no header)";
+    }
     return "truncated record stream";
   }
 

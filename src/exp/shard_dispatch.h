@@ -28,9 +28,9 @@
 //
 // All three speak exp/record_codec frames: control streams are
 // [header][kConfig?][kChunkAssign...][kEnd], data streams are
-// [header][kSessionRecord...][kEnd] — one wire format, one parser, one
-// failure taxonomy (PopulationShardError, retry_dead_shards) and one
-// salvage contract for every channel kind.
+// [header][kSessionRecord...][kEnd] — one wire format, one reader
+// (exp::FrameReader), one failure taxonomy (PopulationShardError,
+// retry_dead_shards) and one salvage contract for every channel kind.
 #pragma once
 
 #include <cstddef>

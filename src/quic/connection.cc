@@ -13,7 +13,7 @@ Connection::Connection(sim::EventLoop& loop, ConnectionConfig config,
       config_(config),
       send_datagram_(std::move(send_datagram)),
       cc_(cc::make_controller(config.cc_algo)),
-      pacer_(config.pacer_burst) {}
+      pacer_(kPacerBurst) {}
 
 // ---------------------------------------------------------------- handshake
 
@@ -374,7 +374,7 @@ void Connection::on_datagram(std::span<const uint8_t> data) {
       oldest_unacked_recv_time_ = now();
     }
     maybe_send_ack(out_of_order ||
-                   unacked_retransmittable_ >= config_.ack_packet_tolerance);
+                   unacked_retransmittable_ >= kAckPacketTolerance);
   }
 }
 
@@ -385,7 +385,7 @@ void Connection::maybe_send_ack(bool immediate) {
     return;
   }
   if (!ack_timer_) {
-    ack_timer_ = loop_.schedule_in(config_.max_ack_delay, [this] {
+    ack_timer_ = loop_.schedule_in(kMaxAckDelay, [this] {
       ack_timer_.reset();
       if (ack_pending_) send_ack_now();
     });
@@ -608,7 +608,7 @@ void Connection::arm_pto() {
   // Loop time, not now(): timers live on the loop's clock even when now()
   // reads a real clock (wira_proxyd).
   const TimeNs when =
-      loop_.now() + (rtt_.pto(config_.max_ack_delay) << pto_count_);
+      loop_.now() + (rtt_.pto(kMaxAckDelay) << pto_count_);
   if (pto_timer_ && loop_.reschedule(*pto_timer_, when)) return;
   pto_timer_ = loop_.schedule_at(when, [this] {
     pto_timer_.reset();

@@ -35,9 +35,6 @@ struct ConnectionConfig {
   bool is_server = false;
   ConnectionId conn_id = 1;
   cc::CcAlgo cc_algo = cc::CcAlgo::kBbrV1;
-  TimeNs max_ack_delay = kMaxAckDelay;
-  int ack_packet_tolerance = 2;  ///< ack every Nth retransmittable packet
-  size_t pacer_burst = 2;
 };
 
 struct ConnStats {

@@ -7,6 +7,7 @@
 // congestion controller — while keeping every extension point Wira touches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/units.h"
@@ -41,5 +42,9 @@ inline constexpr double kTimeReorderingFraction = 9.0 / 8.0;
 inline constexpr TimeNs kInitialRtt = milliseconds(100);
 inline constexpr TimeNs kGranularity = milliseconds(1);
 inline constexpr TimeNs kMaxAckDelay = milliseconds(25);
+/// ACK every Nth retransmittable packet; the rest wait for kMaxAckDelay.
+inline constexpr int kAckPacketTolerance = 2;
+/// Packets the pacer lets out back to back.
+inline constexpr size_t kPacerBurst = 2;
 
 }  // namespace wira::quic

@@ -27,21 +27,10 @@ Path::Path(EventLoop& loop, const PathConfig& config, uint64_t seed)
   rev.rate = config.reverse_bandwidth;
   rev.delay = config.rtt / 2;
   rev.buffer_bytes = 256 * 1024;
-  rev.loss.loss_rate = config.reverse_loss_rate;
+  // The ACK path is lossless (LossModel's default).
 
   forward_ = std::make_unique<Link>(loop, fwd, seed * 2 + 1);
   reverse_ = std::make_unique<Link>(loop, rev, seed * 2 + 2);
-}
-
-void Path::set_bandwidth(Bandwidth bw) {
-  config_.bandwidth = bw;
-  forward_->config().rate = bw;
-}
-
-void Path::set_one_way_delay(TimeNs owd) {
-  config_.rtt = owd * 2;
-  forward_->config().delay = owd;
-  reverse_->config().delay = owd;
 }
 
 }  // namespace wira::sim

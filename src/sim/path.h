@@ -16,7 +16,6 @@ struct PathConfig {
   TimeNs rtt = milliseconds(50);       ///< total propagation round trip
   double loss_rate = 0.0;              ///< applied on the bottleneck direction
   uint64_t buffer_bytes = 25 * 1024;   ///< bottleneck drop-tail buffer
-  double reverse_loss_rate = 0.0;      ///< ACK-path loss (usually 0)
   Bandwidth reverse_bandwidth = mbps(100);
   LossModel extra_loss;                ///< optional burst-loss overlay (fwd)
   /// Forward-direction reordering (see LinkConfig): per-packet propagation
@@ -36,10 +35,6 @@ class Path {
   Link& forward() { return *forward_; }   ///< server -> client
   Link& reverse() { return *reverse_; }   ///< client -> server
   const PathConfig& config() const { return config_; }
-
-  /// Applies a new bottleneck rate / delay mid-run (condition drift).
-  void set_bandwidth(Bandwidth bw);
-  void set_one_way_delay(TimeNs owd);
 
  private:
   PathConfig config_;

@@ -19,13 +19,13 @@ struct HookRegistrar {
 const HookRegistrar g_registrar;
 
 void* counted_alloc(std::size_t n) {
-  wira::util::add_heap_alloc(n);
+  wira::util::add_heap_alloc();
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t n, std::size_t align) {
-  wira::util::add_heap_alloc(n);
+  wira::util::add_heap_alloc();
   if (align < sizeof(void*)) align = sizeof(void*);
   void* p = nullptr;
   if (posix_memalign(&p, align, n != 0 ? n : 1) != 0) throw std::bad_alloc();
@@ -37,11 +37,11 @@ void* counted_aligned_alloc(std::size_t n, std::size_t align) {
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  wira::util::add_heap_alloc(n);
+  wira::util::add_heap_alloc();
   return std::malloc(n != 0 ? n : 1);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  wira::util::add_heap_alloc(n);
+  wira::util::add_heap_alloc();
   return std::malloc(n != 0 ? n : 1);
 }
 void* operator new(std::size_t n, std::align_val_t al) {

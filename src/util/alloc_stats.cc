@@ -6,7 +6,6 @@ namespace wira::util {
 namespace {
 
 std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
 std::atomic<bool> g_hook_linked{false};
 
 }  // namespace
@@ -15,17 +14,12 @@ uint64_t heap_alloc_count() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
-uint64_t heap_alloc_bytes() {
-  return g_alloc_bytes.load(std::memory_order_relaxed);
-}
-
 bool heap_hook_linked() {
   return g_hook_linked.load(std::memory_order_relaxed);
 }
 
-void add_heap_alloc(size_t bytes) {
+void add_heap_alloc() {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void mark_heap_hook_linked() {

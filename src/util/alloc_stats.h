@@ -10,7 +10,6 @@
 // memory operations is not guaranteed (irrelevant for a tally).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace wira::util {
@@ -19,16 +18,12 @@ namespace wira::util {
 /// not linked).
 uint64_t heap_alloc_count();
 
-/// Bytes requested from operator new since process start (0 if the hook
-/// is not linked).
-uint64_t heap_alloc_bytes();
-
-/// True when alloc_hook.cc was compiled into this binary, i.e. the two
-/// counters above are live rather than frozen at zero.
+/// True when alloc_hook.cc was compiled into this binary, i.e. the
+/// counter above is live rather than frozen at zero.
 bool heap_hook_linked();
 
 /// Called by the operator-new hook.  Not for general use.
-void add_heap_alloc(size_t bytes);
+void add_heap_alloc();
 
 /// Called once from the hook's static initializer.  Not for general use.
 void mark_heap_hook_linked();

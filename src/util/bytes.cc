@@ -64,19 +64,6 @@ void ByteWriter::bytes(const void* data, size_t len) {
   buf_.insert(buf_.end(), p, p + len);
 }
 
-void ByteWriter::patch_u24be(size_t offset, uint32_t v) {
-  buf_.at(offset) = static_cast<uint8_t>(v >> 16);
-  buf_.at(offset + 1) = static_cast<uint8_t>(v >> 8);
-  buf_.at(offset + 2) = static_cast<uint8_t>(v);
-}
-
-void ByteWriter::patch_u32be(size_t offset, uint32_t v) {
-  buf_.at(offset) = static_cast<uint8_t>(v >> 24);
-  buf_.at(offset + 1) = static_cast<uint8_t>(v >> 16);
-  buf_.at(offset + 2) = static_cast<uint8_t>(v >> 8);
-  buf_.at(offset + 3) = static_cast<uint8_t>(v);
-}
-
 bool ByteReader::require(size_t n) {
   if (!ok_ || remaining() < n) {
     ok_ = false;

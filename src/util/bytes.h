@@ -53,10 +53,6 @@ class ByteWriter {
   std::vector<uint8_t> take() { return std::move(buf_); }
   std::span<const uint8_t> span() const { return buf_; }
 
-  /// Overwrites previously written bytes (for back-patched length fields).
-  void patch_u24be(size_t offset, uint32_t v);
-  void patch_u32be(size_t offset, uint32_t v);
-
  private:
   std::vector<uint8_t> buf_;
 };

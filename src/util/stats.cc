@@ -98,10 +98,6 @@ double Histogram::cdf(double x) const {
   return static_cast<double>(acc) / static_cast<double>(total_);
 }
 
-double Histogram::bin_lo(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
 double Histogram::bin_hi(size_t i) const {
   return lo_ + width_ * static_cast<double>(i + 1);
 }

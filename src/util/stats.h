@@ -63,7 +63,6 @@ class Histogram {
 
   /// Fraction of samples <= x (empirical CDF using bin upper edges).
   double cdf(double x) const;
-  double bin_lo(size_t i) const;
   double bin_hi(size_t i) const;
   size_t bin_count(size_t i) const { return counts_[i]; }
   size_t num_bins() const { return counts_.size(); }

@@ -102,18 +102,6 @@ TEST(ByteReader, BytesAndSkip) {
   EXPECT_FALSE(r.skip(2));
 }
 
-TEST(ByteWriter, PatchBackfillsLengths) {
-  ByteWriter w;
-  w.u24be(0);
-  w.u32be(0);
-  w.str("payload");
-  w.patch_u24be(0, 0xABCDEF);
-  w.patch_u32be(3, 0x01020304);
-  ByteReader r(w.span());
-  EXPECT_EQ(r.u24be(), 0xABCDEFu);
-  EXPECT_EQ(r.u32be(), 0x01020304u);
-}
-
 TEST(Hex, RoundTripAndSeparators) {
   const std::vector<uint8_t> data = {0x00, 0xFF, 0x10, 0xAB};
   EXPECT_EQ(to_hex(data), "00ff10ab");

@@ -295,25 +295,5 @@ TEST(Path, RoundTripTimeSplitsAcrossDirections) {
   EXPECT_LT(reply_at, milliseconds(51));
 }
 
-TEST(Path, MidRunBandwidthChangeTakesEffect) {
-  EventLoop loop;
-  PathConfig cfg;
-  cfg.bandwidth = mbps(8);
-  cfg.rtt = 0;
-  Path path(loop, cfg, 1);
-  std::vector<TimeNs> arrivals;
-  path.forward().set_receiver([&](std::span<Datagram> batch) {
-    for (size_t i = 0; i < batch.size(); ++i) arrivals.push_back(loop.now());
-  });
-  path.forward().send(make_dgram(1000));  // 1 ms at 8 Mbps
-  loop.run();
-  path.set_bandwidth(mbps(80));
-  path.forward().send(make_dgram(1000));  // 0.1 ms at 80 Mbps
-  loop.run();
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_EQ(arrivals[0], milliseconds(1));
-  EXPECT_EQ(arrivals[1] - arrivals[0], microseconds(100));
-}
-
 }  // namespace
 }  // namespace wira::sim

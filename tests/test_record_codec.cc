@@ -1,10 +1,12 @@
 // Tests for the multiprocess runner's wire codec (exp/record_codec):
-// primitive round trips, golden bytes for codec v1 layout stability,
-// bit-exact value round trips, and frame-layer truncation/corruption
-// rejection (the crash-containment half of the multiprocess contract).
+// primitive round trips, golden pins of the value layouts, bit-exact value
+// round trips, frame-layer truncation/corruption rejection (the
+// crash-containment half of the multiprocess contract), and FrameReader
+// over a real pipe.
 #include "exp/record_codec.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 
@@ -22,16 +24,6 @@ std::string to_hex(std::span<const uint8_t> bytes) {
     out += buf;
   }
   return out;
-}
-
-core::HxQosRecord sample_hxqos() {
-  core::HxQosRecord r;
-  r.min_rtt = milliseconds(47);
-  r.max_bw = mbps(12);
-  r.server_timestamp = minutes(10);
-  r.od_key = 0xABCDEF0123456789ull;
-  r.loss_rate = 0.015625;  // exactly representable
-  return r;
 }
 
 /// A SessionRecord exercising every field the codec carries, including
@@ -172,35 +164,6 @@ TEST(CodecPrimitives, BooleanRejectsNonCanonicalBytes) {
   EXPECT_TRUE(r.failed());
 }
 
-// Golden bytes: little-endian field order of codec v1.  Hand-computed —
-// breaking this test means the wire layout changed and
-// kRecordCodecVersion must be bumped.
-TEST(HxQosCodec, GoldenBytesAndRoundTrip) {
-  const core::HxQosRecord in = sample_hxqos();
-  std::vector<uint8_t> buf;
-  CodecWriter w(buf);
-  encode_hxqos_record(in, w);
-  EXPECT_EQ(to_hex(buf),
-            // min_rtt = 47ms = 47e6 ns = 0x02CD29C0 LE
-            "c029cd0200000000"
-            // max_bw = 12 Mbps = 1.5e6 B/s = 0x16E360 LE
-            "60e3160000000000"
-            // server_timestamp = 10 min = 6e11 ns = 0x8BB2C97000 LE
-            "0070c9b28b000000"
-            // od_key LE
-            "8967452301efcdab"
-            // loss_rate = 0.015625 = 2^-6 (IEEE-754: 0x3F90000000000000)
-            "000000000000903f");
-  CodecReader r(buf);
-  core::HxQosRecord out;
-  ASSERT_TRUE(decode_hxqos_record(r, &out));
-  EXPECT_EQ(out.min_rtt, in.min_rtt);
-  EXPECT_EQ(out.max_bw, in.max_bw);
-  EXPECT_EQ(out.server_timestamp, in.server_timestamp);
-  EXPECT_EQ(out.od_key, in.od_key);
-  EXPECT_EQ(out.loss_rate, in.loss_rate);
-}
-
 TEST(SessionRecordCodec, RoundTripIsBitExact) {
   const SessionRecord in = sample_record();
   std::vector<uint8_t> buf;
@@ -235,6 +198,16 @@ TEST(SessionRecordCodec, RoundTripIsBitExact) {
   EXPECT_EQ(out.anomaly_corner_dumps, 2u);
   EXPECT_EQ(out.anomaly_decode_dumps, 3u);
   EXPECT_EQ(out.anomaly_ffct_dumps, 4u);
+}
+
+// Pins every byte of sample_record()'s encoding (both results, the
+// frames and phase vectors, the v2 counters) by length and checksum.
+TEST(SessionRecordCodec, GoldenDigest) {
+  std::vector<uint8_t> buf;
+  CodecWriter w(buf);
+  encode_session_record(sample_record(), w);
+  EXPECT_EQ(buf.size(), 571u);
+  EXPECT_EQ(fnv1a64(buf), 0x37436fc47541a6f6ull);
 }
 
 TEST(SessionRecordCodec, RejectsOutOfRangeScheme) {
@@ -370,7 +343,8 @@ PopulationConfig sample_population_config() {
   c.num_groups = 17;
   c.p_zero_rtt = 0.125;
   c.p_cookie = 0.875;
-  c.schemes = {core::Scheme::kWira, core::Scheme::kBaseline};
+  c.schemes = {core::Scheme::kWira, core::Scheme::kBaseline,
+               core::Scheme::kWiraPlus};
   c.defaults.init_cwnd_exp = 23;
   c.defaults.init_rtt_exp = -456789;
   c.staleness_threshold = 987654321;
@@ -419,6 +393,66 @@ TEST(PopulationConfigCodec, RoundTripIsBitExact) {
   EXPECT_EQ(decoded.trace_dir, orig.trace_dir);
   EXPECT_EQ(decoded.anomaly_dir, orig.anomaly_dir);
   EXPECT_EQ(decoded.kill_at_index, orig.kill_at_index);
+}
+
+// Golden bytes of the kConfig payload: every shipped field off its
+// default, in wire order.  Breaking this pin means the layout changed and
+// kRecordCodecVersion must be bumped.
+TEST(PopulationConfigCodec, GoldenBytes) {
+  std::vector<uint8_t> encoded;
+  CodecWriter w(encoded);
+  encode_population_config(sample_population_config(), w);
+  EXPECT_EQ(to_hex(encoded),
+      // seed
+      "8877665544332211"
+      // sessions = 4097
+      "0110000000000000"
+      // num_groups = 17
+      "1100000000000000"
+      // p_zero_rtt = 0.125
+      "000000000000c03f"
+      // p_cookie = 0.875
+      "000000000000ec3f"
+      // schemes: count 3, kWira, kBaseline, kWiraPlus (u32 each)
+      "03000000030000000000000005000000"
+      // defaults.init_cwnd_exp = 23
+      "1700000000000000"
+      // defaults.init_rtt_exp = -456789
+      "ab07f9ffffffffff"
+      // staleness_threshold = 987654321
+      "b168de3a00000000"
+      // theta_vf = 3 (u32)
+      "03000000"
+      // cc_algo = kCubic (u8)
+      "02"
+      // sync_period = 13579
+      "0b35000000000000"
+      // careful_resume
+      "01"
+      // container = kMpegTs (u8)
+      "01"
+      // collect_metrics
+      "01"
+      // trace_sample = 7
+      "0700000000000000"
+      // trace_dir "/tmp/wira-traces"
+      "100000002f746d702f776972612d747261636573"
+      // flight_recorder = false
+      "00"
+      // anomaly_dir "/tmp/wira-anomalies"
+      "130000002f746d702f776972612d616e6f6d616c696573"
+      // anomaly_ffct = 1234567
+      "87d6120000000000"
+      // anomaly_max_dumps = 5
+      "0500000000000000"
+      // fail_at_index = 11
+      "0b00000000000000"
+      // kill_at_index = 12
+      "0c00000000000000"
+      // crash_after_index = 13
+      "0d00000000000000"
+      // crash_after_signal = SIGTERM (15, as i64)
+      "0f00000000000000");
 }
 
 TEST(PopulationConfigCodec, DispatcherOnlyFieldsAreNotShipped) {
@@ -549,6 +583,116 @@ TEST(Frames, UnknownFrameTypeIsCorrupt) {
     EXPECT_EQ(next_frame(stream, &off, &frame), FrameStatus::kCorrupt)
         << "type " << int{type};
   }
+}
+
+// ---- FrameReader ----------------------------------------------------------
+
+/// A pipe whose write end the test feeds and whose read end a FrameReader
+/// fills from.
+class Pipe {
+ public:
+  Pipe() { EXPECT_EQ(pipe(fds_), 0); }
+  ~Pipe() {
+    close(fds_[0]);
+    if (fds_[1] >= 0) close(fds_[1]);
+  }
+  Pipe(const Pipe&) = delete;
+  Pipe& operator=(const Pipe&) = delete;
+
+  int read_fd() const { return fds_[0]; }
+  void write(std::span<const uint8_t> bytes) {
+    ASSERT_EQ(::write(fds_[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  void close_write() {
+    close(fds_[1]);
+    fds_[1] = -1;
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
+};
+
+/// Every frame the reader yields until kNeedMore, as (type, payload).
+void take_frames(FrameReader& reader,
+                 std::vector<std::pair<FrameType, std::vector<uint8_t>>>* out) {
+  FrameView view;
+  FrameStatus st;
+  while ((st = reader.next(&view)) == FrameStatus::kOk) {
+    out->emplace_back(view.type, std::vector<uint8_t>(view.payload.begin(),
+                                                      view.payload.end()));
+  }
+  EXPECT_EQ(st, FrameStatus::kNeedMore);
+}
+
+TEST(FrameReader, ByteAtATimeParsesLikeOneWrite) {
+  const std::vector<uint8_t> stream = sample_stream();
+  std::vector<std::pair<FrameType, std::vector<uint8_t>>> whole, trickled;
+  {
+    Pipe p;
+    FrameReader reader;
+    p.write(stream);
+    ASSERT_EQ(reader.fill(p.read_fd()), static_cast<ssize_t>(stream.size()));
+    take_frames(reader, &whole);
+  }
+  {
+    Pipe p;
+    FrameReader reader;
+    for (const uint8_t b : stream) {
+      p.write({&b, 1});
+      ASSERT_EQ(reader.fill(p.read_fd()), 1);
+      take_frames(reader, &trickled);
+    }
+    p.close_write();
+    EXPECT_EQ(reader.fill(p.read_fd()), 0);  // EOF
+    EXPECT_EQ(reader.pending(), 0u);
+  }
+  ASSERT_EQ(whole.size(), 2u);
+  EXPECT_EQ(whole[0].first, FrameType::kSessionRecord);
+  EXPECT_EQ(whole[1].first, FrameType::kEnd);
+  EXPECT_EQ(trickled, whole);
+}
+
+TEST(FrameReader, BadHeaderIsToldApartFromBadFrame) {
+  {
+    std::vector<uint8_t> stream = sample_stream();
+    stream[4] ^= 0xFF;  // version field
+    Pipe p;
+    FrameReader reader;
+    p.write(stream);
+    ASSERT_GT(reader.fill(p.read_fd()), 0);
+    FrameView view;
+    EXPECT_EQ(reader.next(&view), FrameStatus::kCorrupt);
+    EXPECT_FALSE(reader.header_seen());
+  }
+  {
+    std::vector<uint8_t> stream = sample_stream();
+    stream[8 + 13 + 40] ^= 0x01;  // inside the record frame's payload
+    Pipe p;
+    FrameReader reader;
+    p.write(stream);
+    ASSERT_GT(reader.fill(p.read_fd()), 0);
+    FrameView view;
+    EXPECT_EQ(reader.next(&view), FrameStatus::kCorrupt);
+    EXPECT_TRUE(reader.header_seen());
+  }
+}
+
+TEST(FrameReader, PendingCountsBytesAfterEndMarker) {
+  std::vector<uint8_t> stream = sample_stream();
+  const std::vector<uint8_t> junk = {0xDE, 0xAD, 0xBE};
+  stream.insert(stream.end(), junk.begin(), junk.end());
+  Pipe p;
+  FrameReader reader;
+  p.write(stream);
+  ASSERT_GT(reader.fill(p.read_fd()), 0);
+  FrameView view;
+  ASSERT_EQ(reader.next(&view), FrameStatus::kOk);
+  EXPECT_EQ(view.type, FrameType::kSessionRecord);
+  EXPECT_EQ(reader.pending(), 13u + junk.size());  // the end frame + junk
+  ASSERT_EQ(reader.next(&view), FrameStatus::kOk);
+  EXPECT_EQ(view.type, FrameType::kEnd);
+  EXPECT_EQ(reader.pending(), junk.size());
 }
 
 }  // namespace
