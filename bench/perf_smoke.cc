@@ -1,9 +1,10 @@
 // Performance smoke: runs the same Monte-Carlo population serially, over
 // worker threads, and over forked worker processes (both sharded by the
-// one chunk dealer, exp/shard_dispatch), verifies
-// all records are identical (the determinism contract), then reruns with
-// full metrics collection to price the observability overhead, and prints
-// one JSON object with sessions/sec plus the aggregate metrics registry so
+// one chunk dealer, exp/shard_dispatch), verifies all records are
+// identical (the determinism contract), prices the anomaly triggers in
+// interleaved flight_recorder on/off serial pairs, reruns with full
+// metrics collection to price the observability overhead, and prints one
+// JSON object with sessions/sec plus the aggregate metrics registry so
 // successive runs build a perf trajectory (tools/run_perf_smoke.sh appends
 // it to bench_history/; tools/bench_gate.py gates the throughput numbers,
 // including the multiprocess sessions_per_sec_np datapoint).
@@ -12,6 +13,7 @@
 //        (N=0 -> hardware; --procs defaults to a 2-worker datapoint)
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +23,8 @@
 #include "obs/phase_timeline.h"
 #include "obs/rss.h"
 #include "util/alloc_stats.h"
+#include "util/json.h"
+#include "util/stats.h"
 
 using namespace wira;
 using namespace wira::exp;
@@ -99,6 +103,34 @@ std::vector<uint8_t> record_bytes(const std::vector<SessionRecord>& records) {
   return out;
 }
 
+// Host identity for the trajectory's comparability key: the first CPU's
+// family, model, stepping and clock from /proc/cpuinfo, as JSON strings
+// ("" where the field is absent), so records from different host types
+// never share a bench_gate baseline.
+struct CpuKey {
+  std::string family, model, stepping, mhz;
+};
+
+CpuKey read_cpu_key() {
+  CpuKey key;
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line) && !line.empty()) {  // first CPU block
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const std::string name =
+        line.substr(0, line.find_last_not_of(" \t", colon - 1) + 1);
+    const size_t value_at = line.find_first_not_of(' ', colon + 1);
+    const std::string value =
+        value_at == std::string::npos ? "" : line.substr(value_at);
+    if (name == "cpu family") key.family = value;
+    if (name == "model") key.model = value;
+    if (name == "stepping") key.stepping = value;
+    if (name == "cpu MHz") key.mhz = value;
+  }
+  return key;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -136,16 +168,38 @@ int main(int argc, char** argv) {
   const double arena_bytes_per_session =
       static_cast<double>(arena_bytes) / runs;
 
-  // Recorder-off serial pass: prices the always-on flight recorder
-  // (obs/flight_recorder.h) against the pass above.  recorder_overhead is
-  // the fractional sessions/sec cost of leaving it on; tools/bench_gate.py
-  // allows it 0.03 above the history median.  Records must stay
-  // identical apart from the four anomaly-trigger counters, the only
-  // record fields the recorder writes.
-  cfg.flight_recorder = false;
+  // Anomaly-trigger pricing: the serial sweep with flight_recorder on
+  // against off, in kOverheadPairs interleaved pairs whose order
+  // alternates, so host drift (turbo states, neighbours) lands on both
+  // sides alike.  recorder_overhead is the median per-pair on/off time
+  // ratio minus 1: the fractional sessions/sec cost of evaluating the
+  // anomaly triggers (a few counter reads per run; no dump is written
+  // without anomaly_dir).  tools/bench_gate.py allows it 0.03 above the
+  // history median.  Records must stay identical apart from the four
+  // anomaly-trigger counters, the only record fields the flag writes.
+  constexpr int kOverheadPairs = 5;
+  Samples overhead_ratios;
+  Samples recorder_off_secs;
+  std::vector<SessionRecord> recorder_on_records;
   std::vector<SessionRecord> recorder_off_records;
-  const double recorder_off_sec = run_timed(cfg, &recorder_off_records);
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    double on_sec = 0;
+    double off_sec = 0;
+    // Even pairs run the recorder-on side first, odd pairs the off side.
+    for (const bool on : {pair % 2 == 0, pair % 2 != 0}) {
+      cfg.flight_recorder = on;
+      if (on) {
+        on_sec = run_timed(cfg, &recorder_on_records);
+      } else {
+        off_sec = run_timed(cfg, &recorder_off_records);
+      }
+    }
+    overhead_ratios.add(on_sec / off_sec);
+    recorder_off_secs.add(off_sec);
+  }
   cfg.flight_recorder = true;
+  const double recorder_off_sec = recorder_off_secs.percentile(50);
+  const double recorder_overhead = overhead_ratios.percentile(50) - 1.0;
 
   // Thread pass: worker threads stream serialized records back over
   // pipes to the chunk dealer, which reassembles them index-addressed.
@@ -196,6 +250,7 @@ int main(int argc, char** argv) {
   registry.write_json(metrics_json);
   std::string ffct_json, phases_json;
   summarize_qoe(registry, cfg.schemes, &ffct_json, &phases_json);
+  const CpuKey cpu = read_cpu_key();
 
   std::printf(
       "{\n"
@@ -205,6 +260,10 @@ int main(int argc, char** argv) {
       "  \"threads\": %zu,\n"
       "  \"procs\": %zu,\n"
       "  \"hardware_concurrency\": %u,\n"
+      "  \"cpu_family\": \"%s\",\n"
+      "  \"cpu_model\": \"%s\",\n"
+      "  \"cpu_stepping\": \"%s\",\n"
+      "  \"cpu_mhz\": \"%s\",\n"
       "  \"peak_rss_mb\": %.1f,\n"
       "  \"serial_sec\": %.3f,\n"
       "  \"recorder_off_sec\": %.3f,\n"
@@ -227,10 +286,13 @@ int main(int argc, char** argv) {
       args.sessions, static_cast<unsigned long long>(args.seed),
       effective_threads, effective_procs,
       std::thread::hardware_concurrency(),
+      util::json_escape(cpu.family).c_str(),
+      util::json_escape(cpu.model).c_str(),
+      util::json_escape(cpu.stepping).c_str(),
+      util::json_escape(cpu.mhz).c_str(),
       static_cast<double>(obs::peak_rss_bytes().value_or(0)) / 1e6,
       serial_sec,
-      recorder_off_sec,
-      recorder_off_sec > 0 ? serial_sec / recorder_off_sec - 1.0 : 0.0,
+      recorder_off_sec, recorder_overhead,
       parallel_sec,
       procs_sec, metrics_sec, n / serial_sec, n / parallel_sec,
       n / procs_sec,

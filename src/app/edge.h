@@ -1,6 +1,6 @@
 // Multi-session CDN edge: one WiraServer instance per concurrent viewer,
 // demultiplexed by QUIC connection id — the flash-crowd serving situation
-// of examples/flash_crowd and the contention experiments.
+// of bench/abl_crowd's contention experiment.
 #pragma once
 
 #include <map>

@@ -5,9 +5,10 @@
 namespace wira::app {
 namespace {
 
-/// Receive gap while streaming at or above this duration is surfaced as a
-/// wira:stall_observed trace event (client-vantage qlog only; never
-/// affects metrics).
+/// Receive gap while streaming at or above this duration counts as a
+/// stall (PlayerClient::stalls_observed) and, with a tracer attached, is
+/// surfaced as a wira:stall_observed event in the client-vantage qlog.
+/// Never affects the session's metrics.
 constexpr TimeNs kStallThreshold = milliseconds(250);
 
 }  // namespace
@@ -84,13 +85,14 @@ void PlayerClient::on_stream_data(std::span<const uint8_t> data) {
   if (metrics_.first_byte_at == kNoTime && !data.empty()) {
     metrics_.first_byte_at = loop_.now();
   }
-  // Stall observation (client-vantage qlog only): a receive gap at or
-  // above the threshold while the stream is flowing — reordering holes,
-  // loss recovery and bursty pacing all surface here.  Detected when data
-  // *resumes*, so the event carries the gap it just ended.
-  if (tracer_ != nullptr && last_data_at_ != kNoTime && !data.empty()) {
+  // Stall observation: a receive gap at or above the threshold while the
+  // stream is flowing — reordering holes, loss recovery and bursty pacing
+  // all surface here.  Detected when data *resumes*, so the event carries
+  // the gap it just ended.
+  if (last_data_at_ != kNoTime && !data.empty()) {
     const TimeNs gap = loop_.now() - last_data_at_;
     if (gap >= kStallThreshold) {
+      stalls_observed_++;
       trace(trace::EventType::kStallObserved,
             static_cast<uint64_t>(gap / 1000),
             metrics_.total_bytes_received, "recv_gap");

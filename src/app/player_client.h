@@ -104,11 +104,14 @@ class PlayerClient {
 
   quic::Connection& connection() { return conn_; }
   const quic::Connection& connection() const { return conn_; }
-  /// Datagrams this client dropped as unparseable (anomaly-trigger input
-  /// for the flight recorder's decode_error trigger).
+  /// Datagrams this client dropped as unparseable (decode_error anomaly
+  /// trigger input, next to the server's).
   uint64_t packets_undecodable() const {
     return conn_.stats().packets_undecodable;
   }
+  /// Receive gaps of 250 ms or more while streaming (stall anomaly
+  /// trigger input); counted whether or not a tracer is attached.
+  uint32_t stalls_observed() const { return stalls_observed_; }
   uint64_t od_key() const { return od_key_; }
 
  private:
@@ -129,6 +132,7 @@ class PlayerClient {
   uint32_t video_frames_ = 0;
   bool request_sent_ = false;
   TimeNs last_data_at_ = kNoTime;
+  uint32_t stalls_observed_ = 0;
   Metrics metrics_;
   FrameEventFn on_frame_;
 

@@ -99,6 +99,7 @@ void WiraServer::apply_init() {
               "init before FF_Size parse: substituting init_cwnd_exp");
   }
   if (last_init_.hx_stale) {
+    stale_cookie_inits_++;
     trace(trace::EventType::kCornerCase, 0, 0, "stale_cookie");
     WIRA_WARN("wira_server", "Hx_QoS cookie stale: falling back to "
                              "FF_Size-derived init (corner case 2)");

@@ -91,6 +91,9 @@ class WiraServer {
   /// Times the send controller was initialized while FF_Size was still
   /// unparsed (corner case 1: init_cwnd_exp substituted).
   uint32_t ff_fallback_inits() const { return ff_fallback_inits_; }
+  /// Times the send controller was initialized from a stale Hx_QoS cookie
+  /// (corner case 2: FF_Size-derived init substituted).
+  uint32_t stale_cookie_inits() const { return stale_cookie_inits_; }
 
  private:
   void on_handshake_message(const quic::HandshakeMessage& msg);
@@ -122,6 +125,7 @@ class WiraServer {
   Bandwidth session_max_bw_ = 0;   ///< running max of cc bandwidth estimate
   uint64_t cookies_synced_ = 0;
   uint32_t ff_fallback_inits_ = 0;
+  uint32_t stale_cookie_inits_ = 0;
   bool first_byte_sent_ = false;
   std::vector<uint8_t> scid_ = {0x57, 0x49, 0x52, 0x41};  // "WIRA"
 

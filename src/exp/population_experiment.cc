@@ -1,14 +1,11 @@
 #include "exp/population_experiment.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "exp/population_internal.h"
@@ -91,27 +88,25 @@ void record_session_metrics(obs::MetricsRegistry& m, const SessionRecord& rec,
 
 namespace {
 
-// ---- flight-recorder anomaly path (DESIGN.md §7) ------------------------
+// ---- anomaly triggers and traced replays (DESIGN.md §7) -----------------
 
 enum class AnomalyTrigger { kNone, kStall, kCornerCase, kDecodeError, kFfct };
 
 /// The anomaly trigger (if any) for one completed (session, scheme) run:
 /// the highest-priority condition wins, so each run yields at most one
-/// dump with an unambiguous label.  Pure function of the session — every
-/// execution mode (serial / threads / procs / salvage-retry) computes the
-/// same triggers, which is what keeps records byte-identical.
+/// dump with an unambiguous label.  Reads only counters the run keeps
+/// whether or not it is traced, so it is a pure function of the session —
+/// every execution mode (serial / threads / procs / salvage-retry)
+/// computes the same triggers, which is what keeps records byte-identical.
 AnomalyTrigger anomaly_trigger(const PopulationConfig& config,
-                               const obs::FlightRecorder& fr,
                                const SessionResult& res) {
-  if (fr.count(trace::EventType::kStallObserved) > 0) {
-    return AnomalyTrigger::kStall;
-  }
+  if (res.stalls_observed > 0) return AnomalyTrigger::kStall;
   if (res.cwnd_fallback || res.init.hx_stale || res.zero_rtt_rejected ||
-      fr.count(trace::EventType::kCornerCase) > 0) {
+      res.stale_cookie_inits > 0) {
     return AnomalyTrigger::kCornerCase;
   }
   if (res.server_stats.packets_undecodable > 0 ||
-      fr.count(trace::EventType::kDecodeError) > 0) {
+      res.client_packets_undecodable > 0) {
     return AnomalyTrigger::kDecodeError;
   }
   if (config.anomaly_ffct != kNoTime &&
@@ -121,152 +116,66 @@ AnomalyTrigger anomaly_trigger(const PopulationConfig& config,
   return AnomalyTrigger::kNone;
 }
 
-/// Materializes the triggering session's rings as a standard paired qlog
-/// sample under anomaly_dir — same naming and format as --trace-sample
-/// artifacts, so wira_trace_join joins anomaly dumps unchanged.  File
-/// I/O failures warn and drop the dump (never the sweep); the trigger
-/// counter was already taken, so counters stay deterministic.
-void write_anomaly_dump(const PopulationConfig& config,
-                        const obs::FlightRecorder& fr,
-                        const std::string& name) {
-  const std::string base = config.anomaly_dir + "/" + name;
-  std::ofstream server_os(base + ".server.sqlog", std::ios::trunc);
-  std::ofstream client_os(base + ".client.sqlog", std::ios::trunc);
-  if (!server_os || !client_os) {
-    WIRA_WARN("population",
-              "cannot open anomaly dump " + base + ".{server,client}.sqlog");
-    return;
-  }
-  fr.write_sqlog_pair(server_os, client_os, name);
+/// "<prefix><i>_<scheme>": the file stem and qlog group_id of one
+/// (session, scheme) trace pair.
+std::string trace_name(const char* prefix, size_t i, core::Scheme scheme) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  name += '_';
+  name += core::scheme_name(scheme);
+  return name;
 }
 
-// ---- crash forensics (multiprocess workers, DESIGN.md §7) ---------------
-//
-// A worker child dying on a fatal signal dumps the in-flight session's
-// recorder rings to a pre-opened fd before re-raising, so PR 5's "killed
-// by signal N while on session i" diagnosis comes with the victim's event
-// history.  Everything the handler touches is async-signal-safe:
-// lock-free atomics, raw write(2) via FlightRecorder::crash_dump, no
-// allocation, no locks, no stdio.  The globals are per-process state;
-// only workers that own their process (forked children, wira_workerd)
-// arm the handler, so the parent and its worker threads never take
-// this path.
-
-struct CrashForensics {
-  std::atomic<int> fd{-1};  ///< pre-opened dump fd; -1 = disarmed
-  std::atomic<const obs::FlightRecorder*> recorder{nullptr};
-  std::atomic<uint64_t> session_index{0};
-  std::atomic<uint32_t> scheme{0};
-};
-CrashForensics g_crash;
-
-extern "C" void wira_crash_signal_handler(int sig) {
-  const int fd = g_crash.fd.load(std::memory_order_acquire);
-  const obs::FlightRecorder* rec =
-      g_crash.recorder.load(std::memory_order_acquire);
-  if (fd >= 0 && rec != nullptr) {
-    (void)rec->crash_dump(
-        fd, g_crash.session_index.load(std::memory_order_acquire),
-        g_crash.scheme.load(std::memory_order_acquire));
-  }
-  // Re-raise with the default disposition so the parent's waitpid sees
-  // the true terminating signal.
-  std::signal(sig, SIG_DFL);
-  std::raise(sig);
-}
-
-}  // namespace
-
-namespace internal {
-
-/// Arms the fatal-signal dump in a worker (forked pipe child or a
-/// wira_workerd serving a connection): pre-opens the raw dump file (the
-/// only step that may allocate — it happens before any session runs) and
-/// installs the handler for the fatal-by-default signals.
-void arm_crash_forensics(const PopulationConfig& config, size_t worker,
-                         const obs::FlightRecorder* recorder) {
-  // Disarm any previous arming first (wira_workerd re-arms per
-  // connection); the stale fd would otherwise leak per sweep.
-  const int prev = g_crash.fd.exchange(-1, std::memory_order_acq_rel);
-  if (prev >= 0) ::close(prev);
-  g_crash.recorder.store(nullptr, std::memory_order_release);
-  if (!config.flight_recorder || config.anomaly_dir.empty()) return;
-  const std::string path =
-      config.anomaly_dir + "/crash_worker_" + std::to_string(worker) + ".bin";
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    WIRA_WARN("population", "cannot pre-open crash dump " + path +
-                                "; worker runs without signal forensics");
-    return;
-  }
-  g_crash.recorder.store(recorder, std::memory_order_release);
-  g_crash.fd.store(fd, std::memory_order_release);
-  struct sigaction sa = {};
-  sa.sa_handler = wira_crash_signal_handler;
-  sigemptyset(&sa.sa_mask);
-  for (const int sig : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL}) {
-    ::sigaction(sig, &sa, nullptr);
-  }
-}
-
-}  // namespace internal
-
-namespace {
-
-/// Tags the recorder state the handler would dump (cheap atomic stores;
-/// called per (session, scheme) before the run so a mid-session crash is
-/// attributed to the right pair).
-void note_crash_session(size_t i, core::Scheme scheme) {
-  g_crash.session_index.store(i, std::memory_order_relaxed);
-  g_crash.scheme.store(static_cast<uint32_t>(scheme),
-                       std::memory_order_release);
-}
-
-}  // namespace
-
-namespace internal {
-
-/// Parent side: reads each worker's raw crash-dump file (if its handler
-/// wrote one), materializes it as a joinable
-/// crash_session_<i>_<scheme>.{server,client}.sqlog pair, counts it as
-/// `anomaly.dumps.crash`, and removes the raw file.  Records are never
-/// touched, so salvage/retry output stays byte-identical to serial.
-void materialize_crash_dumps(const PopulationConfig& config, size_t workers,
-                             obs::MetricsRegistry* metrics) {
-  if (!config.flight_recorder || config.anomaly_dir.empty()) return;
-  for (size_t w = 0; w < workers; ++w) {
+/// The one traced-session path: runs `cfg` with a server/client
+/// QlogStreamWriter pair streaming into dir/name.{server,client}.sqlog —
+/// one deterministic *pair* per (session, scheme), correlated by a shared
+/// group_id (obs/trace_join.h joins them).  --trace-sample artifacts,
+/// anomaly replays and crash replays are all written here, so
+/// wira_trace_join reads every one of them unchanged.  A trace must never
+/// be *silently* missing: a vantage whose file cannot be opened is named
+/// in a warning, runs untraced, and counts in *open_failures.
+/// `unbuffered` hands each event line to the kernel as it is written, so
+/// a process that dies mid-session leaves every event before the fault.
+SessionResult run_traced_session(SessionConfig cfg, SessionWorkspace& ws,
+                                 const std::string& dir,
+                                 const std::string& name, bool unbuffered,
+                                 uint64_t* open_failures) {
+  trace::Tracer tracers[2];
+  std::ofstream files[2];
+  std::optional<obs::QlogStreamWriter> writers[2];
+  const obs::QlogVantage vantages[2] = {obs::QlogVantage::kServer,
+                                        obs::QlogVantage::kClient};
+  trace::Tracer** slots[2] = {&cfg.tracer, &cfg.client_tracer};
+  for (size_t v = 0; v < 2; ++v) {
+    const bool server = vantages[v] == obs::QlogVantage::kServer;
     const std::string path =
-        config.anomaly_dir + "/crash_worker_" + std::to_string(w) + ".bin";
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (ec) continue;  // worker never armed, or nothing pre-opened
-    if (size > 0) {
-      std::ifstream in(path, std::ios::binary);
-      obs::FlightRecorder::CrashDump dump;
-      std::string error;
-      if (in && obs::FlightRecorder::read_crash_dump(in, &dump, &error)) {
-        std::string name = "crash_session_";
-        name += std::to_string(dump.session_index);
-        name += '_';
-        name += core::scheme_name(static_cast<core::Scheme>(dump.scheme));
-        const std::string base = config.anomaly_dir + "/" + name;
-        std::ofstream server_os(base + ".server.sqlog", std::ios::trunc);
-        std::ofstream client_os(base + ".client.sqlog", std::ios::trunc);
-        if (server_os && client_os) {
-          obs::write_sqlog_pair(server_os, client_os, name,
-                                dump.server_events, dump.client_events);
-          WIRA_WARN("population", "crash forensics: worker " +
-                                      std::to_string(w) + " left " + base +
-                                      ".{server,client}.sqlog");
-          if (metrics) metrics->inc("anomaly.dumps.crash");
-        }
-      } else {
-        WIRA_WARN("population",
-                  "crash forensics: cannot parse " + path + ": " + error);
-      }
+        dir + "/" + name + (server ? ".server.sqlog" : ".client.sqlog");
+    if (unbuffered) files[v].rdbuf()->pubsetbuf(nullptr, 0);
+    files[v].open(path, std::ios::trunc);
+    if (!files[v]) {
+      WIRA_WARN("population", "cannot open qlog trace " + path + ": " +
+                                  (server ? "server" : "client") +
+                                  " vantage runs untraced");
+      ++*open_failures;
+      continue;
     }
-    std::filesystem::remove(path, ec);
+    writers[v].emplace(files[v], obs::paired_trace_info(name, vantages[v]));
+    tracers[v].add_sink(&*writers[v]);
+    *slots[v] = &tracers[v];
   }
+  return run_session(cfg, ws);
+}
+
+}  // namespace
+
+namespace internal {
+
+void CrashReplay::discard() {
+  if (open_pair.empty()) return;
+  std::error_code ec;
+  std::filesystem::remove(open_pair + ".server.sqlog", ec);
+  std::filesystem::remove(open_pair + ".client.sqlog", ec);
+  open_pair.clear();
 }
 
 /// Simulates session `i` of the population sweep.  All randomness derives
@@ -277,7 +186,8 @@ void materialize_crash_dumps(const PopulationConfig& config, size_t workers,
 /// keeps steady-state heap allocations bounded (DESIGN.md §6).
 SessionRecord run_one_session(const PopulationConfig& config,
                               const popgen::Population& population,
-                              size_t i, SessionWorkspace& ws) {
+                              size_t i, SessionWorkspace& ws,
+                              CrashReplay* crash) {
   if (i == config.fail_at_index) {
     throw std::runtime_error("injected failure at session " +
                              std::to_string(i));
@@ -336,91 +246,53 @@ SessionRecord run_one_session(const PopulationConfig& config,
   ug_qos.server_timestamp = start_time;
   base.ug_qos = ug_qos;
 
-  const bool sampled =
-      config.trace_sample > 0 && i % config.trace_sample == 0;
+  const bool sampled = crash == nullptr && config.trace_sample > 0 &&
+                       i % config.trace_sample == 0;
   for (core::Scheme scheme : config.schemes) {
     SessionConfig cfg = base;
     cfg.scheme = scheme;
     cfg.collect_phases = config.collect_metrics;
-    if (config.flight_recorder) {
-      cfg.recorder = &ws.flight_recorder();
-      note_crash_session(i, scheme);
+    SessionResult res;
+    uint64_t replay_open_failures = 0;  // a replay never touches the record
+    if (crash != nullptr) {
+      // The previous pair ran to completion, so it cannot be the crash's:
+      // only the pair in flight survives.
+      const std::string name = trace_name("crash_session_", i, scheme);
+      crash->discard();
+      crash->open_pair = config.anomaly_dir + "/" + name;
+      res = run_traced_session(cfg, ws, config.anomaly_dir, name,
+                               /*unbuffered=*/true, &replay_open_failures);
+    } else if (sampled) {
+      res = run_traced_session(cfg, ws, config.trace_dir,
+                               trace_name("session_", i, scheme),
+                               /*unbuffered=*/false, &rec.trace_open_failures);
+    } else {
+      res = run_session(cfg, ws);
     }
-    trace::Tracer qlog_tracer;
-    trace::Tracer client_qlog_tracer;
-    std::ofstream qlog;
-    std::ofstream client_qlog;
-    std::optional<obs::QlogStreamWriter> qlog_writer;
-    std::optional<obs::QlogStreamWriter> client_qlog_writer;
-    if (sampled) {
-      // One deterministic *pair* of files per (session, scheme) — the
-      // server and client vantage points of the same session, correlated
-      // by a shared group_id (obs/trace_join.h joins them).  Workers never
-      // share a stream, so sampling is parallel-safe.  The dumps are
-      // standard qlog (draft-ietf-quic-qlog written as JSONL, obs/qlog.h).
-      std::string name = "session_";
-      name += std::to_string(i);
-      name += '_';
-      name += core::scheme_name(scheme);
-      const std::string base_path = config.trace_dir + "/" + name;
-      // A sampled session must never be *silently* untraced: name the
-      // file, run that vantage untraced, and surface each miss as the
-      // trace.open_failed counter (a broken dir counts both vantages).
-      const std::string server_path = base_path + ".server.sqlog";
-      qlog.open(server_path, std::ios::trunc);
-      if (qlog) {
-        qlog_writer.emplace(
-            qlog, obs::paired_trace_info(name, obs::QlogVantage::kServer));
-        qlog_tracer.add_sink(&*qlog_writer);
-        cfg.tracer = &qlog_tracer;
-      } else {
-        WIRA_WARN("population",
-                  "cannot open qlog sample " + server_path +
-                      ": server vantage runs untraced");
-        rec.trace_open_failures++;
-      }
-      const std::string client_path = base_path + ".client.sqlog";
-      client_qlog.open(client_path, std::ios::trunc);
-      if (client_qlog) {
-        client_qlog_writer.emplace(
-            client_qlog,
-            obs::paired_trace_info(name, obs::QlogVantage::kClient));
-        client_qlog_tracer.add_sink(&*client_qlog_writer);
-        cfg.client_tracer = &client_qlog_tracer;
-      } else {
-        WIRA_WARN("population",
-                  "cannot open qlog sample " + client_path +
-                      ": client vantage runs untraced");
-        rec.trace_open_failures++;
-      }
+    const AnomalyTrigger trigger = config.flight_recorder
+                                       ? anomaly_trigger(config, res)
+                                       : AnomalyTrigger::kNone;
+    switch (trigger) {
+      case AnomalyTrigger::kStall: rec.anomaly_stall_dumps++; break;
+      case AnomalyTrigger::kCornerCase: rec.anomaly_corner_dumps++; break;
+      case AnomalyTrigger::kDecodeError: rec.anomaly_decode_dumps++; break;
+      case AnomalyTrigger::kFfct: rec.anomaly_ffct_dumps++; break;
+      case AnomalyTrigger::kNone: break;
     }
-    const auto emplaced = rec.results.emplace(scheme, run_session(cfg, ws));
-    if (config.flight_recorder) {
-      const SessionResult& res = emplaced.first->second;
-      const AnomalyTrigger trigger =
-          anomaly_trigger(config, ws.flight_recorder(), res);
-      if (trigger != AnomalyTrigger::kNone) {
-        switch (trigger) {
-          case AnomalyTrigger::kStall: rec.anomaly_stall_dumps++; break;
-          case AnomalyTrigger::kCornerCase: rec.anomaly_corner_dumps++; break;
-          case AnomalyTrigger::kDecodeError: rec.anomaly_decode_dumps++; break;
-          case AnomalyTrigger::kFfct: rec.anomaly_ffct_dumps++; break;
-          case AnomalyTrigger::kNone: break;
-        }
-        // File materialization is capped per worker and best-effort; the
-        // counters above were already taken, so every execution mode
-        // still produces byte-identical records.
-        if (!config.anomaly_dir.empty() &&
-            ws.anomaly_dumps_written < config.anomaly_max_dumps) {
-          std::string name = "session_";
-          name += std::to_string(i);
-          name += '_';
-          name += core::scheme_name(scheme);
-          write_anomaly_dump(config, ws.flight_recorder(), name);
-          ws.anomaly_dumps_written++;
-        }
-      }
+    // The dump is a traced re-run of this very (session, scheme): the run
+    // is a pure function of (config, i), so the replay emits exactly the
+    // events the untraced run would have.  Files are capped per worker
+    // and best-effort; the counters above were already taken, so every
+    // execution mode still produces byte-identical records.
+    if (trigger != AnomalyTrigger::kNone && crash == nullptr &&
+        !config.anomaly_dir.empty() &&
+        ws.anomaly_dumps_written < config.anomaly_max_dumps) {
+      run_traced_session(cfg, ws, config.anomaly_dir,
+                         trace_name("session_", i, scheme),
+                         /*unbuffered=*/false, &replay_open_failures);
+      ws.anomaly_dumps_written++;
     }
+    rec.results.emplace(scheme, std::move(res));
   }
   if (!rec.results.empty()) {
     rec.ff_size = rec.results.begin()->second.ff_size;
@@ -470,8 +342,8 @@ void prepare_trace_dir(const PopulationConfig& config) {
   }
 }
 
-/// Same contract for the anomaly-dump directory (created in the parent so
-/// forked worker children can pre-open crash files immediately).
+/// Same contract for the anomaly-dump directory (anomaly and crash replays
+/// write their trace pairs here).
 void prepare_anomaly_dir(const PopulationConfig& config) {
   if (!config.flight_recorder || config.anomaly_dir.empty()) return;
   std::error_code ec;

@@ -116,19 +116,17 @@ struct PopulationConfig {
   size_t trace_sample = 0;
   std::string trace_dir = "traces";
 
-  // ---- flight recorder / anomaly forensics (PR 8, DESIGN.md §7) ----
-  /// Attach the always-on bounded flight recorder to every session.  The
-  /// recorder is POD-backed and recycled per worker, so this costs no
-  /// steady-state heap allocations; anomaly triggers (stalls, corner
-  /// cases, decode errors, FFCT over anomaly_ffct) are counted into
-  /// SessionRecord and — when anomaly_dir is set — materialized as
-  /// paired .server.sqlog/.client.sqlog dumps wira_trace_join can join.
+  // ---- anomaly forensics (DESIGN.md §7) ----
+  /// Evaluate anomaly triggers (stalls, corner cases, decode errors, FFCT
+  /// over anomaly_ffct) on every session from counters each run keeps
+  /// anyway, count them into SessionRecord, and — when anomaly_dir is
+  /// set — write each triggering run's paired .server.sqlog/.client.sqlog
+  /// trace by re-running it traced (wira_trace_join joins the pair).
   bool flight_recorder = true;
-  /// Directory for anomaly/crash dumps; "" = count triggers but write no
-  /// files.  In multiprocess mode, worker children also pre-open a raw
-  /// crash-dump file here so an async-signal-safe handler can preserve
-  /// the dying session's rings (materialized by the parent as
-  /// crash_session_<i>_<scheme>.{server,client}.sqlog).
+  /// Directory for anomaly and crash traces; "" = count triggers but
+  /// write no files.  When a worker process dies, the parent re-runs its
+  /// chunk up to the fatal session in a forked replay child; a crash that
+  /// recurs leaves crash_session_<i>_<scheme>.{server,client}.sqlog here.
   std::string anomaly_dir;
   /// FFCT above this — or an incomplete first frame — triggers an
   /// anomaly dump.  kNoTime = FFCT trigger off.
@@ -147,10 +145,11 @@ struct PopulationConfig {
   /// wira_workerd), never by worker threads, so the test process itself
   /// never dies.
   size_t kill_at_index = kNoSessionIndex;
-  /// raise(crash_after_signal) after a forked worker *finishes* this
-  /// session index (its record already streamed): exercises the
-  /// signal-dump forensics path with the recorder rings still holding a
-  /// complete, joinable session.  Same scope as kill_at_index.
+  /// raise(crash_after_signal), with its default disposition, after a
+  /// forked worker *finishes* this session index (its record already
+  /// streamed): exercises the crash replay path, whose replay dies the
+  /// same way with that session's complete, joinable trace pair in
+  /// flight.  Same scope as kill_at_index.
   size_t crash_after_index = kNoSessionIndex;
   int crash_after_signal = SIGABRT;
 };
@@ -165,7 +164,7 @@ struct SessionRecord {
   /// surfaces as the `trace.open_failed` counter.
   uint64_t trace_open_failures = 0;
   std::map<core::Scheme, SessionResult> results;
-  /// Flight-recorder anomaly triggers across this session's scheme runs
+  /// Anomaly triggers across this session's scheme runs
   /// (at most one per (session, scheme), labeled by the highest-priority
   /// trigger: stall > corner_case > decode_error > ffct).  Deterministic
   /// functions of the session, so serial/threaded/multiprocess/retry runs

@@ -8,31 +8,30 @@
 
 #include "exp/population_experiment.h"
 
-namespace wira::obs {
-class FlightRecorder;
-}
-
 namespace wira::exp::internal {
+
+/// Crash replay state (DESIGN.md §7) of a forked worker re-running a dead
+/// shard's chunk: every (session, scheme) streams, unbuffered, into
+/// anomaly_dir as crash_session_<i>_<scheme>.{server,client}.sqlog, and
+/// opening a pair removes the one before it — so if the replay dies, the
+/// pair left behind is the one in flight.
+struct CrashReplay {
+  std::string open_pair;  ///< anomaly_dir/<name> of the newest pair
+  /// Removes the newest pair: a replay that ends without dying leaves no
+  /// crash trace behind.
+  void discard();
+};
 
 /// Simulates session `i`.  All randomness derives from (config.seed, i)
 /// and `population` is read-only, so any partition of the index space
-/// across workers reproduces the serial records bit-exactly.
+/// across workers reproduces the serial records bit-exactly — and any
+/// session can be re-run later to trace it.  A non-null `crash` traces
+/// every scheme run as a crash replay instead of writing qlog samples or
+/// anomaly dumps.
 SessionRecord run_one_session(const PopulationConfig& config,
                               const popgen::Population& population, size_t i,
-                              SessionWorkspace& ws);
-
-/// Arms the fatal-signal crash dump in a worker (pipe child or workerd):
-/// pre-opens anomaly_dir/crash_worker_<worker>.bin and installs an
-/// async-signal-safe handler that dumps the in-flight session's recorder
-/// rings before re-raising.
-void arm_crash_forensics(const PopulationConfig& config, size_t worker,
-                         const obs::FlightRecorder* recorder);
-
-/// Parent side: materializes any crash_worker_<w>.bin left by a dying
-/// worker as a joinable crash_session_<i>_<scheme> sqlog pair and counts
-/// it as `anomaly.dumps.crash`.
-void materialize_crash_dumps(const PopulationConfig& config, size_t workers,
-                             obs::MetricsRegistry* metrics);
+                              SessionWorkspace& ws,
+                              CrashReplay* crash = nullptr);
 
 /// Sweep prologues: materialize the qlog sample / anomaly-dump
 /// directories (non-fatal on failure).  TCP workers run these themselves

@@ -37,9 +37,8 @@ SessionResult run_impl(const SessionConfig& cfg,
   const uint64_t arena_total_before = loop.arena().total_allocated();
   sim::Path path(loop, cfg.path, cfg.seed);
   media::LiveStream stream(cfg.stream, cfg.corpus_seed);
-  // Declared before the server so they outlive every trace() call site.
+  // Declared before the server so it outlives every trace() call site.
   trace::Tracer local_tracer;
-  trace::Tracer local_client_tracer;
 
   const uint64_t server_id = 7;
   const uint64_t client_id = cfg.seed;
@@ -110,24 +109,11 @@ SessionResult run_impl(const SessionConfig& cfg,
   });
 
   // Observability: attach the caller's tracer, or a session-local one when
-  // only the phase decomposition or the flight recorder needs one.
+  // only the phase decomposition needs one.
   trace::Tracer* tracer = cfg.tracer;
-  if (tracer == nullptr && (cfg.collect_phases || cfg.recorder)) {
-    tracer = &local_tracer;
-  }
+  if (tracer == nullptr && cfg.collect_phases) tracer = &local_tracer;
   if (tracer) server.set_tracer(tracer);
-  trace::Tracer* client_tracer = cfg.client_tracer;
-  if (client_tracer == nullptr && cfg.recorder) {
-    client_tracer = &local_client_tracer;
-  }
-  if (client_tracer) client.set_tracer(client_tracer);
-  if (cfg.recorder) {
-    // Sits next to any qlog writer the caller attached; removed again
-    // before returning, so a caller's tracer keeps no recorder pointer.
-    cfg.recorder->reset();
-    tracer->add_sink(&cfg.recorder->server());
-    client_tracer->add_sink(&cfg.recorder->client());
-  }
+  if (cfg.client_tracer) client.set_tracer(cfg.client_tracer);
 
   // Per-frame loss windows over the bottleneck (data) direction.  The
   // snapshot vector is workspace scratch (cleared here, capacity
@@ -196,6 +182,10 @@ SessionResult run_impl(const SessionConfig& cfg,
   result.client_cookies_received = m.cookies_received;
   result.cwnd_fallback = server.ff_fallback_inits() > 0;
   result.zero_rtt_rejected = cfg.zero_rtt && !m.zero_rtt;
+  result.stalls_observed = client.stalls_observed();
+  result.ff_fallback_inits = server.ff_fallback_inits();
+  result.stale_cookie_inits = server.stale_cookie_inits();
+  result.client_packets_undecodable = client.packets_undecodable();
   if (cfg.collect_phases && tracer != nullptr) {
     obs::FfctBoundaries b = obs::boundaries_from_trace(*tracer);
     b.request_sent = m.request_sent_at;
@@ -209,10 +199,6 @@ SessionResult run_impl(const SessionConfig& cfg,
     result.phases = obs::ffct_phases(b);
   }
   result.arena_bytes = loop.arena().total_allocated() - arena_total_before;
-  if (cfg.recorder) {
-    tracer->remove_sink(&cfg.recorder->server());
-    client_tracer->remove_sink(&cfg.recorder->client());
-  }
   return result;
 }
 

@@ -9,7 +9,6 @@
 #include "app/wira_server.h"
 #include "core/init_config.h"
 #include "media/stream_source.h"
-#include "obs/flight_recorder.h"
 #include "obs/phase_timeline.h"
 #include "sim/path.h"
 #include "trace/tracer.h"
@@ -58,13 +57,6 @@ struct SessionConfig {
   /// External tracer for the *client* connection (the client-vantage half
   /// of a paired qlog sample; see obs/trace_join.h); not owned.
   trace::Tracer* client_tracer = nullptr;
-  /// Always-on flight recorder (obs/flight_recorder.h); not owned, must
-  /// outlive the run.  When set, it is reset() and added as a sink to both
-  /// vantages' tracers for the run (next to any qlog writer above); the
-  /// caller inspects it afterwards for anomaly triggers.  The recorder is
-  /// bounded and POD-backed, so this costs no steady-state heap
-  /// allocations.
-  obs::FlightRecorder* recorder = nullptr;
 };
 
 struct FrameStat {
@@ -108,10 +100,6 @@ class SessionWorkspace {
   uint64_t sessions_run() const { return sessions_run_; }
   /// The recycled event loop (exposed for capacity-reuse assertions).
   sim::EventLoop& loop() { return loop_; }
-  /// Per-worker flight recorder: slots are allocated once here and
-  /// recycled per session (SessionConfig::recorder points at this in the
-  /// population sweep).
-  obs::FlightRecorder& flight_recorder() { return flight_recorder_; }
 
   /// Anomaly dump *files* this workspace has materialized — the
   /// population sweep caps files per worker (trigger counters are never
@@ -124,7 +112,6 @@ class SessionWorkspace {
 
   sim::EventLoop loop_;
   std::vector<detail::LinkWindow> frame_snapshots_;  ///< scratch
-  obs::FlightRecorder flight_recorder_;
   uint64_t sessions_run_ = 0;
 };
 
@@ -150,6 +137,15 @@ struct SessionResult {
   bool cwnd_fallback = false;
   /// The client attempted 0-RTT but the handshake fell back to 1-RTT.
   bool zero_rtt_rejected = false;
+
+  // ---- anomaly-trigger inputs (DESIGN.md §7) ----
+  /// Counted whether or not a tracer is attached; each equals the count
+  /// of the matching trace event a fully traced run emits.  Read where
+  /// the run happens (never encoded into records).
+  uint32_t stalls_observed = 0;     ///< client receive gaps (stall_observed)
+  uint32_t ff_fallback_inits = 0;   ///< corner case 1 inits (corner_case)
+  uint32_t stale_cookie_inits = 0;  ///< corner case 2 inits (corner_case)
+  uint64_t client_packets_undecodable = 0;  ///< client-side decode_error
 
   // ---- allocation accounting (PR 4) ----
   /// Cumulative bytes the session's event loop handed out of its bump

@@ -92,21 +92,19 @@ bool next_control(FrameReader& reader, int fd, FrameView* view) {
 
 /// Shared worker loop body: reads the control stream on `control_fd`
 /// through `control` (for wira_workerd already past the kConfig frame).
-/// A worker that owns its process (forked child, wira_workerd) arms crash
-/// forensics and honors the signal-raising fault hooks; a thread worker
-/// shares the parent's process and does neither.  A throwing session
-/// returns 1 with the exception text in *error.
-int run_worker_loop(const PopulationConfig& config, size_t worker,
-                    FrameReader& control, int control_fd, int data_fd,
-                    bool owns_process, std::string* error) {
+/// A worker that owns its process (forked child, wira_workerd) honors the
+/// signal-raising fault hooks; a thread worker shares the parent's
+/// process and does not.  A non-null `crash` makes this a crash replay
+/// (internal::CrashReplay).  A throwing session returns 1 with the
+/// exception text in *error.
+int run_worker_loop(const PopulationConfig& config, FrameReader& control,
+                    int control_fd, int data_fd, bool owns_process,
+                    internal::CrashReplay* crash, std::string* error) {
   std::vector<uint8_t> out;
   try {
     append_stream_header(out);
     popgen::Population population(config.seed * 31 + 7, config.num_groups);
     SessionWorkspace ws;
-    if (owns_process) {
-      internal::arm_crash_forensics(config, worker, &ws.flight_recorder());
-    }
 
     bool end = false;
     std::deque<Chunk> todo;
@@ -137,8 +135,8 @@ int run_worker_loop(const PopulationConfig& config, size_t worker,
           (void)internal::write_all(data_fd, out.data(), out.size());
           std::raise(SIGKILL);
         }
-        const SessionRecord rec = internal::run_one_session(config, population,
-                                                            i, ws);
+        const SessionRecord rec =
+            internal::run_one_session(config, population, i, ws, crash);
         std::vector<uint8_t> payload;
         CodecWriter w(payload);
         w.u64(i);
@@ -148,6 +146,9 @@ int run_worker_loop(const PopulationConfig& config, size_t worker,
         if (!internal::write_all(data_fd, out.data(), out.size())) return 3;
         out.clear();
         if (owns_process && i == config.crash_after_index) {
+          // Die of the signal itself, as an unhandled crash would, even
+          // where a handler for it is installed (a sanitizer's).
+          std::signal(config.crash_after_signal, SIG_DFL);
           std::raise(config.crash_after_signal);
         }
       }
@@ -168,11 +169,12 @@ int run_worker_loop(const PopulationConfig& config, size_t worker,
 /// (exit 3) instead of raising SIGPIPE, and a throwing session is
 /// reported on stderr, since the exit status alone cannot carry it.
 int run_process_worker(const PopulationConfig& config, size_t worker,
-                       FrameReader& control, int control_fd, int data_fd) {
+                       FrameReader& control, int control_fd, int data_fd,
+                       internal::CrashReplay* crash) {
   std::signal(SIGPIPE, SIG_IGN);
   std::string error;
-  const int code = run_worker_loop(config, worker, control, control_fd,
-                                   data_fd, /*owns_process=*/true, &error);
+  const int code = run_worker_loop(config, control, control_fd, data_fd,
+                                   /*owns_process=*/true, crash, &error);
   if (code == 1) {
     std::fprintf(stderr, "wira population worker %zu: %s\n", worker,
                  error.c_str());
@@ -183,9 +185,17 @@ int run_process_worker(const PopulationConfig& config, size_t worker,
 }  // namespace
 
 int run_shard_worker(const PopulationConfig& config, size_t worker,
-                     int control_fd, int data_fd) {
+                     int control_fd, int data_fd, bool crash_replay) {
   FrameReader control;
-  return run_process_worker(config, worker, control, control_fd, data_fd);
+  if (!crash_replay) {
+    return run_process_worker(config, worker, control, control_fd, data_fd,
+                              nullptr);
+  }
+  internal::CrashReplay crash;
+  const int code = run_process_worker(config, worker, control, control_fd,
+                                      data_fd, &crash);
+  crash.discard();  // still alive: nothing crashed
+  return code;
 }
 
 int serve_shard_worker(int fd) {
@@ -204,7 +214,7 @@ int serve_shard_worker(int fd) {
   internal::prepare_trace_dir(config);
   internal::prepare_anomaly_dir(config);
   return run_process_worker(config, static_cast<size_t>(worker_id), control,
-                            fd, fd);
+                            fd, fd, nullptr);
 }
 
 namespace {
@@ -240,18 +250,18 @@ void close_fd(int* fd) {
 /// join and turns a closed data pipe into a failed write.
 class ThreadShardChannel final : public ShardChannel {
  public:
-  ThreadShardChannel(const PopulationConfig& config, size_t worker) {
+  explicit ThreadShardChannel(const PopulationConfig& config) {
     int cfds[2];
     int dfds[2];
     open_worker_pipes(cfds, dfds);
     control_fd_ = cfds[1];
     data_fd_ = dfds[0];
     try {
-      thread_ = std::thread([this, &config, worker, control_rd = cfds[0],
+      thread_ = std::thread([this, &config, control_rd = cfds[0],
                              data_wr = dfds[1]] {
         FrameReader control;
-        status_ = run_worker_loop(config, worker, control, control_rd,
-                                  data_wr, /*owns_process=*/false, &error_);
+        status_ = run_worker_loop(config, control, control_rd, data_wr,
+                                  /*owns_process=*/false, nullptr, &error_);
         close(control_rd);
         close(data_wr);  // the parent's EOF
       });
@@ -321,6 +331,7 @@ class PipeShardChannel : public ShardChannel {
     }
   }
 
+  int control_fd() const { return control_fd_; }
   int data_fd() const override { return data_fd_; }
   void close_data() override { close_fd(&data_fd_); }
 
@@ -553,7 +564,6 @@ class ChunkDispatcher {
   }
 
   const std::vector<Chunk>& chunks() const { return chunks_; }
-  size_t worker_count() const { return w_count_; }
   std::vector<WorkerState>& workers() { return workers_; }
   int owner_of(size_t chunk_id) const { return chunk_owner_[chunk_id]; }
   bool queue_empty() const { return next_chunk_ >= chunks_.size(); }
@@ -579,7 +589,7 @@ class ChunkDispatcher {
       spawn_pipe_workers();
     } else if (config_.workers.empty()) {
       for (size_t w = 0; w < w_count_; ++w) {
-        workers_[w].ch = std::make_unique<ThreadShardChannel>(config_, w);
+        workers_[w].ch = std::make_unique<ThreadShardChannel>(config_);
       }
     } else {
       for (size_t w = 0; w < w_count_; ++w) {
@@ -787,6 +797,61 @@ class ChunkDispatcher {
     return deaths;
   }
 
+  /// Crash replay (DESIGN.md §7): re-runs a dead worker's chunk, from its
+  /// first index through the session it died on, in one forked child
+  /// whose every (session, scheme) streams into anomaly_dir as a
+  /// crash_session_<i>_<scheme> pair (internal::CrashReplay).  Sessions
+  /// are pure functions of (config, index), so a crash that recurs leaves
+  /// the pair it was in flight on, counted as `anomaly.dumps.crash`.  A
+  /// replay that survives leaves no pair: the crash depended on something
+  /// outside the session (state leaking between sessions, or the host),
+  /// itself a finding worth the warning.
+  /// Thread workers share this process, so they cannot have crashed.
+  void replay_crash(const ShardDeath& d, obs::MetricsRegistry* metrics) const {
+    if (!config_.flight_recorder || config_.anomaly_dir.empty() ||
+        (!fork_ && config_.workers.empty())) {
+      return;
+    }
+    const size_t end = std::min(d.died_at + 1, d.stripe_end);
+    if (d.stripe_begin >= end) return;
+    const std::unique_ptr<PipeShardChannel> ch =
+        fork_worker(static_cast<size_t>(d.worker), {}, /*crash_replay=*/true);
+    std::vector<uint8_t> control;
+    append_stream_header(control);
+    std::vector<uint8_t> payload;
+    CodecWriter cw(payload);
+    cw.u64(static_cast<uint64_t>(d.stripe_begin));
+    cw.u64(static_cast<uint64_t>(end));
+    append_frame(FrameType::kChunkAssign, {payload.data(), payload.size()},
+                 control);
+    append_frame(FrameType::kEnd, {}, control);
+    ch->send_control(control.data(), control.size());
+    // The replay's records are known already: drain them unread.
+    uint8_t sink[4096];
+    for (;;) {
+      const ssize_t n = read(ch->data_fd(), sink, sizeof sink);
+      if (n > 0 || (n < 0 && errno == EINTR)) continue;
+      break;
+    }
+    ch->close_data();
+    const std::string replay = ch->finish();
+    if (replay.rfind("killed by signal", 0) == 0) {
+      WIRA_WARN("population", "crash replay: " + describe(d) + " recurred (" +
+                                  replay + "); its trace pair is in " +
+                                  config_.anomaly_dir);
+      if (metrics != nullptr) metrics->inc("anomaly.dumps.crash");
+      return;
+    }
+    if (replay.empty()) {
+      WIRA_WARN("population",
+                "crash of " + describe(d) + " did not reproduce on replay");
+      return;
+    }
+    // A throwing session, or a sanitizer that caught the fault and exited.
+    WIRA_WARN("population", "crash replay: " + describe(d) + " ended without"
+                            " a signal (replay " + replay + ")");
+  }
+
   /// Names the death: in-flight chunk if one exists, else the last chunk
   /// the worker completed (death between chunks / after its assignment).
   ShardDeath make_death(size_t w) const {
@@ -833,32 +898,39 @@ class ChunkDispatcher {
   void spawn_pipe_workers() {
     std::vector<int> parent_fds;  // earlier workers' parent-side fds
     for (size_t w = 0; w < w_count_; ++w) {
-      int cfds[2];  // parent writes control -> child reads
-      int dfds[2];  // child writes data -> parent reads
-      open_worker_pipes(cfds, dfds);
-      const pid_t pid = fork();
-      if (pid < 0) {
-        close(cfds[0]);
-        close(cfds[1]);
-        close(dfds[0]);
-        close(dfds[1]);
-        throw std::runtime_error("run_population: fork() failed");
-      }
-      if (pid == 0) {
-        // Child: drop every parent-side fd inherited across fork so a
-        // sibling's EOF is not held open by us.
-        for (const int fd : parent_fds) close(fd);
-        close(cfds[1]);
-        close(dfds[0]);
-        _Exit(run_shard_worker(config_, w, cfds[0], dfds[1]));
-      }
-      close(cfds[0]);
-      close(dfds[1]);
-      parent_fds.push_back(cfds[1]);
-      parent_fds.push_back(dfds[0]);
-      workers_[w].ch =
-          std::make_unique<PipeShardChannel>(pid, cfds[1], dfds[0]);
+      std::unique_ptr<PipeShardChannel> ch =
+          fork_worker(w, parent_fds, /*crash_replay=*/false);
+      parent_fds.push_back(ch->control_fd());
+      parent_fds.push_back(ch->data_fd());
+      workers_[w].ch = std::move(ch);
     }
+  }
+
+  /// Forks worker w over a fresh control/data pipe pair.  The child drops
+  /// every parent-side fd in `inherited` so a sibling's EOF is not held
+  /// open by it, runs run_shard_worker and _Exits with its code.
+  std::unique_ptr<PipeShardChannel> fork_worker(
+      size_t w, const std::vector<int>& inherited, bool crash_replay) const {
+    int cfds[2];  // parent writes control -> child reads
+    int dfds[2];  // child writes data -> parent reads
+    open_worker_pipes(cfds, dfds);
+    const pid_t pid = fork();
+    if (pid < 0) {
+      close(cfds[0]);
+      close(cfds[1]);
+      close(dfds[0]);
+      close(dfds[1]);
+      throw std::runtime_error("run_population: fork() failed");
+    }
+    if (pid == 0) {
+      for (const int fd : inherited) close(fd);
+      close(cfds[1]);
+      close(dfds[0]);
+      _Exit(run_shard_worker(config_, w, cfds[0], dfds[1], crash_replay));
+    }
+    close(cfds[0]);
+    close(dfds[1]);
+    return std::make_unique<PipeShardChannel>(pid, cfds[1], dfds[0]);
   }
 
   const PopulationConfig& config_;
@@ -915,6 +987,8 @@ void dispatch_population_stream(const PopulationConfig& config,
 
   // Owner of the cursor's chunk when it died with retry off.
   std::optional<size_t> failed_owner;
+  // Workers retired (retry on) before the final reap.
+  std::vector<ShardDeath> retired;
   while (next < config.sessions) {
     const size_t cid = disp.chunk_index_of(next);
     const int owner = disp.owner_of(cid);
@@ -962,8 +1036,8 @@ void dispatch_population_stream(const PopulationConfig& config,
       failed_owner = static_cast<size_t>(owner);
       break;
     }
-    const ShardDeath death = disp.retire(static_cast<size_t>(owner));
-    WIRA_WARN("population", "run_population: " + describe(death) +
+    retired.push_back(disp.retire(static_cast<size_t>(owner)));
+    WIRA_WARN("population", "run_population: " + describe(retired.back()) +
                                 "; re-running its remaining sessions "
                                 "in-process");
   }
@@ -974,8 +1048,8 @@ void dispatch_population_stream(const PopulationConfig& config,
   while (disp.pump([](const WorkerState& ws) { return !ws.end_seen; })) {
   }
   std::vector<ShardDeath> deaths = disp.reap();
-  internal::materialize_crash_dumps(
-      config, std::max<size_t>(disp.worker_count(), 1), metrics);
+  for (const ShardDeath& d : retired) disp.replay_crash(d, metrics);
+  for (const ShardDeath& d : deaths) disp.replay_crash(d, metrics);
   if (deaths.empty() && !failed_owner.has_value()) {
     sink.on_complete(config.sessions);
     return;

@@ -102,10 +102,13 @@ std::unique_ptr<ShardChannel> connect_tcp_worker(const std::string& endpoint,
 /// code, and streams one kSessionRecord frame per completed session
 /// (plus a final kEnd) to data_fd.  Returns the worker exit code: 0
 /// clean, 1 a session threw, 2 control-protocol violation, 3 data write
-/// failed (parent gone).  Owns its process: ignores SIGPIPE, arms crash
-/// forensics and honors every fault-injection hook in `config`.
+/// failed (parent gone).  Owns its process: ignores SIGPIPE and honors
+/// every fault-injection hook in `config`.  With `crash_replay` the child
+/// re-runs a dead shard's chunk as a crash replay (DESIGN.md §7): each
+/// (session, scheme) streams into anomaly_dir, and only a replay that
+/// dies leaves its in-flight crash_session_<i>_<scheme> pair behind.
 int run_shard_worker(const PopulationConfig& config, size_t worker,
-                     int control_fd, int data_fd);
+                     int control_fd, int data_fd, bool crash_replay = false);
 
 /// wira_workerd connection handler: reads the control header and the
 /// kConfig frame (worker id + PopulationConfig) from `fd`, prepares the

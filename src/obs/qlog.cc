@@ -229,16 +229,4 @@ QlogTraceInfo paired_trace_info(const std::string& name,
   return info;
 }
 
-void write_sqlog_pair(std::ostream& server_os, std::ostream& client_os,
-                      const std::string& name,
-                      const std::vector<trace::Event>& server_events,
-                      const std::vector<trace::Event>& client_events) {
-  QlogStreamWriter server(server_os,
-                          paired_trace_info(name, QlogVantage::kServer));
-  for (const trace::Event& e : server_events) server.on_event(e);
-  QlogStreamWriter client(client_os,
-                          paired_trace_info(name, QlogVantage::kClient));
-  for (const trace::Event& e : client_events) client.on_event(e);
-}
-
 }  // namespace wira::obs

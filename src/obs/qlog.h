@@ -40,14 +40,6 @@ enum class QlogVantage { kServer, kClient };
 /// "wira-server"/"server" and the client half "wira-client"/"client".
 QlogTraceInfo paired_trace_info(const std::string& name, QlogVantage vantage);
 
-/// Writes both vantages of one session as a joinable pair named `name`
-/// (paired_trace_info).  Used by every path that materializes recorded
-/// events after the fact: flight-recorder anomaly dumps and crash dumps.
-void write_sqlog_pair(std::ostream& server_os, std::ostream& client_os,
-                      const std::string& name,
-                      const std::vector<trace::Event>& server_events,
-                      const std::vector<trace::Event>& client_events);
-
 /// Standard qlog event name for an internal tracer event, e.g.
 /// "transport:packet_sent" or "wira:ff_parsed".  Depends on the detail for
 /// kHandshakeEvent ("established" is a connection_state_updated).

@@ -4,16 +4,14 @@
 // disabled.
 //
 // A Tracer buffers nothing.  It hands each event to the attached sinks the
-// moment it is recorded (obs::QlogStreamWriter writes standard qlog, the
-// flight recorder keeps a bounded POD copy, tests and examples attach an
-// EventLog) and remembers when each event type first fired — all the FFCT
+// moment it is recorded (obs::QlogStreamWriter writes standard qlog, tests
+// and examples attach an EventLog) and remembers when each event type first fired — all the FFCT
 // phase decomposition (obs/phase_timeline.h) reads.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "util/units.h"
@@ -54,8 +52,7 @@ inline constexpr size_t kEventTypeCount =
 
 const char* event_type_name(EventType t);
 
-/// One trace event.  A 48-byte trivially copyable slot, so the flight
-/// recorder stores and crash-dumps it as raw bytes.  `detail` is always
+/// One trace event, a small trivially copyable value.  `detail` is always
 /// NUL-terminated: Tracer::record keeps at most 21 bytes, and every detail
 /// the stack emits (at most 20 bytes, "congestion_avoidance") fits.
 struct Event {
@@ -65,8 +62,6 @@ struct Event {
   EventType type = EventType::kPacketSent;
   char detail[22] = {};
 };
-static_assert(sizeof(Event) == 48 && std::is_trivially_copyable_v<Event>,
-              "the flight recorder writes raw Event bytes");
 
 /// Receives each event the moment it is recorded.  Implementations own
 /// their serialization format; the tracer never writes through a sink
@@ -88,8 +83,8 @@ class EventLog : public EventSink {
 
 class Tracer {
  public:
-  /// Sink slots; a session attaches at most a qlog writer and the flight
-  /// recorder.
+  /// Sink slots; a traced session attaches one qlog writer per vantage
+  /// (tests add counting sinks next to it).
   static constexpr size_t kMaxSinks = 4;
 
   Tracer() { first_time_.fill(kNoTime); }

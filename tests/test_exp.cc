@@ -1,12 +1,21 @@
 // Tests for the experiment harness itself: paired A/B integrity,
-// determinism, metric plausibility, and the bucketing collectors.
+// determinism, metric plausibility, the bucketing collectors, anomaly
+// triggers and the traced replays behind anomaly and crash dumps.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "exp/population_experiment.h"
 #include "exp/record_codec.h"
@@ -16,7 +25,9 @@
 #include "exp/table.h"
 #include "obs/metrics.h"
 #include "obs/rss.h"
+#include "obs/qlog.h"
 #include "obs/trace_join.h"
+#include "trace/tracer.h"
 #include "util/logging.h"
 
 namespace wira::exp {
@@ -437,17 +448,17 @@ TEST(Harness, ThreadWorkerExceptionIsNamed) {
   }
 }
 
-// Signal-dump forensics (DESIGN.md §7): a forked worker dying on a fatal
-// signal leaves its in-flight session's flight-recorder rings behind via
-// the async-signal-safe handler, and the parent materializes them as a
-// crash_session_<i>_<scheme> qlog pair that the stock cross-vantage join
-// accepts.  crash_after_index raises *after* the record streamed, so the
-// rings hold a complete session.
-void expect_joinable_crash_dump(int signal, const char* tag) {
+// Crash replay (DESIGN.md §7): when a forked worker dies on a fatal
+// signal, the parent re-runs its chunk in a replay child that streams each
+// (session, scheme) as a crash_session_<i>_<scheme> qlog pair; the replay
+// dies the same way, and the pair it leaves is the one in flight, which
+// the stock cross-vantage join accepts.  crash_after_index raises *after*
+// the record streamed, so the surviving pair holds a complete session.
+void expect_joinable_crash_trace(int signal, const char* tag) {
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() /
-      (std::string("wira_crash_dump_") + tag + "_" +
+      (std::string("wira_crash_replay_") + tag + "_" +
        std::to_string(::getpid()));
   fs::remove_all(dir);
 
@@ -470,8 +481,8 @@ void expect_joinable_crash_dump(int signal, const char* tag) {
         << e.deaths[0].reason;
   }
 
-  // Exactly one crash pair, for session 9 (the session the handler was
-  // last armed for), and it joins cleanly.
+  // Exactly one crash pair, for session 9 (the session in flight when
+  // the replay died), and it joins cleanly.
   std::string base;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -500,11 +511,83 @@ void expect_joinable_crash_dump(int signal, const char* tag) {
 }
 
 TEST(Harness, SigabrtWorkerLeavesJoinableCrashDump) {
-  expect_joinable_crash_dump(SIGABRT, "abrt");
+  expect_joinable_crash_trace(SIGABRT, "abrt");
 }
 
 TEST(Harness, SigsegvWorkerLeavesJoinableCrashDump) {
-  expect_joinable_crash_dump(SIGSEGV, "segv");
+  expect_joinable_crash_trace(SIGSEGV, "segv");
+}
+
+// A one-connection endpoint whose host dies outright the moment it
+// accepts the sweep — a death no session caused.
+struct DoomedWorkerd {
+  pid_t pid = -1;
+  std::string endpoint;
+};
+
+DoomedWorkerd spawn_doomed_workerd() {
+  DoomedWorkerd w;
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(listen_fd, 0);
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  EXPECT_EQ(::bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  EXPECT_EQ(::listen(listen_fd, 1), 0);
+  struct sockaddr_in bound = {};
+  socklen_t len = sizeof(bound);
+  ::getsockname(listen_fd, reinterpret_cast<struct sockaddr*>(&bound), &len);
+  w.endpoint = "127.0.0.1:" + std::to_string(ntohs(bound.sin_port));
+  w.pid = ::fork();
+  if (w.pid == 0) {
+    (void)::accept(listen_fd, nullptr, nullptr);
+    std::raise(SIGKILL);
+  }
+  ::close(listen_fd);
+  return w;
+}
+
+// Crash replay of a death the sessions cannot reproduce: the replay
+// survives, leaves no crash pair, is not counted as a crash, and the
+// parent says the crash did not reproduce.
+TEST(Harness, CrashThatDoesNotRecurIsReported) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("wira_crash_norecur_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const DoomedWorkerd doomed = spawn_doomed_workerd();
+
+  PopulationConfig cfg = small_config(23);
+  cfg.sessions = 4;
+  cfg.chunk = 4;
+  cfg.workers = {doomed.endpoint};
+  cfg.anomaly_dir = dir.string();
+  obs::MetricsRegistry metrics;
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  EXPECT_THROW(run_population(cfg, &metrics), PopulationShardError);
+  const std::string err = testing::internal::GetCapturedStderr();
+  set_log_level(LogLevel::kOff);
+
+  EXPECT_NE(err.find("crash of worker 0 (sessions [0,4)) truncated record "
+                     "stream (no header) while on session 0 did not "
+                     "reproduce on replay"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(metrics.counter("anomaly.dumps.crash"), 0u);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().rfind("crash_session_", 0),
+              std::string::npos)
+        << entry.path();
+  }
+  int status = 0;
+  while (::waitpid(doomed.pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+  fs::remove_all(dir);
 }
 
 // With retry_dead_shards the parent re-runs only the missing indices and
@@ -823,6 +906,391 @@ TEST(Harness, RunnerHonorsCcChoice) {
     for (const auto& [s, res] : r.results) done += res.first_frame_completed;
   }
   EXPECT_GT(done, 0u);
+}
+
+// ---- anomaly triggers and traced replays (DESIGN.md §7) -----------------
+
+namespace fs = std::filesystem;
+
+/// Counts trace events by type (both vantages can share one).
+struct CountingSink : trace::EventSink {
+  uint64_t counts[trace::kEventTypeCount] = {};
+  void on_event(const trace::Event& e) override {
+    counts[static_cast<size_t>(e.type)]++;
+  }
+  uint64_t count(trace::EventType t) const {
+    return counts[static_cast<size_t>(t)];
+  }
+  uint64_t total() const {
+    uint64_t n = 0;
+    for (const uint64_t c : counts) n += c;
+    return n;
+  }
+};
+
+/// Both vantages of one session traced as a qlog pair into strings, plus
+/// a counting sink on each.
+struct TracedPair {
+  std::ostringstream server_os, client_os;
+  obs::QlogStreamWriter server_writer, client_writer;
+  CountingSink server_counts, client_counts;
+  trace::Tracer server, client;
+
+  explicit TracedPair(const std::string& name)
+      : server_writer(server_os,
+                      obs::paired_trace_info(name, obs::QlogVantage::kServer)),
+        client_writer(client_os,
+                      obs::paired_trace_info(name, obs::QlogVantage::kClient)) {
+    server.add_sink(&server_writer);
+    server.add_sink(&server_counts);
+    client.add_sink(&client_writer);
+    client.add_sink(&client_counts);
+  }
+  void attach(SessionConfig* cfg) {
+    cfg->tracer = &server;
+    cfg->client_tracer = &client;
+  }
+};
+
+media::StreamProfile default_stream() {
+  media::StreamProfile p;
+  p.stream_id = 1;
+  p.iframe_mean_bytes = 60'000;
+  p.iframe_intra_cv = 0.2;
+  return p;
+}
+
+SessionConfig clean_path_session() {
+  SessionConfig cfg;
+  cfg.path.bandwidth = mbps(20);
+  cfg.path.rtt = milliseconds(40);
+  cfg.path.loss_rate = 0.0;
+  cfg.path.buffer_bytes = 128 * 1024;
+  cfg.stream = default_stream();
+  cfg.scheme = core::Scheme::kBaseline;
+  cfg.seed = 7;
+  return cfg;
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+// Tracer::record builds one trace::Event per event (millions in a traced
+// sweep) and sinks may copy it, so it stays a compact POD.
+TEST(FlightRecorder, SlotIsCompactPod) {
+  EXPECT_EQ(sizeof(trace::Event), 48u);
+  EXPECT_TRUE(std::is_trivially_copyable_v<trace::Event>);
+}
+
+// The anomaly triggers read counters every run keeps, traced or not; each
+// must equal the count of the trace event a traced run emits for it, on
+// lossy, jittery paths for every population scheme — with stale cookies
+// in the mix so both corner cases fire.
+TEST(FlightRecorder, TriggerCountersMatchTracedEventCounts) {
+  uint64_t stalls = 0;
+  uint64_t fallbacks = 0;
+  uint64_t stale = 0;
+  for (const core::Scheme scheme : PopulationConfig{}.schemes) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SessionConfig cfg;
+      cfg.scheme = scheme;
+      cfg.seed = seed;
+      cfg.path.bandwidth = mbps(4 + seed);
+      cfg.path.rtt = milliseconds(30 + 20 * static_cast<int64_t>(seed));
+      cfg.path.loss_rate = 0.02 * static_cast<double>(seed);
+      cfg.path.jitter = milliseconds(static_cast<int64_t>(seed % 3) * 10);
+      cfg.stream = default_stream();
+      cfg.start_time = seconds(7200);
+      core::HxQosRecord cookie;
+      cookie.min_rtt = milliseconds(60);
+      cookie.max_bw = mbps(6);
+      // Odd seeds carry a cookie two hours old: stale (corner case 2).
+      cookie.server_timestamp = seed % 2 ? 0 : cfg.start_time - seconds(60);
+      cfg.cookie = cookie;
+      // The counters come from an untraced run, as in the sweep.
+      const SessionResult res = run_session(cfg);
+      TracedPair traced("equivalence");
+      traced.attach(&cfg);
+      run_session(cfg);
+      const std::string what =
+          std::string(core::scheme_name(scheme)) + " seed " +
+          std::to_string(seed);
+      const auto both = [&](trace::EventType t) {
+        return traced.server_counts.count(t) + traced.client_counts.count(t);
+      };
+      EXPECT_EQ(res.stalls_observed,
+                traced.client_counts.count(trace::EventType::kStallObserved))
+          << what;
+      EXPECT_EQ(both(trace::EventType::kStallObserved),
+                traced.client_counts.count(trace::EventType::kStallObserved))
+          << what;
+      EXPECT_EQ(res.ff_fallback_inits + res.stale_cookie_inits,
+                traced.server_counts.count(trace::EventType::kCornerCase))
+          << what;
+      EXPECT_EQ(both(trace::EventType::kCornerCase),
+                traced.server_counts.count(trace::EventType::kCornerCase))
+          << what;
+      EXPECT_EQ(res.server_stats.packets_undecodable +
+                    res.client_packets_undecodable,
+                both(trace::EventType::kDecodeError))
+          << what;
+      stalls += res.stalls_observed;
+      fallbacks += res.ff_fallback_inits;
+      stale += res.stale_cookie_inits;
+    }
+  }
+  // The sweep really exercised the stall path and both corner cases.
+  EXPECT_GT(stalls, 0u);
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(stale, 0u);
+}
+
+// An anomaly dump is a traced re-run of the triggering (session, scheme),
+// so it is byte-for-byte the pair --trace-sample writes for that run — and
+// it joins like one.
+TEST(FlightRecorder, SessionDumpJoinsLikeASampledPair) {
+  const fs::path root = fs::temp_directory_path() /
+                        ("wira_anomaly_sampled_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  PopulationConfig cfg;
+  cfg.sessions = 2;
+  cfg.seed = 11;
+  cfg.trace_sample = 1;
+  cfg.trace_dir = (root / "samples").string();
+  cfg.anomaly_dir = (root / "anomaly").string();
+  cfg.anomaly_ffct = nanoseconds(1);  // every run triggers a dump
+  run_population(cfg);
+
+  size_t pairs = 0;
+  for (const auto& entry : fs::directory_iterator(cfg.anomaly_dir)) {
+    const std::string name = entry.path().filename().string();
+    const fs::path sample = fs::path(cfg.trace_dir) / name;
+    ASSERT_TRUE(fs::exists(sample)) << name;
+    EXPECT_EQ(read_file(entry.path()), read_file(sample)) << name;
+    const std::string suffix = ".client.sqlog";
+    if (name.size() < suffix.size() ||
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
+            0) {
+      continue;
+    }
+    const std::string base = name.substr(0, name.size() - suffix.size());
+    obs::ParsedQlog client, server;
+    std::string error;
+    ASSERT_TRUE(obs::parse_sqlog_file(entry.path().string(), &client, &error))
+        << error;
+    ASSERT_TRUE(obs::parse_sqlog_file(
+        (fs::path(cfg.anomaly_dir) / (base + ".server.sqlog")).string(),
+        &server, &error))
+        << error;
+    EXPECT_EQ(server.group_id, base);
+    EXPECT_EQ(client.group_id, base);
+    obs::JoinedPhases joined;
+    ASSERT_TRUE(obs::join_vantages(client, server, &joined, &error))
+        << base << ": " << error;
+    EXPECT_GT(joined.ffct_us, 0u);
+    ++pairs;
+  }
+  EXPECT_EQ(pairs, cfg.sessions * cfg.schemes.size());
+  fs::remove_all(root);
+}
+
+// Replays run on the worker's recycled workspace: a session traced after
+// others ran there emits exactly the trace a fresh workspace does.
+TEST(FlightRecorder, ResetRecyclesWithoutCarryover) {
+  SessionConfig other = clean_path_session();
+  other.seed = 3;
+  other.path.loss_rate = 0.05;
+  SessionConfig target = clean_path_session();
+
+  TracedPair fresh("carryover");
+  SessionConfig cfg = target;
+  fresh.attach(&cfg);
+  run_session(cfg);
+
+  SessionWorkspace ws;
+  run_session(other, ws);
+  run_session(target, ws);
+  TracedPair recycled("carryover");
+  cfg = target;
+  recycled.attach(&cfg);
+  run_session(cfg, ws);
+
+  EXPECT_GT(fresh.server_counts.total(), 0u);
+  EXPECT_EQ(fresh.server_os.str(), recycled.server_os.str());
+  EXPECT_EQ(fresh.client_os.str(), recycled.client_os.str());
+}
+
+TEST(FlightRecorder, RecorderDoesNotPerturbResults) {
+  SessionConfig cfg = clean_path_session();
+  const SessionResult plain = run_session(cfg);
+  TracedPair traced("perturb");
+  traced.attach(&cfg);
+  const SessionResult taped = run_session(cfg);
+  EXPECT_EQ(plain.ffct, taped.ffct);
+  EXPECT_EQ(plain.server_stats.packets_sent, taped.server_stats.packets_sent);
+  EXPECT_EQ(plain.fflr, taped.fflr);
+  std::vector<uint8_t> ea, eb;
+  CodecWriter wa(ea), wb(eb);
+  encode_session_result(plain, wa);
+  encode_session_result(taped, wb);
+  EXPECT_EQ(ea, eb);
+}
+
+TEST(FlightRecorder, CoexistsWithPhaseCollection) {
+  SessionConfig cfg = clean_path_session();
+  cfg.collect_phases = true;
+  const SessionResult plain = run_session(cfg);
+  TracedPair traced("phases");
+  traced.attach(&cfg);
+  const SessionResult taped = run_session(cfg);
+  ASSERT_FALSE(taped.phases.empty());  // phase extraction still works
+  ASSERT_EQ(plain.phases.size(), taped.phases.size());
+  for (size_t p = 0; p < plain.phases.size(); ++p) {
+    EXPECT_EQ(plain.phases[p].begin, taped.phases[p].begin) << p;
+    EXPECT_EQ(plain.phases[p].end, taped.phases[p].end) << p;
+  }
+  EXPECT_GT(traced.server_counts.total(), 0u);
+}
+
+// ---- population-sweep anomaly path --------------------------------------
+
+struct TempDir {
+  fs::path path;
+  explicit TempDir(const std::string& tag)
+      : path(fs::temp_directory_path() /
+             (tag + "_" + std::to_string(::getpid()))) {
+    fs::remove_all(path);
+  }
+  ~TempDir() { fs::remove_all(path); }
+};
+
+size_t count_files_with(const fs::path& dir, const std::string& needle) {
+  size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().find(needle) != std::string::npos) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+using obs::join_vantages;
+using obs::JoinedPhases;
+using obs::parse_sqlog_file;
+using obs::ParsedQlog;
+
+TEST(FlightRecorder, PopulationFfctTriggerWritesJoinableDumps) {
+  TempDir dir("wira_anomaly_ffct");
+  exp::PopulationConfig cfg;
+  cfg.sessions = 3;
+  cfg.seed = 11;
+  cfg.anomaly_dir = dir.path.string();
+  cfg.anomaly_ffct = nanoseconds(1);  // every completed session trips it
+
+  const auto records = exp::run_population(cfg);
+  ASSERT_EQ(records.size(), cfg.sessions);
+  // A 1 ns threshold trips every run — but a run that also hit a
+  // higher-priority condition (a natural corner case, say) is labeled by
+  // that trigger instead, so the *total* covers the sweep.
+  uint64_t total_dumps = 0, ffct_dumps = 0;
+  for (const auto& rec : records) {
+    total_dumps += rec.anomaly_stall_dumps + rec.anomaly_corner_dumps +
+                   rec.anomaly_decode_dumps + rec.anomaly_ffct_dumps;
+    ffct_dumps += rec.anomaly_ffct_dumps;
+  }
+  EXPECT_EQ(total_dumps, cfg.sessions * cfg.schemes.size());
+  EXPECT_GT(ffct_dumps, 0u);
+
+  // Every dumped pair parses and joins with the stock checker library.
+  size_t joined_pairs = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    const std::string suffix = ".client.sqlog";
+    if (name.size() < suffix.size() ||
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
+            0) {
+      continue;
+    }
+    const std::string base = name.substr(0, name.size() - suffix.size());
+    ParsedQlog client, server;
+    std::string error;
+    ASSERT_TRUE(parse_sqlog_file(
+        (dir.path / (base + ".client.sqlog")).string(), &client, &error))
+        << error;
+    ASSERT_TRUE(parse_sqlog_file(
+        (dir.path / (base + ".server.sqlog")).string(), &server, &error))
+        << base << ": " << error;
+    JoinedPhases joined;
+    ASSERT_TRUE(join_vantages(client, server, &joined, &error))
+        << base << ": " << error;
+    ++joined_pairs;
+  }
+  EXPECT_EQ(joined_pairs, cfg.sessions * cfg.schemes.size());
+}
+
+TEST(FlightRecorder, DumpFilesAreCappedButCountersAreNot) {
+  TempDir dir("wira_anomaly_cap");
+  exp::PopulationConfig cfg;
+  cfg.sessions = 4;
+  cfg.seed = 11;
+  cfg.anomaly_dir = dir.path.string();
+  cfg.anomaly_ffct = nanoseconds(1);
+  cfg.anomaly_max_dumps = 2;
+
+  const auto records = exp::run_population(cfg);
+  uint64_t total_dumps = 0;
+  for (const auto& rec : records) {
+    total_dumps += rec.anomaly_stall_dumps + rec.anomaly_corner_dumps +
+                   rec.anomaly_decode_dumps + rec.anomaly_ffct_dumps;
+  }
+  EXPECT_EQ(total_dumps, cfg.sessions * cfg.schemes.size());
+  EXPECT_EQ(count_files_with(dir.path, ".sqlog"), 2u * 2u);  // 2 pairs
+}
+
+TEST(FlightRecorder, AnomalyCountersAreDeterministicAcrossRunners) {
+  exp::PopulationConfig cfg;
+  cfg.sessions = 8;
+  cfg.seed = 11;
+  cfg.anomaly_ffct = nanoseconds(1);  // counters need no anomaly_dir
+
+  const auto serial = exp::run_population(cfg);
+  cfg.threads = 4;
+  const auto threaded = exp::run_population(cfg);
+  cfg.threads = 1;
+  cfg.processes = 2;
+  const auto sharded = exp::run_population(cfg);
+  ASSERT_EQ(serial.size(), threaded.size());
+  ASSERT_EQ(serial.size(), sharded.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].anomaly_ffct_dumps, threaded[i].anomaly_ffct_dumps);
+    EXPECT_EQ(serial[i].anomaly_ffct_dumps, sharded[i].anomaly_ffct_dumps);
+    EXPECT_EQ(serial[i].anomaly_stall_dumps, sharded[i].anomaly_stall_dumps);
+    EXPECT_EQ(serial[i].anomaly_corner_dumps,
+              sharded[i].anomaly_corner_dumps);
+  }
+}
+
+TEST(FlightRecorder, RecorderOffWritesNothingAndCountsNothing) {
+  TempDir dir("wira_anomaly_off");
+  exp::PopulationConfig cfg;
+  cfg.sessions = 2;
+  cfg.seed = 11;
+  cfg.flight_recorder = false;
+  cfg.anomaly_dir = dir.path.string();
+  cfg.anomaly_ffct = nanoseconds(1);
+  const auto records = exp::run_population(cfg);
+  for (const auto& rec : records) {
+    EXPECT_EQ(rec.anomaly_ffct_dumps, 0u);
+    EXPECT_EQ(rec.anomaly_stall_dumps, 0u);
+    EXPECT_EQ(rec.anomaly_corner_dumps, 0u);
+    EXPECT_EQ(rec.anomaly_decode_dumps, 0u);
+  }
+  // With the recorder off the runner never even creates the dump dir.
+  EXPECT_FALSE(fs::exists(dir.path));
 }
 
 }  // namespace

@@ -5,11 +5,12 @@ Compares one bench/perf_smoke JSON (a BENCH_<date>.json file) against the
 median of the last K comparable records in bench_history/
 perf_trajectory.jsonl and exits non-zero when any guarded metric regressed
 past its budget.  "Comparable" means same session count, seed, thread
-count, worker-process count and hardware_concurrency: records from
-differently shaped runs or hosts are skipped (throughput is not
-comparable across thread or core counts), so resizing the smoke run or
-moving it to another host never trips the gate, it just restarts the
-history window.
+count, worker-process count, hardware_concurrency and host CPU (family,
+model, stepping and clock, as perf_smoke reads them from /proc/cpuinfo):
+records from differently shaped runs or hosts are skipped (throughput is
+not comparable across thread counts, core counts or CPU types), so
+resizing the smoke run or moving it to another host never trips the
+gate, it just restarts the history window.
 
 Guarded metrics and their default budgets:
 
@@ -36,7 +37,11 @@ Guarded metrics and their default budgets:
 
   recorder_overhead     absolute, fixed RECORDER_OVERHEAD_BUDGET (0.03):
                         fail when current > median + budget — the <=3%
-                        price of leaving the flight recorder on.  Skipped
+                        price of evaluating anomaly triggers on every
+                        session (PopulationConfig::flight_recorder: a few
+                        counter reads per run; dumps are traced re-runs
+                        paid only when anomaly_dir is set), measured as
+                        the median of interleaved on/off pairs.  Skipped
                         with a note while the history lacks the key.
 
   allocs_per_session    relative, --budget-allocs (default 0.10): fail
@@ -84,9 +89,11 @@ GATED_THROUGHPUT = [
 
 # Fields that must match for a history record to be comparable.
 COMPARABILITY_KEY = ("sessions", "seed", "threads", "procs",
-                     "hardware_concurrency")
+                     "hardware_concurrency", "cpu_family", "cpu_model",
+                     "cpu_stepping", "cpu_mhz")
 
-# Absolute budget on recorder_overhead (the flight recorder's <=3% cost).
+# Absolute budget on recorder_overhead (anomaly-trigger evaluation's <=3%
+# cost).
 RECORDER_OVERHEAD_BUDGET = 0.03
 
 
@@ -356,6 +363,10 @@ def self_test(args):
          {**rec(), "ffct_ms": {"Wira": 150.0, "NewScheme": 1e9}}, 0),
         ("history from another core count is skipped",
          rec(sps=10.0, cores=1), 0, None, "only 0 comparable"),
+        ("history from another CPU model/clock is skipped",
+         {**rec(sps=10.0), "cpu_model": "143", "cpu_mhz": "2000.000"}, 0,
+         [{**r, "cpu_model": "85", "cpu_mhz": "2500.000"} for r in history],
+         "only 0 comparable"),
         ("single-core host skips threaded speedup comparison",
          {**rec(cores=1), "sessions_per_sec_nt": 1.0,
           "sessions_per_sec_np": 1.0}, 0, single_core_history),

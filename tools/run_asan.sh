@@ -38,10 +38,11 @@ ctest --test-dir "${build_dir}" -L gate --output-on-failure \
 # use-after-reset exposure the suite has.  Session count stays small —
 # sanitized sessions are ~10x slower — but every recycled path runs
 # hundreds of times.
-# The anomaly flags run the flight recorder's materialization path
-# (snapshot, sqlog serialization, crash-fd plumbing) under the
-# sanitizers too; the seeded 1 ms deadline guarantees dumps happen.
-rm -rf "${build_dir}/anomaly"
+# The anomaly flags run the anomaly path (trigger counters, traced
+# replays on the recycled workspace, qlog serialization) under the
+# sanitizers too; the seeded 1 ms deadline guarantees dumps happen.  The
+# --procs 2 leg runs the same replays inside forked workers.
+rm -rf "${build_dir}/anomaly" "${build_dir}/anomaly_procs"
 # The daemons below announce their ports through these files; a file left
 # by an earlier run would send the readiness waits to a dead port.
 rm -f "${build_dir}"/{exporter,workerd1,workerd2,proxyd}.port
@@ -50,7 +51,11 @@ rm -f "${build_dir}"/{exporter,workerd1,workerd2,proxyd}.port
   --anomaly-dir "${build_dir}/anomaly" --anomaly-ffct-ms 1 \
   > "${build_dir}/soak.json"
 "${build_dir}/tools/wira_trace_join" --trace-dir "${build_dir}/anomaly"
-echo "sanitized anomaly dumps joined"
+"${build_dir}/bench/soak" --sessions 200 --procs 2 \
+  --anomaly-dir "${build_dir}/anomaly_procs" --anomaly-ffct-ms 1 \
+  > "${build_dir}/soak_procs.json"
+"${build_dir}/tools/wira_trace_join" --trace-dir "${build_dir}/anomaly_procs"
+echo "sanitized anomaly dumps joined (serial and --procs 2)"
 echo "sanitized soak passed ($(
   python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["sessions"], "sessions")' \
     "${build_dir}/soak.json"))"

@@ -41,8 +41,8 @@ mkdir -p "${history_dir}"
 trajectory="${history_dir}/perf_trajectory.jsonl"
 
 # Regression gate BEFORE the append: compare this run against the median
-# of recent comparable records (same sessions, seed, threads, procs and
-# hardware_concurrency; see bench_gate.py).  A regressed run is
+# of recent comparable records (same sessions, seed, threads, procs,
+# hardware_concurrency and host CPU; see bench_gate.py).  A regressed run is
 # NOT appended, so it cannot drag the baseline down for the next run.
 # Budgets and their rationale: tools/bench_gate.py --help.
 if ! python3 "${repo_root}/tools/bench_gate.py" "${out}" \

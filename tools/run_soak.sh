@@ -19,13 +19,13 @@
 #   final consistency  the post-run scrape's wira_soak_sessions_total and
 #                      per-scheme counters equal the final JSON aggregate
 #
-# The flight recorder (DESIGN.md §7) is exercised end to end: the soak is
+# The anomaly path (DESIGN.md §7) is exercised end to end: the soak is
 # seeded with an impossible first-frame deadline (--anomaly-ffct-ms 1) so
 # every session trips a trigger, and the run is gated on
 #
 #   anomaly scrape     wira_anomaly_dumps_total{trigger=...} shows up in a
 #                      live /metrics scrape
-#   joinable dumps     the materialized .server/.client.sqlog pairs join
+#   joinable dumps     the replayed .server/.client.sqlog pairs join
 #                      cleanly under wira_trace_join (exit 0)
 #
 # Defaults to a 20k-session run (~5 min serial) — enough flushes for a
@@ -90,8 +90,8 @@ wait "${soak_pid}"
 cat "${out}"
 echo "wrote ${out} (flush lines in ${flush_out})"
 
-# Flight-recorder gate: the seeded 1 ms first-frame deadline must have
-# materialized at least one dump pair, and the whole anomaly dir must join
+# Anomaly gate: the seeded 1 ms first-frame deadline must have written
+# at least one dump pair, and the whole anomaly dir must join
 # cleanly (wira_trace_join exits 0 only when every pair joins).
 pair_count="$(find "${anomaly_dir}" -name '*.server.sqlog' 2>/dev/null | wc -l)"
 if [[ "${pair_count}" -lt 1 ]]; then
