@@ -22,11 +22,8 @@ namespace {
 struct CrowdResult {
   Samples ffct_ms;
   double uplink_loss = 0;
-  /// Client-side phase decompositions of the completed sessions.  This
-  /// harness drives raw PlayerClients (no per-session server tracer), so
-  /// the server-side boundaries are unknown and handshake/origin_fetch/
-  /// ff_parse clamp to zero: wait before the first video byte shows up as
-  /// delivery, the rest as frame_recv.
+  /// Phase decompositions of the completed sessions, from each viewer's
+  /// client and its edge session.
   std::vector<exp::SessionResult> sessions;
 };
 
@@ -53,6 +50,7 @@ CrowdResult run_crowd(core::Scheme scheme, int viewers, uint64_t seed) {
   struct Viewer {
     std::unique_ptr<app::PlayerClient> client;
     app::ClientCache cache;
+    quic::ConnectionId id = 0;
   };
   std::vector<Viewer> crowd(static_cast<size_t>(viewers));
   Rng rng(seed * 17 + 3);
@@ -65,7 +63,8 @@ CrowdResult run_crowd(core::Scheme scheme, int viewers, uint64_t seed) {
     access.loss.loss_rate = rng.uniform(0.0, 0.01);
     const size_t leg = net.add_leg(access);
 
-    const quic::ConnectionId id = 100 + static_cast<uint64_t>(i);
+    v.id = 100 + static_cast<uint64_t>(i);
+    const quic::ConnectionId id = v.id;
     const uint64_t od_key = core::od_pair_key(id, 7, 0);
     auto& server = edge.add_session(
         id,
@@ -111,16 +110,11 @@ CrowdResult run_crowd(core::Scheme scheme, int viewers, uint64_t seed) {
     const auto& m = v.client->metrics();
     if (m.first_frame_done()) {
       out.ffct_ms.add(to_ms(m.ffct()));
-      obs::FfctBoundaries b;
-      b.request_sent = m.request_sent_at;
-      b.first_byte_received = m.first_frame_byte_at != kNoTime
-                                  ? m.first_frame_byte_at
-                                  : m.first_byte_at;
-      b.first_frame_complete = m.frame_complete_at[0];
       exp::SessionResult sr;
       sr.first_frame_completed = true;
       sr.ffct = m.ffct();
-      sr.phases = obs::ffct_phases(b);
+      sr.phases = obs::ffct_phases(
+          exp::ffct_boundaries(*edge.session(v.id), *v.client));
       out.sessions.push_back(std::move(sr));
     }
   }
@@ -173,8 +167,7 @@ int main(int argc, char** argv) {
       for (const auto& s : v) p.push_back(&s);
       return p;
     };
-    exp::banner("FFCT phase breakdown (ms; client-side view — server "
-                "phases read as 0)");
+    exp::banner("FFCT phase breakdown (ms)");
     exp::ffct_phase_table({{"baseline", ptrs(base_sessions)},
                            {"wira", ptrs(wira_sessions)}})
         .print();

@@ -1,13 +1,13 @@
 // Performance smoke: runs the same Monte-Carlo population serially, over
 // worker threads, and over forked worker processes (both sharded by the
 // one chunk dealer, exp/shard_dispatch), verifies all records are
-// identical (the determinism contract), prices the anomaly triggers in
-// interleaved flight_recorder on/off serial pairs, reruns with full
-// metrics collection to price the observability overhead, and prints one
-// JSON object with sessions/sec plus the aggregate metrics registry so
-// successive runs build a perf trajectory (tools/run_perf_smoke.sh appends
-// it to bench_history/; tools/bench_gate.py gates the throughput numbers,
-// including the multiprocess sessions_per_sec_np datapoint).
+// identical (the determinism contract) and unchanged with the anomaly
+// triggers off, reruns with full metrics collection to price the
+// observability overhead, and prints one JSON object with sessions/sec
+// plus the aggregate metrics registry so successive runs build a perf
+// trajectory (tools/run_perf_smoke.sh appends it to bench_history/;
+// tools/bench_gate.py gates the throughput numbers, including the
+// multiprocess sessions_per_sec_np datapoint).
 //
 // Usage: perf_smoke [sessions] [seed] [--threads N] [--procs N]
 //        (N=0 -> hardware; --procs defaults to a 2-worker datapoint)
@@ -24,7 +24,6 @@
 #include "obs/rss.h"
 #include "util/alloc_stats.h"
 #include "util/json.h"
-#include "util/stats.h"
 
 using namespace wira;
 using namespace wira::exp;
@@ -168,38 +167,13 @@ int main(int argc, char** argv) {
   const double arena_bytes_per_session =
       static_cast<double>(arena_bytes) / runs;
 
-  // Anomaly-trigger pricing: the serial sweep with flight_recorder on
-  // against off, in kOverheadPairs interleaved pairs whose order
-  // alternates, so host drift (turbo states, neighbours) lands on both
-  // sides alike.  recorder_overhead is the median per-pair on/off time
-  // ratio minus 1: the fractional sessions/sec cost of evaluating the
-  // anomaly triggers (a few counter reads per run; no dump is written
-  // without anomaly_dir).  tools/bench_gate.py allows it 0.03 above the
-  // history median.  Records must stay identical apart from the four
-  // anomaly-trigger counters, the only record fields the flag writes.
-  constexpr int kOverheadPairs = 5;
-  Samples overhead_ratios;
-  Samples recorder_off_secs;
-  std::vector<SessionRecord> recorder_on_records;
-  std::vector<SessionRecord> recorder_off_records;
-  for (int pair = 0; pair < kOverheadPairs; ++pair) {
-    double on_sec = 0;
-    double off_sec = 0;
-    // Even pairs run the recorder-on side first, odd pairs the off side.
-    for (const bool on : {pair % 2 == 0, pair % 2 != 0}) {
-      cfg.flight_recorder = on;
-      if (on) {
-        on_sec = run_timed(cfg, &recorder_on_records);
-      } else {
-        off_sec = run_timed(cfg, &recorder_off_records);
-      }
-    }
-    overhead_ratios.add(on_sec / off_sec);
-    recorder_off_secs.add(off_sec);
-  }
+  // The serial sweep once more with the anomaly triggers off: records must
+  // stay identical apart from the four anomaly-trigger counters, the only
+  // record fields flight_recorder writes.  The triggers cost a few counter
+  // reads per run, below run-to-run noise, so this pass is not timed.
+  cfg.flight_recorder = false;
+  const std::vector<SessionRecord> recorder_off_records = run_population(cfg);
   cfg.flight_recorder = true;
-  const double recorder_off_sec = recorder_off_secs.percentile(50);
-  const double recorder_overhead = overhead_ratios.percentile(50) - 1.0;
 
   // Thread pass: worker threads stream serialized records back over
   // pipes to the chunk dealer, which reassembles them index-addressed.
@@ -233,7 +207,7 @@ int main(int argc, char** argv) {
       record_bytes(serial_records) == record_bytes(recorder_off_records);
 
   // Third pass, over worker threads, with the full observability stack
-  // on (phase tracers + the parent's index-order registry fold): prices
+  // on (phase spans + the parent's index-order registry fold): prices
   // the opt-in overhead and produces the aggregate metrics object
   // recorded in the perf trajectory.
   cfg.collect_metrics = true;
@@ -266,8 +240,6 @@ int main(int argc, char** argv) {
       "  \"cpu_mhz\": \"%s\",\n"
       "  \"peak_rss_mb\": %.1f,\n"
       "  \"serial_sec\": %.3f,\n"
-      "  \"recorder_off_sec\": %.3f,\n"
-      "  \"recorder_overhead\": %.3f,\n"
       "  \"parallel_sec\": %.3f,\n"
       "  \"procs_sec\": %.3f,\n"
       "  \"metrics_sec\": %.3f,\n"
@@ -291,11 +263,8 @@ int main(int argc, char** argv) {
       util::json_escape(cpu.stepping).c_str(),
       util::json_escape(cpu.mhz).c_str(),
       static_cast<double>(obs::peak_rss_bytes().value_or(0)) / 1e6,
-      serial_sec,
-      recorder_off_sec, recorder_overhead,
-      parallel_sec,
-      procs_sec, metrics_sec, n / serial_sec, n / parallel_sec,
-      n / procs_sec,
+      serial_sec, parallel_sec, procs_sec, metrics_sec, n / serial_sec,
+      n / parallel_sec, n / procs_sec,
       serial_sec / parallel_sec,
       metrics_sec / parallel_sec - 1.0, allocs_per_session,
       arena_bytes_per_session, deterministic ? "true" : "false",

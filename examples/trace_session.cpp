@@ -1,5 +1,5 @@
-// Trace a Wira session: attaches a Tracer to the server connection, runs
-// one session, prints a startup timeline from an in-memory EventLog and
+// Trace a Wira session: attaches an in-memory EventLog to the server
+// connection, runs one session, prints a startup timeline from the log and
 // writes the same events as standard qlog to session_trace.sqlog in the
 // current directory.
 //
@@ -65,21 +65,20 @@ int main() {
     for (sim::Datagram& d : batch) server.on_datagram(d.payload);
   });
 
-  std::ofstream sqlog("session_trace.sqlog");
-  obs::QlogTraceInfo info;
-  info.title = "wira trace_session";
-  obs::QlogStreamWriter writer(sqlog, info);
   trace::EventLog log;
-  trace::Tracer tracer;
-  tracer.add_sink(&writer);
-  tracer.add_sink(&log);
-  server.connection().set_tracer(&tracer);
+  server.connection().set_tracer(&log);
   client.set_on_frame_complete([&](uint32_t idx) {
-    tracer.record(loop.now(), trace::EventType::kFrameComplete, idx);
+    log.record(loop.now(), trace::EventType::kFrameComplete, idx);
   });
 
   loop.schedule_at(minutes(5), [&client] { client.start(); });
   loop.run_until(minutes(5) + seconds(4));
+
+  std::ofstream sqlog("session_trace.sqlog");
+  obs::QlogTraceInfo info;
+  info.title = "wira trace_session";
+  obs::QlogStreamWriter writer(sqlog, info);
+  for (const trace::Event& e : log.events) writer.on_event(e);
 
   uint64_t peak_in_flight = 0;
   for (const trace::Event& e : log.events) {

@@ -61,12 +61,12 @@ class PlayerClient {
   /// first frame.  Lets the harness snapshot server stats at the instant.
   void set_on_frame_complete(FrameEventFn fn) { on_frame_ = std::move(fn); }
 
-  /// Attaches an event tracer to the transport connection *and* the
+  /// Attaches an event sink to the transport connection *and* the
   /// client's application-level markers (request_sent, first_video_byte,
   /// frame_complete, stall observations) — the client-vantage half of a
-  /// paired qlog sample.  nullptr detaches; the tracer must outlive the
+  /// paired qlog sample.  nullptr detaches; the sink must outlive the
   /// client's activity.
-  void set_tracer(trace::Tracer* tracer) {
+  void set_tracer(trace::EventSink* tracer) {
     tracer_ = tracer;
     conn_.set_tracer(tracer);
   }
@@ -136,7 +136,7 @@ class PlayerClient {
   Metrics metrics_;
   FrameEventFn on_frame_;
 
-  trace::Tracer* tracer_ = nullptr;
+  trace::EventSink* tracer_ = nullptr;
   void trace(trace::EventType type, uint64_t a = 0, uint64_t b = 0,
              const char* detail = "") {
     if (tracer_) tracer_->record(loop_.now(), type, a, b, detail);

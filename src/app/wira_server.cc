@@ -125,27 +125,28 @@ void WiraServer::apply_init() {
 void WiraServer::on_request(std::span<const uint8_t> data) {
   const std::string_view req(reinterpret_cast<const char*>(data.data()),
                              data.size());
-  if (streaming_ || req.find("PLAY") == std::string_view::npos) return;
-  streaming_ = true;
+  if (request_received_ != kNoTime ||
+      req.find("PLAY") == std::string_view::npos) {
+    return;
+  }
+  request_received_ = loop_.now();
   trace(trace::EventType::kRequestReceived, data.size());
   start_streaming();
 }
 
 void WiraServer::start_streaming() {
-  join_time_ = loop_.now();
-
   // Join burst: fetched from the origin with fetch latency + origin-link
   // serialization, so early tags (header/script/audio) can reach L4 before
   // the I frame — the paper's corner case 1.
   TimeNs arrival = loop_.now() + config_.origin_latency;
-  stream_.join_chunks(join_time_, chunk_scratch_, &loop_.buffers());
+  stream_.join_chunks(request_received_, chunk_scratch_, &loop_.buffers());
   for (media::StreamChunk& chunk : chunk_scratch_) {
     arrival += transfer_time(chunk.bytes.size(), kOriginBandwidth);
     loop_.schedule_at(arrival, [this, c = std::move(chunk)]() mutable {
       deliver_from_origin(std::move(c));
     });
   }
-  schedule_live_tail(join_time_);
+  schedule_live_tail(request_received_);
 
   // Periodic Hx_QoS synchronization only when the client declared support
   // in its CHLO (HQST Bool = 1, §IV-B).
@@ -155,15 +156,20 @@ void WiraServer::start_streaming() {
 }
 
 void WiraServer::deliver_from_origin(media::StreamChunk chunk) {
-  if (conn_.closed()) return;
-  if (!first_byte_sent_ && !chunk.bytes.empty()) {
-    first_byte_sent_ = true;
+  if (conn_.closed()) {
+    loop_.buffers().release(std::move(chunk.bytes));
+    return;
+  }
+  if (first_origin_byte_ == kNoTime && !chunk.bytes.empty()) {
+    first_origin_byte_ = loop_.now();
     trace(trace::EventType::kOriginByte, chunk.bytes.size());
   }
   // Frame Perception: the parser observes bytes on their way to the send
-  // module; when FF_Size completes, re-initialize (corner case 1 ends).
+  // module; when FF_Size completes (exactly once), re-initialize (corner
+  // case 1 ends).
   if (auto ff = parser_.feed(chunk.bytes)) {
     parsed_ff_size_ = *ff;
+    ff_parsed_ = loop_.now();
     trace(trace::EventType::kFfParsed, *ff, parser_.bytes_seen());
     apply_init();
   }
@@ -175,10 +181,11 @@ void WiraServer::deliver_from_origin(media::StreamChunk chunk) {
 
 void WiraServer::schedule_live_tail(TimeNs from_pts) {
   // Pull the next second of frames, deliver each at pts + origin latency,
-  // then re-arm.  Stops at the configured horizon.
-  const TimeNs until = std::min<TimeNs>(from_pts + seconds(1),
-                                        join_time_ + config_.stream_horizon);
-  if (from_pts >= until) return;
+  // then re-arm.  Stops at the configured horizon, or once the connection
+  // has closed: nobody is left to send the frames to.
+  const TimeNs until = std::min<TimeNs>(
+      from_pts + seconds(1), request_received_ + config_.stream_horizon);
+  if (from_pts >= until || conn_.closed()) return;
   stream_.chunks_between(from_pts, until, chunk_scratch_, &loop_.buffers());
   for (media::StreamChunk& chunk : chunk_scratch_) {
     const TimeNs at = chunk.pts + config_.origin_latency;

@@ -80,14 +80,22 @@ class WiraServer {
   /// Server config id clients must cache for 0-RTT.
   const std::vector<uint8_t>& server_config_id() const { return scid_; }
 
-  /// Attaches an event tracer to the transport connection *and* the
+  /// Attaches an event sink to the transport connection *and* the
   /// server's application-level markers (request_received, origin_byte,
   /// ff_parsed, cookie and corner-case events).  nullptr detaches; the
-  /// tracer must outlive the server's activity.
-  void set_tracer(trace::Tracer* tracer) {
+  /// sink must outlive the server's activity.
+  void set_tracer(trace::EventSink* tracer) {
     tracer_ = tracer;
     conn_.set_tracer(tracer);
   }
+  /// The server's FFCT phase boundaries (obs/phase_timeline.h), kept
+  /// whether or not a sink is attached; kNoTime until each happens.
+  /// When the PLAY request arrived (the join instant).
+  TimeNs request_received() const { return request_received_; }
+  /// When the first origin byte went to the send stream.
+  TimeNs first_origin_byte() const { return first_origin_byte_; }
+  /// When Frame Perception finished parsing FF_Size.
+  TimeNs ff_parsed() const { return ff_parsed_; }
   /// Times the send controller was initialized while FF_Size was still
   /// unparsed (corner case 1: init_cwnd_exp substituted).
   uint32_t ff_fallback_inits() const { return ff_fallback_inits_; }
@@ -120,16 +128,16 @@ class WiraServer {
   bool client_supports_sync_ = false;  ///< HQST Bool from the CHLO
   core::InitDecision last_init_;
   std::optional<uint64_t> parsed_ff_size_;
-  bool streaming_ = false;
-  TimeNs join_time_ = 0;
+  TimeNs request_received_ = kNoTime;
+  TimeNs first_origin_byte_ = kNoTime;
+  TimeNs ff_parsed_ = kNoTime;
   Bandwidth session_max_bw_ = 0;   ///< running max of cc bandwidth estimate
   uint64_t cookies_synced_ = 0;
   uint32_t ff_fallback_inits_ = 0;
   uint32_t stale_cookie_inits_ = 0;
-  bool first_byte_sent_ = false;
   std::vector<uint8_t> scid_ = {0x57, 0x49, 0x52, 0x41};  // "WIRA"
 
-  trace::Tracer* tracer_ = nullptr;
+  trace::EventSink* tracer_ = nullptr;
   void trace(trace::EventType type, uint64_t a = 0, uint64_t b = 0,
              const char* detail = "") {
     if (tracer_) tracer_->record(loop_.now(), type, a, b, detail);

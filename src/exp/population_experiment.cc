@@ -140,12 +140,11 @@ SessionResult run_traced_session(SessionConfig cfg, SessionWorkspace& ws,
                                  const std::string& dir,
                                  const std::string& name, bool unbuffered,
                                  uint64_t* open_failures) {
-  trace::Tracer tracers[2];
   std::ofstream files[2];
   std::optional<obs::QlogStreamWriter> writers[2];
   const obs::QlogVantage vantages[2] = {obs::QlogVantage::kServer,
                                         obs::QlogVantage::kClient};
-  trace::Tracer** slots[2] = {&cfg.tracer, &cfg.client_tracer};
+  trace::EventSink** slots[2] = {&cfg.tracer, &cfg.client_tracer};
   for (size_t v = 0; v < 2; ++v) {
     const bool server = vantages[v] == obs::QlogVantage::kServer;
     const std::string path =
@@ -159,9 +158,8 @@ SessionResult run_traced_session(SessionConfig cfg, SessionWorkspace& ws,
       ++*open_failures;
       continue;
     }
-    writers[v].emplace(files[v], obs::paired_trace_info(name, vantages[v]));
-    tracers[v].add_sink(&*writers[v]);
-    *slots[v] = &tracers[v];
+    *slots[v] = &writers[v].emplace(files[v],
+                                    obs::paired_trace_info(name, vantages[v]));
   }
   return run_session(cfg, ws);
 }

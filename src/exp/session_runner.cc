@@ -37,8 +37,6 @@ SessionResult run_impl(const SessionConfig& cfg,
   const uint64_t arena_total_before = loop.arena().total_allocated();
   sim::Path path(loop, cfg.path, cfg.seed);
   media::LiveStream stream(cfg.stream, cfg.corpus_seed);
-  // Declared before the server so it outlives every trace() call site.
-  trace::Tracer local_tracer;
 
   const uint64_t server_id = 7;
   const uint64_t client_id = cfg.seed;
@@ -108,12 +106,8 @@ SessionResult run_impl(const SessionConfig& cfg,
     for (sim::Datagram& d : batch) server.on_datagram(d.payload);
   });
 
-  // Observability: attach the caller's tracer, or a session-local one when
-  // only the phase decomposition needs one.
-  trace::Tracer* tracer = cfg.tracer;
-  if (tracer == nullptr && cfg.collect_phases) tracer = &local_tracer;
-  if (tracer) server.set_tracer(tracer);
-  if (cfg.client_tracer) client.set_tracer(cfg.client_tracer);
+  server.set_tracer(cfg.tracer);
+  client.set_tracer(cfg.client_tracer);
 
   // Per-frame loss windows over the bottleneck (data) direction.  The
   // snapshot vector is workspace scratch (cleared here, capacity
@@ -186,23 +180,32 @@ SessionResult run_impl(const SessionConfig& cfg,
   result.ff_fallback_inits = server.ff_fallback_inits();
   result.stale_cookie_inits = server.stale_cookie_inits();
   result.client_packets_undecodable = client.packets_undecodable();
-  if (cfg.collect_phases && tracer != nullptr) {
-    obs::FfctBoundaries b = obs::boundaries_from_trace(*tracer);
-    b.request_sent = m.request_sent_at;
-    // Delivery ends at the first *video* byte so reorder/reassembly stalls
-    // anywhere in the container prelude stay attributed to delivery.
-    b.first_byte_received = m.first_frame_byte_at != kNoTime
-                                ? m.first_frame_byte_at
-                                : m.first_byte_at;
-    b.first_frame_complete =
-        m.frame_complete_at.empty() ? kNoTime : m.frame_complete_at[0];
-    result.phases = obs::ffct_phases(b);
+  if (cfg.collect_phases) {
+    result.phases = obs::ffct_phases(ffct_boundaries(server, client));
   }
   result.arena_bytes = loop.arena().total_allocated() - arena_total_before;
   return result;
 }
 
 }  // namespace
+
+obs::FfctBoundaries ffct_boundaries(const app::WiraServer& server,
+                                    const app::PlayerClient& client) {
+  const app::PlayerClient::Metrics& m = client.metrics();
+  obs::FfctBoundaries b;
+  b.request_sent = m.request_sent_at;
+  b.request_received = server.request_received();
+  b.first_origin_byte = server.first_origin_byte();
+  b.ff_parsed = server.ff_parsed();
+  // Delivery ends at the first *video* byte so reorder/reassembly stalls
+  // anywhere in the container prelude stay attributed to delivery.
+  b.first_byte_received = m.first_frame_byte_at != kNoTime
+                              ? m.first_frame_byte_at
+                              : m.first_byte_at;
+  b.first_frame_complete =
+      m.frame_complete_at.empty() ? kNoTime : m.frame_complete_at[0];
+  return b;
+}
 
 SessionResult run_session(const SessionConfig& config) {
   SessionWorkspace ws;

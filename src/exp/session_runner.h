@@ -47,16 +47,15 @@ struct SessionConfig {
   uint32_t track_frames = 4;
   TimeNs max_session_time = seconds(10);
 
-  /// Decompose FFCT into phase spans (SessionResult::phases).  Off by
-  /// default: it attaches a tracer to the server connection, which costs
-  /// an event record per packet.
+  /// Decompose FFCT into phase spans (SessionResult::phases), built by
+  /// ffct_boundaries() from timestamps the server and client keep anyway.
+  /// Off by default: the spans add to every record and its codec bytes.
   bool collect_phases = false;
-  /// External tracer to attach to the server (e.g. one feeding a qlog
-  /// writer); not owned.  Phase extraction reads its first-time marks.
-  trace::Tracer* tracer = nullptr;
-  /// External tracer for the *client* connection (the client-vantage half
-  /// of a paired qlog sample; see obs/trace_join.h); not owned.
-  trace::Tracer* client_tracer = nullptr;
+  /// Event sink for the server (e.g. a qlog writer); not owned.
+  trace::EventSink* tracer = nullptr;
+  /// Event sink for the *client* (the client-vantage half of a paired
+  /// qlog sample; see obs/trace_join.h); not owned.
+  trace::EventSink* client_tracer = nullptr;
 };
 
 struct FrameStat {
@@ -175,5 +174,12 @@ struct ManualInitConfig {
   bool collect_phases = false;  ///< see SessionConfig::collect_phases
 };
 SessionResult run_manual_init_session(const ManualInitConfig& config);
+
+/// One session's FFCT phase boundaries: the server's request_received /
+/// first_origin_byte / ff_parsed marks plus the client's request, first
+/// video byte (first stream byte when no video byte arrived) and first
+/// frame instants.
+obs::FfctBoundaries ffct_boundaries(const app::WiraServer& server,
+                                    const app::PlayerClient& client);
 
 }  // namespace wira::exp

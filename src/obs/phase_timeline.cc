@@ -28,13 +28,4 @@ std::vector<PhaseSpan> ffct_phases(const FfctBoundaries& b) {
   return spans;
 }
 
-FfctBoundaries boundaries_from_trace(const trace::Tracer& server_trace) {
-  FfctBoundaries b;
-  b.request_received =
-      server_trace.first_time(trace::EventType::kRequestReceived);
-  b.first_origin_byte = server_trace.first_time(trace::EventType::kOriginByte);
-  b.ff_parsed = server_trace.first_time(trace::EventType::kFfParsed);
-  return b;
-}
-
 }  // namespace wira::obs

@@ -3,18 +3,18 @@
 // so regressions can be attributed to a transport phase instead of showing
 // up only as an end-of-session scalar.
 //
-// The boundaries come from trace::Tracer events emitted by the QUIC
-// connection and the Wira server (request_received, origin_byte,
-// ff_parsed) plus the client's receive-side metrics.  The spans partition
-// [request_sent, first_frame_complete] exactly: every boundary is clamped
-// to be monotone and missing events collapse to zero-length spans, so
-// sum(spans) == FFCT identically (the JSONL acceptance check relies on
-// this).
+// The boundaries are timestamps the Wira server marks at its
+// request_received, origin_byte and first ff_parsed events, plus the
+// client's receive-side metrics (exp::ffct_boundaries joins them; no event
+// sink is needed).  The spans partition [request_sent,
+// first_frame_complete] exactly: every boundary is clamped to be monotone
+// and missing boundaries collapse to zero-length spans, so sum(spans) ==
+// FFCT identically (the JSONL acceptance check relies on this).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "trace/tracer.h"
 #include "util/units.h"
 
 namespace wira::obs {
@@ -28,7 +28,7 @@ struct PhaseSpan {
   TimeNs duration() const { return end - begin; }
 };
 
-/// Raw boundary timestamps of one session (kNoTime = event never fired).
+/// Raw boundary timestamps of one session (kNoTime = never happened).
 struct FfctBoundaries {
   TimeNs request_sent = kNoTime;         ///< client: PLAY request departed
   TimeNs request_received = kNoTime;     ///< server: PLAY seen (kRequestReceived)
@@ -59,10 +59,5 @@ inline constexpr size_t kNumPhases = 5;
 /// Builds the clamped partition.  Returns an empty vector when the session
 /// never sent a request or never completed its first frame.
 std::vector<PhaseSpan> ffct_phases(const FfctBoundaries& b);
-
-/// Extracts the server-side boundaries from a session tracer's first-time
-/// marks (first occurrence of each marker event); client-side fields are
-/// left for the caller.
-FfctBoundaries boundaries_from_trace(const trace::Tracer& server_trace);
 
 }  // namespace wira::obs

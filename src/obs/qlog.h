@@ -47,7 +47,7 @@ std::string qlog_event_name(const trace::Event& e);
 
 /// Streams tracer events as standard qlog.  Writes the header line on
 /// construction; each on_event() appends exactly one event line.  Attach
-/// with tracer.add_sink(&writer); the writer must outlive the attachment.
+/// with set_tracer(&writer); the writer must outlive the attachment.
 class QlogStreamWriter : public trace::EventSink {
  public:
   QlogStreamWriter(std::ostream& os, const QlogTraceInfo& info);

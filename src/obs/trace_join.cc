@@ -51,7 +51,7 @@ bool parse_header(const JsonValue& doc, ParsedQlog* out, std::string* error) {
 }
 
 /// Records the first occurrence only: the partition anchors on first
-/// markers, matching Tracer::first_time.
+/// markers, matching the server's phase marks (app::WiraServer).
 void note_first(uint64_t* slot, uint64_t t_us) {
   if (*slot == kNoTimeUs) *slot = t_us;
 }

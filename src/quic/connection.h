@@ -129,9 +129,9 @@ class Connection {
   /// handshake measurement) so PTO and pacing fallbacks are sane.
   void seed_rtt(TimeNs rtt_sample) { rtt_.seed(rtt_sample); }
 
-  /// Attaches an event tracer (nullptr detaches).  The connection does
-  /// not own it; it must outlive the connection's activity.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+  /// Attaches an event sink (nullptr detaches).  The connection does not
+  /// own it; it must outlive the connection's activity.
+  void set_tracer(trace::EventSink* tracer) { tracer_ = tracer; }
 
   /// Overrides the connection's time source (nullptr = loop clock, the
   /// default and the simulation behaviour).  The real-socket runtime
@@ -266,7 +266,7 @@ class Connection {
   /// re-set at each use site.
   cc::CongestionEvent scratch_event_;
 
-  trace::Tracer* tracer_ = nullptr;
+  trace::EventSink* tracer_ = nullptr;
   const char* last_cc_state_ = nullptr;  ///< last state traced (literal)
   void trace(trace::EventType type, uint64_t a = 0, uint64_t b = 0,
              const char* detail = "") {

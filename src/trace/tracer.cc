@@ -1,8 +1,6 @@
 #include "trace/tracer.h"
 
-#include <algorithm>
 #include <cstring>
-#include <stdexcept>
 
 namespace wira::trace {
 
@@ -33,28 +31,11 @@ const char* event_type_name(EventType t) {
   return "?";
 }
 
-void Tracer::record(TimeNs time, EventType type, uint64_t a, uint64_t b,
-                    const char* detail) {
+void EventSink::record(TimeNs time, EventType type, uint64_t a, uint64_t b,
+                       const char* detail) {
   Event e{time, a, b, type};
   std::memcpy(e.detail, detail, ::strnlen(detail, sizeof(e.detail) - 1));
-  TimeNs& first = first_time_[static_cast<size_t>(type)];
-  if (first == kNoTime) first = time;
-  for (size_t i = 0; i < num_sinks_; ++i) sinks_[i]->on_event(e);
-}
-
-void Tracer::add_sink(EventSink* sink) {
-  if (num_sinks_ == kMaxSinks) {
-    throw std::length_error("trace::Tracer: too many sinks");
-  }
-  sinks_[num_sinks_++] = sink;
-}
-
-void Tracer::remove_sink(EventSink* sink) {
-  const auto end = sinks_.begin() + num_sinks_;
-  const auto it = std::find(sinks_.begin(), end, sink);
-  if (it == end) return;
-  std::copy(it + 1, end, it);
-  sinks_[--num_sinks_] = nullptr;
+  on_event(e);
 }
 
 }  // namespace wira::trace

@@ -3,13 +3,12 @@
 // the simulated clock.  Tracing is opt-in per connection and free when
 // disabled.
 //
-// A Tracer buffers nothing.  It hands each event to the attached sinks the
-// moment it is recorded (obs::QlogStreamWriter writes standard qlog, tests
-// and examples attach an EventLog) and remembers when each event type first fired — all the FFCT
-// phase decomposition (obs/phase_timeline.h) reads.
+// A traced object holds one EventSink and hands it each event the moment
+// it is recorded (obs::QlogStreamWriter writes standard qlog, tests and
+// examples attach an EventLog); nothing is buffered.  An untraced object
+// holds no sink and builds no event.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -53,7 +52,7 @@ inline constexpr size_t kEventTypeCount =
 const char* event_type_name(EventType t);
 
 /// One trace event, a small trivially copyable value.  `detail` is always
-/// NUL-terminated: Tracer::record keeps at most 21 bytes, and every detail
+/// NUL-terminated: EventSink::record keeps at most 21 bytes, and every detail
 /// the stack emits (at most 20 bytes, "congestion_avoidance") fits.
 struct Event {
   TimeNs time = 0;
@@ -64,12 +63,18 @@ struct Event {
 };
 
 /// Receives each event the moment it is recorded.  Implementations own
-/// their serialization format; the tracer never writes through a sink
-/// concurrently with itself (one tracer == one simulated connection).
+/// their serialization format; a sink serves one session vantage (a
+/// connection and the server or client that owns it) and is never called
+/// concurrently.
 class EventSink {
  public:
   virtual ~EventSink() = default;
   virtual void on_event(const Event& e) = 0;
+
+  /// Builds the event (copying at most 21 bytes of the non-null `detail`)
+  /// and hands it to on_event.
+  void record(TimeNs time, EventType type, uint64_t a = 0, uint64_t b = 0,
+              const char* detail = "");
 };
 
 /// A sink that keeps every event in order, for tests and examples that want
@@ -79,36 +84,6 @@ class EventLog : public EventSink {
   void on_event(const Event& e) override { events.push_back(e); }
 
   std::vector<Event> events;
-};
-
-class Tracer {
- public:
-  /// Sink slots; a traced session attaches one qlog writer per vantage
-  /// (tests add counting sinks next to it).
-  static constexpr size_t kMaxSinks = 4;
-
-  Tracer() { first_time_.fill(kNoTime); }
-
-  /// Builds the event (copying at most 21 bytes of the non-null `detail`)
-  /// and hands it to every attached sink, in attach order.
-  void record(TimeNs time, EventType type, uint64_t a = 0, uint64_t b = 0,
-              const char* detail = "");
-
-  /// Attaches `sink` (not owned; it must stay alive until removed or the
-  /// tracer goes quiet).  Throws std::length_error past kMaxSinks.
-  void add_sink(EventSink* sink);
-  /// Detaches `sink`; a sink that is not attached is ignored.
-  void remove_sink(EventSink* sink);
-
-  /// Time of the first event of `type`, or kNoTime if none was recorded.
-  TimeNs first_time(EventType type) const {
-    return first_time_[static_cast<size_t>(type)];
-  }
-
- private:
-  std::array<EventSink*, kMaxSinks> sinks_{};
-  size_t num_sinks_ = 0;
-  std::array<TimeNs, kEventTypeCount> first_time_;
 };
 
 }  // namespace wira::trace

@@ -1,13 +1,18 @@
 // Application-layer integration tests: WiraServer + PlayerClient wired
 // directly (no exp harness), covering the seams the session runner hides —
 // corner case 1 timing, adversarial cookies, scheme plumbing, cookie
-// lifecycle, playback conditions.
+// lifecycle, playback conditions, close path, phase marks.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "app/player_client.h"
 #include "app/wira_server.h"
+#include "exp/population_experiment.h"
+#include "exp/session_runner.h"
 #include "media/stream_source.h"
 #include "sim/path.h"
+#include "trace/tracer.h"
 
 namespace wira::app {
 namespace {
@@ -23,11 +28,12 @@ struct Rig {
   explicit Rig(ServerConfig server_cfg = {}, ClientConfig client_cfg = {},
                sim::PathConfig path_cfg = {})
       : stream(
-            [] {
+            [&client_cfg] {
               media::StreamProfile p;
               p.stream_id = 1;
               p.iframe_mean_bytes = 50'000;
               p.iframe_intra_cv = 0.05;
+              p.container = client_cfg.container;
               return p;
             }(),
             7) {
@@ -242,6 +248,99 @@ TEST(App, FirstFrameBytesMatchParserFfSize) {
   EXPECT_EQ(rig.client->metrics().first_frame_bytes +
                 media::kFlvPreviousTagSize,
             rig.server->parser().ff_size());
+}
+
+// A viewer that hangs up at its first frame leaves nothing scheduled: the
+// server stops pulling its live tail (and its cookie sync), and the chunks
+// already due go back to the loop pool, so the loop drains within one sync
+// period of the close.
+TEST(App, ClosedSessionStopsPullingLiveTail) {
+  Rig rig;
+  rig.prime_zero_rtt();
+  TimeNs closed_at = kNoTime;
+  rig.client->set_on_frame_complete([&rig, &closed_at](uint32_t idx) {
+    if (idx != 1) return;
+    closed_at = rig.loop.now();
+    rig.client->connection().close(0, "first frame");
+  });
+  rig.client->start();
+  rig.loop.run_until(seconds(3));
+  ASSERT_NE(closed_at, kNoTime);
+  ASSERT_TRUE(rig.server->connection().closed());
+  rig.loop.run_until(closed_at + ServerConfig{}.sync_period);
+  EXPECT_EQ(rig.loop.pending(), 0u);
+}
+
+TimeNs first_event_time(const trace::EventLog& log, trace::EventType type) {
+  const auto it =
+      std::find_if(log.events.begin(), log.events.end(),
+                   [type](const trace::Event& e) { return e.type == type; });
+  return it == log.events.end() ? kNoTime : it->time;
+}
+
+// The server's three FFCT phase marks are the instants of its first
+// request_received / origin_byte / ff_parsed events, for every scheme in
+// both containers; and since the phases read only those marks, an
+// untraced collect_phases session yields exactly the traced one's spans.
+TEST(App, PhaseMarksAreFirstTraceEvents) {
+  for (const media::Container container :
+       {media::Container::kFlv, media::Container::kMpegTs}) {
+    for (const core::Scheme scheme : exp::PopulationConfig{}.schemes) {
+      const std::string what = std::string(core::scheme_name(scheme)) +
+                               (container == media::Container::kFlv
+                                    ? " flv"
+                                    : " ts");
+      ServerConfig server_cfg;
+      server_cfg.scheme = scheme;
+      server_cfg.origin_latency = milliseconds(20);  // corner case 1
+      ClientConfig client_cfg;
+      client_cfg.container = container;
+      sim::PathConfig path_cfg;
+      path_cfg.bandwidth = mbps(8);
+      path_cfg.rtt = milliseconds(60);
+      Rig rig(server_cfg, client_cfg, path_cfg);
+      rig.prime_zero_rtt();
+      trace::EventLog log;
+      rig.server->set_tracer(&log);
+      rig.client->start();
+      rig.loop.run_until(seconds(3));
+      ASSERT_TRUE(rig.client->metrics().first_frame_done()) << what;
+
+      const WiraServer& server = *rig.server;
+      EXPECT_NE(server.ff_parsed(), kNoTime) << what;
+      EXPECT_EQ(server.request_received(),
+                first_event_time(log, trace::EventType::kRequestReceived))
+          << what;
+      EXPECT_EQ(server.first_origin_byte(),
+                first_event_time(log, trace::EventType::kOriginByte))
+          << what;
+      EXPECT_EQ(server.ff_parsed(),
+                first_event_time(log, trace::EventType::kFfParsed))
+          << what;
+      EXPECT_EQ(obs::ffct_phases(exp::ffct_boundaries(server, *rig.client))
+                    .size(),
+                obs::kNumPhases)
+          << what;
+
+      exp::SessionConfig cfg;
+      cfg.scheme = scheme;
+      cfg.stream.container = container;
+      cfg.path.loss_rate = 0.02;
+      cfg.seed = 5;
+      cfg.collect_phases = true;
+      const exp::SessionResult untraced = exp::run_session(cfg);
+      trace::EventLog session_log;
+      cfg.tracer = &session_log;
+      const exp::SessionResult traced = exp::run_session(cfg);
+      ASSERT_EQ(untraced.phases.size(), obs::kNumPhases) << what;
+      ASSERT_EQ(traced.phases.size(), untraced.phases.size()) << what;
+      EXPECT_FALSE(session_log.events.empty()) << what;
+      for (size_t p = 0; p < untraced.phases.size(); ++p) {
+        EXPECT_EQ(traced.phases[p].begin, untraced.phases[p].begin) << what;
+        EXPECT_EQ(traced.phases[p].end, untraced.phases[p].end) << what;
+      }
+    }
+  }
 }
 
 }  // namespace

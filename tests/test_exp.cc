@@ -912,11 +912,14 @@ TEST(Harness, RunnerHonorsCcChoice) {
 
 namespace fs = std::filesystem;
 
-/// Counts trace events by type (both vantages can share one).
+/// Counts trace events by type and passes each on to `next`.
 struct CountingSink : trace::EventSink {
+  explicit CountingSink(trace::EventSink* next) : next(next) {}
+  trace::EventSink* next;
   uint64_t counts[trace::kEventTypeCount] = {};
   void on_event(const trace::Event& e) override {
     counts[static_cast<size_t>(e.type)]++;
+    next->on_event(e);
   }
   uint64_t count(trace::EventType t) const {
     return counts[static_cast<size_t>(t)];
@@ -928,27 +931,21 @@ struct CountingSink : trace::EventSink {
   }
 };
 
-/// Both vantages of one session traced as a qlog pair into strings, plus
-/// a counting sink on each.
+/// Both vantages of one session traced as a qlog pair into strings, each
+/// through a counting sink.
 struct TracedPair {
   std::ostringstream server_os, client_os;
   obs::QlogStreamWriter server_writer, client_writer;
-  CountingSink server_counts, client_counts;
-  trace::Tracer server, client;
+  CountingSink server_counts{&server_writer}, client_counts{&client_writer};
 
   explicit TracedPair(const std::string& name)
       : server_writer(server_os,
                       obs::paired_trace_info(name, obs::QlogVantage::kServer)),
         client_writer(client_os,
-                      obs::paired_trace_info(name, obs::QlogVantage::kClient)) {
-    server.add_sink(&server_writer);
-    server.add_sink(&server_counts);
-    client.add_sink(&client_writer);
-    client.add_sink(&client_counts);
-  }
+                      obs::paired_trace_info(name, obs::QlogVantage::kClient)) {}
   void attach(SessionConfig* cfg) {
-    cfg->tracer = &server;
-    cfg->client_tracer = &client;
+    cfg->tracer = &server_counts;
+    cfg->client_tracer = &client_counts;
   }
 };
 
@@ -979,7 +976,7 @@ std::string read_file(const fs::path& path) {
   return os.str();
 }
 
-// Tracer::record builds one trace::Event per event (millions in a traced
+// EventSink::record builds one trace::Event per event (millions in a traced
 // sweep) and sinks may copy it, so it stays a compact POD.
 TEST(FlightRecorder, SlotIsCompactPod) {
   EXPECT_EQ(sizeof(trace::Event), 48u);

@@ -136,7 +136,7 @@ TEST(RealSocketLoopback, SessionCompletesAndVantagesJoin) {
   const uint64_t client_id = 11;
   const crypto::Key master_key = crypto::key_from_string("wira-server-7");
 
-  // Paired tracers streaming into memory; shared group id, per-vantage
+  // Paired qlog writers streaming into memory; shared group id, per-vantage
   // identity — the same shape wira_proxyd/wira_loadgen write to disk.
   std::ostringstream server_qlog;
   std::ostringstream client_qlog;
@@ -148,10 +148,6 @@ TEST(RealSocketLoopback, SessionCompletesAndVantagesJoin) {
   client_info.vantage_point_type = "client";
   obs::QlogStreamWriter server_writer(server_qlog, server_info);
   obs::QlogStreamWriter client_writer(client_qlog, client_info);
-  trace::Tracer server_tracer;
-  trace::Tracer client_tracer;
-  server_tracer.add_sink(&server_writer);
-  client_tracer.add_sink(&client_writer);
 
   media::LiveStream stream(media::StreamProfile{}, /*corpus_seed=*/42);
   app::ServerConfig server_cfg;
@@ -164,7 +160,7 @@ TEST(RealSocketLoopback, SessionCompletesAndVantagesJoin) {
                            loop.buffers().release(std::move(dgram));
                          });
   server.connection().set_clock(&mono);
-  server.set_tracer(&server_tracer);
+  server.set_tracer(&server_writer);
 
   app::ClientCache cache;
   cache.server_configs[server_id] = server.server_config_id();
@@ -187,7 +183,7 @@ TEST(RealSocketLoopback, SessionCompletesAndVantagesJoin) {
                              loop.buffers().release(std::move(dgram));
                            });
   client.connection().set_clock(&mono);
-  client.set_tracer(&client_tracer);
+  client.set_tracer(&client_writer);
 
   runtime.add_fd(server_sock.fd(), [&](uint32_t) {
     uint8_t buf[65536];
@@ -222,8 +218,8 @@ TEST(RealSocketLoopback, SessionCompletesAndVantagesJoin) {
 
   // Detach (flushes nothing — streaming — but stops further writes), then
   // join the two vantages exactly as wira_trace_join would from disk.
-  server_tracer.remove_sink(&server_writer);
-  client_tracer.remove_sink(&client_writer);
+  server.set_tracer(nullptr);
+  client.set_tracer(nullptr);
   obs::ParsedQlog server_parsed;
   obs::ParsedQlog client_parsed;
   ASSERT_TRUE(obs::parse_sqlog_text(server_qlog.str(), &server_parsed,

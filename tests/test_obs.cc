@@ -177,18 +177,5 @@ TEST(PhaseTimeline, IncompleteSessionYieldsNoSpans) {
   EXPECT_TRUE(ffct_phases(b2).empty());
 }
 
-TEST(PhaseTimeline, BoundariesFromTraceTakesFirstOccurrence) {
-  trace::Tracer t;
-  t.record(milliseconds(30), trace::EventType::kRequestReceived, 64, 0);
-  t.record(milliseconds(45), trace::EventType::kOriginByte, 1400, 0);
-  t.record(milliseconds(46), trace::EventType::kOriginByte, 1400, 0);
-  t.record(milliseconds(50), trace::EventType::kFfParsed, 90'000, 188);
-  const FfctBoundaries b = boundaries_from_trace(t);
-  EXPECT_EQ(b.request_received, milliseconds(30));
-  EXPECT_EQ(b.first_origin_byte, milliseconds(45));
-  EXPECT_EQ(b.ff_parsed, milliseconds(50));
-  EXPECT_EQ(b.request_sent, kNoTime);  // client-side: left to caller
-}
-
 }  // namespace
 }  // namespace wira::obs

@@ -382,12 +382,11 @@ TEST(Qlog, GoldenEventLines) {
   QlogTraceInfo info;
   QlogStreamWriter writer(os, info);
   os.str("");  // drop the header: this golden targets the event lines
-  trace::Tracer t;
-  t.add_sink(&writer);
-  t.record(microseconds(5500), trace::EventType::kPacketSent, 7, 1200);
-  t.record(milliseconds(12), trace::EventType::kRttSample, 50'000, 51'250);
-  t.record(milliseconds(20), trace::EventType::kCookieEvent, 32, 0,
-           "say \"hi\"");
+  writer.record(microseconds(5500), trace::EventType::kPacketSent, 7, 1200);
+  writer.record(milliseconds(12), trace::EventType::kRttSample, 50'000,
+                51'250);
+  writer.record(milliseconds(20), trace::EventType::kCookieEvent, 32, 0,
+                "say \"hi\"");
   EXPECT_EQ(os.str(),
             "{\"time\": 5.500, \"name\": \"transport:packet_sent\", "
             "\"data\": {\"header\": {\"packet_number\": 7}, \"raw\": "
@@ -439,11 +438,9 @@ TEST(QlogValidator, AcceptsMinimalValidFile) {
   QlogTraceInfo info;
   info.title = "t";
   QlogStreamWriter writer(os, info);
-  trace::Tracer t;
-  t.add_sink(&writer);
-  t.record(0, trace::EventType::kHandshakeEvent, 0, 0, "chlo");
-  t.record(milliseconds(1), trace::EventType::kInitApplied, 66'000,
-           1'000'000);
+  writer.record(0, trace::EventType::kHandshakeEvent, 0, 0, "chlo");
+  writer.record(milliseconds(1), trace::EventType::kInitApplied, 66'000,
+                1'000'000);
   size_t events = 0;
   EXPECT_EQ(validate_sqlog(os.str(), &events), "");
   EXPECT_EQ(events, 2u);
@@ -560,15 +557,13 @@ TEST(QlogEndToEnd, HostileDetailRoundTripsWithOneEscapeLevel) {
   QlogTraceInfo info;
   info.title = "hostile";
   QlogStreamWriter writer(qlog, info);
-  trace::Tracer t;
-  t.add_sink(&writer);
 
   const std::string hostile = "say \"hi\" a\\b\nend";
   ASSERT_LT(hostile.size(), sizeof(trace::Event::detail));
-  t.record(microseconds(1), trace::EventType::kPacketSent, 1, 1200);
-  t.record(microseconds(2), trace::EventType::kCornerCase, 45, 0,
-           hostile.c_str());
-  t.record(microseconds(3), trace::EventType::kFfParsed, 66'000, 70'000);
+  writer.record(microseconds(1), trace::EventType::kPacketSent, 1, 1200);
+  writer.record(microseconds(2), trace::EventType::kCornerCase, 45, 0,
+                hostile.c_str());
+  writer.record(microseconds(3), trace::EventType::kFfParsed, 66'000, 70'000);
 
   size_t events = 0;
   EXPECT_EQ(validate_sqlog(qlog.str(), &events), "");

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "exp/session_runner.h"
@@ -25,12 +24,10 @@ size_t count(const EventLog& log, EventType type) {
 }
 
 TEST(Tracer, RecordsAndCounts) {
-  Tracer t;
   EventLog log;
-  t.add_sink(&log);
-  t.record(milliseconds(1), EventType::kPacketSent, 1, 100);
-  t.record(milliseconds(2), EventType::kPacketSent, 2, 100);
-  t.record(milliseconds(3), EventType::kPacketLost, 1, 100);
+  log.record(milliseconds(1), EventType::kPacketSent, 1, 100);
+  log.record(milliseconds(2), EventType::kPacketSent, 2, 100);
+  log.record(milliseconds(3), EventType::kPacketLost, 1, 100);
   ASSERT_EQ(log.events.size(), 3u);
   EXPECT_EQ(count(log, EventType::kPacketSent), 2u);
   EXPECT_EQ(count(log, EventType::kPacketLost), 1u);
@@ -42,56 +39,24 @@ TEST(Tracer, RecordsAndCounts) {
 }
 
 // The qlog writer is a sink like any other: each record() appends its line
-// at once (nothing is buffered in the tracer), and a removed sink sees no
-// further events while the others keep receiving them.
+// at once (nothing is buffered on the way).
 TEST(Tracer, StreamingSinkWritesJsonlImmediately) {
   std::ostringstream os;
   obs::QlogStreamWriter writer(os, obs::QlogTraceInfo{});
   os.str("");  // drop the header line
-  EventLog log;
-  Tracer t;
-  t.add_sink(&writer);
-  t.add_sink(&log);
-  t.record(microseconds(5), EventType::kPacketSent, 1, 1200);
+  writer.record(microseconds(5), EventType::kPacketSent, 1, 1200);
   EXPECT_EQ(os.str(),
             "{\"time\": 0.005, \"name\": \"transport:packet_sent\", "
             "\"data\": {\"header\": {\"packet_number\": 1}, \"raw\": "
             "{\"length\": 1200}}}\n");
-  t.remove_sink(&writer);
-  t.record(microseconds(6), EventType::kPacketAcked, 1, 1200);
-  EXPECT_EQ(os.str().find("packets_acked"), std::string::npos);
-  EXPECT_EQ(log.events.size(), 2u);
-}
-
-TEST(Tracer, SinkListIsFixedCapacity) {
-  Tracer t;
-  EventLog logs[Tracer::kMaxSinks + 1];
-  for (size_t i = 0; i < Tracer::kMaxSinks; ++i) t.add_sink(&logs[i]);
-  EXPECT_THROW(t.add_sink(&logs[Tracer::kMaxSinks]), std::length_error);
-  t.remove_sink(&logs[Tracer::kMaxSinks]);  // never attached: ignored
-  t.remove_sink(&logs[1]);
-  t.add_sink(&logs[Tracer::kMaxSinks]);  // the freed slot is reusable
-  t.record(0, EventType::kPtoFired, 1);
-  for (size_t i = 0; i <= Tracer::kMaxSinks; ++i) {
-    EXPECT_EQ(logs[i].events.size(), i == 1 ? 0u : 1u) << i;
-  }
-}
-
-TEST(Tracer, FirstTimeReturnsEarliestOrNoTime) {
-  Tracer t;  // no sink attached: the first-time marks need none
-  EXPECT_EQ(t.first_time(EventType::kFfParsed), kNoTime);
-  t.record(milliseconds(4), EventType::kFfParsed, 1, 1);
-  t.record(milliseconds(9), EventType::kFfParsed, 2, 2);
-  EXPECT_EQ(t.first_time(EventType::kFfParsed), milliseconds(4));
-  EXPECT_EQ(t.first_time(EventType::kOriginByte), kNoTime);
+  writer.record(microseconds(6), EventType::kPacketAcked, 1, 1200);
+  EXPECT_NE(os.str().find("packets_acked"), std::string::npos);
 }
 
 TEST(Tracer, LongDetailIsTruncatedNulTerminated) {
-  Tracer t;
   EventLog log;
-  t.add_sink(&log);
   const std::string longer(40, 'x');
-  t.record(1, EventType::kCcStateChanged, 0, 0, longer.c_str());
+  log.record(1, EventType::kCcStateChanged, 0, 0, longer.c_str());
   ASSERT_EQ(log.events.size(), 1u);
   EXPECT_EQ(std::string(log.events[0].detail),
             std::string(sizeof(Event::detail) - 1, 'x'));
@@ -126,10 +91,8 @@ TEST(TracerIntegration, ConnectionEmitsLifecycleEvents) {
   });
   server.set_server_options({});
 
-  Tracer tracer;
   EventLog log;
-  tracer.add_sink(&log);
-  server.set_tracer(&tracer);
+  server.set_tracer(&log);
   server.set_on_established([&server] {
     server.set_initial_parameters(60'000, mbps(10));
     std::vector<uint8_t> payload(120'000, 0x42);
@@ -199,12 +162,9 @@ TEST(TracerIntegration, DetailsAreStackLiterals) {
     cookie.server_timestamp = 0;
     cfg.cookie = cookie;
     cfg.start_time = minutes(5);
-    Tracer server_tracer, client_tracer;
     EventLog server_log, client_log;
-    server_tracer.add_sink(&server_log);
-    client_tracer.add_sink(&client_log);
-    cfg.tracer = &server_tracer;
-    cfg.client_tracer = &client_tracer;
+    cfg.tracer = &server_log;
+    cfg.client_tracer = &client_log;
     ASSERT_TRUE(exp::run_session(cfg).first_frame_completed);
     for (const EventLog* log : {&server_log, &client_log}) {
       for (const Event& e : log->events) {

@@ -35,15 +35,6 @@ Guarded metrics and their default budgets:
                         when current > median + budget.  A ratio near 0;
                         relative budgets are meaningless for it.
 
-  recorder_overhead     absolute, fixed RECORDER_OVERHEAD_BUDGET (0.03):
-                        fail when current > median + budget — the <=3%
-                        price of evaluating anomaly triggers on every
-                        session (PopulationConfig::flight_recorder: a few
-                        counter reads per run; dumps are traced re-runs
-                        paid only when anomaly_dir is set), measured as
-                        the median of interleaved on/off pairs.  Skipped
-                        with a note while the history lacks the key.
-
   allocs_per_session    relative, --budget-allocs (default 0.10): fail
                         when current > median * (1 + budget).  Operator-new
                         calls per (session, scheme) run in the serial pass.
@@ -91,10 +82,6 @@ GATED_THROUGHPUT = [
 COMPARABILITY_KEY = ("sessions", "seed", "threads", "procs",
                      "hardware_concurrency", "cpu_family", "cpu_model",
                      "cpu_stepping", "cpu_mhz")
-
-# Absolute budget on recorder_overhead (anomaly-trigger evaluation's <=3%
-# cost).
-RECORDER_OVERHEAD_BUDGET = 0.03
 
 
 def median(vals):
@@ -278,17 +265,17 @@ def run_gate(current, history, args, out=sys.stdout):
         gate.note("allocs_per_session           skipped (absent from run "
                   "or history)")
 
-    for name, floor in (("metrics_overhead", args.budget_overhead),
-                        ("recorder_overhead", RECORDER_OVERHEAD_BUDGET)):
-        cur_ov = current.get(name)
-        base_ov = [r[name] for r in window
-                   if isinstance(r.get(name), (int, float))]
-        if isinstance(cur_ov, (int, float)) and base_ov:
-            gate.check(name, float(cur_ov), median(base_ov),
-                       budget_for(name, floor, base_ov, absolute=True),
-                       "higher_fails_abs")
-        else:
-            gate.note("%-28s skipped (absent from run or history)" % name)
+    name = "metrics_overhead"
+    cur_ov = current.get(name)
+    base_ov = [r[name] for r in window
+               if isinstance(r.get(name), (int, float))]
+    if isinstance(cur_ov, (int, float)) and base_ov:
+        gate.check(name, float(cur_ov), median(base_ov),
+                   budget_for(name, args.budget_overhead, base_ov,
+                              absolute=True),
+                   "higher_fails_abs")
+    else:
+        gate.note("%-28s skipped (absent from run or history)" % name)
 
     if gate.passed():
         gate.note("PASS (%d metric(s) checked)" % gate.checks)
@@ -301,7 +288,7 @@ def self_test(args):
     """Synthetic-data checks of the gate logic itself (used as a ctest)."""
 
     def rec(sps=50.0, ffct=150.0, overhead=0.05, allocs=900.0,
-            sessions=300, seed=1, cores=4, recorder=0.02):
+            sessions=300, seed=1, cores=4):
         return {
             "sessions": sessions,
             "seed": seed,
@@ -312,7 +299,6 @@ def self_test(args):
             "sessions_per_sec_nt": sps * 1.8,
             "sessions_per_sec_np": sps * 1.7,
             "metrics_overhead": overhead,
-            "recorder_overhead": recorder,
             "allocs_per_session": allocs,
             "ffct_ms": {"Baseline": ffct * 1.1, "Wira": ffct},
         }
@@ -345,15 +331,6 @@ def self_test(args):
         ("FFCT improvement passes", rec(ffct=120.0), 0),
         ("overhead above absolute budget fails", rec(overhead=0.2), 1),
         ("overhead within absolute budget passes", rec(overhead=0.12), 0),
-        ("recorder overhead above absolute budget fails",
-         rec(recorder=0.06), 1),
-        ("recorder overhead within absolute budget passes",
-         rec(recorder=0.045), 0),
-        ("recorder overhead absent from history is skipped",
-         rec(recorder=0.5), 0,
-         [{k: v for k, v in r.items() if k != "recorder_overhead"}
-          for r in history],
-         "recorder_overhead            skipped"),
         ("15% allocs/session regression fails", rec(allocs=1035.0), 1),
         ("allocs/session improvement passes", rec(allocs=150.0), 0),
         ("allocs absent from run is skipped",

@@ -185,7 +185,6 @@ sim::PathConfig loopback_path() {
 struct ClientSession {
   net::UdpSocket sock;
   app::ClientCache cache;
-  trace::Tracer tracer;
   std::ofstream qlog;
   std::optional<obs::QlogStreamWriter> qlog_writer;
   std::optional<app::PlayerClient> client;
@@ -298,8 +297,7 @@ int main(int argc, char** argv) {
         if (s->qlog) {
           s->qlog_writer.emplace(
               s->qlog, obs::paired_trace_info(name, obs::QlogVantage::kClient));
-          s->tracer.add_sink(&*s->qlog_writer);
-          s->client->set_tracer(&s->tracer);
+          s->client->set_tracer(&*s->qlog_writer);
         }
       }
       const uint32_t track = static_cast<uint32_t>(args.track_frames);

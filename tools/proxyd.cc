@@ -138,7 +138,6 @@ std::vector<wira::core::Scheme> parse_schemes(const Args& a,
 /// through sendto(peer).
 struct Session {
   wira::media::LiveStream stream;
-  wira::trace::Tracer tracer;
   std::ofstream qlog;
   std::optional<wira::obs::QlogStreamWriter> qlog_writer;
   std::optional<wira::app::WiraServer> server;
@@ -219,7 +218,6 @@ int main(int argc, char** argv) {
               s->qlog_writer.emplace(
                   s->qlog,
                   obs::paired_trace_info(name, obs::QlogVantage::kServer));
-              s->tracer.add_sink(&*s->qlog_writer);
             }
           }
           app::ServerConfig cfg;
@@ -234,7 +232,9 @@ int main(int argc, char** argv) {
                               loop.buffers().release(std::move(dgram));
                             });
           s->server->connection().set_clock(&mono);
-          if (s->qlog_writer.has_value()) s->server->set_tracer(&s->tracer);
+          if (s->qlog_writer.has_value()) {
+            s->server->set_tracer(&*s->qlog_writer);
+          }
           it = lst->sessions.emplace(peer, std::move(session)).first;
         }
         it->second->server->on_datagram({buf, static_cast<size_t>(n)});

@@ -6,7 +6,7 @@
 #   {"bench": "fig11_overall 200 1", "sampled_s": ..., "layers": {...}}
 #
 # whose `layers` object holds each layer's share of sampled self time:
-# media, sim, quic, cc, obs (wira::obs plus the wira::trace tracer), exp,
+# media, sim, quic, cc, obs (wira::obs plus the wira::trace event sinks), exp,
 # and other (the remaining namespaces, and std:: code not instantiated
 # over a layer's types).
 # gprof samples only the program's own text: time inside shared
