@@ -11,11 +11,9 @@
 // seeded per index), and a dead worker is named and, with
 // --retry-dead-shards, its missing sessions are re-run in-process (see
 // exp::PopulationConfig::processes).  `--chunk N` (N >= 1) sets the
-// dispatch chunk size; `--workers host:port,...` dispatches the sweep to
-// running wira_workerd daemons over TCP instead of forking — output stays
-// byte-identical at any worker topology.  run_with_obs applies them to
-// every sweep it runs, so every sweep binary honours them; a dead shard
-// without --retry-dead-shards ends the run with "error: ..." and exit 3.
+// dispatch chunk size.  run_with_obs applies them to every sweep it runs,
+// so every sweep binary honours them; a dead shard without
+// --retry-dead-shards ends the run with "error: ..." and exit 3.
 //
 // Observability flags (PR 2):
 //   --metrics-out FILE   write one JSONL line per (session, scheme) with
@@ -51,12 +49,6 @@ struct DispatchArgs {
   size_t procs = 1;
   /// Dynamic dispatch chunk size (sessions per chunk, >= 1).
   size_t chunk = exp::PopulationConfig{}.chunk;
-  /// Comma-separated wira_workerd endpoints; empty = fork pipe workers.
-  std::string workers;
-  /// TCP connect budget per --workers endpoint (ms); an endpoint that is
-  /// unreachable inside it becomes a dead shard instead of hanging the
-  /// sweep.
-  int connect_timeout_ms = 5000;
   /// Salvage + re-run sessions lost to a dead worker process.
   bool retry_dead_shards = false;
 };
@@ -86,8 +78,7 @@ inline bool parse_u64(const char* s, uint64_t* out) {
 [[noreturn]] inline void usage_error(const char* prog, const char* msg) {
   std::fprintf(stderr,
                "error: %s\nusage: %s [sessions] [seed] [--threads N] "
-               "[--procs N] [--chunk N] [--workers host:port,...] "
-               "[--connect-timeout-ms N] [--retry-dead-shards] "
+               "[--procs N] [--chunk N] [--retry-dead-shards] "
                "[--metrics-out FILE] "
                "[--trace-sample N] [--trace-dir DIR]\n",
                msg, prog);
@@ -143,20 +134,6 @@ inline bool parse_dispatch_flag(int argc, char** argv, int* i,
     d->chunk = static_cast<size_t>(v);
     return true;
   }
-  if (const char* val = flag_value("--workers", argc, argv, i, usage)) {
-    if (*val == '\0') usage(argv[0], "--workers needs host:port,...");
-    d->workers = val;
-    return true;
-  }
-  if (const char* val =
-          flag_value("--connect-timeout-ms", argc, argv, i, usage)) {
-    // 0 is meaningful: fall back to the kernel's own connect timeout.
-    if (!parse_u64(val, &v) || v > 3600000) {
-      usage(argv[0], "--connect-timeout-ms must be an integer (0-3600000)");
-    }
-    d->connect_timeout_ms = static_cast<int>(v);
-    return true;
-  }
   if (std::strcmp(argv[*i], "--retry-dead-shards") == 0) {
     d->retry_dead_shards = true;
     return true;
@@ -209,33 +186,11 @@ inline Args parse_args(int argc, char** argv) {
   return a;
 }
 
-/// Splits a --workers CSV into endpoints; an empty field is a usage
-/// error (exit 2), an empty CSV yields no endpoints.
-inline std::vector<std::string> split_endpoints(const std::string& csv) {
-  std::vector<std::string> endpoints;
-  if (csv.empty()) return endpoints;
-  size_t at = 0;
-  for (;;) {
-    const size_t comma = csv.find(',', at);
-    std::string endpoint = csv.substr(
-        at, comma == std::string::npos ? std::string::npos : comma - at);
-    if (endpoint.empty()) {
-      std::fprintf(stderr, "error: --workers has an empty endpoint\n");
-      std::exit(2);
-    }
-    endpoints.push_back(std::move(endpoint));
-    if (comma == std::string::npos) return endpoints;
-    at = comma + 1;
-  }
-}
-
 /// Copies the dispatch flags into `cfg`.
 inline void apply_dispatch(const DispatchArgs& d, exp::PopulationConfig* cfg) {
   cfg->threads = d.threads;
   cfg->processes = d.procs;
   cfg->chunk = d.chunk;
-  cfg->workers = split_endpoints(d.workers);
-  cfg->connect_timeout_ms = d.connect_timeout_ms;
   cfg->retry_dead_shards = d.retry_dead_shards;
 }
 

@@ -2,12 +2,12 @@
 // worker threads, and over forked worker processes (both sharded by the
 // one chunk dealer, exp/shard_dispatch), verifies all records are
 // identical (the determinism contract) and unchanged with the anomaly
-// triggers off, reruns with full metrics collection to price the
-// observability overhead, and prints one JSON object with sessions/sec
-// plus the aggregate metrics registry so successive runs build a perf
-// trajectory (tools/run_perf_smoke.sh appends it to bench_history/;
-// tools/bench_gate.py gates the throughput numbers, including the
-// multiprocess sessions_per_sec_np datapoint).
+// triggers off, prices the observability overhead over alternating
+// (plain, metrics) pairs of thread passes, and prints one JSON object
+// with sessions/sec plus the aggregate metrics registry so successive
+// runs build a perf trajectory (tools/run_perf_smoke.sh appends it to
+// bench_history/; tools/bench_gate.py gates the throughput numbers,
+// including the multiprocess sessions_per_sec_np datapoint).
 //
 // Usage: perf_smoke [sessions] [seed] [--threads N] [--procs N]
 //        (N=0 -> hardware; --procs defaults to a 2-worker datapoint)
@@ -140,11 +140,9 @@ int main(int argc, char** argv) {
   const size_t par_threads =
       args.threads == 1 ? std::thread::hardware_concurrency() : args.threads;
 
-  // apply_dispatch copies --procs/--workers into the config; only the
-  // multiprocess pass below may shard, or every in-process pass would
-  // silently measure the sharded runner instead.
-  const std::vector<std::string> endpoints = std::move(cfg.workers);
-  cfg.workers.clear();
+  // apply_dispatch copies --procs into the config; only the multiprocess
+  // pass below may fork, or every in-process pass would silently measure
+  // the forked runner instead.
   cfg.processes = 1;
   cfg.threads = 1;
   std::vector<SessionRecord> serial_records;
@@ -187,10 +185,8 @@ int main(int argc, char** argv) {
   const size_t procs = args.procs == 1 ? 2 : args.procs;
   cfg.threads = 1;
   cfg.processes = procs;
-  cfg.workers = endpoints;
   std::vector<SessionRecord> procs_records;
   const double procs_sec = run_timed(cfg, &procs_records);
-  cfg.workers.clear();
   cfg.processes = 1;
   cfg.threads = par_threads;
 
@@ -206,14 +202,36 @@ int main(int argc, char** argv) {
       serial_bytes == record_bytes(procs_records) &&
       record_bytes(serial_records) == record_bytes(recorder_off_records);
 
-  // Third pass, over worker threads, with the full observability stack
-  // on (phase spans + the parent's index-order registry fold): prices
-  // the opt-in overhead and produces the aggregate metrics object
-  // recorded in the perf trajectory.
-  cfg.collect_metrics = true;
+  // Overhead pairs, over worker threads: a plain pass and one with the
+  // full observability stack on (phase spans + the parent's index-order
+  // registry fold).  One pass against one other reads host noise as
+  // overhead, so the overhead is the median of the per-pair ratios, and
+  // the order within a pair alternates from the first pair on, so that
+  // running second (warmer caches, or a busier host) favours neither side.
+  // The last metrics pass's registry is the aggregate metrics object
+  // recorded in the perf trajectory (every pass folds the same one).
+  constexpr int kOverheadPairs = 4;
+  PopulationConfig metrics_cfg = cfg;
+  metrics_cfg.collect_metrics = true;
   obs::MetricsRegistry registry;
-  std::vector<SessionRecord> metrics_records;
-  const double metrics_sec = run_timed(cfg, &metrics_records, &registry);
+  Samples pair_ratios;
+  Samples metrics_secs;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    std::vector<SessionRecord> scratch;
+    double with_sec = 0;
+    const auto metrics_pass = [&] {
+      registry = obs::MetricsRegistry();
+      with_sec = run_timed(metrics_cfg, &scratch, &registry);
+    };
+    const bool metrics_first = pair % 2 == 1;
+    if (metrics_first) metrics_pass();
+    const double plain_sec = run_timed(cfg, &scratch);
+    if (!metrics_first) metrics_pass();
+    pair_ratios.add(with_sec / plain_sec);
+    metrics_secs.add(with_sec);
+  }
+  const double metrics_overhead = pair_ratios.percentile(50) - 1.0;
+  const double metrics_sec = metrics_secs.percentile(50);
 
   const double n = static_cast<double>(args.sessions);
   const size_t effective_threads =
@@ -266,7 +284,7 @@ int main(int argc, char** argv) {
       serial_sec, parallel_sec, procs_sec, metrics_sec, n / serial_sec,
       n / parallel_sec, n / procs_sec,
       serial_sec / parallel_sec,
-      metrics_sec / parallel_sec - 1.0, allocs_per_session,
+      metrics_overhead, allocs_per_session,
       arena_bytes_per_session, deterministic ? "true" : "false",
       ffct_json.c_str(), phases_json.c_str(), metrics_json.str().c_str());
   return deterministic ? 0 : 1;

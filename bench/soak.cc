@@ -46,8 +46,7 @@ struct SoakArgs : bench::DispatchArgs {
   std::fprintf(stderr,
                "error: %s\nusage: %s [sessions] [seed] [--sessions N] "
                "[--flush-every N] [--seed N] [--threads N] [--procs N] "
-               "[--chunk N] [--workers host:port,...] "
-               "[--connect-timeout-ms N] [--retry-dead-shards] "
+               "[--chunk N] [--retry-dead-shards] "
                "[--flush-out FILE] [--anomaly-dir DIR] "
                "[--anomaly-ffct-ms N]\n",
                msg, prog);
@@ -150,9 +149,9 @@ void on_flush(uint64_t sessions_done, std::string* extra, void* arg) {
     *extra += buf;
   }
   // Chunk-scheduler telemetry rides every flush line when a dispatcher is
-  // driving the sweep (--procs > 1 or --workers): per-worker completed
-  // chunk counts plus the busy-worker high-watermark.  wira_exporterd
-  // turns these into wira_dispatch_* Prometheus families.
+  // driving the sweep (--threads N or --procs N, N > 1): per-worker
+  // completed chunk counts plus the busy-worker high-watermark.
+  // wira_exporterd turns these into wira_dispatch_* Prometheus families.
   if (m->dispatch.workers_spawned > 0) {
     char buf[64];
     std::snprintf(buf, sizeof buf, ",\"dispatch\":{\"busy\":%zu,\"chunks\":{",

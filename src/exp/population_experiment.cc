@@ -178,8 +178,8 @@ void CrashReplay::discard() {
 
 /// Simulates session `i` of the population sweep.  All randomness derives
 /// from (config.seed, i) and `population` is read-only, so sessions are
-/// independent: every worker (thread, forked child, wira_workerd) calls
-/// this and the result is identical to the serial loop.  `ws` is the caller's recycled
+/// independent: every worker (thread or forked child) calls this and the
+/// result is identical to the serial loop.  `ws` is the caller's recycled
 /// session machinery (one per worker): reusing it across sessions is what
 /// keeps steady-state heap allocations bounded (DESIGN.md §6).
 SessionRecord run_one_session(const PopulationConfig& config,
@@ -375,14 +375,18 @@ void run_population(const PopulationConfig& config,
   if (config.chunk == 0) {
     throw std::invalid_argument("run_population: chunk must be positive");
   }
+  if (!config.workers.empty()) {
+    throw std::invalid_argument(
+        "run_population: remote workers are not supported; leave workers "
+        "empty");
+  }
   internal::prepare_trace_dir(config);
   internal::prepare_anomaly_dir(config);
-  if (!config.workers.empty() ||
-      clamp_threads(config.processes, config.sessions) > 1 ||
+  if (clamp_threads(config.processes, config.sessions) > 1 ||
       clamp_threads(config.threads, config.sessions) > 1) {
-    // Shard dispatch (exp/shard_dispatch): worker threads, pipe children
-    // or TCP workerd endpoints behind one dynamic chunk dealer and
-    // index-addressed reassembly.
+    // Shard dispatch (exp/shard_dispatch): worker threads or pipe
+    // children behind one dynamic chunk dealer and index-addressed
+    // reassembly.
     dispatch_population_stream(config, metrics, sink);
     return;
   }

@@ -31,7 +31,7 @@ inline constexpr size_t kNoSessionIndex = static_cast<size_t>(-1);
 /// flush JSONL, where wira_exporterd turns it into
 /// wira_dispatch_chunks_total{worker=...} / wira_dispatch_worker_busy.
 struct DispatchStats {
-  /// Workers actually started, forked or connected (empty assignments are
+  /// Worker threads or processes actually started (empty assignments are
   /// skipped, so this is min(requested workers, number of chunks)).
   size_t workers_spawned = 0;
   /// High-watermark of workers holding an in-flight chunk at once.
@@ -47,13 +47,12 @@ struct PopulationConfig {
   size_t sessions = 300;
   size_t num_groups = 64;
   /// Worker threads for the session sweep: 1 = serial (default),
-  /// 0 = one per hardware thread, N = exactly N.  Threads are one more
-  /// shard channel kind: each runs the shard worker loop over a pipe
+  /// 0 = one per hardware thread, N = exactly N.  Threads are one of the
+  /// two shard channel kinds: each runs the shard worker loop over a pipe
   /// pair, behind the same chunk dealer, failure taxonomy and salvage as
-  /// `processes` (exp/shard_dispatch).  Ignored when processes > 1 or
-  /// `workers` is set.
+  /// `processes` (exp/shard_dispatch).  Ignored when processes > 1.
   size_t threads = 1;
-  /// Worker *processes* for the session sweep (the beyond-one-host shard
+  /// Worker *processes* for the session sweep (the crash-containing shard
   /// unit): 1 = in-process (default; `threads` decides serial vs worker
   /// threads), 0 = one per hardware thread, N = fork exactly N workers.
   /// Workers pull index chunks (see `chunk`) from a shared queue and
@@ -69,19 +68,11 @@ struct PopulationConfig {
   /// (the last chunks finish close together); each chunk costs only one
   /// control frame.
   size_t chunk = 4;
-  /// TCP dispatch endpoints ("host:port" each, the --workers flag).  When
-  /// non-empty, `processes` is ignored and chunks are dispatched to these
-  /// wira_workerd instances over sockets instead of forked children; the
-  /// same codec, scheduler, failure taxonomy, and byte-identity contract
-  /// apply.
+  /// Must stay empty: run_population throws std::invalid_argument
+  /// otherwise.  Sweeps run on one host, so there are no remote workers;
+  /// the field is kept only because perfbench/sweep.cc:52 clears it, and
+  /// it goes with the next change to the benchmark.
   std::vector<std::string> workers;
-  /// Per-endpoint TCP connect budget for `workers` (non-blocking connect
-  /// + poll).  An endpoint that cannot be reached inside this budget is a
-  /// dead shard — named in the failure taxonomy and salvaged by
-  /// retry_dead_shards — instead of hanging the sweep for the kernel's
-  /// SYN-retry default (minutes).  Parent-side only: never encoded into
-  /// the kConfig frame, so the record stream stays byte-identical.
-  int connect_timeout_ms = 5000;
   /// When non-null, the dispatcher keeps this updated with live chunk
   /// placement (soak flush hook reads it).  Not owned.
   DispatchStats* dispatch_stats = nullptr;
@@ -141,9 +132,8 @@ struct PopulationConfig {
   /// the worker-failure paths without patching the runner.
   size_t fail_at_index = kNoSessionIndex;
   /// raise(SIGKILL) when a forked worker reaches this session index.
-  /// Honored only by workers that own their process (forked children,
-  /// wira_workerd), never by worker threads, so the test process itself
-  /// never dies.
+  /// Honored only by workers that own their process (forked children),
+  /// never by worker threads, so the test process itself never dies.
   size_t kill_at_index = kNoSessionIndex;
   /// raise(crash_after_signal), with its default disposition, after a
   /// forked worker *finishes* this session index (its record already
@@ -175,9 +165,9 @@ struct SessionRecord {
   uint64_t anomaly_ffct_dumps = 0;
 };
 
-/// One dead worker of the multiprocess runner (DESIGN.md §6 failure
-/// matrix): which stripe it owned, the first session index it never
-/// delivered (the session it was on), and why the parent declared it dead.
+/// One dead worker of a sharded run (DESIGN.md §6 failure matrix): which
+/// chunk it owned, the first session index it never delivered (the
+/// session it was on), and why the parent declared it dead.
 struct ShardDeath {
   int worker = -1;
   size_t stripe_begin = 0;  ///< first session index of the stripe
@@ -187,7 +177,7 @@ struct ShardDeath {
                             ///< 1", "truncated record stream", ...
 };
 
-/// Thrown by a sharded run_population (threads, processes or workers;
+/// Thrown by a sharded run_population (threads or processes;
 /// retry_dead_shards off) when one or more workers die.  Carries
 /// everything the caller needs to salvage: the index-addressed records
 /// that did arrive (missing slots are default-constructed) and the exact
@@ -223,14 +213,15 @@ void record_session_metrics(obs::MetricsRegistry& m, const SessionRecord& rec,
 /// Runs the population sweep.  When `metrics` is non-null, per-scheme
 /// counters and histograms (FFCT, corner-case rates, and — with
 /// config.collect_metrics — the per-phase breakdown) are accumulated into
-/// it.  Sharded runs (worker threads, forked processes or TCP workers)
-/// send every record back through the versioned record codec, and the
-/// parent folds the registry in index order as records reach the sink,
-/// so `--threads N` / `--procs N` output is byte-identical to serial.  A
-/// thin wrapper: a CollectSink plus the sink overload below, whose
-/// failure contract it shares; on PopulationShardError it moves the records the sink already
+/// it.  Sharded runs (worker threads or forked processes) send every
+/// record back through the versioned record codec, and the parent folds
+/// the registry in index order as records reach the sink, so `--threads
+/// N` / `--procs N` output is byte-identical to serial.  A thin wrapper:
+/// a CollectSink plus the sink overload below, whose failure contract it
+/// shares; on PopulationShardError it moves the records the sink already
 /// holds into `salvaged`, so the salvage covers every arrived index.
-/// Throws std::invalid_argument when config.chunk is 0.
+/// Throws std::invalid_argument when config.chunk is 0 or config.workers
+/// is non-empty.
 std::vector<SessionRecord> run_population(const PopulationConfig& config,
                                           obs::MetricsRegistry* metrics);
 

@@ -34,8 +34,8 @@ SessionRecord run_one_session(const PopulationConfig& config,
                               CrashReplay* crash = nullptr);
 
 /// Sweep prologues: materialize the qlog sample / anomaly-dump
-/// directories (non-fatal on failure).  TCP workers run these themselves
-/// from the shipped config; the local entry points run them once.
+/// directories (non-fatal on failure).  run_population runs them once,
+/// before any worker starts.
 void prepare_trace_dir(const PopulationConfig& config);
 void prepare_anomaly_dir(const PopulationConfig& config);
 

@@ -35,11 +35,6 @@ void CodecWriter::bytes(std::span<const uint8_t> data) {
   out_.insert(out_.end(), data.begin(), data.end());
 }
 
-void CodecWriter::str(std::string_view s) {
-  u32(static_cast<uint32_t>(s.size()));
-  out_.insert(out_.end(), s.begin(), s.end());
-}
-
 bool CodecReader::take(size_t n, const uint8_t** p) {
   if (failed_ || data_.size() - off_ < n) {
     failed_ = true;
@@ -100,15 +95,6 @@ bool CodecReader::boolean(bool* v) {
   return true;
 }
 
-bool CodecReader::str(std::string* s) {
-  uint32_t n = 0;
-  if (!u32(&n)) return false;
-  const uint8_t* p = nullptr;
-  if (!take(n, &p)) return false;
-  s->assign(reinterpret_cast<const char*>(p), n);
-  return true;
-}
-
 // ---- value codecs -------------------------------------------------------
 
 namespace {
@@ -119,19 +105,16 @@ namespace {
 constexpr uint8_t kEmptyPhaseName = 0xFE;
 
 /// Writes each field by its C++ type: bool -> u8, uint32 -> u32,
-/// uint64/size_t -> u64, TimeNs/int -> i64, double -> f64, string -> str.
+/// uint64/size_t -> u64, TimeNs -> i64, double -> f64.
 class Encoder {
  public:
   explicit Encoder(CodecWriter& w) : w_(w) {}
 
   void operator()(bool v) { w_.boolean(v); }
-  void operator()(uint8_t v) { w_.u8(v); }
   void operator()(uint32_t v) { w_.u32(v); }
   void operator()(uint64_t v) { w_.u64(v); }
   void operator()(int64_t v) { w_.i64(v); }
-  void operator()(int v) { w_.i64(v); }
   void operator()(double v) { w_.f64(v); }
-  void operator()(const std::string& v) { w_.str(v); }
 
   /// u32 count, then each element through `each(*this, element)`.
   template <typename T, typename Each>
@@ -178,17 +161,10 @@ class Decoder {
   bool ok() const { return !r_.failed(); }
 
   void operator()(bool& v) { r_.boolean(&v); }
-  void operator()(uint8_t& v) { r_.u8(&v); }
   void operator()(uint32_t& v) { r_.u32(&v); }
   void operator()(uint64_t& v) { r_.u64(&v); }
   void operator()(int64_t& v) { r_.i64(&v); }
-  void operator()(int& v) {
-    int64_t wide = 0;
-    r_.i64(&wide);
-    v = static_cast<int>(wide);
-  }
   void operator()(double& v) { r_.f64(&v); }
-  void operator()(std::string& v) { r_.str(&v); }
 
   template <typename T, typename Each>
   void seq(std::vector<T>& xs, Each each) {
@@ -293,42 +269,11 @@ void walk_record(V& v, R& rec) {
     v.template enumeration<uint32_t>(scheme, core::Scheme::kWiraPlus);
     walk_result(v, res);
   });
-  // v2: flight-recorder anomaly-trigger counts.
+  // v2: anomaly-trigger counts.
   v(rec.anomaly_stall_dumps);
   v(rec.anomaly_corner_dumps);
   v(rec.anomaly_decode_dumps);
   v(rec.anomaly_ffct_dumps);
-}
-
-template <typename V, typename R>
-void walk_config(V& v, R& c) {
-  v(c.seed);
-  v(c.sessions);
-  v(c.num_groups);
-  v(c.p_zero_rtt);
-  v(c.p_cookie);
-  v.seq(c.schemes, [](V& v, auto& s) {
-    v.template enumeration<uint32_t>(s, core::Scheme::kWiraPlus);
-  });
-  v(c.defaults.init_cwnd_exp);
-  v(c.defaults.init_rtt_exp);
-  v(c.staleness_threshold);
-  v(c.theta_vf);
-  v.template enumeration<uint8_t>(c.cc_algo, cc::CcAlgo::kCubic);
-  v(c.sync_period);
-  v(c.careful_resume);
-  v.template enumeration<uint8_t>(c.container, media::Container::kMpegTs);
-  v(c.collect_metrics);
-  v(c.trace_sample);
-  v(c.trace_dir);
-  v(c.flight_recorder);
-  v(c.anomaly_dir);
-  v(c.anomaly_ffct);
-  v(c.anomaly_max_dumps);
-  v(c.fail_at_index);
-  v(c.kill_at_index);
-  v(c.crash_after_index);
-  v(c.crash_after_signal);
 }
 
 }  // namespace
@@ -352,17 +297,6 @@ void encode_session_record(const SessionRecord& rec, CodecWriter& w) {
 bool decode_session_record(CodecReader& r, SessionRecord* out) {
   Decoder d(r);
   walk_record(d, *out);
-  return d.ok();
-}
-
-void encode_population_config(const PopulationConfig& c, CodecWriter& w) {
-  Encoder e(w);
-  walk_config(e, c);
-}
-
-bool decode_population_config(CodecReader& r, PopulationConfig* out) {
-  Decoder d(r);
-  walk_config(d, *out);
   return d.ok();
 }
 
@@ -407,7 +341,6 @@ FrameStatus next_frame(std::span<const uint8_t> data, size_t* offset,
   switch (static_cast<FrameType>(type)) {
     case FrameType::kSessionRecord:
     case FrameType::kEnd:
-    case FrameType::kConfig:
     case FrameType::kChunkAssign:
       break;
     default:

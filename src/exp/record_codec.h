@@ -1,18 +1,17 @@
 // Versioned wire codec for the sharded population runner (DESIGN.md §6):
 // workers stream length-prefixed, checksummed frames carrying serialized
-// SessionRecords back to the parent over a pipe or socket, and the parent
+// SessionRecords back to the parent over a pipe, and the parent
 // reassembles them index-addressed and folds its one MetricsRegistry.
 //
 // Layering:
 //   - primitives: CodecWriter / CodecReader — little-endian fixed-width
-//     integers, bit-cast doubles, length-prefixed strings, all reads
-//     bounds-checked (a failed read latches the reader into a failed
-//     state; no partial-field tearing).
-//   - values: encode/decode for SessionRecord, SessionResult and
-//     PopulationConfig.  Each type's layout is one field list in
-//     record_codec.cc, walked by both directions.  Round trips are
-//     bit-exact (doubles are bit-cast), which is what makes `--procs N`
-//     output byte-identical to serial.
+//     integers and bit-cast doubles, all reads bounds-checked (a failed
+//     read latches the reader into a failed state; no partial-field
+//     tearing).
+//   - values: encode/decode for SessionRecord and SessionResult.  Each
+//     type's layout is one field list in record_codec.cc, walked by both
+//     directions.  Round trips are bit-exact (doubles are bit-cast),
+//     which is what makes `--procs N` output byte-identical to serial.
 //   - frames: a stream header (magic + codec version) followed by
 //     [type u8][len u32][fnv1a-64 checksum u64][payload] frames and a
 //     terminating kEnd frame.  EOF before kEnd means the worker died
@@ -39,8 +38,8 @@ namespace wira::exp {
 
 inline constexpr uint32_t kRecordCodecMagic = 0x57524331;  // "WRC1"
 /// v2: SessionResult += packets_undecodable; SessionRecord += the four
-/// flight-recorder anomaly-trigger counters (all appended at the end of
-/// their structs, so pre-v2 field offsets are unchanged).
+/// anomaly-trigger counters (all appended at the end of their structs,
+/// so pre-v2 field offsets are unchanged).
 inline constexpr uint32_t kRecordCodecVersion = 2;
 
 /// FNV-1a 64-bit over a byte span (the per-frame checksum).
@@ -58,8 +57,6 @@ class CodecWriter {
   void f64(double v);
   void boolean(bool v) { u8(v ? 1 : 0); }
   void bytes(std::span<const uint8_t> data);
-  /// Length-prefixed (u32) string.
-  void str(std::string_view s);
 
  private:
   std::vector<uint8_t>& out_;
@@ -78,7 +75,6 @@ class CodecReader {
   bool i64(int64_t* v);
   bool f64(double* v);
   bool boolean(bool* v);
-  bool str(std::string* s);
 
   bool failed() const { return failed_; }
   /// Latches failed(): a value read fine but failed validation.
@@ -102,25 +98,16 @@ bool decode_session_result(CodecReader& r, SessionResult* out);
 void encode_session_record(const SessionRecord& rec, CodecWriter& w);
 bool decode_session_record(CodecReader& r, SessionRecord* out);
 
-/// Workload description shipped to a remote shard worker (the kConfig
-/// control frame wira_workerd consumes).  Dispatcher-only fields —
-/// threads, processes, chunk, workers, retry_dead_shards, dispatch_stats
-/// — are *not* encoded: the receiving worker always runs its chunks
-/// serially in-process and learns their bounds from kChunkAssign frames,
-/// so decode leaves those at their defaults.
-void encode_population_config(const PopulationConfig& c, CodecWriter& w);
-bool decode_population_config(CodecReader& r, PopulationConfig* out);
-
 // ---- frame layer --------------------------------------------------------
 
 enum class FrameType : uint8_t {
   kSessionRecord = 1,  ///< payload: u64 session index + SessionRecord
-  // 2 is retired and stays unassigned; next_frame rejects it as corrupt.
+  // 2 and 4 are retired and stay unassigned; next_frame rejects them as
+  // corrupt.
   kEnd = 3,            ///< empty payload; clean end-of-stream marker
-  // Control frames (parent → worker).  They share the frame layer with
-  // the data stream but travel on the opposite direction of the channel,
-  // so the data-stream layout — and kRecordCodecVersion — is unchanged.
-  kConfig = 4,       ///< payload: u64 worker id + PopulationConfig
+  // Control frame (parent → worker).  It shares the frame layer with the
+  // data stream but travels on the opposite direction of the channel, so
+  // the data-stream layout — and kRecordCodecVersion — is unchanged.
   kChunkAssign = 5,  ///< payload: u64 begin + u64 end (session indices)
 };
 

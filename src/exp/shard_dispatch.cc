@@ -1,17 +1,13 @@
-// Dynamic chunk dispatcher over pluggable shard transports (DESIGN.md
-// §6).  See shard_dispatch.h for the scheduling and transport contracts;
-// this file holds the worker loop (shared by worker threads, pipe
-// children and wira_workerd), the channel implementations, and the
-// dispatch driver.  Both ends read their incoming stream through one
-// exp::FrameReader: the worker blocks on its control stream
-// (next_control), the parent parses each record stream as poll() reports
-// data (ChunkDispatcher::parse).
+// Dynamic chunk dispatcher over two shard transports (DESIGN.md §6).  See
+// shard_dispatch.h for the scheduling and transport contracts; this file
+// holds the worker loop (shared by worker threads and forked children),
+// the two channel implementations, and the dispatch driver.  Both ends
+// read their incoming stream through one exp::FrameReader: the worker
+// blocks on its control stream (next_control), the parent parses each
+// record stream as poll() reports data (ChunkDispatcher::parse).
 #include "exp/shard_dispatch.h"
 
-#include <fcntl.h>
-#include <netdb.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -21,7 +17,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -90,16 +85,19 @@ bool next_control(FrameReader& reader, int fd, FrameView* view) {
   }
 }
 
-/// Shared worker loop body: reads the control stream on `control_fd`
-/// through `control` (for wira_workerd already past the kConfig frame).
-/// A worker that owns its process (forked child, wira_workerd) honors the
-/// signal-raising fault hooks; a thread worker shares the parent's
+/// Shared worker loop body: reads kChunkAssign/kEnd control frames from
+/// control_fd, runs each assigned chunk through the serial session code,
+/// and streams one kSessionRecord frame per completed session (plus a
+/// final kEnd) to data_fd.  A forked child owns its process and honors
+/// the signal-raising fault hooks; a thread worker shares the parent's
 /// process and does not.  A non-null `crash` makes this a crash replay
-/// (internal::CrashReplay).  A throwing session returns 1 with the
-/// exception text in *error.
-int run_worker_loop(const PopulationConfig& config, FrameReader& control,
-                    int control_fd, int data_fd, bool owns_process,
+/// (internal::CrashReplay).  Returns 0 clean, 1 a session threw (the
+/// exception text in *error), 2 control-protocol violation, 3 data write
+/// failed (parent gone).
+int run_worker_loop(const PopulationConfig& config, int control_fd,
+                    int data_fd, bool owns_process,
                     internal::CrashReplay* crash, std::string* error) {
+  FrameReader control;
   std::vector<uint8_t> out;
   try {
     append_stream_header(out);
@@ -165,61 +163,55 @@ int run_worker_loop(const PopulationConfig& config, FrameReader& control,
   }
 }
 
-/// A worker that owns its process: a write to a vanished parent must fail
-/// (exit 3) instead of raising SIGPIPE, and a throwing session is
-/// reported on stderr, since the exit status alone cannot carry it.
-int run_process_worker(const PopulationConfig& config, size_t worker,
-                       FrameReader& control, int control_fd, int data_fd,
-                       internal::CrashReplay* crash) {
+/// Worker loop of a forked pipe child.  It owns its process: a write to a
+/// vanished parent must fail (exit 3) instead of raising SIGPIPE, and a
+/// throwing session is reported on stderr, since the exit status alone
+/// cannot carry it.  With `crash_replay` the child re-runs a dead shard's
+/// chunk as a crash replay (DESIGN.md §7): each (session, scheme) streams
+/// into anomaly_dir, and only a replay that dies leaves its in-flight
+/// crash_session_<i>_<scheme> pair behind.
+int run_shard_worker(const PopulationConfig& config, size_t worker,
+                     int control_fd, int data_fd, bool crash_replay) {
   std::signal(SIGPIPE, SIG_IGN);
+  internal::CrashReplay crash;
   std::string error;
-  const int code = run_worker_loop(config, control, control_fd, data_fd,
-                                   /*owns_process=*/true, crash, &error);
+  const int code =
+      run_worker_loop(config, control_fd, data_fd, /*owns_process=*/true,
+                      crash_replay ? &crash : nullptr, &error);
   if (code == 1) {
     std::fprintf(stderr, "wira population worker %zu: %s\n", worker,
                  error.c_str());
   }
-  return code;
-}
-
-}  // namespace
-
-int run_shard_worker(const PopulationConfig& config, size_t worker,
-                     int control_fd, int data_fd, bool crash_replay) {
-  FrameReader control;
-  if (!crash_replay) {
-    return run_process_worker(config, worker, control, control_fd, data_fd,
-                              nullptr);
-  }
-  internal::CrashReplay crash;
-  const int code = run_process_worker(config, worker, control, control_fd,
-                                      data_fd, &crash);
   crash.discard();  // still alive: nothing crashed
   return code;
 }
 
-int serve_shard_worker(int fd) {
-  FrameReader control;
-  FrameView view;
-  if (!next_control(control, fd, &view) || view.type != FrameType::kConfig) {
-    return 2;
-  }
-  CodecReader r(view.payload);
-  uint64_t worker_id = 0;
-  PopulationConfig config;
-  if (!r.u64(&worker_id) || !decode_population_config(r, &config) ||
-      r.remaining() != 0) {
-    return 2;
-  }
-  internal::prepare_trace_dir(config);
-  internal::prepare_anomaly_dir(config);
-  return run_process_worker(config, static_cast<size_t>(worker_id), control,
-                            fd, fd, nullptr);
-}
-
-namespace {
-
 // ---- transports ---------------------------------------------------------
+
+/// One parent<->worker byte channel: a worker thread or a forked child.
+/// The dispatcher only needs a readable fd for record frames, a
+/// control-frame writer, a hard-kill lever for cleanup, and a terminal
+/// classification.
+class ShardChannel {
+ public:
+  virtual ~ShardChannel() = default;
+
+  /// Fd the worker's record stream arrives on (poll()-able).
+  virtual int data_fd() const = 0;
+  /// Closes the parent-side read end (idempotent).
+  virtual void close_data() = 0;
+  /// Ships control bytes (assignments / end marker).  Failure means the
+  /// worker is gone; its death is classified from the data stream.
+  virtual bool send_control(const uint8_t* data, size_t n) = 0;
+  /// Forcibly stops the worker (cleanup after a defect): a signal for a
+  /// process, closed streams for a thread.  Harmless on an already-dead
+  /// worker.
+  virtual void hard_kill() = 0;
+  /// Reaps the worker and returns a dirty-exit reason ("killed by signal
+  /// 9", "exited with status 3", "threw: ...") or "" for a clean exit.
+  /// Call at most once, after EOF.
+  virtual std::string finish() = 0;
+};
 
 /// Opens one local worker's control pipe (parent writes cfds[1]) and data
 /// pipe (parent reads dfds[0]).  Throws, leaking nothing, on failure.
@@ -259,8 +251,7 @@ class ThreadShardChannel final : public ShardChannel {
     try {
       thread_ = std::thread([this, &config, control_rd = cfds[0],
                              data_wr = dfds[1]] {
-        FrameReader control;
-        status_ = run_worker_loop(config, control, control_rd, data_wr,
+        status_ = run_worker_loop(config, control_rd, data_wr,
                                   /*owns_process=*/false, nullptr, &error_);
         close(control_rd);
         close(data_wr);  // the parent's EOF
@@ -364,149 +355,6 @@ class PipeShardChannel : public ShardChannel {
   bool reaped_ = false;
 };
 
-class TcpShardChannel : public ShardChannel {
- public:
-  explicit TcpShardChannel(int fd) : fd_(fd) {}
-
-  ~TcpShardChannel() override { close_fd(&fd_); }
-
-  int data_fd() const override { return fd_; }
-  void close_data() override { close_fd(&fd_); }
-
-  bool send_control(const uint8_t* data, size_t n) override {
-    if (fd_ < 0) return false;
-    size_t sent = 0;
-    while (sent < n) {
-      const ssize_t r = send(fd_, data + sent, n - sent, MSG_NOSIGNAL);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      sent += static_cast<size_t>(r);
-    }
-    return true;
-  }
-
-  // No process handle: dropping the socket is the strongest lever we
-  // have, and finish() has no exit status to report.
-  void hard_kill() override { close_data(); }
-
-  std::string finish() override { return ""; }
-
- private:
-  int fd_;
-};
-
-/// Stand-in channel for an endpoint that never came up: no fd, no
-/// worker, just the stored connect failure.  The dispatcher's normal
-/// EOF/reap path turns finish() into a ShardDeath, which is exactly how
-/// a worker that died mid-sweep is handled — an unreachable worker is
-/// the same failure, observed earlier.
-class DeadShardChannel final : public ShardChannel {
- public:
-  explicit DeadShardChannel(std::string reason) : reason_(std::move(reason)) {}
-
-  int data_fd() const override { return -1; }
-  void close_data() override {}
-  bool send_control(const uint8_t*, size_t) override { return false; }
-  void hard_kill() override {}
-  std::string finish() override { return reason_; }
-
- private:
-  std::string reason_;
-};
-
-/// Non-blocking connect bounded by timeout_ms (<=0 = kernel default).
-/// Returns a connected fd (restored to blocking mode) or -1 with
-/// *last_errno / *timed_out describing the failure.
-int connect_with_timeout(const struct addrinfo* ai, int timeout_ms,
-                         int* last_errno, bool* timed_out) {
-  const int fd = socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-  if (fd < 0) {
-    *last_errno = errno;
-    return -1;
-  }
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (timeout_ms > 0 && flags >= 0) {
-    fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  int rc = connect(fd, ai->ai_addr, ai->ai_addrlen);
-  if (rc != 0 && errno == EINPROGRESS) {
-    struct pollfd pfd = {fd, POLLOUT, 0};
-    const int ready = poll(&pfd, 1, timeout_ms);
-    if (ready == 0) {
-      *timed_out = true;
-      close(fd);
-      return -1;
-    }
-    int so_error = 0;
-    socklen_t len = sizeof(so_error);
-    if (ready < 0 ||
-        getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
-      so_error = errno;
-    }
-    if (so_error != 0) {
-      *last_errno = so_error;
-      close(fd);
-      return -1;
-    }
-    rc = 0;
-  }
-  if (rc != 0) {
-    *last_errno = errno;
-    close(fd);
-    return -1;
-  }
-  // The shard channel's control writes and the drain loop assume a
-  // blocking fd; only the connect itself runs non-blocking.
-  if (flags >= 0) fcntl(fd, F_SETFL, flags);
-  return fd;
-}
-
-}  // namespace
-
-std::unique_ptr<ShardChannel> connect_tcp_worker(const std::string& endpoint,
-                                                 int connect_timeout_ms) {
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == endpoint.size()) {
-    throw std::runtime_error("run_population: bad worker endpoint \"" +
-                             endpoint + "\" (want host:port)");
-  }
-  const std::string host = endpoint.substr(0, colon);
-  const std::string port = endpoint.substr(colon + 1);
-
-  struct addrinfo hints = {};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  const int rc = getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-  if (rc != 0) {
-    return std::make_unique<DeadShardChannel>(
-        "cannot resolve " + endpoint + ": " + gai_strerror(rc));
-  }
-  int fd = -1;
-  int last_errno = ECONNREFUSED;
-  bool timed_out = false;
-  for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = connect_with_timeout(ai, connect_timeout_ms, &last_errno, &timed_out);
-    if (fd >= 0) break;
-  }
-  freeaddrinfo(res);
-  if (fd < 0) {
-    if (timed_out) {
-      return std::make_unique<DeadShardChannel>(
-          "connect to " + endpoint + " timed out after " +
-          std::to_string(connect_timeout_ms) + " ms");
-    }
-    return std::make_unique<DeadShardChannel>(
-        "cannot connect to " + endpoint + ": " + std::strerror(last_errno));
-  }
-  return std::make_unique<TcpShardChannel>(fd);
-}
-
-namespace {
-
 // ---- parent side --------------------------------------------------------
 
 struct WorkerState {
@@ -544,13 +392,10 @@ class ChunkDispatcher {
  public:
   explicit ChunkDispatcher(const PopulationConfig& config)
       : config_(config), stats_(config.dispatch_stats) {
-    // Channel kind: workers > processes > 1 > threads.
-    size_t requested = config.workers.size();
-    if (requested == 0) {
-      requested = clamp_threads(config.processes, config.sessions);
-      fork_ = requested > 1;
-      if (!fork_) requested = clamp_threads(config.threads, config.sessions);
-    }
+    // Channel kind: forked children when processes > 1, else threads.
+    size_t requested = clamp_threads(config.processes, config.sessions);
+    fork_ = requested > 1;
+    if (!fork_) requested = clamp_threads(config.threads, config.sessions);
     chunks_ = make_chunks(config.sessions, config.chunk);
     chunk_owner_.assign(chunks_.size(), -1);
     // S1: never materialize a worker that would get an empty assignment.
@@ -587,37 +432,19 @@ class ChunkDispatcher {
     workers_.resize(w_count_);
     if (fork_) {
       spawn_pipe_workers();
-    } else if (config_.workers.empty()) {
+    } else {
       for (size_t w = 0; w < w_count_; ++w) {
         workers_[w].ch = std::make_unique<ThreadShardChannel>(config_);
       }
-    } else {
-      for (size_t w = 0; w < w_count_; ++w) {
-        workers_[w].ch = connect_tcp_worker(config_.workers[w],
-                                            config_.connect_timeout_ms);
-        // An endpoint that never came up is EOF from the first poll:
-        // marking it here routes it through the same dead-shard
-        // classification a mid-sweep death takes, without waiting for
-        // every live worker to finish first.
-        if (workers_[w].ch->data_fd() < 0) workers_[w].eof = true;
-      }
     }
-    // Prologue + the double-buffered initial deal: two rounds of one
+    // Stream header + the double-buffered initial deal: two rounds of one
     // chunk each, round-robin, so every worker starts with an in-flight
     // chunk plus one buffered.  The round-robin order also pins chunk i
     // -> worker i for i < W, which the death-message tests rely on.
+    std::vector<uint8_t> header;
+    append_stream_header(header);
     for (size_t w = 0; w < w_count_; ++w) {
-      std::vector<uint8_t> prologue;
-      append_stream_header(prologue);
-      if (!config_.workers.empty()) {
-        std::vector<uint8_t> payload;
-        CodecWriter cw(payload);
-        cw.u64(static_cast<uint64_t>(w));
-        encode_population_config(config_, cw);
-        append_frame(FrameType::kConfig, {payload.data(), payload.size()},
-                     prologue);
-      }
-      workers_[w].ch->send_control(prologue.data(), prologue.size());
+      workers_[w].ch->send_control(header.data(), header.size());
     }
     for (int round = 0; round < 2; ++round) {
       for (size_t w = 0; w < w_count_ && next_chunk_ < chunks_.size(); ++w) {
@@ -808,8 +635,7 @@ class ChunkDispatcher {
   /// itself a finding worth the warning.
   /// Thread workers share this process, so they cannot have crashed.
   void replay_crash(const ShardDeath& d, obs::MetricsRegistry* metrics) const {
-    if (!config_.flight_recorder || config_.anomaly_dir.empty() ||
-        (!fork_ && config_.workers.empty())) {
+    if (!config_.flight_recorder || config_.anomaly_dir.empty() || !fork_) {
       return;
     }
     const size_t end = std::min(d.died_at + 1, d.stripe_end);
@@ -940,7 +766,7 @@ class ChunkDispatcher {
   std::vector<int> chunk_owner_;
   std::vector<WorkerState> workers_;
   size_t w_count_ = 0;
-  bool fork_ = false;  ///< pipe children; else TCP (workers set) or threads
+  bool fork_ = false;  ///< pipe children; else threads
   size_t next_chunk_ = 0;
 };
 

@@ -48,7 +48,7 @@ struct ConnStats {
   uint64_t stream_bytes_sent = 0;
   uint64_t stream_bytes_retransmitted = 0;
   /// Datagrams that failed packet parsing (dropped before any processing;
-  /// anomaly-trigger input for the flight recorder).
+  /// input of the sweep's decode-error anomaly trigger).
   uint64_t packets_undecodable = 0;
   /// Server-side RTT measured across the REJ -> full-CHLO exchange
   /// (only available on 1-RTT connections — the paper's §VI distinction).

@@ -1,16 +1,10 @@
-// Tests for the fleet-scale dispatch layer (DESIGN.md §6): the dynamic
-// chunk scheduler over all three channel kinds, its DispatchStats
-// telemetry, the failure contract the
-// vector and sink overloads share, and the socket shard transport
-// (loopback wira_workerd endpoints, including one dying mid-sweep).
+// Tests for the population dispatch layer (DESIGN.md §6): the dynamic
+// chunk scheduler over both channel kinds (worker threads and forked
+// children), its DispatchStats telemetry, and the failure contract the
+// vector and sink overloads share.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
+#include <csignal>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -187,6 +181,16 @@ TEST(Dispatch, ChunkZeroIsRejected) {
   EXPECT_THROW(run_population(cfg), std::invalid_argument);
 }
 
+// Sweeps run on one host: a remote worker list is a caller error, never
+// silently ignored.
+TEST(Dispatch, NonEmptyWorkersIsRejected) {
+  PopulationConfig cfg = small_config(23);
+  cfg.workers = {"127.0.0.1:9701"};
+  EXPECT_THROW(run_population(cfg), std::invalid_argument);
+  cfg.processes = 2;
+  EXPECT_THROW(run_population(cfg), std::invalid_argument);
+}
+
 // S1: workers with an empty assignment are never spawned — the worker
 // count is structurally min(requested, number of chunks).
 TEST(Dispatch, EmptyAssignmentsSkipWorkers) {
@@ -222,147 +226,6 @@ TEST(Dispatch, EmptyAssignmentsSkipWorkers) {
   EXPECT_EQ(one.sessions_completed[0], 3u);
 }
 
-// ---- loopback TCP transport --------------------------------------------
-
-// A one-connection wira_workerd stand-in: binds an ephemeral loopback
-// port, forks, and the child serves exactly one dispatcher connection
-// in-process (so kill_at_index kills the server — the dead-endpoint case
-// the taxonomy tests need).
-struct TestWorkerd {
-  pid_t pid = -1;
-  std::string endpoint;
-};
-
-TestWorkerd spawn_test_workerd() {
-  TestWorkerd w;
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(listen_fd, 0);
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  EXPECT_EQ(::listen(listen_fd, 1), 0);
-  struct sockaddr_in bound = {};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd, reinterpret_cast<struct sockaddr*>(&bound), &len);
-  w.endpoint = "127.0.0.1:" + std::to_string(ntohs(bound.sin_port));
-
-  w.pid = ::fork();
-  if (w.pid == 0) {
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    ::close(listen_fd);
-    if (conn < 0) _Exit(1);
-    const int code = serve_shard_worker(conn);
-    ::close(conn);
-    _Exit(code);
-  }
-  ::close(listen_fd);
-  return w;
-}
-
-int reap_test_workerd(const TestWorkerd& w) {
-  int status = 0;
-  while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  return status;
-}
-
-// Dispatching over loopback sockets to wira_workerd-style endpoints
-// yields the exact serial bytes — same reassembly, different transport.
-TEST(Dispatch, LoopbackTcpMatchesSerialExactly) {
-  PopulationConfig cfg = small_config(41);
-  cfg.sessions = 18;
-  cfg.collect_metrics = true;
-  obs::MetricsRegistry serial_m;
-  const auto serial = run_population(cfg, &serial_m);
-
-  const TestWorkerd a = spawn_test_workerd();
-  const TestWorkerd b = spawn_test_workerd();
-  cfg.workers = {a.endpoint, b.endpoint};
-  cfg.chunk = 4;
-  obs::MetricsRegistry tcp_m;
-  const auto over_tcp = run_population(cfg, &tcp_m);
-
-  EXPECT_TRUE(records_equal(serial, over_tcp));
-  std::ostringstream ls, lt;
-  write_records_jsonl(serial, ls);
-  write_records_jsonl(over_tcp, lt);
-  EXPECT_EQ(ls.str(), lt.str());
-  std::ostringstream js, jt;
-  serial_m.write_json(js);
-  tcp_m.write_json(jt);
-  EXPECT_EQ(js.str(), jt.str());
-
-  const int sa = reap_test_workerd(a);
-  const int sb = reap_test_workerd(b);
-  EXPECT_TRUE(WIFEXITED(sa) && WEXITSTATUS(sa) == 0);
-  EXPECT_TRUE(WIFEXITED(sb) && WEXITSTATUS(sb) == 0);
-}
-
-// A TCP endpoint has no exit status, so a daemon SIGKILLed mid-chunk is
-// diagnosed purely from its stream state — and still salvaged.
-TEST(Dispatch, KilledWorkerdIsNamedAndSalvaged) {
-  PopulationConfig cfg = small_config(23);
-  cfg.sessions = 12;
-  cfg.chunk = 6;  // chunks [0,6) and [6,12), dealt to workers 0/1
-  cfg.kill_at_index = 9;  // worker 1's daemon dies after streaming 6..8
-  const TestWorkerd a = spawn_test_workerd();
-  const TestWorkerd b = spawn_test_workerd();
-  cfg.workers = {a.endpoint, b.endpoint};
-  try {
-    run_population(cfg);
-    FAIL() << "expected PopulationShardError";
-  } catch (const PopulationShardError& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "worker 1 (sessions [6,12)) truncated record stream "
-                  "while on session 9"),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("salvaged 9 of 12 records"),
-              std::string::npos)
-        << e.what();
-    ASSERT_EQ(e.deaths.size(), 1u);
-    EXPECT_EQ(e.deaths[0].worker, 1);
-    EXPECT_EQ(e.deaths[0].stripe_begin, 6u);
-    EXPECT_EQ(e.deaths[0].stripe_end, 12u);
-    EXPECT_EQ(e.deaths[0].died_at, 9u);
-    EXPECT_EQ(e.missing, (std::vector<size_t>{9, 10, 11}));
-    ASSERT_EQ(e.salvaged.size(), 12u);
-    for (size_t i = 0; i < 9; ++i) {
-      EXPECT_FALSE(e.salvaged[i].results.empty()) << i;
-    }
-  }
-  const int sa = reap_test_workerd(a);
-  const int sb = reap_test_workerd(b);
-  EXPECT_TRUE(WIFEXITED(sa) && WEXITSTATUS(sa) == 0);
-  EXPECT_TRUE(WIFSIGNALED(sb) && WTERMSIG(sb) == SIGKILL);
-}
-
-// --retry-dead-shards over TCP: the parent re-runs the dead daemon's
-// missing sessions in-process and the sweep completes byte-identically.
-TEST(Dispatch, RetryDeadShardsOverTcpCompletesIdentically) {
-  PopulationConfig cfg = small_config(23);
-  cfg.sessions = 12;
-  cfg.chunk = 6;
-  cfg.kill_at_index = 9;
-  cfg.retry_dead_shards = true;
-  const TestWorkerd a = spawn_test_workerd();
-  const TestWorkerd b = spawn_test_workerd();
-  cfg.workers = {a.endpoint, b.endpoint};
-  const auto salvaged = run_population(cfg);
-
-  PopulationConfig clean = cfg;
-  clean.workers.clear();
-  clean.kill_at_index = kNoSessionIndex;
-  clean.retry_dead_shards = false;
-  EXPECT_TRUE(records_equal(run_population(clean), salvaged));
-  reap_test_workerd(a);
-  reap_test_workerd(b);
-}
-
 // Streaming-mode retry over pipes: a worker killed mid-chunk is retired,
 // its remaining chunks run in-process, and the sink still sees the full
 // uninterrupted serial byte sequence.
@@ -383,125 +246,25 @@ TEST(Dispatch, StreamRetrySurvivesDeadWorker) {
   EXPECT_TRUE(records_equal(run_population(clean), sink.records()));
 }
 
-// ---------------------------------------------------------------------------
-// Connect-phase failures (endpoint unreachable / tarpit): the dispatcher
-// must classify them as named shard deaths — not abort the sweep with a
-// raw throw — so --retry-dead-shards can salvage the assignment.
-
-// A loopback listener whose accept queue is saturated: SYNs to it are
-// dropped, so connect() hangs until the client's own timeout.  Keeps the
-// queue-filling sockets open for its lifetime.
-struct TarpitListener {
-  int listen_fd = -1;
-  std::vector<int> fillers;
-  std::string endpoint;
-
-  TarpitListener() {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof addr),
-              0);
-    EXPECT_EQ(::listen(listen_fd, 0), 0);  // minimal backlog, never accepts
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len);
-    endpoint = "127.0.0.1:" + std::to_string(ntohs(bound.sin_port));
-    for (int i = 0; i < 4; ++i) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-      ::connect(fd, reinterpret_cast<sockaddr*>(&bound), sizeof bound);
-      fillers.push_back(fd);
-    }
-  }
-  ~TarpitListener() {
-    for (const int fd : fillers) ::close(fd);
-    ::close(listen_fd);
-  }
-};
-
-TEST(Dispatch, ConnectTimeoutIsNamedShardDeath) {
-  const TarpitListener tarpit;
-  PopulationConfig cfg = small_config(23);
-  cfg.sessions = 6;
-  cfg.chunk = 6;
-  cfg.workers = {tarpit.endpoint};
-  cfg.connect_timeout_ms = 300;
-  try {
-    run_population(cfg);
-    FAIL() << "expected PopulationShardError";
-  } catch (const PopulationShardError& e) {
-    EXPECT_NE(std::string(e.what()).find("timed out after 300 ms"),
-              std::string::npos)
-        << e.what();
-    ASSERT_EQ(e.deaths.size(), 1u);
-    EXPECT_EQ(e.deaths[0].worker, 0);
-  }
-}
-
-TEST(Dispatch, ConnectTimeoutIsSalvagedByRetry) {
-  const TarpitListener tarpit;
-  PopulationConfig cfg = small_config(23);
-  cfg.sessions = 12;
-  cfg.chunk = 6;
-  cfg.workers = {tarpit.endpoint};
-  cfg.connect_timeout_ms = 300;
-  cfg.retry_dead_shards = true;
-  const auto salvaged = run_population(cfg);
-
-  PopulationConfig clean = cfg;
-  clean.workers.clear();
-  clean.retry_dead_shards = false;
-  EXPECT_TRUE(records_equal(run_population(clean), salvaged));
-}
-
-TEST(Dispatch, ConnectRefusedIsNamedShardDeath) {
-  // A port with nothing bound: connect() fails fast with ECONNREFUSED,
-  // which must surface as a named death, not an aborting throw.
-  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(probe, reinterpret_cast<sockaddr*>(&bound), &len);
-  const std::string dead_ep =
-      "127.0.0.1:" + std::to_string(ntohs(bound.sin_port));
-  ::close(probe);  // bound-but-closed: the port is now free and refusing
-
-  PopulationConfig cfg = small_config(23);
-  cfg.sessions = 6;
-  cfg.chunk = 6;
-  cfg.workers = {dead_ep};
-  try {
-    run_population(cfg);
-    FAIL() << "expected PopulationShardError";
-  } catch (const PopulationShardError& e) {
-    EXPECT_NE(std::string(e.what()).find("cannot connect to " + dead_ep),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 // Retry with every worker dead and chunks still queued: the parent claims
 // the queue head itself instead of waiting for a worker to deal it to.
+// Worker 0 dies before its first session; worker 1 finishes chunk [1,2),
+// is dealt chunk [4,5), and dies; chunk [5,6) is never dealt.
 TEST(Dispatch, RetryRunsQueuedChunksWhenNoWorkerIsLeft) {
-  const TarpitListener tarpit;
   PopulationConfig cfg = small_config(23);
   cfg.sessions = 6;
-  cfg.chunk = 1;  // two chunks dealt to the dead worker, four left queued
-  cfg.workers = {tarpit.endpoint};
-  cfg.connect_timeout_ms = 300;
+  cfg.processes = 2;
+  cfg.chunk = 1;
+  cfg.kill_at_index = 0;
+  cfg.crash_after_index = 1;
+  cfg.crash_after_signal = SIGKILL;
   cfg.retry_dead_shards = true;
   const auto salvaged = run_population(cfg);
 
   PopulationConfig clean = cfg;
-  clean.workers.clear();
+  clean.processes = 1;
+  clean.kill_at_index = kNoSessionIndex;
+  clean.crash_after_index = kNoSessionIndex;
   clean.retry_dead_shards = false;
   EXPECT_TRUE(records_equal(run_population(clean), salvaged));
 }

@@ -3,13 +3,8 @@
 // triggers and the traced replays behind anomaly and crash dumps.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -518,52 +513,23 @@ TEST(Harness, SigsegvWorkerLeavesJoinableCrashDump) {
   expect_joinable_crash_trace(SIGSEGV, "segv");
 }
 
-// A one-connection endpoint whose host dies outright the moment it
-// accepts the sweep — a death no session caused.
-struct DoomedWorkerd {
-  pid_t pid = -1;
-  std::string endpoint;
-};
-
-DoomedWorkerd spawn_doomed_workerd() {
-  DoomedWorkerd w;
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(listen_fd, 0);
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  EXPECT_EQ(::listen(listen_fd, 1), 0);
-  struct sockaddr_in bound = {};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd, reinterpret_cast<struct sockaddr*>(&bound), &len);
-  w.endpoint = "127.0.0.1:" + std::to_string(ntohs(bound.sin_port));
-  w.pid = ::fork();
-  if (w.pid == 0) {
-    (void)::accept(listen_fd, nullptr, nullptr);
-    std::raise(SIGKILL);
-  }
-  ::close(listen_fd);
-  return w;
-}
-
 // Crash replay of a death the sessions cannot reproduce: the replay
 // survives, leaves no crash pair, is not counted as a crash, and the
-// parent says the crash did not reproduce.
+// parent says the crash did not reproduce.  Worker 0 dies right after
+// streaming session 1, the last of its chunk [0,2), so the death lands on
+// its buffered chunk [4,6); the replay of [4,5) never reaches index 1.
 TEST(Harness, CrashThatDoesNotRecurIsReported) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() /
                        ("wira_crash_norecur_" + std::to_string(::getpid()));
   fs::remove_all(dir);
-  const DoomedWorkerd doomed = spawn_doomed_workerd();
 
   PopulationConfig cfg = small_config(23);
-  cfg.sessions = 4;
-  cfg.chunk = 4;
-  cfg.workers = {doomed.endpoint};
+  cfg.sessions = 8;
+  cfg.processes = 2;
+  cfg.chunk = 2;  // the initial deal: [0,2),[4,6) -> 0; [2,4),[6,8) -> 1
+  cfg.crash_after_index = 1;
+  cfg.crash_after_signal = SIGKILL;
   cfg.anomaly_dir = dir.string();
   obs::MetricsRegistry metrics;
   set_log_level(LogLevel::kWarn);
@@ -572,9 +538,8 @@ TEST(Harness, CrashThatDoesNotRecurIsReported) {
   const std::string err = testing::internal::GetCapturedStderr();
   set_log_level(LogLevel::kOff);
 
-  EXPECT_NE(err.find("crash of worker 0 (sessions [0,4)) truncated record "
-                     "stream (no header) while on session 0 did not "
-                     "reproduce on replay"),
+  EXPECT_NE(err.find("crash of worker 0 (sessions [4,6)) killed by signal 9 "
+                     "while on session 4 did not reproduce on replay"),
             std::string::npos)
       << err;
   EXPECT_EQ(metrics.counter("anomaly.dumps.crash"), 0u);
@@ -583,10 +548,6 @@ TEST(Harness, CrashThatDoesNotRecurIsReported) {
               std::string::npos)
         << entry.path();
   }
-  int status = 0;
-  while (::waitpid(doomed.pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
   fs::remove_all(dir);
 }
 

@@ -111,8 +111,6 @@ TEST(CodecPrimitives, RoundTrip) {
   w.f64(-0.125);
   w.boolean(true);
   w.boolean(false);
-  w.str("hello");
-  w.str("");
 
   CodecReader r(buf);
   uint8_t u8v = 0;
@@ -121,7 +119,6 @@ TEST(CodecPrimitives, RoundTrip) {
   int64_t i64v = 0;
   double f64v = 0;
   bool b1 = false, b2 = true;
-  std::string s1, s2 = "x";
   EXPECT_TRUE(r.u8(&u8v));
   EXPECT_TRUE(r.u32(&u32v));
   EXPECT_TRUE(r.u64(&u64v));
@@ -129,8 +126,6 @@ TEST(CodecPrimitives, RoundTrip) {
   EXPECT_TRUE(r.f64(&f64v));
   EXPECT_TRUE(r.boolean(&b1));
   EXPECT_TRUE(r.boolean(&b2));
-  EXPECT_TRUE(r.str(&s1));
-  EXPECT_TRUE(r.str(&s2));
   EXPECT_EQ(u8v, 0xAB);
   EXPECT_EQ(u32v, 0xDEADBEEFu);
   EXPECT_EQ(u64v, 0x0123456789ABCDEFull);
@@ -138,8 +133,6 @@ TEST(CodecPrimitives, RoundTrip) {
   EXPECT_EQ(f64v, -0.125);
   EXPECT_TRUE(b1);
   EXPECT_FALSE(b2);
-  EXPECT_EQ(s1, "hello");
-  EXPECT_EQ(s2, "");
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_FALSE(r.failed());
 }
@@ -333,204 +326,11 @@ TEST(Frames, GarbageStreamRejected) {
   EXPECT_EQ(read_stream_header(garbage, &off), FrameStatus::kCorrupt);
 }
 
-// ---- PopulationConfig codec (the kConfig frame wira_workerd consumes) ---
-
-// Every encoded field set to a distinctive non-default value.
-PopulationConfig sample_population_config() {
-  PopulationConfig c;
-  c.seed = 0x1122334455667788ull;
-  c.sessions = 4097;
-  c.num_groups = 17;
-  c.p_zero_rtt = 0.125;
-  c.p_cookie = 0.875;
-  c.schemes = {core::Scheme::kWira, core::Scheme::kBaseline,
-               core::Scheme::kWiraPlus};
-  c.defaults.init_cwnd_exp = 23;
-  c.defaults.init_rtt_exp = -456789;
-  c.staleness_threshold = 987654321;
-  c.theta_vf = 3;
-  c.cc_algo = cc::CcAlgo::kCubic;
-  c.sync_period = 13579;
-  c.careful_resume = true;
-  c.container = media::Container::kMpegTs;
-  c.collect_metrics = true;
-  c.trace_sample = 7;
-  c.trace_dir = "/tmp/wira-traces";
-  c.flight_recorder = false;
-  c.anomaly_dir = "/tmp/wira-anomalies";
-  c.anomaly_ffct = 1234567;
-  c.anomaly_max_dumps = 5;
-  c.fail_at_index = 11;
-  c.kill_at_index = 12;
-  c.crash_after_index = 13;
-  c.crash_after_signal = SIGTERM;
-  return c;
-}
-
-TEST(PopulationConfigCodec, RoundTripIsBitExact) {
-  const PopulationConfig orig = sample_population_config();
-  std::vector<uint8_t> encoded;
-  CodecWriter w(encoded);
-  encode_population_config(orig, w);
-
-  CodecReader r(encoded);
-  PopulationConfig decoded;
-  ASSERT_TRUE(decode_population_config(r, &decoded));
-  EXPECT_EQ(r.remaining(), 0u);
-
-  // Re-encoding the decode must reproduce the exact bytes: every field
-  // the codec carries round-trips losslessly.
-  std::vector<uint8_t> reencoded;
-  CodecWriter w2(reencoded);
-  encode_population_config(decoded, w2);
-  EXPECT_EQ(encoded, reencoded);
-
-  EXPECT_EQ(decoded.seed, orig.seed);
-  EXPECT_EQ(decoded.sessions, orig.sessions);
-  EXPECT_EQ(decoded.schemes, orig.schemes);
-  EXPECT_EQ(decoded.cc_algo, orig.cc_algo);
-  EXPECT_EQ(decoded.container, orig.container);
-  EXPECT_EQ(decoded.trace_dir, orig.trace_dir);
-  EXPECT_EQ(decoded.anomaly_dir, orig.anomaly_dir);
-  EXPECT_EQ(decoded.kill_at_index, orig.kill_at_index);
-}
-
-// Golden bytes of the kConfig payload: every shipped field off its
-// default, in wire order.  Breaking this pin means the layout changed and
-// kRecordCodecVersion must be bumped.
-TEST(PopulationConfigCodec, GoldenBytes) {
-  std::vector<uint8_t> encoded;
-  CodecWriter w(encoded);
-  encode_population_config(sample_population_config(), w);
-  EXPECT_EQ(to_hex(encoded),
-      // seed
-      "8877665544332211"
-      // sessions = 4097
-      "0110000000000000"
-      // num_groups = 17
-      "1100000000000000"
-      // p_zero_rtt = 0.125
-      "000000000000c03f"
-      // p_cookie = 0.875
-      "000000000000ec3f"
-      // schemes: count 3, kWira, kBaseline, kWiraPlus (u32 each)
-      "03000000030000000000000005000000"
-      // defaults.init_cwnd_exp = 23
-      "1700000000000000"
-      // defaults.init_rtt_exp = -456789
-      "ab07f9ffffffffff"
-      // staleness_threshold = 987654321
-      "b168de3a00000000"
-      // theta_vf = 3 (u32)
-      "03000000"
-      // cc_algo = kCubic (u8)
-      "02"
-      // sync_period = 13579
-      "0b35000000000000"
-      // careful_resume
-      "01"
-      // container = kMpegTs (u8)
-      "01"
-      // collect_metrics
-      "01"
-      // trace_sample = 7
-      "0700000000000000"
-      // trace_dir "/tmp/wira-traces"
-      "100000002f746d702f776972612d747261636573"
-      // flight_recorder = false
-      "00"
-      // anomaly_dir "/tmp/wira-anomalies"
-      "130000002f746d702f776972612d616e6f6d616c696573"
-      // anomaly_ffct = 1234567
-      "87d6120000000000"
-      // anomaly_max_dumps = 5
-      "0500000000000000"
-      // fail_at_index = 11
-      "0b00000000000000"
-      // kill_at_index = 12
-      "0c00000000000000"
-      // crash_after_index = 13
-      "0d00000000000000"
-      // crash_after_signal = SIGTERM (15, as i64)
-      "0f00000000000000");
-}
-
-TEST(PopulationConfigCodec, DispatcherOnlyFieldsAreNotShipped) {
-  // threads/processes/chunk/workers/retry_dead_shards steer the
-  // *dispatcher*; the worker always runs its chunks serially and learns
-  // their bounds from kChunkAssign frames, so they must not leak into
-  // the wire image.
-  PopulationConfig a = sample_population_config();
-  PopulationConfig b = a;
-  b.threads = 8;
-  b.processes = 4;
-  b.chunk = 1;
-  b.workers = {"127.0.0.1:9999"};
-  b.retry_dead_shards = true;
-  std::vector<uint8_t> ea, eb;
-  CodecWriter wa(ea), wb(eb);
-  encode_population_config(a, wa);
-  encode_population_config(b, wb);
-  EXPECT_EQ(ea, eb);
-}
-
-TEST(PopulationConfigCodec, RejectsOutOfRangeEnums) {
-  {
-    PopulationConfig c = sample_population_config();
-    c.schemes = {static_cast<core::Scheme>(200)};
-    std::vector<uint8_t> enc;
-    CodecWriter w(enc);
-    encode_population_config(c, w);
-    CodecReader r(enc);
-    PopulationConfig out;
-    EXPECT_FALSE(decode_population_config(r, &out));
-  }
-  {
-    PopulationConfig c = sample_population_config();
-    c.cc_algo = static_cast<cc::CcAlgo>(9);
-    std::vector<uint8_t> enc;
-    CodecWriter w(enc);
-    encode_population_config(c, w);
-    CodecReader r(enc);
-    PopulationConfig out;
-    EXPECT_FALSE(decode_population_config(r, &out));
-  }
-  {
-    PopulationConfig c = sample_population_config();
-    c.container = static_cast<media::Container>(7);
-    std::vector<uint8_t> enc;
-    CodecWriter w(enc);
-    encode_population_config(c, w);
-    CodecReader r(enc);
-    PopulationConfig out;
-    EXPECT_FALSE(decode_population_config(r, &out));
-  }
-}
-
-TEST(PopulationConfigCodec, RejectsTruncationAtEveryPrefix) {
-  std::vector<uint8_t> encoded;
-  CodecWriter w(encoded);
-  encode_population_config(sample_population_config(), w);
-  for (size_t keep = 0; keep < encoded.size(); ++keep) {
-    const std::span<const uint8_t> cut(encoded.data(), keep);
-    CodecReader r(cut);
-    PopulationConfig out;
-    EXPECT_FALSE(decode_population_config(r, &out)) << keep;
-  }
-}
-
 // ---- control frames (dispatcher -> worker direction) --------------------
 
 TEST(Frames, ControlFramesRoundTrip) {
   std::vector<uint8_t> stream;
   append_stream_header(stream);
-  {
-    std::vector<uint8_t> payload;
-    CodecWriter w(payload);
-    w.u64(3);  // worker id
-    encode_population_config(sample_population_config(), w);
-    append_frame(FrameType::kConfig, payload, stream);
-  }
   {
     std::vector<uint8_t> payload;
     CodecWriter w(payload);
@@ -543,18 +343,6 @@ TEST(Frames, ControlFramesRoundTrip) {
   size_t off = 0;
   ASSERT_EQ(read_stream_header(stream, &off), FrameStatus::kOk);
   FrameView frame;
-  ASSERT_EQ(next_frame(stream, &off, &frame), FrameStatus::kOk);
-  ASSERT_EQ(frame.type, FrameType::kConfig);
-  {
-    CodecReader r(frame.payload);
-    uint64_t worker = 0;
-    PopulationConfig cfg;
-    ASSERT_TRUE(r.u64(&worker));
-    ASSERT_TRUE(decode_population_config(r, &cfg));
-    EXPECT_EQ(worker, 3u);
-    EXPECT_EQ(cfg.sessions, 4097u);
-    EXPECT_EQ(r.remaining(), 0u);
-  }
   ASSERT_EQ(next_frame(stream, &off, &frame), FrameStatus::kOk);
   ASSERT_EQ(frame.type, FrameType::kChunkAssign);
   {
@@ -571,9 +359,10 @@ TEST(Frames, ControlFramesRoundTrip) {
 }
 
 TEST(Frames, UnknownFrameTypeIsCorrupt) {
-  // 2 is the retired registry frame: inside the assigned range, but no
-  // longer a frame any side writes or reads.
-  for (uint8_t type : {2, 6}) {
+  // 2 (the registry frame) and 4 (the remote-worker config frame) are
+  // retired: inside the assigned range, but no longer frames any side
+  // writes or reads.
+  for (uint8_t type : {2, 4, 6}) {
     std::vector<uint8_t> stream;
     append_stream_header(stream);
     append_frame(static_cast<FrameType>(type), {}, stream);

@@ -45,7 +45,7 @@ ctest --test-dir "${build_dir}" -L gate --output-on-failure \
 rm -rf "${build_dir}/anomaly" "${build_dir}/anomaly_procs"
 # The daemons below announce their ports through these files; a file left
 # by an earlier run would send the readiness waits to a dead port.
-rm -f "${build_dir}"/{exporter,workerd1,workerd2,proxyd}.port
+rm -f "${build_dir}"/{exporter,proxyd}.port
 "${build_dir}/bench/soak" --sessions 200 --flush-every 50 \
   --flush-out "${build_dir}/soak_flush.jsonl" \
   --anomaly-dir "${build_dir}/anomaly" --anomaly-ffct-ms 1 \
@@ -86,42 +86,23 @@ wait "${exporter_pid}"
 trap - EXIT
 echo "sanitized exporter scrape passed"
 
-# Loopback socket-dispatch sweep under the sanitizers: two wira_workerd
-# daemons serve the fig11 sweep over --workers TCP at two chunk sizes.
-# This runs the whole shard transport (connect, kConfig handshake,
-# chunk assignment, record reassembly) with ASan watching both ends —
-# the daemons are sanitized binaries too — and the stdout + metrics
+# Forked-worker dispatch sweep under the sanitizers: fig11 over
+# --procs 2 at two chunk sizes.  This runs chunk assignment and record
+# reassembly over a real pipe channel with ASan watching both ends — the
+# forked workers are the same sanitized binary — and the stdout + metrics
 # JSONL must be byte-identical to the serial run.
-"${build_dir}/tools/wira_workerd" --listen 0 \
-  --port-file "${build_dir}/workerd1.port" &
-workerd1_pid=$!
-"${build_dir}/tools/wira_workerd" --listen 0 \
-  --port-file "${build_dir}/workerd2.port" &
-workerd2_pid=$!
-trap 'kill "${workerd1_pid}" "${workerd2_pid}" 2>/dev/null || true' EXIT
-for _ in $(seq 50); do
-  [[ -s "${build_dir}/workerd1.port" && -s "${build_dir}/workerd2.port" ]] \
-    && break
-  sleep 0.1
-done
-wep1="$(cat "${build_dir}/workerd1.port")"
-wep2="$(cat "${build_dir}/workerd2.port")"
 "${build_dir}/bench/fig11_overall" 40 3 \
   --metrics-out "${build_dir}/fig11_serial_metrics.jsonl" \
   > "${build_dir}/fig11_serial.txt"
 for chunk in 1 8; do
-  "${build_dir}/bench/fig11_overall" 40 3 --chunk "${chunk}" \
-    --workers "${wep1},${wep2}" \
-    --metrics-out "${build_dir}/fig11_tcp_metrics.jsonl" \
-    > "${build_dir}/fig11_tcp.txt"
-  diff "${build_dir}/fig11_serial.txt" "${build_dir}/fig11_tcp.txt"
+  "${build_dir}/bench/fig11_overall" 40 3 --procs 2 --chunk "${chunk}" \
+    --metrics-out "${build_dir}/fig11_procs_metrics.jsonl" \
+    > "${build_dir}/fig11_procs.txt"
+  diff "${build_dir}/fig11_serial.txt" "${build_dir}/fig11_procs.txt"
   diff "${build_dir}/fig11_serial_metrics.jsonl" \
-    "${build_dir}/fig11_tcp_metrics.jsonl"
+    "${build_dir}/fig11_procs_metrics.jsonl"
 done
-kill "${workerd1_pid}" "${workerd2_pid}"
-wait "${workerd1_pid}" "${workerd2_pid}" || true
-trap - EXIT
-echo "sanitized loopback dispatch sweep passed"
+echo "sanitized forked dispatch sweep passed"
 
 # The same sweep over worker threads: the thread shard channel shares
 # the parent's heap with its workers, so ASan sees both sides of every

@@ -20,7 +20,7 @@ cmake --build "${build_dir}" -j "$(nproc)" \
   --target perf_smoke test_dispatch test_event_loop test_exp test_obs
 
 # Quick correctness gate before trusting the numbers (Dispatch covers the
-# thread, pipe and TCP shard channels the parallel passes run on).
+# thread and pipe shard channels the parallel passes run on).
 ctest --test-dir "${build_dir}" -R 'Dispatch|EventLoop|Harness' \
   --output-on-failure -j "$(nproc)"
 

@@ -1,39 +1,59 @@
 #!/usr/bin/env bash
 # Asserts that every sweep binary honours the dispatch flags and ends a
-# dead-shard run with a message: at `8 1 --workers <refused>
-# --connect-timeout-ms 200` each binary must exit 3 and name the endpoint
-# on stderr.  The refused endpoint is a loopback port that was bound and
-# then closed, so nothing listens on it.
+# dead-shard run with a message: each binary runs `4000 1 --procs 2`, one
+# of its forked workers is SIGKILLed as soon as it exists, and the binary
+# must exit 3 with an `error: ... killed by signal 9 ...` line on stderr.
 # Usage: test_bench_dispatch_flags.sh /path/to/sweep_binary...
 set -u
 
 [ "$#" -gt 0 ] || { echo "usage: $0 /path/to/sweep_binary..." >&2; exit 2; }
 WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+pid=""
+trap '[ -n "$pid" ] && kill -9 "$pid" 2>/dev/null; rm -rf "$WORK"' EXIT
 
-port="$(python3 -c 'import socket
-s = socket.socket()
-s.bind(("127.0.0.1", 0))
-print(s.getsockname()[1])
-s.close()')"
-endpoint="127.0.0.1:${port}"
+# Prints the first child of process $1 (its forked workers are children of
+# the main thread), polling for up to 10 s; prints nothing if none appears.
+first_child() {
+  local children
+  for _ in $(seq 100); do
+    children="$(cat "/proc/$1/task/$1/children" 2>/dev/null)"
+    if [ -n "$children" ]; then
+      echo "${children%% *}"
+      return
+    fi
+    sleep 0.1
+  done
+}
 
 failures=0
 for bin in "$@"; do
   bin="$(realpath "$bin")"
   name="$(basename "$bin")"
-  (cd "$WORK" && "$bin" 8 1 --workers "$endpoint" --connect-timeout-ms 200) \
-    > "$WORK/$name.out" 2> "$WORK/$name.err"
+  (cd "$WORK" && exec "$bin" 4000 1 --procs 2) \
+    > "$WORK/$name.out" 2> "$WORK/$name.err" &
+  pid=$!
+  child="$(first_child "$pid")"
+  if [ -z "$child" ]; then
+    echo "FAIL: $name: no forked worker appeared within 10 s" >&2
+    kill -9 "$pid" 2>/dev/null
+    wait "$pid" 2>/dev/null
+    pid=""
+    failures=$((failures + 1))
+    continue
+  fi
+  kill -9 "$child"
+  wait "$pid"
   got=$?
+  pid=""
   if [ "$got" -ne 3 ]; then
     echo "FAIL: $name: expected exit 3, got $got" >&2
     failures=$((failures + 1))
-  elif ! grep -q "^error: .*${endpoint}" "$WORK/$name.err"; then
-    echo "FAIL: $name: stderr does not name ${endpoint}:" >&2
+  elif ! grep -q "^error: .*killed by signal 9" "$WORK/$name.err"; then
+    echo "FAIL: $name: stderr does not name the killed worker:" >&2
     cat "$WORK/$name.err" >&2
     failures=$((failures + 1))
   fi
 done
 
 [ "$failures" -eq 0 ] || exit 1
-echo "bench dispatch flags: $# binaries exit 3 naming ${endpoint}"
+echo "bench dispatch flags: $# binaries exit 3 naming a SIGKILLed worker"
