@@ -165,6 +165,9 @@ inline Args parse_args(int argc, char** argv) {
       a.trace_dir = val;
       continue;
     }
+    if (std::strncmp(arg, "--", 2) == 0) {
+      usage_error(argv[0], ("unknown flag '" + std::string(arg) + "'").c_str());
+    }
     uint64_t v = 0;
     switch (positional++) {
       case 0:

@@ -211,6 +211,9 @@ int main(int argc, char** argv) {
   // The last metrics pass's registry is the aggregate metrics object
   // recorded in the perf trajectory (every pass folds the same one).
   constexpr int kOverheadPairs = 4;
+  // Stamped into the record: bench_gate.py compares metrics_overhead only
+  // between records measured the same way.
+  constexpr const char* kOverheadMethod = "paired_median_4";
   PopulationConfig metrics_cfg = cfg;
   metrics_cfg.collect_metrics = true;
   obs::MetricsRegistry registry;
@@ -266,6 +269,7 @@ int main(int argc, char** argv) {
       "  \"sessions_per_sec_np\": %.1f,\n"
       "  \"speedup\": %.2f,\n"
       "  \"metrics_overhead\": %.3f,\n"
+      "  \"metrics_overhead_method\": \"%s\",\n"
       "  \"allocs_per_session\": %.1f,\n"
       "  \"arena_bytes_per_session\": %.1f,\n"
       "  \"deterministic\": %s,\n"
@@ -284,7 +288,7 @@ int main(int argc, char** argv) {
       serial_sec, parallel_sec, procs_sec, metrics_sec, n / serial_sec,
       n / parallel_sec, n / procs_sec,
       serial_sec / parallel_sec,
-      metrics_overhead, allocs_per_session,
+      metrics_overhead, kOverheadMethod, allocs_per_session,
       arena_bytes_per_session, deterministic ? "true" : "false",
       ffct_json.c_str(), phases_json.c_str(), metrics_json.str().c_str());
   return deterministic ? 0 : 1;

@@ -4,9 +4,8 @@
 
 namespace wira::cc {
 
-void BandwidthSampler::on_packet_sent(TimeNs now, uint64_t packet_number,
-                                      uint64_t bytes,
-                                      uint64_t bytes_in_flight) {
+PacketState BandwidthSampler::on_packet_sent(TimeNs now, uint64_t bytes,
+                                             uint64_t bytes_in_flight) {
   if (bytes_in_flight == 0) {
     // Restarting from idle: reset the delivery clock so the idle gap does
     // not depress the next sample.
@@ -20,35 +19,13 @@ void BandwidthSampler::on_packet_sent(TimeNs now, uint64_t packet_number,
   st.first_sent_time = first_sent_time_;
   st.sent_time = now;
   st.app_limited = delivered_ < app_limited_until_;
-  store(packet_number, st);
   first_sent_time_ = now;
-}
-
-void BandwidthSampler::store(uint64_t packet_number, const PacketState& st) {
-  if (!free_nodes_.empty()) {
-    auto nh = std::move(free_nodes_.back());
-    free_nodes_.pop_back();
-    nh.key() = packet_number;
-    nh.mapped() = st;
-    packets_.insert(std::move(nh));
-    return;
-  }
-  packets_.emplace(packet_number, st);
-}
-
-void BandwidthSampler::recycle(
-    std::unordered_map<uint64_t, PacketState>::iterator it) {
-  free_nodes_.push_back(packets_.extract(it));
+  return st;
 }
 
 RateSample BandwidthSampler::on_packet_acked(TimeNs now,
-                                             uint64_t packet_number) {
+                                             const PacketState& st) {
   RateSample sample;
-  auto it = packets_.find(packet_number);
-  if (it == packets_.end()) return sample;
-  const PacketState st = it->second;
-  recycle(it);
-
   delivered_ += st.bytes;
   delivered_time_ = now;
 
@@ -64,11 +41,6 @@ RateSample BandwidthSampler::on_packet_acked(TimeNs now,
   sample.app_limited = st.app_limited;
   sample.interval = interval;
   return sample;
-}
-
-void BandwidthSampler::on_packet_lost(uint64_t packet_number) {
-  auto it = packets_.find(packet_number);
-  if (it != packets_.end()) recycle(it);
 }
 
 }  // namespace wira::cc

@@ -3,11 +3,14 @@
 // the delivered-bytes counter; each ACK yields bandwidth =
 // delta(delivered) / delta(time), marked app-limited when the sender was
 // starved at send time.
+//
+// The sampler keeps no per-packet table: on_packet_sent returns the
+// packet's snapshot, the caller stores it with its own sent-packet record
+// (quic::Connection keeps it in the sent_ node) and hands it back on ack.
+// A lost packet's snapshot is simply dropped with its record.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "util/units.h"
 
@@ -19,17 +22,25 @@ struct RateSample {
   TimeNs interval = 0;
 };
 
+/// Delivery-clock snapshot taken when a packet is sent.
+struct PacketState {
+  uint64_t bytes = 0;
+  uint64_t delivered_at_send = 0;
+  TimeNs delivered_time_at_send = 0;
+  TimeNs first_sent_time = 0;
+  TimeNs sent_time = 0;
+  bool app_limited = false;
+};
+
 class BandwidthSampler {
  public:
-  void on_packet_sent(TimeNs now, uint64_t packet_number, uint64_t bytes,
-                      uint64_t bytes_in_flight);
+  /// Advances the send clock and returns the packet's snapshot.
+  PacketState on_packet_sent(TimeNs now, uint64_t bytes,
+                             uint64_t bytes_in_flight);
 
-  /// Processes one acked packet and returns its rate sample
-  /// (bandwidth == 0 when the packet was not tracked or interval is zero).
-  RateSample on_packet_acked(TimeNs now, uint64_t packet_number);
-
-  /// Forgets a lost packet (no sample).
-  void on_packet_lost(uint64_t packet_number);
+  /// Processes one acked packet (its snapshot from on_packet_sent) and
+  /// returns its rate sample (bandwidth == 0 when the interval is zero).
+  RateSample on_packet_acked(TimeNs now, const PacketState& st);
 
   /// Marks the connection app-limited: samples from packets sent from now
   /// until delivered catches up are flagged.
@@ -38,28 +49,10 @@ class BandwidthSampler {
   uint64_t total_delivered() const { return delivered_; }
 
  private:
-  struct PacketState {
-    uint64_t bytes = 0;
-    uint64_t delivered_at_send = 0;
-    TimeNs delivered_time_at_send = 0;
-    TimeNs first_sent_time = 0;
-    TimeNs sent_time = 0;
-    bool app_limited = false;
-  };
-
-  /// Inserts `st` under `packet_number`, reusing a recycled map node
-  /// when one is available (per-packet path: no steady-state allocation).
-  void store(uint64_t packet_number, const PacketState& st);
-  /// Erases `it`, stashing its node for reuse.
-  void recycle(std::unordered_map<uint64_t, PacketState>::iterator it);
-
   uint64_t delivered_ = 0;
   TimeNs delivered_time_ = 0;
   TimeNs first_sent_time_ = 0;
   uint64_t app_limited_until_ = 0;
-  std::unordered_map<uint64_t, PacketState> packets_;
-  std::vector<std::unordered_map<uint64_t, PacketState>::node_type>
-      free_nodes_;
 };
 
 }  // namespace wira::cc

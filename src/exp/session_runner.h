@@ -82,10 +82,16 @@ struct ManualInitConfig;
 /// scale that dominates the allocation profile.  A SessionWorkspace owns
 /// that machinery once per worker: run_session(config, workspace) resets
 /// the loop (capacities retained, see sim::EventLoop::reset) and reuses
-/// it, so steady-state sessions allocate only what is genuinely
-/// session-shaped (media corpus draws, connection state, the result
-/// itself).  Results are bit-identical to workspace-free runs — the reset
-/// contract is "indistinguishable from a fresh loop".
+/// it.  Per-packet state comes from capacity the loop keeps across
+/// sessions — pooled datagram and chunk buffers, sent-packet nodes (with
+/// the rate sampler's snapshot inside), reassembly segments — so a warm
+/// session's allocations do not grow with the packets it sends
+/// (AllocScaling.*).  What remains is session-shaped: the connection,
+/// stream and client objects, their growing buffers, cookie seals, and
+/// the buffers of chunks and datagrams still in flight when the session
+/// ends, which die with their loop events.  Results are bit-identical to
+/// workspace-free runs — the reset contract is "indistinguishable from a
+/// fresh loop".
 ///
 /// Not thread-safe: one workspace per worker thread/process, like the
 /// loop it owns.

@@ -369,11 +369,11 @@ void TsDemuxer::finish_pes(uint16_t pid) {
   }
   const size_t payload_off = 9 + header_len;
   if (payload_off <= b.size()) {
-    unit.payload.assign(b.begin() + static_cast<long>(payload_off), b.end());
+    unit.payload = std::span<const uint8_t>(b).subspan(payload_off);
   }
   asmbl.active = false;
-  asmbl.buffer.clear();
   if (on_unit_) on_unit_(unit);
+  asmbl.buffer.clear();
 }
 
 void TsDemuxer::flush() {

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "media/frame.h"
@@ -76,7 +77,8 @@ struct TsPesUnit {
   uint8_t stream_id = 0;
   std::optional<TimeNs> pts;
   bool random_access = false;  ///< adaptation-field RAI (key frame)
-  std::vector<uint8_t> payload;
+  /// Borrows the demuxer's assembly buffer: valid during the callback.
+  std::span<const uint8_t> payload;
 };
 
 /// Incremental TS demuxer: feed arbitrary slices; PES units are emitted

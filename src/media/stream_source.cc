@@ -54,63 +54,72 @@ TimeNs LiveStream::gop_duration() const {
   return frame_interval() * profile_.gop_frames;
 }
 
-std::vector<MediaFrame> LiveStream::gop(uint64_t k) const {
-  Rng rng(mix(corpus_seed_, profile_.stream_id, k));
-  const TimeNs gop_start = static_cast<TimeNs>(k) * gop_duration();
-  const double i_bytes =
-      clamp(rng.lognormal_mean_cv(profile_.iframe_mean_bytes,
-                                  profile_.iframe_intra_cv),
-            2'000.0, 249'000.0);
+GopFrames::GopFrames(const StreamProfile& profile, uint64_t corpus_seed,
+                     uint64_t k)
+    : profile_(profile),
+      rng_(mix(corpus_seed, profile.stream_id, k)),
+      frame_interval_(static_cast<TimeNs>(1e9 / profile.fps)),
+      gop_start_(static_cast<TimeNs>(k) *
+                 (frame_interval_ * profile.gop_frames)),
+      gop_end_(gop_start_ + frame_interval_ * profile.gop_frames),
+      audio_period_(static_cast<TimeNs>(1e9 / profile.audio_tags_per_sec)),
+      i_bytes_(clamp(rng_.lognormal_mean_cv(profile.iframe_mean_bytes,
+                                            profile.iframe_intra_cv),
+                     2'000.0, 249'000.0)),
+      next_audio_(gop_start_) {}
 
-  std::vector<MediaFrame> video;
-  video.reserve(profile_.gop_frames);
-  uint32_t since_p = 0;
-  for (uint32_t i = 0; i < profile_.gop_frames; ++i) {
-    MediaFrame f;
-    f.type = TagType::kVideo;
-    f.pts = gop_start + static_cast<TimeNs>(i) * frame_interval();
-    if (i == 0) {
-      f.video_kind = VideoKind::kKey;
-      f.payload_bytes = static_cast<uint32_t>(i_bytes);
-    } else if (since_p >= profile_.bs_per_p) {
-      f.video_kind = VideoKind::kInter;
-      f.payload_bytes = static_cast<uint32_t>(clamp(
-          i_bytes * profile_.p_over_i * rng.lognormal_mean_cv(1.0, 0.25),
-          400.0, 200'000.0));
-      since_p = 0;
-    } else {
-      f.video_kind = VideoKind::kDisposable;
-      f.payload_bytes = static_cast<uint32_t>(clamp(
-          i_bytes * profile_.b_over_i * rng.lognormal_mean_cv(1.0, 0.25),
-          200.0, 150'000.0));
-      since_p++;
-    }
-    video.push_back(f);
-  }
-
-  // Interleave audio tags at their own cadence; merge by PTS with audio
+bool GopFrames::next(MediaFrame& out) {
+  out = MediaFrame{};
+  const bool audio_left = next_audio_ < gop_end_;
+  const TimeNs video_pts =
+      gop_start_ + static_cast<TimeNs>(next_video_) * frame_interval_;
+  // Audio tags interleave at their own cadence, merged by PTS with audio
   // winning ties (an audio sample "covering" a video PTS precedes it).
-  const TimeNs audio_period =
-      static_cast<TimeNs>(1e9 / profile_.audio_tags_per_sec);
-  std::vector<MediaFrame> out;
-  out.reserve(video.size() * 3);
-  size_t vi = 0;
-  for (TimeNs a = gop_start; a < gop_start + gop_duration();
-       a += audio_period) {
-    while (vi < video.size() && video[vi].pts < a) out.push_back(video[vi++]);
-    MediaFrame f;
-    f.type = TagType::kAudio;
-    f.pts = a;
-    f.payload_bytes = profile_.audio_payload_bytes;
-    out.push_back(f);
+  if (next_video_ < profile_.gop_frames &&
+      (!audio_left || video_pts < next_audio_)) {
+    out.type = TagType::kVideo;
+    out.pts = video_pts;
+    if (next_video_ == 0) {
+      out.video_kind = VideoKind::kKey;
+      out.payload_bytes = static_cast<uint32_t>(i_bytes_);
+    } else if (since_p_ >= profile_.bs_per_p) {
+      out.video_kind = VideoKind::kInter;
+      out.payload_bytes = static_cast<uint32_t>(clamp(
+          i_bytes_ * profile_.p_over_i * rng_.lognormal_mean_cv(1.0, 0.25),
+          400.0, 200'000.0));
+      since_p_ = 0;
+    } else {
+      out.video_kind = VideoKind::kDisposable;
+      out.payload_bytes = static_cast<uint32_t>(clamp(
+          i_bytes_ * profile_.b_over_i * rng_.lognormal_mean_cv(1.0, 0.25),
+          200.0, 150'000.0));
+      since_p_++;
+    }
+    next_video_++;
+    return true;
   }
-  while (vi < video.size()) out.push_back(video[vi++]);
+  if (!audio_left) return false;
+  out.type = TagType::kAudio;
+  out.pts = next_audio_;
+  out.payload_bytes = profile_.audio_payload_bytes;
+  next_audio_ += audio_period_;
+  return true;
+}
+
+std::vector<MediaFrame> LiveStream::gop(uint64_t k) const {
+  std::vector<MediaFrame> out;
+  GopFrames frames = gop_frames(k);
+  MediaFrame f;
+  while (frames.next(f)) out.push_back(f);
   return out;
 }
 
-std::vector<uint8_t> LiveStream::metadata_prefix(
-    util::BufferPool* pool) const {
-  std::vector<uint8_t> buf = pool ? pool->acquire() : std::vector<uint8_t>();
+std::vector<uint8_t> LiveStream::metadata_prefix(util::BufferPool* pool,
+                                                 size_t tail_bytes) const {
+  // Either prelude fits in 512 bytes (TS PSI is 376, the FLV header and
+  // onMetaData tag ~250).
+  std::vector<uint8_t> buf = pool ? pool->acquire(512 + tail_bytes)
+                                  : std::vector<uint8_t>();
   if (profile_.container == Container::kMpegTs) {
     TsMuxer mux(std::move(buf));
     mux.write_psi();
@@ -135,8 +144,12 @@ StreamChunk LiveStream::mux_frame(const MediaFrame& f,
   c.pts = f.pts;
   c.type = f.type;
   c.video_kind = f.video_kind;
-  std::vector<uint8_t> buf = pool ? pool->acquire() : std::vector<uint8_t>();
-  if (profile_.container == Container::kMpegTs) {
+  const bool ts = profile_.container == Container::kMpegTs;
+  std::vector<uint8_t> buf =
+      pool ? pool->acquire(ts ? ts_frame_wire_size(f)
+                              : flv_tag_wire_size(f.payload_bytes))
+           : std::vector<uint8_t>();
+  if (ts) {
     TsMuxer mux(std::move(buf));
     mux.write_frame(f);
     c.bytes = mux.take();
@@ -154,11 +167,13 @@ void LiveStream::join_chunks(TimeNs join_time, std::vector<StreamChunk>& out,
   const uint64_t k = static_cast<uint64_t>(
       std::max<TimeNs>(join_time, 0) / gop_duration());
   bool first = true;
-  for (const MediaFrame& f : gop(k)) {
+  GopFrames frames = gop_frames(k);
+  MediaFrame f;
+  while (frames.next(f)) {
     if (f.pts > join_time) break;
     StreamChunk c = mux_frame(f, pool);
     if (first) {
-      auto prefix = metadata_prefix(pool);
+      auto prefix = metadata_prefix(pool, c.bytes.size());
       prefix.insert(prefix.end(), c.bytes.begin(), c.bytes.end());
       if (pool) pool->release(std::move(c.bytes));
       c.bytes = std::move(prefix);
@@ -170,7 +185,7 @@ void LiveStream::join_chunks(TimeNs join_time, std::vector<StreamChunk>& out,
     // Join landed before the GOP's first frame PTS: send header alone.
     StreamChunk c;
     c.pts = join_time;
-    c.bytes = metadata_prefix(pool);
+    c.bytes = metadata_prefix(pool, 0);
     c.type = TagType::kScript;
     out.push_back(std::move(c));
   }
@@ -191,8 +206,10 @@ void LiveStream::chunks_between(TimeNs t0, TimeNs t1,
                                             gop_duration());
   const uint64_t k1 = static_cast<uint64_t>(std::max<TimeNs>(t1, 0) /
                                             gop_duration());
+  MediaFrame f;
   for (uint64_t k = k0; k <= k1; ++k) {
-    for (const MediaFrame& f : gop(k)) {
+    GopFrames frames = gop_frames(k);
+    while (frames.next(f)) {
       if (f.pts > t0 && f.pts <= t1) out.push_back(mux_frame(f, pool));
     }
   }
@@ -210,12 +227,14 @@ uint64_t LiveStream::first_frame_size(TimeNs join_time,
   // Count: container prelude + every frame up to the first-frame boundary,
   // starting from the join burst and continuing into the live tail.
   const bool ts = profile_.container == Container::kMpegTs;
-  uint64_t size = metadata_prefix(nullptr).size();
+  uint64_t size = metadata_prefix(nullptr, 0).size();
   uint32_t videos = 0;
   const uint64_t k = static_cast<uint64_t>(
       std::max<TimeNs>(join_time, 0) / gop_duration());
+  MediaFrame f;
   for (uint64_t g = k; g < k + 4; ++g) {  // first frame spans < 4 GOPs
-    for (const MediaFrame& f : gop(g)) {
+    GopFrames frames = gop_frames(g);
+    while (frames.next(f)) {
       if (ts && f.type == TagType::kVideo && videos == theta_vf) {
         // TS boundary rule: the first frame ends where the next video
         // access unit starts.

@@ -58,6 +58,30 @@ struct StreamChunk {
   VideoKind video_kind = VideoKind::kKey;
 };
 
+/// One GOP's media frames (video + audio, PTS order), produced one at a
+/// time without materializing the GOP: each video frame is drawn from the
+/// GOP's Rng when the audio cadence reaches it, in the same order as a
+/// whole-GOP draw, so the frames are identical.
+class GopFrames {
+ public:
+  GopFrames(const StreamProfile& profile, uint64_t corpus_seed, uint64_t k);
+
+  /// Writes the next frame into `out`; false once the GOP is exhausted.
+  bool next(MediaFrame& out);
+
+ private:
+  const StreamProfile& profile_;
+  Rng rng_;
+  TimeNs frame_interval_;
+  TimeNs gop_start_;
+  TimeNs gop_end_;
+  TimeNs audio_period_;
+  double i_bytes_;
+  TimeNs next_audio_;  ///< PTS of the next audio tag
+  uint32_t next_video_ = 0;  ///< index of the next video frame
+  uint32_t since_p_ = 0;
+};
+
 class LiveStream {
  public:
   LiveStream(StreamProfile profile, uint64_t corpus_seed);
@@ -66,7 +90,11 @@ class LiveStream {
   TimeNs gop_duration() const;
   TimeNs frame_interval() const;
 
-  /// Media frames (video + audio, PTS order) of GOP `k`.
+  /// Media frames (video + audio, PTS order) of GOP `k`, one at a time.
+  GopFrames gop_frames(uint64_t k) const {
+    return GopFrames(profile_, corpus_seed_, k);
+  }
+  /// The same frames collected into a vector (tests, microbenchmarks).
   std::vector<MediaFrame> gop(uint64_t k) const;
 
   /// The bytes a client joining at `join_time` receives immediately:
@@ -98,8 +126,10 @@ class LiveStream {
   uint64_t first_frame_size(TimeNs join_time, uint32_t theta_vf = 1) const;
 
  private:
-  // FLV header / TS PSI, muxed into a pool buffer when one is available.
-  std::vector<uint8_t> metadata_prefix(util::BufferPool* pool) const;
+  /// FLV header / TS PSI, muxed into a pool buffer when one is
+  /// available, sized to take `tail_bytes` more without growing.
+  std::vector<uint8_t> metadata_prefix(util::BufferPool* pool,
+                                       size_t tail_bytes) const;
   StreamChunk mux_frame(const MediaFrame& f, util::BufferPool* pool) const;
 
   StreamProfile profile_;

@@ -13,7 +13,12 @@ Connection::Connection(sim::EventLoop& loop, ConnectionConfig config,
       config_(config),
       send_datagram_(std::move(send_datagram)),
       cc_(cc::make_controller(config.cc_algo)),
-      pacer_(kPacerBurst) {}
+      pacer_(kPacerBurst),
+      sent_cache_(loop.scratch<SentNodeCache>()) {}
+
+Connection::~Connection() {
+  while (!sent_.empty()) park_sent_node(sent_.extract(sent_.begin()));
+}
 
 // ---------------------------------------------------------------- handshake
 
@@ -158,7 +163,9 @@ void Connection::become_established() {
 SendStream& Connection::send_stream(StreamId id) {
   auto it = send_streams_.find(id);
   if (it == send_streams_.end()) {
-    it = send_streams_.emplace(id, SendStream(id)).first;
+    it = send_streams_
+             .try_emplace(id, id, &loop_.scratch<SendBufferCache>())
+             .first;
   }
   return it->second;
 }
@@ -267,9 +274,10 @@ void Connection::pump() {
 }
 
 Connection::SentPacketInfo& Connection::acquire_sent_slot(PacketNumber pn) {
-  if (!free_sent_nodes_.empty()) {
-    auto nh = std::move(free_sent_nodes_.back());
-    free_sent_nodes_.pop_back();
+  std::vector<SentMap::node_type>& nodes = sent_cache_.nodes;
+  if (!nodes.empty()) {
+    auto nh = std::move(nodes.back());
+    nodes.pop_back();
     nh.key() = pn;
     return sent_.insert(std::move(nh)).position->second;
   }
@@ -279,50 +287,58 @@ Connection::SentPacketInfo& Connection::acquire_sent_slot(PacketNumber pn) {
 Connection::SentMap::iterator Connection::release_sent_node(
     SentMap::iterator it) {
   auto next = std::next(it);
-  free_sent_nodes_.push_back(sent_.extract(it));
+  park_sent_node(sent_.extract(it));
   return next;
+}
+
+void Connection::park_sent_node(SentMap::node_type&& node) {
+  if (sent_cache_.nodes.size() < SentNodeCache::kMaxNodes) {
+    sent_cache_.nodes.push_back(std::move(node));
+  }
 }
 
 PacketNumber Connection::send_packet(Packet packet, bool bypass_pacer) {
   packet.packet_number = next_packet_number_++;
   const PacketNumber pn = packet.packet_number;
 
-  // Fill the tracking slot in place: retransmittable packets land
-  // directly in a recycled sent_ node (vector capacity retained), pure
-  // ACKs reuse the scratch slot — no allocation either way.
+  // Retransmittable packets are tracked in a recycled sent_ node (vector
+  // capacity retained); pure ACKs are not tracked.  Only retransmittable
+  // packets carry stream or crypto frames.
   const bool retransmittable = packet.retransmittable();
-  SentPacketInfo& info =
-      retransmittable ? acquire_sent_slot(pn) : scratch_sent_info_;
-  info.sent_time = now();
-  info.retransmittable = retransmittable;
-  info.stream_refs.clear();
-  info.crypto_data.clear();
-  for (const Frame& f : packet.frames) {
-    if (const auto* sf = std::get_if<StreamFrame>(&f)) {
-      info.stream_refs.push_back(
-          StreamRef{sf->stream_id, sf->offset, sf->data.size(), sf->fin});
-      stats_.stream_bytes_sent += sf->data.size();
-    } else if (const auto* cf = std::get_if<CryptoFrame>(&f)) {
-      // Explicit copy: the span dies with the packet, the retransmit
-      // payload must survive in sent_.
-      info.crypto_data.assign(cf->data.begin(), cf->data.end());
+  SentPacketInfo* info = retransmittable ? &acquire_sent_slot(pn) : nullptr;
+  if (info != nullptr) {
+    info->sent_time = now();
+    info->stream_refs.clear();
+    info->crypto_data.clear();
+    for (const Frame& f : packet.frames) {
+      if (const auto* sf = std::get_if<StreamFrame>(&f)) {
+        info->stream_refs.push_back(
+            StreamRef{sf->stream_id, sf->offset, sf->data.size(), sf->fin});
+        stats_.stream_bytes_sent += sf->data.size();
+      } else if (const auto* cf = std::get_if<CryptoFrame>(&f)) {
+        // Explicit copy: the span dies with the packet, the retransmit
+        // payload must survive in sent_.
+        info->crypto_data.assign(cf->data.begin(), cf->data.end());
+      }
     }
   }
 
-  auto bytes = serialize_packet(packet, loop_.buffers().acquire());
-  info.bytes = bytes.size() + kPacketOverhead;
+  auto bytes =
+      serialize_packet(packet, loop_.buffers().acquire(packet.wire_size()));
+  const uint64_t wire_bytes = bytes.size() + kPacketOverhead;
 
   stats_.packets_sent++;
-  stats_.bytes_sent += info.bytes;
-  trace(trace::EventType::kPacketSent, pn, info.bytes);
+  stats_.bytes_sent += wire_bytes;
+  trace(trace::EventType::kPacketSent, pn, wire_bytes);
 
-  if (retransmittable) {
+  if (info != nullptr) {
+    info->bytes = wire_bytes;
     stats_.data_packets_sent++;
-    sampler_.on_packet_sent(now(), pn, info.bytes, bytes_in_flight_);
-    bytes_in_flight_ += info.bytes;
-    cc_->on_packet_sent(now(), pn, info.bytes, bytes_in_flight_, true);
+    info->rate = sampler_.on_packet_sent(now(), wire_bytes, bytes_in_flight_);
+    bytes_in_flight_ += wire_bytes;
+    cc_->on_packet_sent(now(), pn, wire_bytes, bytes_in_flight_, true);
     if (!bypass_pacer) {
-      pacer_.on_packet_sent(now(), info.bytes, cc_->pacing_rate());
+      pacer_.on_packet_sent(now(), wire_bytes, cc_->pacing_rate());
     }
     arm_pto();
   }
@@ -442,7 +458,7 @@ void Connection::handle_ack(const AckFrame& ack) {
       largest_newly_acked = pn;
       largest_sent_time = info.sent_time;
     }
-    const auto sample = sampler_.on_packet_acked(now(), pn);
+    const auto sample = sampler_.on_packet_acked(now(), info.rate);
     if (sample.bandwidth > best_bw) {
       best_bw = sample.bandwidth;
       bw_app_limited = sample.app_limited;
@@ -518,7 +534,7 @@ void Connection::detect_losses(PacketNumber largest_acked,
       lost.push_back(cc::LostPacket{pn, info.bytes});
       stats_.packets_lost++;
       trace(trace::EventType::kPacketLost, pn, info.bytes);
-      requeue_lost_payload(pn, info);
+      requeue_lost_payload(info);
       it = release_sent_node(it);
     } else {
       if (next_loss_time == kNoTime || lost_at < next_loss_time) {
@@ -530,10 +546,8 @@ void Connection::detect_losses(PacketNumber largest_acked,
   if (next_loss_time != kNoTime) arm_loss_timer(next_loss_time);
 }
 
-void Connection::requeue_lost_payload(PacketNumber pn,
-                                      const SentPacketInfo& info) {
+void Connection::requeue_lost_payload(const SentPacketInfo& info) {
   bytes_in_flight_ -= std::min(bytes_in_flight_, info.bytes);
-  sampler_.on_packet_lost(pn);
   for (const StreamRef& ref : info.stream_refs) {
     send_stream(ref.stream_id).on_range_lost(ref.offset, ref.length, ref.fin);
     stats_.stream_bytes_retransmitted += ref.length;
@@ -629,7 +643,7 @@ void Connection::on_pto() {
   // recycling earlier would let send_packet assign into the very buffer
   // the span points at.
   auto nh = sent_.extract(sent_.begin());
-  requeue_lost_payload(nh.key(), nh.mapped());
+  requeue_lost_payload(nh.mapped());
   if (pto_count_ >= 2) {
     cc_->on_retransmission_timeout(now());
     trace_cc_state();
@@ -642,7 +656,7 @@ void Connection::on_pto() {
   if (!sent_.empty() && !pto_timer_) arm_pto();
 
   // Safe to recycle now — no borrowed span into the node is live anymore.
-  free_sent_nodes_.push_back(std::move(nh));
+  park_sent_node(std::move(nh));
 }
 
 }  // namespace wira::quic

@@ -66,6 +66,8 @@ class Connection {
 
   Connection(sim::EventLoop& loop, ConnectionConfig config,
              SendDatagramFn send_datagram);
+  /// Parks the remaining sent_ nodes in the loop's SentNodeCache.
+  ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
@@ -151,11 +153,21 @@ class Connection {
   struct SentPacketInfo {
     TimeNs sent_time = 0;
     uint64_t bytes = 0;
-    bool retransmittable = false;
+    cc::PacketState rate;  ///< delivery-rate snapshot, read back on ack
     std::vector<StreamRef> stream_refs;
     std::vector<uint8_t> crypto_data;  ///< handshake message to re-send
   };
   using SentMap = std::map<PacketNumber, SentPacketInfo>;
+  /// Retired sent_ nodes, one cache per event loop (EventLoop::scratch)
+  /// shared by every connection on it and kept across loop resets, so a
+  /// recycled session's per-packet tracking allocates neither map nodes
+  /// nor the stream_refs/crypto_data vectors inside them.  Every field
+  /// of a recycled node is overwritten before use.
+  struct SentNodeCache {
+    /// Bounds parked memory (nodes above the cap are simply freed).
+    static constexpr size_t kMaxNodes = 1024;
+    std::vector<SentMap::node_type> nodes;
+  };
 
   // Handshake machinery.
   void send_crypto_message(const HandshakeMessage& msg,
@@ -185,7 +197,7 @@ class Connection {
   /// payload again: stream ranges become resendable, crypto data is
   /// re-sent at once.  `info` must stay alive until this returns — the
   /// crypto re-send borrows info.crypto_data.
-  void requeue_lost_payload(PacketNumber pn, const SentPacketInfo& info);
+  void requeue_lost_payload(const SentPacketInfo& info);
 
   // Timers.
   void arm_pto();
@@ -196,14 +208,16 @@ class Connection {
   /// Marks the connection closed and cancels every timer.
   void mark_closed();
 
-  // sent_ node recycling: per-packet tracking reuses extracted map nodes
-  // (and the stream_refs/crypto_data capacity inside them), so the
+  // sent_ node recycling through the loop's SentNodeCache: the
   // steady-state send path performs no heap allocation.
   /// Inserts `pn` with a recycled (or fresh) slot and returns it; caller
   /// fills the fields.  Vectors in the slot are cleared, not shrunk.
   SentPacketInfo& acquire_sent_slot(PacketNumber pn);
-  /// Erases `*it`, stashing its node for reuse; returns the next iterator.
+  /// Erases `*it`, parking its node in the cache; returns the next
+  /// iterator.
   SentMap::iterator release_sent_node(SentMap::iterator it);
+  /// Parks an extracted node in the cache (freed when the cache is full).
+  void park_sent_node(SentMap::node_type&& node);
 
   /// Current time through the optional clock override (see set_clock).
   TimeNs now() const { return clock_ != nullptr ? clock_->now() : loop_.now(); }
@@ -237,9 +251,7 @@ class Connection {
   // Packet number spaces (single space).
   PacketNumber next_packet_number_ = 1;
   SentMap sent_;  ///< retransmittable only
-  std::vector<SentMap::node_type> free_sent_nodes_;
-  /// Per-packet scratch for non-retransmittable sends (never stored).
-  SentPacketInfo scratch_sent_info_;
+  SentNodeCache& sent_cache_;  ///< the loop's scratch, outlives us
   uint64_t bytes_in_flight_ = 0;
   PacketNumber largest_acked_ = 0;
 

@@ -4,106 +4,81 @@
 
 namespace wira::quic {
 
+std::vector<Range>::const_iterator RangeSet::first_ending_at_or_after(
+    uint64_t v) const {
+  return std::partition_point(ranges_.begin(), ranges_.end(),
+                              [v](const Range& r) { return r.hi < v; });
+}
+
 void RangeSet::add(uint64_t lo, uint64_t hi) {
   if (hi < lo) return;
-  // Find the first range that could merge with [lo, hi]: any range whose
-  // hi >= lo-1 and whose lo <= hi+1.
-  auto it = ranges_.lower_bound(lo);
-  if (it != ranges_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second + 1 >= lo && prev->second != UINT64_MAX) {
-      it = prev;
-    } else if (prev->second >= lo) {
-      it = prev;
-    }
+  // Ranges that overlap or touch [lo, hi] merge with it: from the first
+  // with hi + 1 >= lo to the last with lo <= hi + 1.
+  const auto first =
+      lo == 0 ? ranges_.begin()
+              : std::partition_point(
+                    ranges_.begin(), ranges_.end(),
+                    [lo](const Range& r) { return r.hi < lo - 1; });
+  const auto last =
+      hi == UINT64_MAX
+          ? ranges_.end()
+          : std::partition_point(first, ranges_.end(), [hi](const Range& r) {
+              return r.lo <= hi + 1;
+            });
+  if (first == last) {
+    ranges_.insert(first, Range{lo, hi});
+    return;
   }
-  uint64_t new_lo = lo, new_hi = hi;
-  // `keep` is the first merged node whose key already equals the merged
-  // lo: it is extended in place instead of erase+reinsert, so the common
-  // contiguous-append case (every received packet) allocates nothing.
-  auto keep = ranges_.end();
-  while (it != ranges_.end() && it->first <= (hi == UINT64_MAX ? hi : hi + 1)) {
-    if (it->second + 1 < lo && it->second != UINT64_MAX) {
-      ++it;
-      continue;
-    }
-    new_lo = std::min(new_lo, it->first);
-    new_hi = std::max(new_hi, it->second);
-    if (keep == ranges_.end() && it->first == new_lo) {
-      keep = it++;
-    } else {
-      it = ranges_.erase(it);
-    }
-  }
-  if (keep != ranges_.end()) {
-    keep->second = new_hi;
-  } else {
-    ranges_[new_lo] = new_hi;
-  }
+  first->lo = std::min(lo, first->lo);
+  first->hi = std::max(hi, std::prev(last)->hi);
+  ranges_.erase(first + 1, last);
 }
 
 void RangeSet::subtract(uint64_t lo, uint64_t hi) {
   if (hi < lo) return;
-  auto it = ranges_.lower_bound(lo);
-  if (it != ranges_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= lo) it = prev;
-  }
-  while (it != ranges_.end() && it->first <= hi) {
-    const uint64_t r_lo = it->first, r_hi = it->second;
-    if (r_hi < lo) {
-      ++it;
-      continue;
+  const auto first =
+      std::partition_point(ranges_.begin(), ranges_.end(),
+                           [lo](const Range& r) { return r.hi < lo; });
+  const auto last = std::partition_point(
+      first, ranges_.end(), [hi](const Range& r) { return r.lo <= hi; });
+  if (first == last) return;
+  // What survives of the overlapped ranges: a left and a right remainder.
+  const bool keep_left = first->lo < lo;
+  const bool keep_right = std::prev(last)->hi > hi;
+  const Range left{first->lo, lo - 1};
+  const Range right{hi + 1, std::prev(last)->hi};
+  auto out = first;
+  if (keep_left) *out++ = left;
+  if (keep_right) {
+    if (out == last) {
+      ranges_.insert(out, right);  // one range split in two
+      return;
     }
-    it = ranges_.erase(it);
-    if (r_lo < lo) ranges_[r_lo] = lo - 1;  // left remainder: before `it`
-    if (r_hi > hi) {
-      ranges_[hi + 1] = r_hi;  // right remainder: nothing further overlaps
-      break;
-    }
+    *out++ = right;
   }
+  ranges_.erase(out, last);
 }
 
 bool RangeSet::contains(uint64_t v) const {
-  auto it = ranges_.upper_bound(v);
-  if (it == ranges_.begin()) return false;
-  --it;
-  return it->first <= v && v <= it->second;
+  const auto it = first_ending_at_or_after(v);
+  return it != ranges_.end() && it->lo <= v;
 }
 
 uint64_t RangeSet::total_length() const {
   uint64_t n = 0;
-  for (const auto& [lo, hi] : ranges_) n += hi - lo + 1;
+  for (const Range& r : ranges_) n += r.length();
   return n;
 }
 
-std::vector<Range> RangeSet::ascending() const {
-  std::vector<Range> out;
-  out.reserve(ranges_.size());
-  for (const auto& [lo, hi] : ranges_) out.push_back({lo, hi});
-  return out;
-}
-
-std::vector<Range> RangeSet::descending() const {
-  auto out = ascending();
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
 Range RangeSet::pop_front(uint64_t max_len) {
-  Range r{};
-  if (ranges_.empty() || max_len == 0) return r;
-  auto it = ranges_.begin();
-  r.lo = it->first;
-  const uint64_t avail = it->second - it->first + 1;
-  const uint64_t take = std::min<uint64_t>(avail, max_len);
-  r.hi = r.lo + take - 1;
-  if (take == avail) {
-    ranges_.erase(it);
+  if (ranges_.empty() || max_len == 0) return Range{};
+  Range& front = ranges_.front();
+  const uint64_t take = std::min<uint64_t>(front.hi - front.lo + 1, max_len);
+  const Range r{front.lo, front.lo + take - 1};
+  if (r.hi == front.hi) {
+    ranges_.erase(ranges_.begin());
   } else {
-    const uint64_t hi = it->second;
-    ranges_.erase(it);
-    ranges_[r.hi + 1] = hi;
+    front.lo = r.hi + 1;
   }
   return r;
 }

@@ -1,10 +1,14 @@
 // Set of disjoint closed uint64 ranges, used for received packet numbers,
 // acked stream bytes and retransmission scheduling.
+//
+// Stored as a sorted flat vector: the sets stay small (a few ranges per
+// loss episode), nearly every add extends or appends the last range, and
+// a cleared set keeps its capacity, so the per-packet paths allocate
+// nothing once warm.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace wira::quic {
@@ -31,33 +35,50 @@ class RangeSet {
   size_t size() const { return ranges_.size(); }
   uint64_t total_length() const;
 
-  uint64_t min() const { return ranges_.begin()->first; }
-  uint64_t max() const { return ranges_.rbegin()->second; }
+  uint64_t min() const { return ranges_.front().lo; }
+  uint64_t max() const { return ranges_.back().hi; }
 
   /// Ranges in ascending order.
-  std::vector<Range> ascending() const;
-  /// Ranges in descending order (ACK frame layout).
-  std::vector<Range> descending() const;
+  const std::vector<Range>& ascending() const { return ranges_; }
 
-  /// Visits up to `max_ranges` ranges in descending order without
-  /// materializing a vector (the ACK build path calls this per ack).
+  /// Visits up to `max_ranges` ranges in descending order (ACK frame
+  /// layout).
   template <typename Fn>
   void visit_descending(Fn&& fn, size_t max_ranges = SIZE_MAX) const {
     size_t n = 0;
     for (auto it = ranges_.rbegin(); it != ranges_.rend() && n < max_ranges;
          ++it, ++n) {
-      fn(Range{it->first, it->second});
+      fn(*it);
     }
   }
 
-  /// Pops up to `max_len` values from the lowest range; returns the popped
-  /// range (length 0 length field == 0 means empty -> check before).
+  /// Visits, in ascending order, the maximal sub-ranges of [lo, hi] that
+  /// are NOT in the set.
+  template <typename Fn>
+  void visit_gaps(uint64_t lo, uint64_t hi, Fn&& fn) const {
+    if (hi < lo) return;
+    uint64_t next = lo;  // first value of [lo, hi] not yet classified
+    for (auto it = first_ending_at_or_after(lo);
+         it != ranges_.end() && it->lo <= hi; ++it) {
+      if (it->lo > next) fn(Range{next, it->lo - 1});
+      if (it->hi >= hi) return;
+      next = it->hi + 1;
+    }
+    fn(Range{next, hi});
+  }
+
+  /// Pops up to `max_len` values from the lowest range and returns them
+  /// (a zero Range when the set is empty or max_len == 0).
   Range pop_front(uint64_t max_len);
 
   void clear() { ranges_.clear(); }
 
  private:
-  std::map<uint64_t, uint64_t> ranges_;  ///< lo -> hi, disjoint, gaps >= 2
+  /// First range with hi >= v.
+  std::vector<Range>::const_iterator first_ending_at_or_after(
+      uint64_t v) const;
+
+  std::vector<Range> ranges_;  ///< ascending, disjoint, gaps >= 1 value
 };
 
 }  // namespace wira::quic

@@ -4,8 +4,32 @@
 
 namespace wira::quic {
 
+SendStream::~SendStream() {
+  if (cache_ != nullptr &&
+      buffer_.capacity() >= SendBufferCache::kMinBytes &&
+      cache_->buffers.size() < SendBufferCache::kMaxBuffers) {
+    cache_->buffers.push_back(std::move(buffer_));
+  }
+}
+
 uint64_t SendStream::write(std::span<const uint8_t> data, bool fin) {
   const uint64_t start = buffer_.size();
+  const uint64_t need = start + data.size();
+  if (cache_ != nullptr && need > buffer_.capacity() &&
+      need > SendBufferCache::kMinBytes && !cache_->buffers.empty()) {
+    // Outgrowing the buffer: swap in the largest parked one if it beats
+    // the capacity this growth would allocate.
+    auto largest = std::max_element(
+        cache_->buffers.begin(), cache_->buffers.end(),
+        [](const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
+          return a.capacity() < b.capacity();
+        });
+    if (largest->capacity() >= std::max(need, 2 * buffer_.capacity())) {
+      largest->assign(buffer_.begin(), buffer_.end());
+      buffer_.swap(*largest);
+      cache_->buffers.erase(largest);
+    }
+  }
   buffer_.insert(buffer_.end(), data.begin(), data.end());
   if (fin) {
     fin_written_ = true;
@@ -58,10 +82,8 @@ void SendStream::on_range_acked(uint64_t offset, uint64_t len,
 
 void SendStream::on_range_lost(uint64_t offset, uint64_t len, bool fin_lost) {
   if (len > 0) {
-    RangeSet lost;
-    lost.add(offset, offset + len - 1);
-    for (const Range& a : acked_.ascending()) lost.subtract(a.lo, a.hi);
-    for (const Range& r : lost.ascending()) retx_.add(r.lo, r.hi);
+    acked_.visit_gaps(offset, offset + len - 1,
+                      [this](const Range& r) { retx_.add(r.lo, r.hi); });
   }
   if (fin_lost && !fin_acked_) fin_needs_send_ = true;
 }

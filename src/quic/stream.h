@@ -18,9 +18,30 @@
 
 namespace wira::quic {
 
+/// Recycler for SendStream's retained byte buffer.  A live session's
+/// response stream grows to megabytes by doubling, and every doubling
+/// copies the stream and touches fresh pages; a stream on a loop that
+/// already ran a session swaps in the retired buffer as soon as it
+/// outgrows kMinBytes.  One per event loop (EventLoop::scratch); the
+/// bytes are always rewritten from offset 0, so recycling never changes
+/// behaviour.
+struct SendBufferCache {
+  /// Smaller buffers are neither parked nor swapped in (request streams).
+  static constexpr size_t kMinBytes = 64 * 1024;
+  /// Bounds parked memory (one per concurrently retired stream).
+  static constexpr size_t kMaxBuffers = 4;
+
+  std::vector<std::vector<uint8_t>> buffers;
+};
+
 class SendStream {
  public:
-  explicit SendStream(StreamId id) : id_(id) {}
+  explicit SendStream(StreamId id, SendBufferCache* cache = nullptr)
+      : id_(id), cache_(cache) {}
+  /// Parks the buffer in the cache (when large enough and there is room).
+  ~SendStream();
+  SendStream(SendStream&&) = default;
+  SendStream& operator=(SendStream&&) = default;
 
   StreamId id() const { return id_; }
 
@@ -65,6 +86,7 @@ class SendStream {
   bool fin_written_ = false;
   bool fin_needs_send_ = false;
   bool fin_acked_ = false;
+  SendBufferCache* cache_ = nullptr;  ///< not owned; may be null
 };
 
 /// Cross-stream recycler for RecvStream's reassembly storage.  Retired

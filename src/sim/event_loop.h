@@ -19,8 +19,9 @@
 //   - reschedule() moves a pending event to a new time in place (one
 //     sift, callable untouched), so connection timers that re-arm on
 //     every send/ACK (PTO, loss) cost no slot churn;
-//   - the loop owns a BufferPool so links/connections recycle datagram
-//     buffers instead of allocating per packet;
+//   - the loop owns a size-classed BufferPool so links, connections and
+//     the origin muxer recycle datagram and chunk buffers instead of
+//     allocating per packet;
 //   - the loop owns a bump Arena for tick-scoped scratch (parsed packets,
 //     frame vectors, ACK ranges): it rewinds in O(1) whenever the clock
 //     advances, so the per-datagram structures never touch the heap.
@@ -110,7 +111,10 @@ class EventLoop {
 
   /// Type-keyed scratch objects that persist across reset(): freelists,
   /// node graveyards, pooled containers — anything whose *capacity* should
-  /// survive session recycling (exp::SessionWorkspace).  The first
+  /// survive session recycling (exp::SessionWorkspace).  Today that is
+  /// quic::RecvSegmentCache (reassembly segments) and the sent-packet
+  /// node cache of quic::Connection, which each connection looks up once
+  /// at construction and refills when destroyed.  The first
   /// scratch<T>() default-constructs the loop's T; later calls return the
   /// same instance.  Contract: a scratch object must hold capacity-only
   /// state — recycled values have to be fully overwritten before reuse,
@@ -183,9 +187,10 @@ class EventLoop {
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
-  /// 256 buffers: sized for the origin join burst, where one simulated
-  /// instant schedules a whole GOP of chunk buffers before any is
-  /// delivered back (64 starves, forcing fresh allocations every burst).
+  /// 256 buffers (all size classes): sized for the origin join burst,
+  /// where one simulated instant schedules a whole GOP of chunk buffers
+  /// before any is delivered back (64 starves, forcing fresh allocations
+  /// every burst).
   util::BufferPool buffers_{256};
   util::Arena arena_;
   std::unordered_map<std::type_index, ScratchPtr> scratch_;

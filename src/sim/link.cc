@@ -26,6 +26,7 @@ void Link::send(Datagram d) {
   d.size = size;  // normalize so delivery stats need no side-channel
   if (queued_bytes_ + size > config_.buffer_bytes) {
     stats_.queue_drops++;
+    loop_.buffers().release(std::move(d.payload));
     return;
   }
   queued_bytes_ += size;
@@ -50,13 +51,14 @@ void Link::send(Datagram d) {
 
   if (roll_loss()) {
     stats_.wire_drops++;
+    loop_.buffers().release(std::move(d.payload));
     return;
   }
   const bool duplicate =
       config_.duplicate_rate > 0 && rng_.chance(config_.duplicate_rate);
   if (duplicate) {
     Datagram copy;
-    copy.payload = loop_.buffers().acquire();
+    copy.payload = loop_.buffers().acquire(d.payload.size());
     copy.payload.assign(d.payload.begin(), d.payload.end());
     copy.size = d.size;  // duplicates carry dest 0: the tag only matters
                          // on the egress hop, which never duplicates

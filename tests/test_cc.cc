@@ -40,12 +40,15 @@ TEST(BandwidthSampler, SteadyStateAcksGiveTrueRate) {
   BandwidthSampler s;
   // Steady state: packet i sent at i ms, acked at i+5 ms (5 ms RTT), one
   // 1000-byte packet per ms in each direction -> 1 MB/s delivery rate.
+  // The caller keeps each packet's snapshot, as Connection's sent_ does.
+  std::vector<PacketState> sent;
   RateSample last;
   for (uint64_t i = 0; i < 40; ++i) {
-    s.on_packet_sent(milliseconds(static_cast<int64_t>(i)), i, 1000,
-                     i == 0 ? 0 : 5000);
+    sent.push_back(s.on_packet_sent(milliseconds(static_cast<int64_t>(i)),
+                                    1000, i == 0 ? 0 : 5000));
     if (i >= 5) {
-      last = s.on_packet_acked(milliseconds(static_cast<int64_t>(i)), i - 5);
+      last = s.on_packet_acked(milliseconds(static_cast<int64_t>(i)),
+                               sent[i - 5]);
     }
   }
   EXPECT_NEAR(static_cast<double>(last.bandwidth), 1e6, 1.5e5);
@@ -53,18 +56,12 @@ TEST(BandwidthSampler, SteadyStateAcksGiveTrueRate) {
 
 TEST(BandwidthSampler, AppLimitedFlagPropagates) {
   BandwidthSampler s;
-  s.on_packet_sent(0, 1, 1000, 0);
-  (void)s.on_packet_acked(milliseconds(10), 1);
+  const PacketState first = s.on_packet_sent(0, 1000, 0);
+  (void)s.on_packet_acked(milliseconds(10), first);
   s.on_app_limited();
-  s.on_packet_sent(milliseconds(20), 2, 1000, 0);
-  const auto sample = s.on_packet_acked(milliseconds(30), 2);
+  const PacketState second = s.on_packet_sent(milliseconds(20), 1000, 0);
+  const auto sample = s.on_packet_acked(milliseconds(30), second);
   EXPECT_TRUE(sample.app_limited);
-}
-
-TEST(BandwidthSampler, UntrackedPacketYieldsNoSample) {
-  BandwidthSampler s;
-  const auto sample = s.on_packet_acked(milliseconds(1), 99);
-  EXPECT_EQ(sample.bandwidth, 0u);
 }
 
 CongestionEvent make_ack_event(TimeNs now, uint64_t pn, uint64_t bytes,

@@ -802,22 +802,59 @@ TEST(Harness, MiniSoakFlushesAndRssStaysBounded) {
 
 // The SessionWorkspace contract: a reset-and-reused loop is
 // indistinguishable from a fresh one, so every field of the result —
-// including arena accounting — is bit-identical via the wire codec.
+// including arena accounting — is bit-identical via the wire codec.  The
+// loop's caches (buffer pool classes, sent-packet nodes, reassembly
+// segments) are warmed first by a different session, and the compared
+// sessions cover a lossy path, both containers and all four schemes, so
+// recycled state from one shape of session meets another.
 TEST(Workspace, ReusedLoopMatchesFreshExactly) {
+  const auto encoded = [](const SessionResult& r) {
+    std::vector<uint8_t> out;
+    CodecWriter w(out);
+    encode_session_result(r, w);
+    return out;
+  };
   SessionWorkspace ws;
+  SessionConfig warm;
+  warm.seed = 99;
+  warm.path.loss_rate = 0.05;
+  warm.stream.stream_id = 7;
+  warm.stream.iframe_mean_bytes = 150'000;
+  run_session(warm, ws);
+
+  uint64_t runs = 1;
   for (const uint64_t seed : {3ull, 9ull, 21ull}) {
     SessionConfig cfg;
     cfg.seed = seed;
     cfg.collect_phases = true;
-    const SessionResult fresh = run_session(cfg);
-    const SessionResult reused = run_session(cfg, ws);
-    std::vector<uint8_t> ea, eb;
-    CodecWriter wa(ea), wb(eb);
-    encode_session_result(fresh, wa);
-    encode_session_result(reused, wb);
-    EXPECT_EQ(ea, eb) << "seed " << seed;
+    EXPECT_EQ(encoded(run_session(cfg)), encoded(run_session(cfg, ws)))
+        << "seed " << seed;
+    ++runs;
   }
-  EXPECT_EQ(ws.sessions_run(), 3u);
+  for (const media::Container container :
+       {media::Container::kFlv, media::Container::kMpegTs}) {
+    for (const core::Scheme scheme : PopulationConfig{}.schemes) {
+      SessionConfig cfg;
+      cfg.seed = 11;
+      cfg.scheme = scheme;
+      cfg.collect_phases = true;
+      cfg.path = sim::testbed_path();  // 3% loss
+      cfg.stream.container = container;
+      cfg.start_time = minutes(5);
+      core::HxQosRecord cookie;
+      cookie.min_rtt = milliseconds(50);
+      cookie.max_bw = mbps(8);
+      cookie.server_timestamp = 0;
+      cfg.cookie = cookie;
+      const SessionResult fresh = run_session(cfg);
+      EXPECT_GT(fresh.server_stats.packets_lost, 0u);
+      EXPECT_EQ(encoded(fresh), encoded(run_session(cfg, ws)))
+          << core::scheme_name(scheme)
+          << (container == media::Container::kFlv ? " FLV" : " TS");
+      ++runs;
+    }
+  }
+  EXPECT_EQ(ws.sessions_run(), runs);
 }
 
 // A relative trace_dir silently writes qlog samples wherever the process

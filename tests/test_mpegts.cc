@@ -83,25 +83,31 @@ TEST(TsDemuxer, PesRoundTrip) {
                    milliseconds(580)});
   const auto bytes = mux.take();
 
+  // A unit's payload borrows the demuxer's buffer for the callback only,
+  // so the kept copies drop it and record its size.
   std::vector<TsPesUnit> units;
-  TsDemuxer demux([&](const TsPesUnit& u) { units.push_back(u); });
+  std::vector<size_t> payload_sizes;
+  TsDemuxer demux([&](const TsPesUnit& u) {
+    units.push_back(u);
+    units.back().payload = {};
+    payload_sizes.push_back(u.payload.size());
+  });
   ASSERT_TRUE(demux.feed(bytes));
   demux.flush();
   ASSERT_EQ(units.size(), 4u);
   // Audio (declared length) completes as soon as its bytes are in; video
   // units complete when the next unit starts on the video PID.
-  const auto& audio = units[0];
-  EXPECT_EQ(audio.pid, kTsPidAudio);
-  EXPECT_EQ(audio.payload.size(), 330u);
+  EXPECT_EQ(units[0].pid, kTsPidAudio);
+  EXPECT_EQ(payload_sizes[0], 330u);
 
-  const TsPesUnit* key = nullptr;
-  for (const auto& u : units) {
-    if (u.pid == kTsPidVideo && u.random_access) key = &u;
+  size_t key = units.size();
+  for (size_t i = 0; i < units.size(); ++i) {
+    if (units[i].pid == kTsPidVideo && units[i].random_access) key = i;
   }
-  ASSERT_NE(key, nullptr);
-  EXPECT_EQ(key->payload.size(), 20'000u);
-  ASSERT_TRUE(key->pts.has_value());
-  EXPECT_NEAR(to_ms(*key->pts), 500.0, 0.1);
+  ASSERT_LT(key, units.size());
+  EXPECT_EQ(payload_sizes[key], 20'000u);
+  ASSERT_TRUE(units[key].pts.has_value());
+  EXPECT_NEAR(to_ms(*units[key].pts), 500.0, 0.1);
 }
 
 TEST(TsDemuxer, ByteAtATime) {

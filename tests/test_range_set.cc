@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "util/rng.h"
+
 namespace wira::quic {
 namespace {
 
@@ -91,7 +96,8 @@ TEST(RangeSet, DescendingOrderForAcks) {
   s.add(1, 3);
   s.add(10, 12);
   s.add(6, 7);
-  const auto desc = s.descending();
+  std::vector<Range> desc;
+  s.visit_descending([&](const Range& r) { desc.push_back(r); });
   ASSERT_EQ(desc.size(), 3u);
   EXPECT_EQ(desc[0], (Range{10, 12}));
   EXPECT_EQ(desc[1], (Range{6, 7}));
@@ -123,6 +129,80 @@ TEST(RangeSet, ZeroBoundary) {
   s.add(1, 5);
   EXPECT_EQ(s.size(), 1u);
   EXPECT_EQ(s.min(), 0u);
+}
+
+// Disjoint maximal ranges of a value set, ascending.
+std::vector<Range> model_ranges(const std::set<uint64_t>& model) {
+  std::vector<Range> out;
+  for (const uint64_t v : model) {
+    if (!out.empty() && out.back().hi + 1 == v) {
+      out.back().hi = v;
+    } else {
+      out.push_back({v, v});
+    }
+  }
+  return out;
+}
+
+// Seeded differential test: random add / subtract / pop_front calls
+// against a std::set<uint64_t> model, with the full range list, contains()
+// and visit_gaps() compared after every call.  Values start at 0 so the
+// lo == 0 edge is exercised throughout.
+TEST(RangeSet, MatchesSetModelUnderRandomOps) {
+  constexpr uint64_t kUniverse = 120;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    RangeSet s;
+    std::set<uint64_t> model;
+    for (int op = 0; op < 400; ++op) {
+      const uint64_t lo = rng.below(kUniverse);
+      const uint64_t hi = lo + rng.below(rng.chance(0.7) ? 4 : 30);
+      const uint64_t pick = rng.below(10);
+      std::string what;
+      if (pick < 5) {
+        s.add(lo, hi);
+        for (uint64_t v = lo; v <= hi; ++v) model.insert(v);
+        what = "add";
+      } else if (pick < 8) {
+        s.subtract(lo, hi);
+        for (uint64_t v = lo; v <= hi; ++v) model.erase(v);
+        what = "subtract";
+      } else {
+        const uint64_t max_len = rng.below(6);
+        const Range got = s.pop_front(max_len);
+        Range want{};
+        if (!model.empty() && max_len > 0) {
+          want.lo = want.hi = *model.begin();
+          model.erase(model.begin());
+          while (want.hi - want.lo + 1 < max_len &&
+                 model.count(want.hi + 1) != 0) {
+            model.erase(++want.hi);
+          }
+        }
+        ASSERT_EQ(got, want) << "seed " << seed << " op " << op;
+        what = "pop_front";
+      }
+      const std::string where = "seed " + std::to_string(seed) + " op " +
+                                std::to_string(op) + " (" + what + " " +
+                                std::to_string(lo) + ".." +
+                                std::to_string(hi) + ")";
+      ASSERT_EQ(s.ascending(), model_ranges(model)) << where;
+      ASSERT_EQ(s.total_length(), model.size()) << where;
+      ASSERT_EQ(s.empty(), model.empty()) << where;
+      for (uint64_t v = 0; v < kUniverse + 40; ++v) {
+        ASSERT_EQ(s.contains(v), model.count(v) != 0) << where << " v " << v;
+      }
+      std::set<uint64_t> gaps;
+      s.visit_gaps(lo, hi, [&](const Range& r) {
+        for (uint64_t v = r.lo; v <= r.hi; ++v) gaps.insert(v);
+      });
+      std::set<uint64_t> want_gaps;
+      for (uint64_t v = lo; v <= hi; ++v) {
+        if (model.count(v) == 0) want_gaps.insert(v);
+      }
+      ASSERT_EQ(gaps, want_gaps) << where;
+    }
+  }
 }
 
 }  // namespace

@@ -33,7 +33,13 @@ Guarded metrics and their default budgets:
 
   metrics_overhead      absolute, --budget-overhead (default 0.10): fail
                         when current > median + budget.  A ratio near 0;
-                        relative budgets are meaningless for it.
+                        relative budgets are meaningless for it.  Compared
+                        only against records with the same
+                        metrics_overhead_method (records without the
+                        field were taken by the old single-pass method);
+                        others are skipped with a note, since a noisy
+                        single-pass reading is no baseline for a paired
+                        median.
 
   allocs_per_session    relative, --budget-allocs (default 0.10): fail
                         when current > median * (1 + budget).  Operator-new
@@ -144,6 +150,12 @@ def flatten_ffct(record):
             if isinstance(value, (int, float)):
                 out["ffct_ms." + scheme] = float(value)
     return out
+
+
+def overhead_method(record):
+    """How metrics_overhead was measured; records predating the stamp used
+    one plain pass against one metrics pass."""
+    return record.get("metrics_overhead_method", "single_pass")
 
 
 class Gate:
@@ -267,7 +279,13 @@ def run_gate(current, history, args, out=sys.stdout):
 
     name = "metrics_overhead"
     cur_ov = current.get(name)
-    base_ov = [r[name] for r in window
+    method = overhead_method(current)
+    same_method = [r for r in window if overhead_method(r) == method]
+    if len(same_method) < len(window):
+        gate.note("%-28s skipped %d record(s) measured by another method "
+                  "(this run: %s)" % (name, len(window) - len(same_method),
+                                      method))
+    base_ov = [r[name] for r in same_method
                if isinstance(r.get(name), (int, float))]
     if isinstance(cur_ov, (int, float)) and base_ov:
         gate.check(name, float(cur_ov), median(base_ov),
@@ -360,6 +378,18 @@ def self_test(args):
          rec(sps=44.0, overhead=0.12), 0, flat_history),
         ("floor budgets still fail real regressions on flat history",
          rec(sps=40.0), 1, flat_history),
+        # metrics_overhead is compared only between records measured by the
+        # same method: a paired-median run must not be held to one noisy
+        # single-pass reading (which had no method stamp) ...
+        ("overhead from another method is skipped",
+         {**rec(overhead=0.02), "metrics_overhead_method": "paired_median_4"},
+         0, [rec(overhead=-0.204)], "measured by another method"),
+        # ... while a regression between same-method records still fails.
+        ("same-method overhead regression still fails",
+         {**rec(overhead=0.2), "metrics_overhead_method": "paired_median_4"},
+         1, [rec(overhead=-0.204),
+             {**rec(overhead=0.02),
+              "metrics_overhead_method": "paired_median_4"}]),
     ]
     failures = []
     for case in cases:

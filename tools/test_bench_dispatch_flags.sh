@@ -3,6 +3,8 @@
 # dead-shard run with a message: each binary runs `4000 1 --procs 2`, one
 # of its forked workers is SIGKILLed as soon as it exists, and the binary
 # must exit 3 with an `error: ... killed by signal 9 ...` line on stderr.
+# The first binary must also reject an unknown flag (a typo, or the removed
+# `--workers`) by name with exit 2, not read it as a positional argument.
 # Usage: test_bench_dispatch_flags.sh /path/to/sweep_binary...
 set -u
 
@@ -26,6 +28,19 @@ first_child() {
 }
 
 failures=0
+for flag in --bogus "--workers 127.0.0.1:1"; do
+  # shellcheck disable=SC2086  # $flag is a flag plus its value
+  (cd "$WORK" && exec "$1" 20 1 $flag) > /dev/null 2> "$WORK/flag.err"
+  got=$?
+  want="error: unknown flag '${flag%% *}'"
+  if [ "$got" -ne 2 ] || ! grep -qxF "$want" "$WORK/flag.err"; then
+    echo "FAIL: $(basename "$1") $flag: expected exit 2 and \"$want\"," \
+         "got $got:" >&2
+    cat "$WORK/flag.err" >&2
+    failures=$((failures + 1))
+  fi
+done
+
 for bin in "$@"; do
   bin="$(realpath "$bin")"
   name="$(basename "$bin")"
@@ -56,4 +71,5 @@ for bin in "$@"; do
 done
 
 [ "$failures" -eq 0 ] || exit 1
-echo "bench dispatch flags: $# binaries exit 3 naming a SIGKILLed worker"
+echo "bench dispatch flags: unknown flags rejected; $# binaries exit 3" \
+     "naming a SIGKILLed worker"
