@@ -72,28 +72,42 @@ void FlvMuxer::write_metadata(
 
 bool FlvDemuxer::feed(std::span<const uint8_t> data) {
   if (state_ == State::kError) return false;
-  buf_.insert(buf_.end(), data.begin(), data.end());
-  while (process()) {
+  // Parse straight from `data` unless a partial tag is pending; either
+  // way the parser advances a read offset, and only the unparsed tail is
+  // kept (one copy or one compaction per call, not one per tag).
+  std::span<const uint8_t> in = data;
+  if (!buf_.empty()) {
+    buf_.insert(buf_.end(), data.begin(), data.end());
+    in = buf_;
+  }
+  size_t pos = 0;
+  while (process(in, pos)) {
+  }
+  if (buf_.empty()) {
+    buf_.assign(in.begin() + static_cast<std::ptrdiff_t>(pos), in.end());
+  } else {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
   }
   return state_ != State::kError;
 }
 
-bool FlvDemuxer::process() {
-  auto consume = [this](size_t n) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(n));
+bool FlvDemuxer::process(std::span<const uint8_t> in, size_t& pos) {
+  const std::span<const uint8_t> avail = in.subspan(pos);
+  auto consume = [this, &pos](size_t n) {
+    pos += n;
     bytes_consumed_ += n;
   };
 
   switch (state_) {
     case State::kHeader: {
-      if (buf_.size() < kFlvHeaderSize) return false;
-      if (buf_[0] != 'F' || buf_[1] != 'L' || buf_[2] != 'V') {
+      if (avail.size() < kFlvHeaderSize) return false;
+      if (avail[0] != 'F' || avail[1] != 'L' || avail[2] != 'V') {
         state_ = State::kError;
         return false;
       }
-      ByteReader r(std::span<const uint8_t>(buf_).subspan(5, 4));
+      ByteReader r(avail.subspan(5, 4));
       const uint32_t data_offset = r.u32be();
-      if (data_offset < kFlvHeaderSize || buf_.size() < data_offset) {
+      if (data_offset < kFlvHeaderSize || avail.size() < data_offset) {
         if (data_offset < kFlvHeaderSize) state_ = State::kError;
         return false;
       }
@@ -102,14 +116,14 @@ bool FlvDemuxer::process() {
       return true;
     }
     case State::kPrevTagSize: {
-      if (buf_.size() < kFlvPreviousTagSize) return false;
+      if (avail.size() < kFlvPreviousTagSize) return false;
       consume(kFlvPreviousTagSize);
       state_ = State::kTagHeader;
       return true;
     }
     case State::kTagHeader: {
-      if (buf_.size() < kFlvTagHeaderSize) return false;
-      ByteReader r(std::span<const uint8_t>(buf_).first(kFlvTagHeaderSize));
+      if (avail.size() < kFlvTagHeaderSize) return false;
+      ByteReader r(avail.first(kFlvTagHeaderSize));
       const uint8_t type = r.u8();
       current_.data_size = r.u24be();
       const uint32_t ts_low = r.u24be();
@@ -126,9 +140,9 @@ bool FlvDemuxer::process() {
       return true;
     }
     case State::kTagBody: {
-      if (buf_.size() < current_.data_size) return false;
-      current_.body.assign(buf_.begin(),
-                           buf_.begin() + current_.data_size);
+      if (avail.size() < current_.data_size) return false;
+      const auto body = avail.first(current_.data_size);
+      current_.body.assign(body.begin(), body.end());
       consume(current_.data_size);
       tags_parsed_++;
       if (on_tag_) on_tag_(current_);

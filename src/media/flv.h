@@ -91,11 +91,13 @@ class FlvDemuxer {
  private:
   enum class State { kHeader, kPrevTagSize, kTagHeader, kTagBody, kError };
 
-  bool process();
+  /// Parses one step from `in` at `pos`, advancing `pos` past what it
+  /// consumed; false when it needs more bytes or the stream failed.
+  bool process(std::span<const uint8_t> in, size_t& pos);
 
   TagFn on_tag_;
   State state_ = State::kHeader;
-  std::vector<uint8_t> buf_;  ///< unconsumed prefix
+  std::vector<uint8_t> buf_;  ///< unparsed tail of the bytes fed so far
   FlvTag current_;
   uint64_t tags_parsed_ = 0;
   uint64_t bytes_consumed_ = 0;

@@ -243,9 +243,10 @@ void Connection::pump() {
     p.conn_id = config_.conn_id;
     size_t budget = kMaxPacketPayload;
     if (ack_pending_) {
-      AckFrame ack = build_ack(received_, 0, 32, &loop_.arena());
-      budget -= std::min(budget, frame_wire_size(Frame{ack}));
-      p.frames.push_back(std::move(ack));
+      // Sized in place: a copy of the arena-backed ranges would land on
+      // the heap.
+      p.frames.push_back(build_ack(received_, 0, 32, &loop_.arena()));
+      budget -= std::min(budget, frame_wire_size(p.frames.back()));
       ack_pending_ = false;
       unacked_retransmittable_ = 0;
       cancel_timer(ack_timer_);
@@ -259,8 +260,8 @@ void Connection::pump() {
         f.offset = chunk->offset;
         f.fin = chunk->fin;
         f.data = chunk->data;  // borrows the stream's retained buffer
-        budget -= std::min(budget, frame_wire_size(Frame{f}));
         p.frames.emplace_back(f);
+        budget -= std::min(budget, frame_wire_size(p.frames.back()));
       }
       if (budget <= 24) break;
     }
@@ -323,8 +324,7 @@ PacketNumber Connection::send_packet(Packet packet, bool bypass_pacer) {
     }
   }
 
-  auto bytes =
-      serialize_packet(packet, loop_.buffers().acquire(packet.wire_size()));
+  auto bytes = serialize_packet(packet, loop_.buffers());
   const uint64_t wire_bytes = bytes.size() + kPacketOverhead;
 
   stats_.packets_sent++;

@@ -11,13 +11,6 @@ bool AckFrame::covers(PacketNumber pn) const {
 
 namespace {
 
-size_t varint_size(uint64_t v) {
-  if (v < (1ull << 6)) return 1;
-  if (v < (1ull << 14)) return 2;
-  if (v < (1ull << 30)) return 4;
-  return 8;
-}
-
 struct WireSizeVisitor {
   size_t operator()(const PaddingFrame& f) const { return f.length; }
   size_t operator()(const PingFrame&) const { return 1; }
@@ -57,7 +50,7 @@ struct WireSizeVisitor {
 };
 
 struct SerializeVisitor {
-  ByteWriter& out;
+  ByteCursor& out;
 
   void operator()(const PaddingFrame& f) const {
     out.zeros(f.length);  // padding type byte is 0x00
@@ -117,8 +110,13 @@ size_t frame_wire_size(const Frame& frame) {
   return std::visit(WireSizeVisitor{}, frame);
 }
 
-void serialize_frame(const Frame& frame, ByteWriter& out) {
+void write_frame(const Frame& frame, ByteCursor& out) {
   std::visit(SerializeVisitor{out}, frame);
+}
+
+void serialize_frame(const Frame& frame, ByteWriter& out) {
+  ByteCursor cursor(out.extend(frame_wire_size(frame)));
+  write_frame(frame, cursor);
 }
 
 std::optional<Frame> parse_frame(ByteReader& in, util::Arena* arena) {

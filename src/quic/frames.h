@@ -1,8 +1,10 @@
 // QUIC frame definitions and wire codecs.
 //
-// Frames are a std::variant; serialization goes through ByteWriter/Reader
-// so malformed input is handled via the reader's error latch rather than
-// exceptions.
+// Frames are a std::variant.  Serialization writes through an unchecked
+// ByteCursor into space sized by frame_wire_size (exact by contract; the
+// packet writer checks the total once per packet); parsing goes through
+// ByteReader, so malformed input is handled via the reader's error latch
+// rather than exceptions.
 //
 // Zero-copy contract: the payload-bearing frames (CryptoFrame, StreamFrame,
 // HxQosFrame) hold std::span views, not owned vectors.  On parse the spans
@@ -88,6 +90,11 @@ using Frame = std::variant<PaddingFrame, PingFrame, AckFrame, CryptoFrame,
 /// Serialized size of a frame (exact — used for packet packing decisions).
 size_t frame_wire_size(const Frame& frame);
 
+/// Writes exactly frame_wire_size(frame) bytes at `out`.
+void write_frame(const Frame& frame, ByteCursor& out);
+
+/// Appends the frame to `out` (tests and tools; the packet writer uses
+/// write_frame directly).
 void serialize_frame(const Frame& frame, ByteWriter& out);
 
 /// Parses one frame; nullopt on malformed input (reader latched failed).

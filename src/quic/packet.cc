@@ -1,5 +1,9 @@
 #include "quic/packet.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
+
 namespace wira::quic {
 
 bool Packet::retransmittable() const {
@@ -15,19 +19,35 @@ size_t Packet::wire_size() const {
   return n;
 }
 
-std::vector<uint8_t> serialize_packet(const Packet& p) {
-  return serialize_packet(p, {});
-}
+namespace {
 
-std::vector<uint8_t> serialize_packet(const Packet& p,
-                                      std::vector<uint8_t> reuse) {
-  reuse.reserve(p.wire_size());
-  ByteWriter w(std::move(reuse));
+std::vector<uint8_t> write_packet(const Packet& p, size_t size,
+                                  std::vector<uint8_t> out) {
+  out.resize(size);
+  ByteCursor w(out.data());
   w.u8(static_cast<uint8_t>(p.type));
   w.u64be(p.conn_id);
   w.u64be(p.packet_number);
-  for (const Frame& f : p.frames) serialize_frame(f, w);
-  return w.take();
+  for (const Frame& f : p.frames) write_frame(f, w);
+  if (w.pos() != out.data() + size) {
+    std::fprintf(stderr, "serialize_packet: wrote %td bytes, wire_size %zu\n",
+                 w.pos() - out.data(), size);
+    std::abort();
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<uint8_t> serialize_packet(const Packet& p,
+                                      std::vector<uint8_t> reuse) {
+  return write_packet(p, p.wire_size(), std::move(reuse));
+}
+
+std::vector<uint8_t> serialize_packet(const Packet& p,
+                                      util::BufferPool& pool) {
+  const size_t size = p.wire_size();
+  return write_packet(p, size, pool.acquire(size));
 }
 
 std::optional<Packet> parse_packet(std::span<const uint8_t> data,

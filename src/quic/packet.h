@@ -16,6 +16,7 @@
 #include "quic/frames.h"
 #include "quic/types.h"
 #include "util/arena.h"
+#include "util/buffer_pool.h"
 
 namespace wira::quic {
 
@@ -36,11 +37,17 @@ struct Packet {
   size_t wire_size() const;
 };
 
-std::vector<uint8_t> serialize_packet(const Packet& p);
-/// As above, but serializes into `reuse` (cleared first) so a pooled
-/// buffer's capacity is recycled instead of allocating per packet.
+/// Serializes `p` in one pass: its wire size is computed once, the buffer
+/// sized once, and every byte written through one unchecked ByteCursor,
+/// with one length check at the end of the packet (a mismatch against
+/// wire_size() is a codec bug and aborts).  `reuse` lends its capacity,
+/// so a recycled buffer does not allocate.
 std::vector<uint8_t> serialize_packet(const Packet& p,
-                                      std::vector<uint8_t> reuse);
+                                      std::vector<uint8_t> reuse = {});
+/// As above, into a buffer of `pool`'s size class for the packet (the
+/// connection's send path).
+std::vector<uint8_t> serialize_packet(const Packet& p,
+                                      util::BufferPool& pool);
 /// Parses a datagram.  Payload frames borrow spans into `data`; with an
 /// arena, the frame vector and ACK ranges bump-allocate from it.
 std::optional<Packet> parse_packet(std::span<const uint8_t> data,

@@ -66,6 +66,7 @@ void EventLoop::reset() {
     free_slots_.push_back(i);
   }
   next_seq_ = 0;
+  passed_seq_ = 0;
   now_ = 0;
   arena_.reset();
 }
@@ -128,6 +129,7 @@ bool EventLoop::pop_one() {
   // dead by contract, so the arena rewinds before the clock moves.
   if (top.when > now_) arena_.reset();
   now_ = top.when;
+  passed_seq_ = top.seq + 1;
   fn();
   return true;
 }
@@ -138,13 +140,19 @@ size_t EventLoop::run_until(TimeNs deadline) {
     pop_one();
     ++executed;
   }
-  if (now_ < deadline) now_ = deadline;
+  // Everything due at or before the deadline has run, reserved instants
+  // included.
+  if (now_ <= deadline) {
+    now_ = deadline;
+    passed_seq_ = next_seq_;
+  }
   return executed;
 }
 
 size_t EventLoop::run(size_t max_events) {
   size_t executed = 0;
   while (executed < max_events && pop_one()) ++executed;
+  if (heap_.empty()) passed_seq_ = next_seq_;
   return executed;
 }
 

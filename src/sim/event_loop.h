@@ -19,6 +19,11 @@
 //   - reschedule() moves a pending event to a new time in place (one
 //     sift, callable untouched), so connection timers that re-arm on
 //     every send/ACK (PTO, loss) cost no slot churn;
+//   - bookkeeping that only needs to know *whether* an instant has passed
+//     takes no event at all: reserve_seq() hands out the insertion
+//     sequence number an event would have taken, and has_passed() answers
+//     exactly as that event's having run would (sim::Link drains its
+//     queue ledger this way: a datagram costs one event, its delivery);
 //   - the loop owns a size-classed BufferPool so links, connections and
 //     the origin muxer recycle datagram and chunk buffers instead of
 //     allocating per packet;
@@ -90,8 +95,24 @@ class EventLoop {
   size_t run_until(TimeNs deadline);
 
   /// Runs until the queue is empty (or `max_events` executed, as a runaway
-  /// guard); returns the number of events executed.
+  /// guard); returns the number of events executed.  The clock stops at
+  /// the last executed event: a reserved instant (reserve_seq) later than
+  /// that has not passed.
   size_t run(size_t max_events = SIZE_MAX);
+
+  /// Takes the next insertion sequence number without scheduling anything,
+  /// so every other event orders exactly as if an event had been scheduled
+  /// here.  Pair it with has_passed() to track a deadline lazily.
+  uint64_t reserve_seq() { return next_seq_++; }
+
+  /// True once an event scheduled at `when` with sequence number `seq`
+  /// (taken by reserve_seq() at or after now()) would have run: `when` is
+  /// in the past, or it is now() and `seq` precedes the running event.
+  /// Outside any event, after run_until() or a run() that emptied the
+  /// queue, every reservation made so far at or before now() has passed.
+  bool has_passed(TimeNs when, uint64_t seq) const {
+    return when < now_ || (when == now_ && seq < passed_seq_);
+  }
 
   bool empty() const { return heap_.empty(); }
   /// Number of scheduled events that are neither run nor cancelled.
@@ -184,6 +205,8 @@ class EventLoop {
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
+  /// Sequence numbers below this, at now_, have run (see has_passed).
+  uint64_t passed_seq_ = 0;
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;

@@ -1,11 +1,46 @@
 #include "sim/link.h"
 
+#include <cstddef>
 #include <utility>
 
 namespace wira::sim {
 
 Link::Link(EventLoop& loop, LinkConfig config, uint64_t seed)
-    : loop_(loop), config_(config), rng_(seed) {}
+    : loop_(loop),
+      config_(config),
+      rng_(seed),
+      ledger_cache_(loop.scratch<LedgerCache>()) {
+  auto& spare = ledger_cache_.spare;
+  if (!spare.empty()) {
+    ledger_ = std::move(spare.back());
+    spare.pop_back();
+  }
+}
+
+Link::~Link() {
+  ledger_.clear();
+  ledger_cache_.spare.push_back(std::move(ledger_));
+}
+
+void Link::drain() const {
+  // Departures are FIFO (one serializer), so the passed entries are a
+  // prefix.
+  while (ledger_head_ < ledger_.size() &&
+         loop_.has_passed(ledger_[ledger_head_].depart,
+                          ledger_[ledger_head_].seq)) {
+    queued_bytes_ -= ledger_[ledger_head_].size;
+    ++ledger_head_;
+  }
+  if (ledger_head_ == ledger_.size()) {
+    ledger_.clear();
+    ledger_head_ = 0;
+  } else if (ledger_head_ >= 64 && 2 * ledger_head_ >= ledger_.size()) {
+    // A link that never empties still reuses its storage.
+    ledger_.erase(ledger_.begin(),
+                  ledger_.begin() + static_cast<std::ptrdiff_t>(ledger_head_));
+    ledger_head_ = 0;
+  }
+}
 
 bool Link::roll_loss() {
   const LossModel& m = config_.loss;
@@ -24,6 +59,7 @@ bool Link::roll_loss() {
 void Link::send(Datagram d) {
   const uint64_t size = d.size ? d.size : d.payload.size();
   d.size = size;  // normalize so delivery stats need no side-channel
+  drain();
   if (queued_bytes_ + size > config_.buffer_bytes) {
     stats_.queue_drops++;
     loop_.buffers().release(std::move(d.payload));
@@ -45,9 +81,10 @@ void Link::send(Datagram d) {
     arrive += config_.reorder_extra_delay;
   }
 
-  // Serialization complete: leave the queue, then either drop on the wire
-  // or deliver after propagation.
-  loop_.schedule_at(depart, [this, size] { queued_bytes_ -= size; });
+  // Serialization completes at `depart`: the datagram leaves the queue in
+  // the loop's event order, then is either dropped on the wire or
+  // delivered after propagation.
+  ledger_.push_back(Departure{depart, loop_.reserve_seq(), size});
 
   if (roll_loss()) {
     stats_.wire_drops++;

@@ -4,11 +4,18 @@
 // This is the emulator analogue of the paper's testbed configuration
 // ("8Mbps bandwidth, 3% loss rate, 50ms RTT and 25KB network buffer").
 //
-// Each surviving datagram is one loop event whose closure owns it (a
-// Datagram fits SmallFn's inline buffer), so delivery follows the loop's
-// (time, insertion-order) semantics: same-instant arrivals reach the
-// receiver in send order, one call each.  A loop reset destroys the
-// pending closures and with them every datagram still in flight.
+// A datagram costs the loop one event, its delivery: the closure owns the
+// datagram (a Datagram fits SmallFn's inline buffer), so delivery follows
+// the loop's (time, insertion-order) semantics — same-instant arrivals
+// reach the receiver in send order, one call each.  A loop reset destroys
+// the pending closures and with them every datagram still in flight.
+//
+// Leaving the queue takes no event.  The link keeps a FIFO ledger of
+// {departure time, reserved sequence number, size} and drains it lazily
+// (at send() and queued_bytes()) through EventLoop::has_passed, so the
+// occupancy any caller sees is the one a departure event scheduled at send
+// time would have left, same-instant ties included.  The ledger's storage
+// is recycled through the loop's scratch across links and sessions.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +83,9 @@ class Link {
   using DeliverFn = std::function<void(std::span<Datagram>)>;
 
   Link(EventLoop& loop, LinkConfig config, uint64_t seed);
+  ~Link();
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   /// Installs the receiver; must be set before the first send().
   void set_receiver(DeliverFn fn) { deliver_ = std::move(fn); }
@@ -84,24 +94,52 @@ class Link {
   /// is visible in stats(), like a real NIC).
   void send(Datagram d);
 
-  /// Current queue occupancy in bytes (excludes the packet on the wire).
-  uint64_t queued_bytes() const { return queued_bytes_; }
+  /// Current queue occupancy in bytes: datagrams whose serialization has
+  /// not completed by now().  After EventLoop::run(), whose clock stops at
+  /// the last executed event, that still counts datagrams departing later
+  /// (a wire-dropped datagram schedules no event to run up to).
+  uint64_t queued_bytes() const {
+    drain();
+    return queued_bytes_;
+  }
 
   const LinkConfig& config() const { return config_; }
   LinkConfig& config() { return config_; }  ///< mutable: mid-run condition changes
   const LinkStats& stats() const { return stats_; }
 
  private:
+  /// A queued datagram's exit from the queue.  `seq` is reserved from the
+  /// loop at send time, so a departure ties with same-instant events in
+  /// send order.
+  struct Departure {
+    TimeNs depart;
+    uint64_t seq;
+    uint64_t size;
+  };
+  /// Spare ledger vectors, one cache per loop (EventLoop::scratch): a
+  /// link borrows one at construction and returns it, cleared, on
+  /// destruction, so recycled sessions allocate no ledger storage.
+  struct LedgerCache {
+    std::vector<std::vector<Departure>> spare;
+  };
+
   bool roll_loss();
   /// Schedules `d`'s arrival at `arrive`: one event owning the datagram.
   void schedule_delivery(Datagram d, TimeNs arrive);
+  /// Pops every ledger entry that has departed by the loop's position.
+  void drain() const;
 
   EventLoop& loop_;
   LinkConfig config_;
   Rng rng_;
   DeliverFn deliver_;
   TimeNs busy_until_ = 0;   ///< when the serializer frees up
-  uint64_t queued_bytes_ = 0;
+  LedgerCache& ledger_cache_;  ///< the loop's scratch, outlives us
+  // The ledger is drained from const accessors: departures are a function
+  // of the loop's clock, not a change the caller makes.
+  mutable std::vector<Departure> ledger_;  ///< FIFO from ledger_head_
+  mutable size_t ledger_head_ = 0;
+  mutable uint64_t queued_bytes_ = 0;
   bool ge_bad_state_ = false;
   LinkStats stats_;
 };

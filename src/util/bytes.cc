@@ -44,15 +44,11 @@ void ByteWriter::u64le(uint64_t v) {
 void ByteWriter::f64be(double v) { u64be(std::bit_cast<uint64_t>(v)); }
 
 void ByteWriter::varint(uint64_t v) {
-  if (v < (1ull << 6)) {
-    u8(static_cast<uint8_t>(v));
-  } else if (v < (1ull << 14)) {
-    u16be(static_cast<uint16_t>(v | 0x4000));
-  } else if (v < (1ull << 30)) {
-    u32be(static_cast<uint32_t>(v | 0x80000000u));
-  } else {
-    u64be(v | 0xC000000000000000ull);
-  }
+  // One varint encoder: the packet writer's cursor.
+  uint8_t tmp[8];
+  ByteCursor c(tmp);
+  c.varint(v);
+  bytes(tmp, static_cast<size_t>(c.pos() - tmp));
 }
 
 void ByteWriter::bytes(std::span<const uint8_t> data) {
@@ -64,34 +60,6 @@ void ByteWriter::bytes(const void* data, size_t len) {
   buf_.insert(buf_.end(), p, p + len);
 }
 
-bool ByteReader::require(size_t n) {
-  if (!ok_ || remaining() < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-uint8_t ByteReader::u8() {
-  if (!require(1)) return 0;
-  return data_[pos_++];
-}
-
-uint8_t ByteReader::peek_u8() {
-  if (!ok_ || remaining() < 1) {
-    ok_ = false;
-    return 0;
-  }
-  return data_[pos_];
-}
-
-uint16_t ByteReader::u16be() {
-  if (!require(2)) return 0;
-  uint16_t v = static_cast<uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
 uint32_t ByteReader::u24be() {
   if (!require(3)) return 0;
   uint32_t v = static_cast<uint32_t>(data_[pos_]) << 16 |
@@ -99,20 +67,6 @@ uint32_t ByteReader::u24be() {
                static_cast<uint32_t>(data_[pos_ + 2]);
   pos_ += 3;
   return v;
-}
-
-uint32_t ByteReader::u32be() {
-  if (!require(4)) return 0;
-  uint32_t hi = u16be();
-  uint32_t lo = u16be();
-  return hi << 16 | lo;
-}
-
-uint64_t ByteReader::u64be() {
-  if (!require(8)) return 0;
-  uint64_t hi = u32be();
-  uint64_t lo = u32be();
-  return hi << 32 | lo;
 }
 
 uint16_t ByteReader::u16le() {
@@ -137,28 +91,6 @@ uint64_t ByteReader::u64le() {
 }
 
 double ByteReader::f64be() { return std::bit_cast<double>(u64be()); }
-
-uint64_t ByteReader::varint() {
-  uint8_t first = peek_u8();
-  if (!ok_) return 0;
-  switch (first >> 6) {
-    case 0:
-      return u8();
-    case 1:
-      return u16be() & 0x3FFF;
-    case 2:
-      return u32be() & 0x3FFFFFFF;
-    default:
-      return u64be() & 0x3FFFFFFFFFFFFFFFull;
-  }
-}
-
-std::span<const uint8_t> ByteReader::bytes(size_t len) {
-  if (!require(len)) return {};
-  auto s = data_.subspan(pos_, len);
-  pos_ += len;
-  return s;
-}
 
 std::string ByteReader::str(size_t len) {
   auto s = bytes(len);

@@ -66,10 +66,21 @@ INSTANTIATE_TEST_SUITE_P(
                       1073741823ull, 1073741824ull,
                       0x3FFFFFFFFFFFFFFFull));
 
+TEST_P(VarintRoundTrip, CursorWritesWhatWriterWrites) {
+  ByteWriter w;
+  w.varint(GetParam());
+  std::vector<uint8_t> out(varint_size(GetParam()));
+  ByteCursor c(out.data());
+  c.varint(GetParam());
+  EXPECT_EQ(c.pos(), out.data() + out.size());
+  EXPECT_EQ(out, w.data());
+}
+
 TEST(VarintSizes, MatchRfc9000Classes) {
   auto size_of = [](uint64_t v) {
     ByteWriter w;
     w.varint(v);
+    EXPECT_EQ(w.size(), varint_size(v));
     return w.size();
   };
   EXPECT_EQ(size_of(63), 1u);
@@ -80,6 +91,34 @@ TEST(VarintSizes, MatchRfc9000Classes) {
   EXPECT_EQ(size_of(1073741824), 8u);
 }
 
+// The unchecked cursor writes exactly the bytes the growable writer
+// appends, into exactly the space the caller sized.
+TEST(ByteCursor, MatchesByteWriterLayout) {
+  const std::vector<uint8_t> blob{9, 8, 7};
+  ByteWriter w;
+  w.u8(0xAB);
+  w.u16be(0xBEEF);
+  w.u32be(0xDEADBEEF);
+  w.u64be(0x0123456789ABCDEFull);
+  w.bytes(blob);
+  w.str("hi");
+  w.zeros(3);
+  w.bytes(std::span<const uint8_t>());
+
+  std::vector<uint8_t> via_cursor(w.size());
+  ByteCursor c(via_cursor.data());
+  c.u8(0xAB);
+  c.u16be(0xBEEF);
+  c.u32be(0xDEADBEEF);
+  c.u64be(0x0123456789ABCDEFull);
+  c.bytes(blob);
+  c.str("hi");
+  c.zeros(3);
+  c.bytes(std::span<const uint8_t>());
+  EXPECT_EQ(c.pos(), via_cursor.data() + via_cursor.size());
+  EXPECT_EQ(via_cursor, w.data());
+}
+
 TEST(ByteReader, ErrorLatchesOnTruncation) {
   const uint8_t buf[] = {0x01, 0x02};
   ByteReader r(buf, sizeof(buf));
@@ -88,6 +127,25 @@ TEST(ByteReader, ErrorLatchesOnTruncation) {
   // Once failed, stays failed even for reads that would fit.
   EXPECT_EQ(r.u8(), 0u);
   EXPECT_FALSE(r.ok());
+}
+
+// Every fixed-width read is one bounds check and one load: a read that
+// does not fit latches the error without consuming anything.
+TEST(ByteReader, ShortReadsLatchAtEveryWidth) {
+  const uint8_t buf[] = {0x40, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06};
+  for (size_t n = 0; n < sizeof(buf); ++n) {
+    ByteReader r(buf, n);
+    EXPECT_EQ(r.u64be(), 0u);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.position(), 0u);
+  }
+  ByteReader r16(buf, 1);
+  EXPECT_EQ(r16.varint(), 0u);  // 2-byte class, 1 byte present
+  EXPECT_FALSE(r16.ok());
+  ByteReader whole(buf, 2);
+  EXPECT_EQ(whole.varint(), 0x0001u);
+  EXPECT_EQ(whole.peek_u8(), 0u);
+  EXPECT_FALSE(whole.ok());
 }
 
 TEST(ByteReader, BytesAndSkip) {

@@ -389,6 +389,37 @@ TEST(EventLoop, RescheduleMatchesCancelThenSchedule) {
   EXPECT_EQ(a.log, b.log);
 }
 
+// A reserved sequence number passes exactly where an event scheduled in
+// its place would have run: behind the same-instant events scheduled
+// before it, ahead of those scheduled after it, and — outside any event —
+// once run_until has reached its instant.
+TEST(EventLoop, ReservedSeqPassesWhereAnEventWouldRun) {
+  EventLoop loop;
+  std::vector<bool> seen;
+  loop.schedule_at(milliseconds(1), [&] {
+    seen.push_back(loop.has_passed(milliseconds(1), 1));
+  });
+  const uint64_t seq = loop.reserve_seq();
+  ASSERT_EQ(seq, 1u);
+  const TimeNs when = milliseconds(1);
+  loop.schedule_at(when, [&] { seen.push_back(loop.has_passed(when, seq)); });
+  EXPECT_FALSE(loop.has_passed(when, seq));
+  loop.run_until(when - 1);
+  EXPECT_FALSE(loop.has_passed(when, seq));
+  loop.run_until(when);
+  EXPECT_EQ(seen, (std::vector<bool>{false, true}));
+  EXPECT_TRUE(loop.has_passed(when, seq));
+  // A reservation made now, at now(), has not passed until the loop runs
+  // that instant again.
+  const uint64_t later = loop.reserve_seq();
+  EXPECT_FALSE(loop.has_passed(when, later));
+  loop.run_until(when);
+  EXPECT_TRUE(loop.has_passed(when, later));
+  EXPECT_FALSE(loop.has_passed(when + 1, 0));
+  loop.reset();
+  EXPECT_FALSE(loop.has_passed(0, 0));
+}
+
 TEST(EventLoop, MoveOnlyCallablesAreSupported) {
   EventLoop loop;
   auto payload = std::make_unique<int>(41);

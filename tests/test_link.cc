@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "sim/path.h"
+#include "util/rng.h"
 
 namespace wira::sim {
 namespace {
@@ -261,6 +266,227 @@ TEST(Link, LoopResetDropsInFlightDatagrams) {
   ASSERT_EQ(expected.size(), 3u);
   EXPECT_EQ(expected[0], milliseconds(6));
   EXPECT_EQ(arrivals_on(loop), expected);
+}
+
+// The departure ledger's reference: the link as it was when every
+// admitted datagram scheduled a loop event whose only job was to take its
+// bytes off the queue.  Same admission, timing and loss draws as Link.
+class EventDepartureLink {
+ public:
+  EventDepartureLink(EventLoop& loop, LinkConfig config, uint64_t seed)
+      : loop_(loop), config_(config), rng_(seed) {}
+
+  void send(Datagram d) {
+    const uint64_t size = d.size ? d.size : d.payload.size();
+    if (queued_bytes_ + size > config_.buffer_bytes) {
+      stats_.queue_drops++;
+      return;
+    }
+    queued_bytes_ += size;
+    stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
+    const TimeNs start = std::max(loop_.now(), busy_until_);
+    busy_until_ = start + transfer_time(size, config_.rate);
+    const TimeNs depart = busy_until_;
+    TimeNs arrive = depart + config_.delay;
+    if (config_.jitter > 0) {
+      arrive += static_cast<TimeNs>(
+          rng_.uniform() * static_cast<double>(config_.jitter));
+    }
+    if (config_.reorder_rate > 0 && rng_.chance(config_.reorder_rate)) {
+      arrive += config_.reorder_extra_delay;
+    }
+    loop_.schedule_at(depart, [this, size] { queued_bytes_ -= size; });
+    if (roll_loss()) {
+      stats_.wire_drops++;
+      return;
+    }
+    if (config_.duplicate_rate > 0 && rng_.chance(config_.duplicate_rate)) {
+      deliver(size, arrive + milliseconds(1));
+    }
+    deliver(size, arrive);
+  }
+
+  uint64_t queued_bytes() const { return queued_bytes_; }
+  const LinkStats& stats() const { return stats_; }
+  TimeNs busy_until() const { return busy_until_; }
+
+ private:
+  bool roll_loss() {
+    const LossModel& m = config_.loss;
+    if (m.p_good_to_bad > 0) {
+      if (ge_bad_state_) {
+        if (rng_.chance(m.p_bad_to_good)) ge_bad_state_ = false;
+      } else {
+        if (rng_.chance(m.p_good_to_bad)) ge_bad_state_ = true;
+      }
+      if (ge_bad_state_ && rng_.chance(m.bad_state_loss)) return true;
+    }
+    return m.loss_rate > 0 && rng_.chance(m.loss_rate);
+  }
+  void deliver(uint64_t size, TimeNs arrive) {
+    loop_.schedule_at(arrive, [this, size] {
+      stats_.delivered_packets++;
+      stats_.delivered_bytes += size;
+    });
+  }
+
+  EventLoop& loop_;
+  LinkConfig config_;
+  Rng rng_;
+  TimeNs busy_until_ = 0;
+  uint64_t queued_bytes_ = 0;
+  bool ge_bad_state_ = false;
+  LinkStats stats_;
+};
+
+void expect_same_stats(const LinkStats& a, const LinkStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.delivered_packets, b.delivered_packets) << where;
+  EXPECT_EQ(a.delivered_bytes, b.delivered_bytes) << where;
+  EXPECT_EQ(a.queue_drops, b.queue_drops) << where;
+  EXPECT_EQ(a.wire_drops, b.wire_drops) << where;
+  EXPECT_EQ(a.max_queue_bytes, b.max_queue_bytes) << where;
+}
+
+// Seeded differential check of the lazy departure ledger against the
+// event-per-departure reference on one loop.  Sends come from the top
+// level, from timers placed on exactly a departure nanosecond (scheduled
+// before the send, so they run ahead of the departure, and after it, so
+// they run behind it), from delivery callbacks, and right after run_until
+// boundaries that land on a departure.  Zero-delay links and zero-length
+// datagrams make same-instant ties common.  Queue occupancy must agree at
+// every step and in every callback; the stats must agree whenever both
+// links have run the same events.
+TEST(Link, DepartureLedgerMatchesDepartureEvents) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng pick(seed * 7919);
+    LinkConfig cfg;
+    cfg.rate = pick.chance(0.25) ? mbps(8'000'000) : mbps(8 + pick.below(40));
+    cfg.delay = pick.chance(0.5) ? 0 : microseconds(pick.below(3000));
+    cfg.buffer_bytes = 1500 + pick.below(6000);
+    cfg.loss.loss_rate = pick.chance(0.5) ? 0.1 : 0;
+    cfg.duplicate_rate = pick.chance(0.25) ? 0.2 : 0;
+    cfg.jitter = pick.chance(0.25) ? microseconds(500) : 0;
+    const std::string where = "seed " + std::to_string(seed);
+
+    EventLoop loop;
+    Link link(loop, cfg, seed);
+    EventDepartureLink ref(loop, cfg, seed);
+    size_t probes = 0;
+    auto same_queue = [&](const char* at) {
+      ASSERT_EQ(link.queued_bytes(), ref.queued_bytes()) << where << at;
+    };
+    // The reference sends first: its departure event then precedes the
+    // link's delivery event for the same datagram, as the link's own
+    // reserved departure does.
+    auto send_both = [&](size_t size) {
+      ref.send(make_dgram(size));
+      link.send(make_dgram(size));
+      same_queue(" after send");
+    };
+    auto random_size = [&] {
+      return pick.chance(0.1) ? size_t{0} : size_t{1 + pick.below(1400)};
+    };
+    link.set_receiver([&](std::span<Datagram>) {
+      same_queue(" in delivery");
+      if (pick.chance(0.3)) send_both(random_size());
+    });
+    // A timer on `when` that checks the queue and sends.
+    auto probe_at = [&](TimeNs when) {
+      loop.schedule_at(when, [&, when] {
+        ++probes;
+        EXPECT_EQ(loop.now(), when);
+        same_queue(" in probe");
+        send_both(random_size());
+      });
+    };
+
+    for (int op = 0; op < 600; ++op) {
+      switch (pick.below(6)) {
+        case 0:
+        case 1:
+          send_both(random_size());
+          break;
+        case 2: {
+          // Ahead of the departure: the timer's seq precedes it.
+          const size_t size = random_size();
+          probe_at(std::max(loop.now(), ref.busy_until()) +
+                   transfer_time(size, cfg.rate));
+          send_both(size);
+          break;
+        }
+        case 3:
+          // Behind the departure just scheduled.
+          send_both(random_size());
+          probe_at(ref.busy_until());
+          break;
+        case 4:
+          // Stop exactly on the latest departure, or just short of it.
+          loop.run_until(std::max(
+              loop.now(), ref.busy_until() - static_cast<TimeNs>(pick.below(2))));
+          send_both(random_size());
+          break;
+        default:
+          loop.run_until(loop.now() + microseconds(pick.below(2000)));
+          expect_same_stats(link.stats(), ref.stats(), where);
+          break;
+      }
+      same_queue(" at top level");
+    }
+    loop.run_until(loop.now() + seconds(5));
+    same_queue(" after drain");
+    EXPECT_EQ(link.queued_bytes(), 0u) << where;
+    expect_same_stats(link.stats(), ref.stats(), where);
+    EXPECT_GT(probes, 50u) << where;
+  }
+}
+
+// A timer scheduled before a send, on the exact nanosecond the datagram
+// finishes serializing, runs before that departure (lower seq): the queue
+// is still full there, so a second datagram is dropped.  A timer scheduled
+// after the send, at the same instant, runs behind the departure and gets
+// its datagram in.  A drain on `depart <= now` alone would admit both.
+TEST(Link, SameInstantTimerSeesQueueInSendOrder) {
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate = mbps(8);  // 1 ms per 1000 bytes
+  cfg.delay = 0;
+  cfg.buffer_bytes = 1500;
+  Link link(loop, cfg, 1);
+  link.set_receiver([](std::span<Datagram>) {});
+  std::vector<uint64_t> seen;
+  loop.schedule_at(milliseconds(1), [&] {
+    seen.push_back(link.queued_bytes());
+    link.send(make_dgram(1000));
+  });
+  link.send(make_dgram(1000));  // departs at exactly 1 ms
+  loop.schedule_at(milliseconds(1), [&] {
+    seen.push_back(link.queued_bytes());
+    link.send(make_dgram(1000));
+  });
+  loop.run_until(milliseconds(1));
+  EXPECT_EQ(seen, (std::vector<uint64_t>{1000, 0}));
+  EXPECT_EQ(link.stats().queue_drops, 1u);
+  EXPECT_EQ(link.queued_bytes(), 1000u);
+  EXPECT_EQ(link.stats().max_queue_bytes, 1000u);
+}
+
+// run() stops at the last executed event: a wire-dropped datagram has no
+// event after its departure, so the queue still counts it; a run_until
+// past the departure drains it.
+TEST(Link, QueuedBytesAfterRunStopAtLastEvent) {
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate = mbps(8);
+  cfg.delay = 0;
+  cfg.loss.loss_rate = 1.0;  // every datagram dropped on the wire
+  Link link(loop, cfg, 1);
+  link.send(make_dgram(1000));
+  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_EQ(loop.now(), 0);
+  EXPECT_EQ(link.queued_bytes(), 1000u);
+  loop.run_until(milliseconds(1));
+  EXPECT_EQ(link.queued_bytes(), 0u);
 }
 
 TEST(Path, TestbedMatchesPaperParameters) {

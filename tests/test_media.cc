@@ -2,6 +2,8 @@
 // calibrated live-stream generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exp/record_codec.h"
 #include "media/amf0.h"
 #include "media/flv.h"
@@ -193,6 +195,57 @@ TEST(StreamSource, JoinPlusTailIsValidFlvStream) {
   });
   EXPECT_TRUE(demux.feed(all));
   EXPECT_GT(videos, 25u);  // burst + ~2 s of live frames
+}
+
+// The demuxer parses from a read offset and keeps only the unparsed tail,
+// so how the stream is split into feed() calls must not show: one call,
+// one byte per call and seeded random splits yield the same tags and the
+// same bytes_consumed().
+TEST(Flv, FeedSplitDoesNotChangeTags) {
+  StreamProfile p;
+  LiveStream s(p, 5);
+  const TimeNs join = s.gop_duration() + milliseconds(321);
+  std::vector<uint8_t> all;
+  for (const auto& c : s.join_chunks(join)) {
+    all.insert(all.end(), c.bytes.begin(), c.bytes.end());
+  }
+  for (const auto& c : s.chunks_between(join, join + seconds(1))) {
+    all.insert(all.end(), c.bytes.begin(), c.bytes.end());
+  }
+  struct Result {
+    std::vector<FlvTag> tags;
+    uint64_t consumed = 0;
+  };
+  // Feeds `all` in pieces of split() bytes; the last tag is left
+  // incomplete, so the demuxer ends holding a partial tail.
+  const size_t fed = all.size() - 7;
+  auto demux_split = [&](auto split) {
+    Result r;
+    FlvDemuxer demux([&r](const FlvTag& t) { r.tags.push_back(t); });
+    for (size_t at = 0; at < fed;) {
+      const size_t n = std::min(split(), fed - at);
+      EXPECT_TRUE(demux.feed(std::span<const uint8_t>(all).subspan(at, n)));
+      at += n;
+    }
+    r.consumed = demux.bytes_consumed();
+    return r;
+  };
+  const Result whole = demux_split([&] { return fed; });
+  ASSERT_GT(whole.tags.size(), 25u);
+  EXPECT_LT(whole.consumed, fed);  // a partial tag is still pending
+  Rng rng(77);
+  for (const Result& r :
+       {demux_split([] { return size_t{1}; }),
+        demux_split([&] { return size_t{1 + rng.below(3000)}; })}) {
+    EXPECT_EQ(r.consumed, whole.consumed);
+    ASSERT_EQ(r.tags.size(), whole.tags.size());
+    for (size_t i = 0; i < r.tags.size(); ++i) {
+      EXPECT_EQ(r.tags[i].type, whole.tags[i].type) << i;
+      EXPECT_EQ(r.tags[i].data_size, whole.tags[i].data_size) << i;
+      EXPECT_EQ(r.tags[i].timestamp_ms, whole.tags[i].timestamp_ms) << i;
+      EXPECT_EQ(r.tags[i].body, whole.tags[i].body) << i;
+    }
+  }
 }
 
 TEST(StreamSource, FirstFrameSizeMatchesDemuxedPrefix) {
