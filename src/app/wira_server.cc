@@ -15,7 +15,8 @@ constexpr Bandwidth kOriginBandwidth = mbps(200);
 
 WiraServer::WiraServer(sim::EventLoop& loop, const media::LiveStream& stream,
                        ServerConfig config, SendFn send)
-    : loop_(loop),
+    : chunk_scratch_(loop.scratch<OriginChunkScratch>().chunks),
+      loop_(loop),
       stream_(stream),
       config_(config),
       conn_(loop,
@@ -142,8 +143,9 @@ void WiraServer::start_streaming() {
   stream_.join_chunks(request_received_, chunk_scratch_, &loop_.buffers());
   for (media::StreamChunk& chunk : chunk_scratch_) {
     arrival += transfer_time(chunk.bytes.size(), kOriginBandwidth);
-    loop_.schedule_at(arrival, [this, c = std::move(chunk)]() mutable {
-      deliver_from_origin(std::move(c));
+    util::PooledBuffer bytes(loop_.buffers(), std::move(chunk.bytes));
+    loop_.schedule_at(arrival, [this, bytes = std::move(bytes)]() mutable {
+      deliver_from_origin(std::move(bytes));
     });
   }
   schedule_live_tail(request_received_);
@@ -155,28 +157,25 @@ void WiraServer::start_streaming() {
   }
 }
 
-void WiraServer::deliver_from_origin(media::StreamChunk chunk) {
-  if (conn_.closed()) {
-    loop_.buffers().release(std::move(chunk.bytes));
-    return;
-  }
-  if (first_origin_byte_ == kNoTime && !chunk.bytes.empty()) {
+void WiraServer::deliver_from_origin(util::PooledBuffer bytes) {
+  // However this returns, `bytes` goes back to the loop pool the muxer
+  // drew it from; write_stream copies what it sends.
+  const std::vector<uint8_t>& chunk = bytes.bytes();
+  if (conn_.closed()) return;
+  if (first_origin_byte_ == kNoTime && !chunk.empty()) {
     first_origin_byte_ = loop_.now();
-    trace(trace::EventType::kOriginByte, chunk.bytes.size());
+    trace(trace::EventType::kOriginByte, chunk.size());
   }
   // Frame Perception: the parser observes bytes on their way to the send
   // module; when FF_Size completes (exactly once), re-initialize (corner
   // case 1 ends).
-  if (auto ff = parser_.feed(chunk.bytes)) {
+  if (auto ff = parser_.feed(chunk)) {
     parsed_ff_size_ = *ff;
     ff_parsed_ = loop_.now();
     trace(trace::EventType::kFfParsed, *ff, parser_.bytes_seen());
     apply_init();
   }
-  conn_.write_stream(quic::kResponseStream, chunk.bytes);
-  // The bytes were copied into the send stream; the buffer goes back to
-  // the loop pool the muxer drew it from.
-  loop_.buffers().release(std::move(chunk.bytes));
+  conn_.write_stream(quic::kResponseStream, chunk);
 }
 
 void WiraServer::schedule_live_tail(TimeNs from_pts) {
@@ -189,8 +188,9 @@ void WiraServer::schedule_live_tail(TimeNs from_pts) {
   stream_.chunks_between(from_pts, until, chunk_scratch_, &loop_.buffers());
   for (media::StreamChunk& chunk : chunk_scratch_) {
     const TimeNs at = chunk.pts + config_.origin_latency;
-    loop_.schedule_at(at, [this, c = std::move(chunk)]() mutable {
-      deliver_from_origin(std::move(c));
+    util::PooledBuffer bytes(loop_.buffers(), std::move(chunk.bytes));
+    loop_.schedule_at(at, [this, bytes = std::move(bytes)]() mutable {
+      deliver_from_origin(std::move(bytes));
     });
   }
   loop_.schedule_at(until, [this, until] { schedule_live_tail(until); });

@@ -108,12 +108,18 @@ class WiraServer {
   void on_request(std::span<const uint8_t> data);
   void apply_init();                 ///< (re)compute Table-I parameters
   void start_streaming();
-  void deliver_from_origin(media::StreamChunk chunk);
+  /// Sends one origin chunk; its buffer goes back to the loop's pool when
+  /// `bytes` dies, as it does if the delivery event is destroyed unrun.
+  void deliver_from_origin(util::PooledBuffer bytes);
 
-  /// Origin-fetch scratch: join_chunks/chunks_between rebuild into this
-  /// vector (capacity retained) before the chunks move into their
-  /// delivery events.
-  std::vector<media::StreamChunk> chunk_scratch_;
+  /// Origin-fetch scratch, one per loop (EventLoop::scratch), so its
+  /// capacity outlives the session: join_chunks/chunks_between rebuild
+  /// into it before the chunk buffers move into their delivery events,
+  /// which leaves only emptied chunks behind.
+  struct OriginChunkScratch {
+    std::vector<media::StreamChunk> chunks;
+  };
+  std::vector<media::StreamChunk>& chunk_scratch_;
   void schedule_live_tail(TimeNs from_pts);
   void sync_cookie();
 

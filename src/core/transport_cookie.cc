@@ -7,10 +7,18 @@ namespace wira::core {
 namespace {
 constexpr char kSealLabel[] = "wira-transport-cookie";
 constexpr uint8_t kAad[] = {'h', 'x', 'q', 'o', 's', '-', 'v', '1'};
-}  // namespace
+constexpr size_t kTripleSize = 10;  ///< HxId(1) HxLen(1) value(8)
 
-std::vector<uint8_t> encode_hxqos_triples(const HxQosRecord& record) {
-  ByteWriter w;
+size_t hxqos_triples_size(const HxQosRecord& record) {
+  const size_t triples = 1 + (record.min_rtt != kNoTime) +
+                         (record.max_bw > 0) +
+                         (record.server_timestamp != kNoTime) +
+                         (record.loss_rate > 0);
+  return kTripleSize * triples;
+}
+
+/// Appends exactly hxqos_triples_size(record) bytes.
+void write_hxqos_triples(const HxQosRecord& record, ByteWriter& w) {
   auto triple_u64 = [&w](HxId id, uint64_t value) {
     w.u8(static_cast<uint8_t>(id));
     w.u8(8);  // HxLen
@@ -29,6 +37,13 @@ std::vector<uint8_t> encode_hxqos_triples(const HxQosRecord& record) {
     triple_u64(HxId::kLossRate,
                static_cast<uint64_t>(record.loss_rate * 1000.0));
   }
+}
+
+}  // namespace
+
+std::vector<uint8_t> encode_hxqos_triples(const HxQosRecord& record) {
+  ByteWriter w(hxqos_triples_size(record));
+  write_hxqos_triples(record, w);
   return w.take();
 }
 
@@ -75,14 +90,15 @@ CookieSealer::CookieSealer(const crypto::Key& master_key)
 
 std::vector<uint8_t> CookieSealer::seal(const HxQosRecord& record) {
   const uint64_t seq = next_nonce_++;
-  const auto nonce = crypto::nonce_from_u64(seq);
-  const auto plaintext = encode_hxqos_triples(record);
-  auto sealed = crypto::aead_seal(key_, nonce, kAad, plaintext);
-
-  ByteWriter w(8 + sealed.size());
+  // The triples are written after the sequence number and sealed where
+  // they lie, into a buffer sized for the tag as well.
+  ByteWriter w(8 + hxqos_triples_size(record) + crypto::kPolyTagSize);
   w.u64le(seq);
-  w.bytes(sealed);
-  return w.take();
+  write_hxqos_triples(record, w);
+  std::vector<uint8_t> cookie = w.take();
+  crypto::aead_seal_in_place(key_, crypto::nonce_from_u64(seq), kAad, cookie,
+                             8);
+  return cookie;
 }
 
 std::optional<HxQosRecord> CookieSealer::open(

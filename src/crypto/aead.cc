@@ -21,33 +21,40 @@ std::array<uint8_t, kPolyKeySize> poly_key_gen(const Key& key,
   return out;
 }
 
-/// mac_data = aad || pad16 || ct || pad16 || len(aad) || len(ct)
+size_t pad16(size_t n) { return (16 - n % 16) % 16; }
+
+/// mac_data = aad || pad16 || ct || pad16 || len(aad) || len(ct),
+/// zero-initialized at its final size, then filled.
 std::vector<uint8_t> mac_input(std::span<const uint8_t> aad,
                                std::span<const uint8_t> ct) {
-  std::vector<uint8_t> m;
-  m.reserve(aad.size() + ct.size() + 48);
-  m.insert(m.end(), aad.begin(), aad.end());
-  m.insert(m.end(), (16 - aad.size() % 16) % 16, 0);
-  m.insert(m.end(), ct.begin(), ct.end());
-  m.insert(m.end(), (16 - ct.size() % 16) % 16, 0);
-  uint8_t lens[16];
-  store_le64(lens, aad.size());
-  store_le64(lens + 8, ct.size());
-  m.insert(m.end(), lens, lens + 16);
+  const size_t ct_at = aad.size() + pad16(aad.size());
+  const size_t lens_at = ct_at + ct.size() + pad16(ct.size());
+  std::vector<uint8_t> m(lens_at + 16);
+  if (!aad.empty()) std::memcpy(m.data(), aad.data(), aad.size());
+  if (!ct.empty()) std::memcpy(m.data() + ct_at, ct.data(), ct.size());
+  store_le64(m.data() + lens_at, aad.size());
+  store_le64(m.data() + lens_at + 8, ct.size());
   return m;
 }
 
 }  // namespace
 
+void aead_seal_in_place(const Key& key, const Nonce& nonce,
+                        std::span<const uint8_t> aad,
+                        std::vector<uint8_t>& buf, size_t offset) {
+  const std::span<uint8_t> text = std::span<uint8_t>(buf).subspan(offset);
+  chacha20_xor(key, 1, nonce, text);
+  const auto tag = poly1305(poly_key_gen(key, nonce), mac_input(aad, text));
+  buf.insert(buf.end(), tag.begin(), tag.end());
+}
+
 std::vector<uint8_t> aead_seal(const Key& key, const Nonce& nonce,
                                std::span<const uint8_t> aad,
                                std::span<const uint8_t> plaintext) {
-  std::vector<uint8_t> out(plaintext.begin(), plaintext.end());
-  chacha20_xor(key, 1, nonce, out);
-  const auto mac = mac_input(aad, out);
-  const auto pk = poly_key_gen(key, nonce);
-  const auto tag = poly1305(pk, mac);
-  out.insert(out.end(), tag.begin(), tag.end());
+  std::vector<uint8_t> out;
+  out.reserve(plaintext.size() + kPolyTagSize);
+  out.assign(plaintext.begin(), plaintext.end());
+  aead_seal_in_place(key, nonce, aad, out, 0);
   return out;
 }
 
@@ -56,9 +63,7 @@ std::optional<std::vector<uint8_t>> aead_open(
     std::span<const uint8_t> sealed) {
   if (sealed.size() < kPolyTagSize) return std::nullopt;
   const auto ct = sealed.first(sealed.size() - kPolyTagSize);
-  const auto mac = mac_input(aad, ct);
-  const auto pk = poly_key_gen(key, nonce);
-  const auto expect = poly1305(pk, mac);
+  const auto expect = poly1305(poly_key_gen(key, nonce), mac_input(aad, ct));
   std::span<const uint8_t, kPolyTagSize> got(
       sealed.data() + ct.size(), kPolyTagSize);
   if (!tags_equal(expect, got)) return std::nullopt;

@@ -23,6 +23,13 @@ std::vector<uint8_t> aead_seal(const Key& key, const Nonce& nonce,
                                std::span<const uint8_t> aad,
                                std::span<const uint8_t> plaintext);
 
+/// Seals `buf[offset..]` in place and appends the 16-byte tag, so `buf`
+/// ends as its first `offset` bytes || ciphertext || tag.  Reserve the
+/// tag's room up front and nothing reallocates.
+void aead_seal_in_place(const Key& key, const Nonce& nonce,
+                        std::span<const uint8_t> aad,
+                        std::vector<uint8_t>& buf, size_t offset);
+
 /// Opens a sealed blob; returns nullopt on authentication failure
 /// (truncated, tampered, or wrong key/nonce/aad).
 std::optional<std::vector<uint8_t>> aead_open(

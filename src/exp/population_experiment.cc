@@ -2,7 +2,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -19,11 +22,48 @@ namespace wira::exp {
 
 namespace {
 
-std::string metric_name(const char* prefix, core::Scheme scheme) {
-  std::string name(prefix);
-  name += '.';
-  name += core::scheme_name(scheme);
-  return name;
+/// Every name the fold writes for one scheme: "<metric>.<scheme name>"
+/// and "phase.<phase>_us.<scheme name>".
+struct SchemeMetricNames {
+  explicit SchemeMetricNames(core::Scheme scheme) {
+    const std::string suffix = std::string(".") + core::scheme_name(scheme);
+    for (std::string* name :
+         {&sessions, &first_frame_incomplete, &ffct_us, &fflr_ppm, &zero_rtt,
+          &cwnd_before_parse, &stale_cookie, &zero_rtt_reject, &pto_fired,
+          &packets_sent, &packets_lost, &cookies_synced}) {
+      *name += suffix;
+    }
+    for (size_t i = 0; i < obs::kNumPhases; ++i) {
+      phases[i] = std::string("phase.") + obs::kPhaseNames[i] + "_us" + suffix;
+    }
+  }
+
+  std::string sessions = "sessions";
+  std::string first_frame_incomplete = "first_frame_incomplete";
+  std::string ffct_us = "ffct_us";
+  std::string fflr_ppm = "fflr_ppm";
+  std::string zero_rtt = "zero_rtt";
+  std::string cwnd_before_parse = "corner.cwnd_before_parse";
+  std::string stale_cookie = "corner.stale_cookie";
+  std::string zero_rtt_reject = "corner.zero_rtt_reject";
+  std::string pto_fired = "pto_fired";
+  std::string packets_sent = "packets_sent";
+  std::string packets_lost = "packets_lost";
+  std::string cookies_synced = "cookies_synced";
+  std::array<std::string, obs::kNumPhases> phases;  ///< kPhaseNames order
+};
+
+/// The name table of `scheme`, built once per process, so a fold
+/// allocates no names.
+const SchemeMetricNames& metric_names(core::Scheme scheme) {
+  static const std::vector<SchemeMetricNames> tables = [] {
+    std::vector<SchemeMetricNames> t;
+    for (int s = 0; s <= static_cast<int>(core::Scheme::kWiraPlus); ++s) {
+      t.emplace_back(static_cast<core::Scheme>(s));
+    }
+    return t;
+  }();
+  return tables[static_cast<size_t>(scheme)];
 }
 
 }  // namespace
@@ -31,37 +71,37 @@ std::string metric_name(const char* prefix, core::Scheme scheme) {
 void record_session_metrics(obs::MetricsRegistry& m, const SessionRecord& rec,
                             bool include_phases) {
   for (const auto& [scheme, res] : rec.results) {
-    m.inc(metric_name("sessions", scheme));
+    const SchemeMetricNames& names = metric_names(scheme);
+    m.inc(names.sessions);
     if (!res.first_frame_completed) {
-      m.inc(metric_name("first_frame_incomplete", scheme));
+      m.inc(names.first_frame_incomplete);
     } else {
-      m.histogram(metric_name("ffct_us", scheme))
+      m.histogram(names.ffct_us)
           .record(static_cast<uint64_t>(res.ffct / 1000));
-      m.histogram(metric_name("fflr_ppm", scheme))
+      m.histogram(names.fflr_ppm)
           .record(static_cast<uint64_t>(res.fflr * 1e6));
     }
-    if (res.zero_rtt) m.inc(metric_name("zero_rtt", scheme));
-    if (res.cwnd_fallback) {
-      m.inc(metric_name("corner.cwnd_before_parse", scheme));
-    }
-    if (res.init.hx_stale) m.inc(metric_name("corner.stale_cookie", scheme));
-    if (res.zero_rtt_rejected) {
-      m.inc(metric_name("corner.zero_rtt_reject", scheme));
-    }
-    m.inc(metric_name("pto_fired", scheme), res.server_stats.ptos_fired);
-    m.inc(metric_name("packets_sent", scheme),
-          res.server_stats.packets_sent);
-    m.inc(metric_name("packets_lost", scheme),
-          res.server_stats.packets_lost);
-    m.inc(metric_name("cookies_synced", scheme), res.cookies_synced);
+    if (res.zero_rtt) m.inc(names.zero_rtt);
+    if (res.cwnd_fallback) m.inc(names.cwnd_before_parse);
+    if (res.init.hx_stale) m.inc(names.stale_cookie);
+    if (res.zero_rtt_rejected) m.inc(names.zero_rtt_reject);
+    m.inc(names.pto_fired, res.server_stats.ptos_fired);
+    m.inc(names.packets_sent, res.server_stats.packets_sent);
+    m.inc(names.packets_lost, res.server_stats.packets_lost);
+    m.inc(names.cookies_synced, res.cookies_synced);
     if (include_phases) {
       for (const obs::PhaseSpan& span : res.phases) {
-        std::string name = "phase.";
-        name += span.name;
-        name += "_us.";
-        name += core::scheme_name(scheme);
-        m.histogram(name).record(
-            static_cast<uint64_t>(span.duration() / 1000));
+        const auto us = static_cast<uint64_t>(span.duration() / 1000);
+        const auto known = std::find_if(
+            obs::kPhaseNames, obs::kPhaseNames + obs::kNumPhases,
+            [&span](const char* p) { return std::strcmp(p, span.name) == 0; });
+        if (known != obs::kPhaseNames + obs::kNumPhases) {
+          m.histogram(names.phases[known - obs::kPhaseNames]).record(us);
+        } else {
+          m.histogram(std::string("phase.") + span.name + "_us." +
+                      core::scheme_name(scheme))
+              .record(us);
+        }
       }
     }
   }

@@ -86,12 +86,13 @@ struct ManualInitConfig;
 /// sessions — pooled datagram and chunk buffers, sent-packet nodes (with
 /// the rate sampler's snapshot inside), reassembly segments — so a warm
 /// session's allocations do not grow with the packets it sends
-/// (AllocScaling.*).  What remains is session-shaped: the connection,
-/// stream and client objects, their growing buffers, cookie seals, and
-/// the buffers of chunks and datagrams still in flight when the session
-/// ends, which die with their loop events.  Results are bit-identical to
-/// workspace-free runs — the reset contract is "indistinguishable from a
-/// fresh loop".
+/// (AllocScaling.*).  Chunks and datagrams still in flight when a session
+/// ends ride their loop events as util::PooledBuffers, so the reset that
+/// starts the next session returns them to the pool.  What remains is
+/// session-shaped: the connection, stream and client objects, their
+/// growing buffers, and one sized buffer per cookie seal or handshake
+/// message.  Results are bit-identical to workspace-free runs — the reset
+/// contract is "indistinguishable from a fresh loop".
 ///
 /// Not thread-safe: one workspace per worker thread/process, like the
 /// loop it owns.

@@ -13,9 +13,9 @@ void HandshakeMessage::set(uint32_t tag, std::span<const uint8_t> value) {
 }
 
 void HandshakeMessage::set_u64(uint32_t tag, uint64_t value) {
-  ByteWriter w;
-  w.u64be(value);
-  values[tag] = w.take();
+  std::vector<uint8_t>& v = values[tag];
+  v.resize(8);
+  bytes_detail::store_be(v.data(), value);
 }
 
 std::optional<uint64_t> HandshakeMessage::get_u64(uint32_t tag) const {
@@ -30,7 +30,10 @@ void HandshakeMessage::set_str(uint32_t tag, std::string_view s) {
 }
 
 std::vector<uint8_t> serialize_handshake(const HandshakeMessage& msg) {
-  ByteWriter w;
+  // Header (8) + one (tag, end offset) pair per value + the values.
+  size_t size = 8 + 8 * msg.values.size();
+  for (const auto& [tag, value] : msg.values) size += value.size();
+  ByteWriter w(size);
   w.u32be(msg.msg_tag);
   w.u16be(static_cast<uint16_t>(msg.values.size()));
   w.u16be(0);  // reserved
@@ -51,17 +54,15 @@ std::optional<HandshakeMessage> parse_handshake(
   msg.msg_tag = r.u32be();
   const uint16_t n = r.u16be();
   r.u16be();  // reserved
-  if (!r.ok() || n > 128) return std::nullopt;
-  std::vector<std::pair<uint32_t, uint32_t>> index;
-  index.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    const uint32_t tag = r.u32be();
-    const uint32_t end = r.u32be();
-    index.emplace_back(tag, end);
-  }
-  if (!r.ok()) return std::nullopt;
+  if (!r.ok() || n > 128 || r.remaining() < 8u * n) return std::nullopt;
+  // The (tag, end offset) index is read in step with the values it
+  // delimits, through a second reader.
+  ByteReader index(data.subspan(r.position(), 8u * n));
+  r.skip(8u * n);
   uint32_t start = 0;
-  for (const auto& [tag, end] : index) {
+  for (uint16_t i = 0; i < n; ++i) {
+    const uint32_t tag = index.u32be();
+    const uint32_t end = index.u32be();
     if (end < start) return std::nullopt;
     auto v = r.bytes(end - start);
     if (!r.ok()) return std::nullopt;
@@ -72,7 +73,7 @@ std::optional<HandshakeMessage> parse_handshake(
 }
 
 std::vector<uint8_t> serialize_hqst(const HqstPayload& p) {
-  ByteWriter w;
+  ByteWriter w(1 + 8 + p.sealed_cookie.size());
   w.u8(p.supports_sync ? 1 : 0);
   w.u64be(p.client_recv_time_ms);
   w.bytes(p.sealed_cookie);

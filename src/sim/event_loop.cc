@@ -50,8 +50,8 @@ bool EventLoop::reschedule(EventId id, TimeNs when) {
 
 void EventLoop::reset() {
   heap_.clear();
-  // Destroy pending callables now (captured buffers go back to their
-  // owners' destructors) and stale every outstanding handle via the
+  // Destroy pending callables now (captured PooledBuffers go back to the
+  // pool) and stale every outstanding handle via the
   // generation bump — cancel() or reschedule() against a pre-reset
   // EventId is a no-op.
   for (Slot& s : slots_) {

@@ -84,8 +84,9 @@ class EventLoop {
   /// buffer pool's recycled buffers and the arena's blocks all survive, so
   /// a reset loop re-runs a comparable workload without re-paying its
   /// allocations.  Pending callables are destroyed immediately (their
-  /// captures release now, exactly as cancel() would) and every
-  /// outstanding EventId goes stale.  This is what makes the loop reusable
+  /// captures release now, exactly as cancel() would: a captured
+  /// util::PooledBuffer goes back to buffers()) and every outstanding
+  /// EventId goes stale.  This is what makes the loop reusable
   /// across sessions (exp::SessionWorkspace): reset + rerun is
   /// behaviourally identical to constructing a new loop.
   void reset();
@@ -207,14 +208,15 @@ class EventLoop {
   uint64_t next_seq_ = 0;
   /// Sequence numbers below this, at now_, have run (see has_passed).
   uint64_t passed_seq_ = 0;
+  /// Bounded per size class by bytes, not by a count: the origin join
+  /// burst schedules a whole GOP of chunk buffers at one instant, and
+  /// they must not push the packet buffers out.  Declared before the
+  /// slots, so the PooledBuffers that pending callables capture return
+  /// into a live pool when ~EventLoop destroys those callables.
+  util::BufferPool buffers_;
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
-  /// 256 buffers (all size classes): sized for the origin join burst,
-  /// where one simulated instant schedules a whole GOP of chunk buffers
-  /// before any is delivered back (64 starves, forcing fresh allocations
-  /// every burst).
-  util::BufferPool buffers_{256};
   util::Arena arena_;
   std::unordered_map<std::type_index, ScratchPtr> scratch_;
 };

@@ -105,9 +105,14 @@ void Link::send(Datagram d) {
 }
 
 void Link::schedule_delivery(Datagram d, TimeNs arrive) {
-  loop_.schedule_at(arrive, [this, d = std::move(d)]() mutable {
+  // The payload rides as a PooledBuffer: if a loop reset destroys the
+  // event unrun, the buffer still goes back to the pool.
+  util::PooledBuffer payload(loop_.buffers(), std::move(d.payload));
+  loop_.schedule_at(arrive, [this, size = d.size, dest = d.dest,
+                             payload = std::move(payload)]() mutable {
+    Datagram d{payload.take(), size, dest};
     stats_.delivered_packets++;
-    stats_.delivered_bytes += d.size;
+    stats_.delivered_bytes += size;
     if (deliver_) deliver_(std::span<Datagram>(&d, 1));
     // Whatever buffer the receiver left behind goes back into the pool
     // for the next serialized packets.

@@ -8,7 +8,8 @@
 // datagram (a Datagram fits SmallFn's inline buffer), so delivery follows
 // the loop's (time, insertion-order) semantics — same-instant arrivals
 // reach the receiver in send order, one call each.  A loop reset destroys
-// the pending closures and with them every datagram still in flight.
+// the pending closures, and every payload still in flight goes back to the
+// loop's BufferPool.
 //
 // Leaving the queue takes no event.  The link keeps a FIFO ledger of
 // {departure time, reserved sequence number, size} and drains it lazily

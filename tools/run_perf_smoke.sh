@@ -54,12 +54,47 @@ fi
 
 # Append the scalar fields plus the QoE summary (the aggregate "metrics"
 # object stays in the dated file only) as one line into the long-term
-# trajectory.
-python3 - "${out}" "$(date +%Y-%m-%dT%H:%M:%S)" >> "${trajectory}" <<'PY'
-import json, sys
+# trajectory.  "source" ties the record to the code it measured: the git
+# SHA when the built sources match HEAD, otherwise a hash of their content
+# ("tree-<16 hex>", the same stamp perfbench/run.py uses for a tree that
+# is not a git checkout), so an uncommitted change is never credited to
+# the commit it started from.
+python3 - "${out}" "$(date +%Y-%m-%dT%H:%M:%S)" "${repo_root}" \
+  >> "${trajectory}" <<'PY'
+import hashlib, json, os, subprocess, sys
+
+SOURCES = ("src", "bench", "tools", "CMakeLists.txt")
+
+
+def git(root, *args):
+    try:
+        r = subprocess.run(["git", "-C", root, *args],
+                           capture_output=True, text=True)
+    except OSError:
+        return None
+    return r.stdout.strip() if r.returncode == 0 else None
+
+
+def source_id(root):
+    sha = git(root, "rev-parse", "HEAD")
+    if sha and git(root, "status", "--porcelain", "--", *SOURCES) == "":
+        return sha
+    h = hashlib.sha256()
+    for top in SOURCES:
+        path = os.path.join(root, top)
+        files = [path] if os.path.isfile(path) else sorted(
+            os.path.join(d, name) for d, _, names in os.walk(path)
+            for name in names)
+        for f in files:
+            h.update(os.path.relpath(f, root).encode())
+            with open(f, "rb") as fh:
+                h.update(fh.read())
+    return "tree-" + h.hexdigest()[:16]
+
+
 with open(sys.argv[1]) as f:
     bench = json.load(f)
-row = {"date": sys.argv[2]}
+row = {"date": sys.argv[2], "source": source_id(sys.argv[3])}
 row.update((k, v) for k, v in bench.items() if k != "metrics")
 print(json.dumps(row))
 PY
