@@ -42,9 +42,20 @@ CrowdResult run_crowd(core::Scheme scheme, int viewers, uint64_t seed) {
   app::ServerConfig base;
   base.scheme = scheme;
   base.master_key = crypto::key_from_string("edge");
-  app::WiraEdge edge(loop, stream, base);
+  // Viewer i has connection id 100 + i and access leg i.
+  app::WiraEdge edge(loop, stream, base,
+                     [&net](uint64_t id, std::vector<uint8_t> d) {
+                       sim::Datagram dg;
+                       dg.size = d.size();
+                       dg.payload = std::move(d);
+                       net.send_to_client(id - 100, std::move(dg));
+                     });
   net.set_server_receiver([&edge](std::span<sim::Datagram> batch) {
-    for (sim::Datagram& d : batch) edge.on_datagram(d.payload);
+    for (sim::Datagram& d : batch) {
+      if (auto id = app::WiraEdge::conn_id_of(d.payload)) {
+        edge.on_datagram(*id, d.payload);
+      }
+    }
   });
 
   struct Viewer {
@@ -66,15 +77,7 @@ CrowdResult run_crowd(core::Scheme scheme, int viewers, uint64_t seed) {
     v.id = 100 + static_cast<uint64_t>(i);
     const quic::ConnectionId id = v.id;
     const uint64_t od_key = core::od_pair_key(id, 7, 0);
-    auto& server = edge.add_session(
-        id,
-        [&net, leg](std::vector<uint8_t> d) {
-          sim::Datagram dg;
-          dg.size = d.size();
-          dg.payload = std::move(d);
-          net.send_to_client(leg, std::move(dg));
-        },
-        od_key);
+    auto& server = edge.add_session(id, od_key);
     app::ClientConfig ccfg;
     ccfg.client_id = id;
     ccfg.server_id = 7;

@@ -144,7 +144,7 @@ void WiraServer::start_streaming() {
   for (media::StreamChunk& chunk : chunk_scratch_) {
     arrival += transfer_time(chunk.bytes.size(), kOriginBandwidth);
     util::PooledBuffer bytes(loop_.buffers(), std::move(chunk.bytes));
-    loop_.schedule_at(arrival, [this, bytes = std::move(bytes)]() mutable {
+    schedule_counted(arrival, [this, bytes = std::move(bytes)]() mutable {
       deliver_from_origin(std::move(bytes));
     });
   }
@@ -153,7 +153,8 @@ void WiraServer::start_streaming() {
   // Periodic Hx_QoS synchronization only when the client declared support
   // in its CHLO (HQST Bool = 1, §IV-B).
   if (config_.cookie_sync_enabled && client_supports_sync_) {
-    loop_.schedule_in(config_.sync_period, [this] { sync_cookie(); });
+    schedule_counted(loop_.now() + config_.sync_period,
+                     [this] { sync_cookie(); });
   }
 }
 
@@ -189,11 +190,11 @@ void WiraServer::schedule_live_tail(TimeNs from_pts) {
   for (media::StreamChunk& chunk : chunk_scratch_) {
     const TimeNs at = chunk.pts + config_.origin_latency;
     util::PooledBuffer bytes(loop_.buffers(), std::move(chunk.bytes));
-    loop_.schedule_at(at, [this, bytes = std::move(bytes)]() mutable {
+    schedule_counted(at, [this, bytes = std::move(bytes)]() mutable {
       deliver_from_origin(std::move(bytes));
     });
   }
-  loop_.schedule_at(until, [this, until] { schedule_live_tail(until); });
+  schedule_counted(until, [this, until] { schedule_live_tail(until); });
 }
 
 void WiraServer::sync_cookie() {
@@ -222,7 +223,8 @@ void WiraServer::sync_cookie() {
     trace(trace::EventType::kCookieEvent, frame.sealed_blob.size(), 0,
           "sealed");
   }
-  loop_.schedule_in(config_.sync_period, [this] { sync_cookie(); });
+  schedule_counted(loop_.now() + config_.sync_period,
+                   [this] { sync_cookie(); });
 }
 
 }  // namespace wira::app

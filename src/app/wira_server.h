@@ -80,6 +80,19 @@ class WiraServer {
   /// Server config id clients must cache for 0-RTT.
   const std::vector<uint8_t>& server_config_id() const { return scid_; }
 
+  /// True once the connection is closed and no loop event that captures
+  /// this server is still pending: only then may its owner destroy it.
+  /// The connection cancels its own timers at close; what is left are the
+  /// server's origin chunks (at most a second ahead), the live-tail re-arm
+  /// and the cookie sync (one sync period ahead), each a no-op once closed.
+  bool finished() const { return conn_.closed() && pending_events_ == 0; }
+  /// Called once, when the last pending event of a closed server has run
+  /// (a server already finished at close never calls it).  The server is
+  /// still inside that event: the hook must not destroy it synchronously.
+  void set_on_finished(std::function<void()> fn) {
+    on_finished_ = std::move(fn);
+  }
+
   /// Attaches an event sink to the transport connection *and* the
   /// server's application-level markers (request_received, origin_byte,
   /// ff_parsed, cookie and corner-case events).  nullptr detaches; the
@@ -122,6 +135,18 @@ class WiraServer {
   std::vector<media::StreamChunk>& chunk_scratch_;
   void schedule_live_tail(TimeNs from_pts);
   void sync_cookie();
+  /// Schedules `fn` on the loop and counts it in pending_events_ until it
+  /// has run (see finished()).
+  template <typename Fn>
+  void schedule_counted(TimeNs when, Fn fn) {
+    ++pending_events_;
+    loop_.schedule_at(when, [this, fn = std::move(fn)]() mutable {
+      fn();
+      if (--pending_events_ == 0 && conn_.closed() && on_finished_) {
+        on_finished_();
+      }
+    });
+  }
 
   sim::EventLoop& loop_;
   const media::LiveStream& stream_;
@@ -141,6 +166,8 @@ class WiraServer {
   uint64_t cookies_synced_ = 0;
   uint32_t ff_fallback_inits_ = 0;
   uint32_t stale_cookie_inits_ = 0;
+  uint32_t pending_events_ = 0;
+  std::function<void()> on_finished_;
   std::vector<uint8_t> scid_ = {0x57, 0x49, 0x52, 0x41};  // "WIRA"
 
   trace::EventSink* tracer_ = nullptr;

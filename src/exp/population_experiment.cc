@@ -7,8 +7,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <optional>
 #include <stdexcept>
 
 #include "exp/population_internal.h"
@@ -167,7 +165,7 @@ std::string trace_name(const char* prefix, size_t i, core::Scheme scheme) {
 }
 
 /// The one traced-session path: runs `cfg` with a server/client
-/// QlogStreamWriter pair streaming into dir/name.{server,client}.sqlog —
+/// obs::QlogFile pair streaming into dir/name.{server,client}.sqlog —
 /// one deterministic *pair* per (session, scheme), correlated by a shared
 /// group_id (obs/trace_join.h joins them).  --trace-sample artifacts,
 /// anomaly replays and crash replays are all written here, so
@@ -180,8 +178,7 @@ SessionResult run_traced_session(SessionConfig cfg, SessionWorkspace& ws,
                                  const std::string& dir,
                                  const std::string& name, bool unbuffered,
                                  uint64_t* open_failures) {
-  std::ofstream files[2];
-  std::optional<obs::QlogStreamWriter> writers[2];
+  std::unique_ptr<obs::QlogFile> files[2];
   const obs::QlogVantage vantages[2] = {obs::QlogVantage::kServer,
                                         obs::QlogVantage::kClient};
   trace::EventSink** slots[2] = {&cfg.tracer, &cfg.client_tracer};
@@ -189,8 +186,8 @@ SessionResult run_traced_session(SessionConfig cfg, SessionWorkspace& ws,
     const bool server = vantages[v] == obs::QlogVantage::kServer;
     const std::string path =
         dir + "/" + name + (server ? ".server.sqlog" : ".client.sqlog");
-    if (unbuffered) files[v].rdbuf()->pubsetbuf(nullptr, 0);
-    files[v].open(path, std::ios::trunc);
+    files[v] = obs::QlogFile::open(
+        path, obs::paired_trace_info(name, vantages[v]), unbuffered);
     if (!files[v]) {
       WIRA_WARN("population", "cannot open qlog trace " + path + ": " +
                                   (server ? "server" : "client") +
@@ -198,8 +195,7 @@ SessionResult run_traced_session(SessionConfig cfg, SessionWorkspace& ws,
       ++*open_failures;
       continue;
     }
-    *slots[v] = &writers[v].emplace(files[v],
-                                    obs::paired_trace_info(name, vantages[v]));
+    *slots[v] = files[v].get();
   }
   return run_session(cfg, ws);
 }

@@ -61,6 +61,32 @@ std::vector<uint8_t> amf0_encode_metadata(
   return w.take();
 }
 
+size_t amf0_numeric_metadata_size(std::string_view name,
+                                  std::span<const Amf0Number> props) {
+  // Name string, ECMA array header, per property (key length, key,
+  // number marker, f64), then the empty key and the object end marker.
+  size_t size = 3 + name.size() + 5 + 3;
+  for (const Amf0Number& p : props) size += 2 + p.key.size() + 1 + 8;
+  return size;
+}
+
+void amf0_write_numeric_metadata(ByteWriter& w, std::string_view name,
+                                 std::span<const Amf0Number> props) {
+  w.u8(kString);
+  w.u16be(static_cast<uint16_t>(name.size()));
+  w.str(name);
+  w.u8(kEcmaArray);
+  w.u32be(static_cast<uint32_t>(props.size()));
+  for (const Amf0Number& p : props) {
+    w.u16be(static_cast<uint16_t>(p.key.size()));
+    w.str(p.key);
+    w.u8(kNumber);
+    w.f64be(p.value);
+  }
+  w.u16be(0);  // empty key terminates
+  w.u8(kObjectEnd);
+}
+
 std::optional<Amf0Metadata> amf0_decode_metadata(
     std::span<const uint8_t> body) {
   ByteReader r(body);

@@ -20,14 +20,19 @@ void FlvMuxer::write_header(bool has_audio, bool has_video) {
   writer_.u32be(0);  // PreviousTagSize0
 }
 
-void FlvMuxer::write_tag(TagType type, TimeNs pts,
-                         std::span<const uint8_t> body) {
+void FlvMuxer::write_tag_header(TagType type, TimeNs pts,
+                                size_t body_size) {
   const uint32_t ts = static_cast<uint32_t>(to_ms(pts));
   writer_.u8(static_cast<uint8_t>(type));
-  writer_.u24be(static_cast<uint32_t>(body.size()));
+  writer_.u24be(static_cast<uint32_t>(body_size));
   writer_.u24be(ts & 0xFFFFFF);
   writer_.u8(static_cast<uint8_t>(ts >> 24));  // extended timestamp
   writer_.u24be(0);                            // stream id
+}
+
+void FlvMuxer::write_tag(TagType type, TimeNs pts,
+                         std::span<const uint8_t> body) {
+  write_tag_header(type, pts, body.size());
   writer_.bytes(body);
   writer_.u32be(static_cast<uint32_t>(kFlvTagHeaderSize + body.size()));
 }
@@ -42,12 +47,7 @@ void FlvMuxer::write_frame(const MediaFrame& frame) {
       std::max<size_t>(frame.payload_bytes, has_marker ? 1 : 0);
   writer_.reserve(writer_.size() + kFlvTagHeaderSize + body_size +
                   kFlvPreviousTagSize);
-  const uint32_t ts = static_cast<uint32_t>(to_ms(frame.pts));
-  writer_.u8(static_cast<uint8_t>(frame.type));
-  writer_.u24be(static_cast<uint32_t>(body_size));
-  writer_.u24be(ts & 0xFFFFFF);
-  writer_.u8(static_cast<uint8_t>(ts >> 24));  // extended timestamp
-  writer_.u24be(0);                            // stream id
+  write_tag_header(frame.type, frame.pts, body_size);
   if (frame.type == TagType::kVideo) {
     // FrameType(4) | CodecID(4); codec 7 = AVC.
     writer_.u8(static_cast<uint8_t>(
@@ -62,12 +62,15 @@ void FlvMuxer::write_frame(const MediaFrame& frame) {
   writer_.u32be(static_cast<uint32_t>(kFlvTagHeaderSize + body_size));
 }
 
-void FlvMuxer::write_metadata(
-    TimeNs pts, const std::map<std::string, double>& numeric_props) {
-  std::map<std::string, Amf0Value> props;
-  for (const auto& [k, v] : numeric_props) props.emplace(k, Amf0Value{v});
-  const auto body = amf0_encode_metadata("onMetaData", props);
-  write_tag(TagType::kScript, pts, body);
+void FlvMuxer::write_metadata(TimeNs pts,
+                              std::initializer_list<Amf0Number> props) {
+  // write_tag's layout, with the AMF0 body encoded in place.
+  const size_t body_size = amf0_numeric_metadata_size("onMetaData", props);
+  writer_.reserve(writer_.size() + kFlvTagHeaderSize + body_size +
+                  kFlvPreviousTagSize);
+  write_tag_header(TagType::kScript, pts, body_size);
+  amf0_write_numeric_metadata(writer_, "onMetaData", props);
+  writer_.u32be(static_cast<uint32_t>(kFlvTagHeaderSize + body_size));
 }
 
 bool FlvDemuxer::feed(std::span<const uint8_t> data) {

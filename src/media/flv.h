@@ -11,10 +11,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <initializer_list>
 #include <optional>
 #include <vector>
 
+#include "media/amf0.h"
 #include "media/frame.h"
 #include "util/bytes.h"
 
@@ -41,15 +42,18 @@ class FlvMuxer {
   /// `frame.payload_bytes`.
   void write_frame(const MediaFrame& frame);
 
-  /// Writes an onMetaData script tag (width/height/framerate/...).
-  void write_metadata(TimeNs pts,
-                      const std::map<std::string, double>& numeric_props);
+  /// Writes an onMetaData script tag (width/height/framerate/...) with
+  /// the properties in the order given, straight into the stream.
+  void write_metadata(TimeNs pts, std::initializer_list<Amf0Number> props);
 
   size_t size() const { return writer_.size(); }
   std::vector<uint8_t> take() { return writer_.take(); }
   std::span<const uint8_t> span() const { return writer_.span(); }
 
  private:
+  /// The 11-byte tag header for a body of `body_size` bytes.
+  void write_tag_header(TagType type, TimeNs pts, size_t body_size);
+
   ByteWriter writer_;
 };
 

@@ -117,9 +117,13 @@ std::vector<MediaFrame> LiveStream::gop(uint64_t k) const {
 std::vector<uint8_t> LiveStream::metadata_prefix(util::BufferPool* pool,
                                                  size_t tail_bytes) const {
   // Either prelude fits in 512 bytes (TS PSI is 376, the FLV header and
-  // onMetaData tag ~250).
-  std::vector<uint8_t> buf = pool ? pool->acquire(512 + tail_bytes)
-                                  : std::vector<uint8_t>();
+  // onMetaData tag ~250), so the muxer never grows the buffer.
+  std::vector<uint8_t> buf;
+  if (pool) {
+    buf = pool->acquire(512 + tail_bytes);
+  } else {
+    buf.reserve(512 + tail_bytes);
+  }
   if (profile_.container == Container::kMpegTs) {
     TsMuxer mux(std::move(buf));
     mux.write_psi();
@@ -127,13 +131,14 @@ std::vector<uint8_t> LiveStream::metadata_prefix(util::BufferPool* pool,
   }
   FlvMuxer mux(std::move(buf));
   mux.write_header();
+  // Keys in ascending order: the byte order of the AMF0 map encoding.
   mux.write_metadata(0, {
-      {"width", static_cast<double>(profile_.width)},
-      {"height", static_cast<double>(profile_.height)},
+      {"audiodatarate", 128.0},
       {"framerate", profile_.fps},
+      {"height", static_cast<double>(profile_.height)},
       {"videodatarate",
        profile_.iframe_mean_bytes * 8.0 * profile_.fps / 8'000.0 / 10.0},
-      {"audiodatarate", 128.0},
+      {"width", static_cast<double>(profile_.width)},
   });
   return mux.take();
 }

@@ -1,7 +1,7 @@
 // Non-blocking UDP socket wrapper for the real-socket runtime
 // (DESIGN.md §6).  Two usage shapes, matching the two ends of a session:
 //
-//   - wira_proxyd opens one *bound* socket per scheme and demuxes
+//   - wira_proxyd opens one *bound* socket per scheme and routes
 //     sessions by peer address (recv_from / send_to);
 //   - wira_loadgen opens one *connected* socket per session, so each
 //     session owns a distinct source port — the proxyd side's demux key
@@ -24,19 +24,21 @@
 
 namespace wira::net {
 
-/// A peer address in demux-key form.  Comparable so it can key a map.
+/// An IPv4 peer address.  key() packs it into the integer a
+/// multi-session server routes by (app::WiraEdge); from_key() unpacks it.
 struct PeerAddr {
   sockaddr_in sa{};
 
-  bool operator==(const PeerAddr& o) const {
-    return sa.sin_addr.s_addr == o.sa.sin_addr.s_addr &&
-           sa.sin_port == o.sa.sin_port;
+  bool operator==(const PeerAddr& o) const { return key() == o.key(); }
+  uint64_t key() const {
+    return (static_cast<uint64_t>(sa.sin_addr.s_addr) << 16) | sa.sin_port;
   }
-  bool operator<(const PeerAddr& o) const {
-    if (sa.sin_addr.s_addr != o.sa.sin_addr.s_addr) {
-      return sa.sin_addr.s_addr < o.sa.sin_addr.s_addr;
-    }
-    return sa.sin_port < o.sa.sin_port;
+  static PeerAddr from_key(uint64_t key) {
+    PeerAddr p;
+    p.sa.sin_family = AF_INET;
+    p.sa.sin_addr.s_addr = static_cast<uint32_t>(key >> 16);
+    p.sa.sin_port = static_cast<uint16_t>(key);
+    return p;
   }
   /// "ip_port" — filesystem-safe, used to name per-session trace files
   /// identically from both processes.

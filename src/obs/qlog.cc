@@ -217,6 +217,17 @@ void QlogStreamWriter::on_event(const trace::Event& e) {
   os_ << line;
 }
 
+std::unique_ptr<QlogFile> QlogFile::open(const std::string& path,
+                                         const QlogTraceInfo& info,
+                                         bool unbuffered) {
+  std::unique_ptr<QlogFile> q(new QlogFile());
+  if (unbuffered) q->file_.rdbuf()->pubsetbuf(nullptr, 0);
+  q->file_.open(path, std::ios::trunc);
+  if (!q->file_) return nullptr;
+  q->writer_.emplace(q->file_, info);
+  return q;
+}
+
 QlogTraceInfo paired_trace_info(const std::string& name,
                                 QlogVantage vantage) {
   QlogTraceInfo info;

@@ -15,7 +15,9 @@
 // subset is enforced by tests/test_qlog.cc.
 #pragma once
 
-#include <iosfwd>
+#include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,6 +58,25 @@ class QlogStreamWriter : public trace::EventSink {
 
  private:
   std::ostream& os_;
+};
+
+/// A QlogStreamWriter that owns its file: open() truncates `path` and
+/// writes the header line; destroying it flushes and closes the file.
+class QlogFile final : public trace::EventSink {
+ public:
+  /// nullptr if `path` cannot be opened.  `unbuffered` hands each event
+  /// line to the kernel as it is written, so a process that dies keeps
+  /// every event before the fault.
+  static std::unique_ptr<QlogFile> open(const std::string& path,
+                                        const QlogTraceInfo& info,
+                                        bool unbuffered = false);
+
+  void on_event(const trace::Event& e) override { writer_->on_event(e); }
+
+ private:
+  QlogFile() = default;
+  std::ofstream file_;
+  std::optional<QlogStreamWriter> writer_;
 };
 
 }  // namespace wira::obs

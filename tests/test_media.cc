@@ -30,6 +30,20 @@ TEST(Amf0, MetadataRoundTrip) {
   EXPECT_EQ(std::get<std::string>(out->props.at("encoder")), "wira");
 }
 
+TEST(Amf0, NumericWriterMatchesMapEncoder) {
+  // The in-place writer must emit what the map encoder does for the same
+  // (ascending) keys, so FLV muxing stays byte-identical.
+  const Amf0Number props[] = {
+      {"audiodatarate", 128.0}, {"framerate", 25.0}, {"height", 720.0}};
+  ByteWriter w;
+  amf0_write_numeric_metadata(w, "onMetaData", props);
+  EXPECT_EQ(w.size(), amf0_numeric_metadata_size("onMetaData", props));
+  EXPECT_EQ(w.take(), amf0_encode_metadata("onMetaData",
+                                           {{"audiodatarate", 128.0},
+                                            {"framerate", 25.0},
+                                            {"height", 720.0}}));
+}
+
 TEST(Amf0, TruncatedRejected) {
   const auto bytes = amf0_encode_metadata("onMetaData", {{"x", 1.0}});
   for (size_t keep = 0; keep + 1 < bytes.size(); ++keep) {

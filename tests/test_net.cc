@@ -59,6 +59,11 @@ TEST(PeerAddrTest, DisplayAndFileTag) {
   ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &p.sa.sin_addr), 1);
   EXPECT_EQ(p.display(), "127.0.0.1:8443");
   EXPECT_EQ(p.file_tag(), "127-0-0-1_8443");
+  const PeerAddr back = PeerAddr::from_key(p.key());
+  EXPECT_EQ(back, p);
+  EXPECT_EQ(back.display(), "127.0.0.1:8443");
+  p.sa.sin_port = htons(8444);
+  EXPECT_NE(p.key(), back.key());
 }
 
 TEST(UdpSocketTest, ConnectedPairRoundTrip) {

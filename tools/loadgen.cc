@@ -2,8 +2,9 @@
 //
 // Reads the proxyd port file ("scheme_token addr:port" per line), opens one
 // *connected* UDP socket per session — the distinct source port is the
-// session identity proxyd demuxes on — and runs N concurrent PlayerClient
-// handshakes per scheme on a single epoll runtime.  Per-session config
+// session identity proxyd routes on — and runs N concurrent PlayerClient
+// sessions per scheme on one epoll runtime, each closing once its tracked
+// frames complete.  Per-session config
 // (transport cookie, 0-RTT) is drawn from a seeded Rng, so a --sim-compare
 // pass can rerun the *same* session population through exp::run_session
 // over a loopback-approximating sim path and report sim-predicted FFCT
@@ -185,8 +186,7 @@ sim::PathConfig loopback_path() {
 struct ClientSession {
   net::UdpSocket sock;
   app::ClientCache cache;
-  std::ofstream qlog;
-  std::optional<obs::QlogStreamWriter> qlog_writer;
+  std::unique_ptr<obs::QlogFile> qlog;
   std::optional<app::PlayerClient> client;
   SessionDraw draw{};
 };
@@ -292,17 +292,20 @@ int main(int argc, char** argv) {
         // the same address as the peer, so the pair shares its stem and
         // group_id without any cross-process coordination.
         const std::string name = "peer_" + s->sock.local_addr().file_tag();
-        s->qlog.open(args.trace_dir + "/" + name + ".client.sqlog",
-                     std::ios::trunc);
-        if (s->qlog) {
-          s->qlog_writer.emplace(
-              s->qlog, obs::paired_trace_info(name, obs::QlogVantage::kClient));
-          s->client->set_tracer(&*s->qlog_writer);
-        }
+        s->qlog = obs::QlogFile::open(
+            args.trace_dir + "/" + name + ".client.sqlog",
+            obs::paired_trace_info(name, obs::QlogVantage::kClient));
+        if (s->qlog) s->client->set_tracer(s->qlog.get());
       }
+      // Done sessions close, outside the connection's receive path.
       const uint32_t track = static_cast<uint32_t>(args.track_frames);
-      s->client->set_on_frame_complete([&done_count, track](uint32_t idx) {
-        if (idx == track) ++done_count;
+      s->client->set_on_frame_complete([s, &loop, &done_count,
+                                        track](uint32_t idx) {
+        if (idx != track) return;
+        loop.schedule_in(0, [s, &done_count] {
+          s->client->connection().close(0, "done");
+          ++done_count;
+        });
       });
       s->client->connection().set_clock(&mono);
 

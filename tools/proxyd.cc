@@ -1,4 +1,4 @@
-// wira_proxyd: real-socket serving mode (DESIGN.md §6; ROADMAP tentpole).
+// wira_proxyd: real-socket serving mode (DESIGN.md §6).
 //
 // An epoll-driven UDP front end that speaks the repo's QUIC dialect over
 // real sockets.  The session objects are the *same* app::WiraServer /
@@ -8,9 +8,10 @@
 // timer wheel and nothing in src/app, src/quic or src/cc knows whether
 // time is virtual or real.
 //
-// One UDP socket per Table-I scheme; sessions demux by peer address
-// (wira_loadgen gives every session its own connected socket, so the
-// source port is the session identity).  --port-file lists one
+// One UDP socket per Table-I scheme, each routing into an app::WiraEdge
+// keyed by peer address:port (every client uses connection id 1), which
+// creates sessions from CHLOs only and evicts closed or idle ones; the
+// exit line adds the edges' counters.  --port-file lists one
 // "scheme_token addr:port" line per scheme — the exact endpoints
 // wira_loadgen consumes.
 //
@@ -23,14 +24,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "app/wira_server.h"
+#include "app/edge.h"
 #include "core/init_config.h"
 #include "crypto/aead.h"
 #include "media/stream_source.h"
@@ -133,23 +132,10 @@ std::vector<wira::core::Scheme> parse_schemes(const Args& a,
   return out;
 }
 
-/// One live session: the same objects exp::run_session wires up, minus
-/// the simulated path — datagrams arrive from the socket and leave
-/// through sendto(peer).
-struct Session {
-  wira::media::LiveStream stream;
-  std::ofstream qlog;
-  std::optional<wira::obs::QlogStreamWriter> qlog_writer;
-  std::optional<wira::app::WiraServer> server;
-
-  Session(const wira::media::StreamProfile& profile, uint64_t corpus_seed)
-      : stream(profile, corpus_seed) {}
-};
-
 struct SchemeListener {
   wira::core::Scheme scheme;
   wira::net::UdpSocket sock;
-  std::map<wira::net::PeerAddr, std::unique_ptr<Session>> sessions;
+  std::optional<wira::app::WiraEdge> edge;
   uint64_t datagrams = 0;
 };
 
@@ -175,13 +161,31 @@ int main(int argc, char** argv) {
   runtime.sync_now();
   const net::MonotonicClock mono;
 
-  const crypto::Key master_key = crypto::key_from_string("wira-server-7");
-  const media::StreamProfile profile;  // corpus default, as in the sim
-  constexpr uint64_t kCorpusSeed = 42;
+  // Every session serves the corpus default stream, as in the sim; it is
+  // immutable, so all of them share one.
+  const media::LiveStream stream(media::StreamProfile{}, /*corpus_seed=*/42);
+  app::ServerConfig base;
+  base.master_key = crypto::key_from_string("wira-server-7");
+  base.expected_od_key = 0;  // serve any client's cookie binding
+  base.origin_latency = microseconds(args.origin_latency_us);
+  base.stream_horizon = milliseconds(args.stream_horizon_ms);
+  // A new session runs on the real clock and, when tracing, writes its
+  // qlog under a name derived from the peer, as wira_loadgen names its own.
+  const app::WiraEdge::OpenFn open_session =
+      [&](uint64_t key, app::WiraServer& server)
+      -> std::unique_ptr<trace::EventSink> {
+    server.connection().set_clock(&mono);
+    if (args.trace_dir.empty()) return nullptr;
+    const std::string name = "peer_" + net::PeerAddr::from_key(key).file_tag();
+    return obs::QlogFile::open(
+        args.trace_dir + "/" + name + ".server.sqlog",
+        obs::paired_trace_info(name, obs::QlogVantage::kServer));
+  };
 
   std::vector<std::unique_ptr<SchemeListener>> listeners;
   for (size_t si = 0; si < schemes.size(); ++si) {
     auto lst = std::make_unique<SchemeListener>();
+    SchemeListener* raw = lst.get();
     lst->scheme = schemes[si];
     const uint16_t port =
         args.listen == 0 ? 0 : static_cast<uint16_t>(args.listen + si);
@@ -191,55 +195,25 @@ int main(int argc, char** argv) {
                    core::scheme_token(lst->scheme), error.c_str());
       return 1;
     }
-    listeners.push_back(std::move(lst));
-  }
-
-  // Demux + session bring-up.  The recv loop drains the socket fully per
-  // wakeup; a new peer address materializes a new WiraServer wired to
-  // sendto(peer) with buffers recycled through the loop's pool.
-  for (auto& lst_ptr : listeners) {
-    SchemeListener* lst = lst_ptr.get();
-    runtime.add_fd(lst->sock.fd(), [&, lst](uint32_t) {
+    base.scheme = lst->scheme;
+    lst->edge.emplace(loop, stream, base,
+                      [&loop, raw](uint64_t key, std::vector<uint8_t> dgram) {
+                        raw->sock.send_to(net::PeerAddr::from_key(key), dgram);
+                        loop.buffers().release(std::move(dgram));
+                      },
+                      open_session);
+    // The recv loop drains the socket fully per wakeup.
+    runtime.add_fd(lst->sock.fd(), [raw](uint32_t) {
       uint8_t buf[65536];
       for (;;) {
         net::PeerAddr peer;
-        const ssize_t n = lst->sock.recv_from(buf, sizeof buf, &peer);
+        const ssize_t n = raw->sock.recv_from(buf, sizeof buf, &peer);
         if (n < 0) return;
-        lst->datagrams++;
-        auto it = lst->sessions.find(peer);
-        if (it == lst->sessions.end()) {
-          auto session = std::make_unique<Session>(profile, kCorpusSeed);
-          Session* s = session.get();
-          if (!args.trace_dir.empty()) {
-            const std::string name = "peer_" + peer.file_tag();
-            s->qlog.open(args.trace_dir + "/" + name + ".server.sqlog",
-                         std::ios::trunc);
-            if (s->qlog) {
-              s->qlog_writer.emplace(
-                  s->qlog,
-                  obs::paired_trace_info(name, obs::QlogVantage::kServer));
-            }
-          }
-          app::ServerConfig cfg;
-          cfg.scheme = lst->scheme;
-          cfg.master_key = master_key;
-          cfg.expected_od_key = 0;  // serve any client's cookie binding
-          cfg.origin_latency = microseconds(args.origin_latency_us);
-          cfg.stream_horizon = milliseconds(args.stream_horizon_ms);
-          s->server.emplace(loop, s->stream, cfg,
-                            [&, lst, peer](std::vector<uint8_t> dgram) {
-                              lst->sock.send_to(peer, dgram);
-                              loop.buffers().release(std::move(dgram));
-                            });
-          s->server->connection().set_clock(&mono);
-          if (s->qlog_writer.has_value()) {
-            s->server->set_tracer(&*s->qlog_writer);
-          }
-          it = lst->sessions.emplace(peer, std::move(session)).first;
-        }
-        it->second->server->on_datagram({buf, static_cast<size_t>(n)});
+        raw->datagrams++;
+        raw->edge->on_datagram(peer.key(), {buf, static_cast<size_t>(n)});
       }
     });
+    listeners.push_back(std::move(lst));
   }
 
   if (!args.port_file.empty()) {
@@ -266,15 +240,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wira_proxyd: %s\n", runtime.error().c_str());
     return 1;
   }
-  uint64_t sessions = 0;
   uint64_t datagrams = 0;
+  app::WiraEdge::Counters total;
   for (const auto& lst : listeners) {
-    sessions += lst->sessions.size();
     datagrams += lst->datagrams;
+    const app::WiraEdge::Counters& c = lst->edge->counters();
+    total.served += c.served;
+    total.evicted += c.evicted;
+    total.dropped += c.dropped;
+    total.idle_closed += c.idle_closed;
   }
   std::fprintf(stderr,
-               "wira_proxyd: served %llu session(s), %llu datagram(s)\n",
-               static_cast<unsigned long long>(sessions),
-               static_cast<unsigned long long>(datagrams));
+               "wira_proxyd: served %llu session(s), %llu datagram(s); "
+               "evicted %llu, dropped %llu, idle-closed %llu\n",
+               static_cast<unsigned long long>(total.served),
+               static_cast<unsigned long long>(datagrams),
+               static_cast<unsigned long long>(total.evicted),
+               static_cast<unsigned long long>(total.dropped),
+               static_cast<unsigned long long>(total.idle_closed));
   return 0;
 }

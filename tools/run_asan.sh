@@ -120,8 +120,9 @@ echo "sanitized thread dispatch sweep passed"
 # Real-socket serving mode under the sanitizers: wira_proxyd serves all
 # four schemes over loopback UDP while a sanitized wira_loadgen runs a
 # small concurrent population against it.  This is the epoll runtime,
-# the UDP demux, and the whole QUIC stack on real sockets with ASan
+# the UDP routing, and the whole QUIC stack on real sockets with ASan
 # watching both processes; LSan audits the daemon's SIGTERM teardown.
+# Loadgen sessions close, so 5 s later the daemon has evicted all 40.
 "${build_dir}/tools/wira_proxyd" \
   --port-file "${build_dir}/proxyd.port" 2> "${build_dir}/proxyd.log" &
 proxyd_pid=$!
@@ -132,9 +133,12 @@ for _ in $(seq 50); do
 done
 "${build_dir}/tools/wira_loadgen" --ports "${build_dir}/proxyd.port" \
   --sessions 10 --timeout-ms 120000 > "${build_dir}/loadgen.json"
+sleep 5
 kill "${proxyd_pid}"
 wait "${proxyd_pid}" || true
 trap - EXIT
 grep -q '"handshake_failures": 0' "${build_dir}/loadgen.json"
+grep -q 'wira_proxyd: served 40 session(s), .*; evicted 40,' \
+  "${build_dir}/proxyd.log"
 echo "sanitized proxyd/loadgen loopback pass passed"
 echo "sanitizer gate passed"

@@ -11,7 +11,8 @@
 #                  fully ramped) with --sim-compare; gate: per scheme,
 #                  the real p50 FFCT falls inside the tolerance band of
 #                  the sim p50 (see below).
-#   3. trace     — a small traced run; gate: every client/server sqlog
+#   3. trace     — a small traced run; gates: the daemon evicted every
+#                  (closed) session, closing its qlog, and every sqlog
 #                  pair joins cleanly (wira_trace_join rc 0), proving
 #                  the two processes share a timebase.
 #
@@ -131,6 +132,14 @@ start_proxyd --trace-dir "${OUT}/traces"
 "${loadgen}" --ports "${OUT}/ports" --sessions "${TRACE_SESSIONS}" \
   --ramp-ms 1000 --timeout-ms 60000 --trace-dir "${OUT}/traces" \
   > "${OUT}/trace.json" 2> "${OUT}/trace.log"
+# Eviction takes one cookie-sync period (3 s).  Exit line: "wira_proxyd:
+# served N session(s), D datagram(s); evicted E, dropped X, idle-closed I".
+sleep 5
+kill "${proxyd_pid}"
+wait "${proxyd_pid}" || true
+proxyd_pid=""
+tail -n 1 "${OUT}/proxyd.log" |
+  awk '{ print } $2 != "served" || $3 != $8 + 0 { print "FAIL"; exit 1 }'
 "${trace_join}" --trace-dir "${OUT}/traces" -v
 
 echo
