@@ -5,20 +5,21 @@
 // argument overriding the seed, so `./fig11_overall 2000 7` scales the run.
 //
 // Dispatch flags (parse_dispatch_flag; soak parses the same set):
-// `--threads N` shards the session sweep over worker threads; `--procs N`
-// over forked worker processes instead, which also contains crashes.
-// Either way the output is identical at any worker count (sessions are
-// seeded per index), and a dead worker is named and, with
+// `--procs N` shards the session sweep over forked worker processes, which
+// also contain crashes.  The output is identical at any worker count
+// (sessions are seeded per index), and a dead worker is named and, with
 // --retry-dead-shards, its missing sessions are re-run in-process (see
-// exp::PopulationConfig::processes).  `--chunk N` (N >= 1) sets the
-// dispatch chunk size.  run_with_obs applies them to every sweep it runs,
-// so every sweep binary honours them; a dead shard without
+// exp::PopulationConfig::processes).  `--threads 1` is still accepted and
+// means serial; any other --threads value is a usage error naming
+// --procs, since there are no worker threads.  `--chunk N` (N >= 1) sets
+// the dispatch chunk size.  run_with_obs applies them to every sweep it
+// runs, so every sweep binary honours them; a dead shard without
 // --retry-dead-shards ends the run with "error: ..." and exit 3.
 //
 // Observability flags (PR 2):
 //   --metrics-out FILE   write one JSONL line per (session, scheme) with
 //                        the FFCT phase breakdown; byte-identical at any
-//                        --threads N (written post-join in index order).
+//                        --procs N (written post-join in index order).
 //   --trace-sample N     dump a standard qlog (.sqlog, draft-ietf-quic-qlog
 //                        as JSONL) of every Nth session into --trace-dir
 //                        (default "traces/").
@@ -43,8 +44,6 @@ inline constexpr size_t kDefaultSessions = 250;
 
 /// The dispatch flags every sweep binary and soak accept.
 struct DispatchArgs {
-  /// Worker threads: 1 = serial, 0 = one per hardware thread.
-  size_t threads = 1;
   /// Worker processes: 1 = in-process, 0 = one per hardware thread.
   size_t procs = 1;
   /// Dynamic dispatch chunk size (sessions per chunk, >= 1).
@@ -77,7 +76,7 @@ inline bool parse_u64(const char* s, uint64_t* out) {
 
 [[noreturn]] inline void usage_error(const char* prog, const char* msg) {
   std::fprintf(stderr,
-               "error: %s\nusage: %s [sessions] [seed] [--threads N] "
+               "error: %s\nusage: %s [sessions] [seed] "
                "[--procs N] [--chunk N] [--retry-dead-shards] "
                "[--metrics-out FILE] "
                "[--trace-sample N] [--trace-dir DIR]\n",
@@ -112,11 +111,10 @@ inline bool parse_dispatch_flag(int argc, char** argv, int* i,
                                 DispatchArgs* d, UsageFn usage) {
   uint64_t v = 0;
   if (const char* val = flag_value("--threads", argc, argv, i, usage)) {
-    // 0 is meaningful here: auto-detect hardware threads.
-    if (!parse_u64(val, &v)) {
-      usage(argv[0], "--threads must be a non-negative integer");
+    if (!parse_u64(val, &v) || v != 1) {
+      usage(argv[0], "--threads only accepts 1 (serial); use --procs N for "
+                     "a parallel sweep");
     }
-    d->threads = static_cast<size_t>(v);
     return true;
   }
   if (const char* val = flag_value("--procs", argc, argv, i, usage)) {
@@ -191,7 +189,6 @@ inline Args parse_args(int argc, char** argv) {
 
 /// Copies the dispatch flags into `cfg`.
 inline void apply_dispatch(const DispatchArgs& d, exp::PopulationConfig* cfg) {
-  cfg->threads = d.threads;
   cfg->processes = d.procs;
   cfg->chunk = d.chunk;
   cfg->retry_dead_shards = d.retry_dead_shards;
@@ -210,7 +207,7 @@ inline exp::PopulationConfig default_population(const Args& a) {
 /// Runs the population sweep with the dispatch flags applied and honours
 /// the observability flags: when --metrics-out was given, writes the
 /// per-session JSONL (post-join, index order — byte-identical at any
-/// thread count).  A dead shard (retry off) prints "error: <what>" and
+/// worker count).  A dead shard (retry off) prints "error: <what>" and
 /// exits 3.  All fig/abl binaries go through this instead of calling
 /// run_population directly.
 inline std::vector<exp::SessionRecord> run_with_obs(
@@ -251,7 +248,7 @@ inline std::vector<exp::SessionRecord> run_with_obs(
 
 /// Appends the per-phase p50/p90/p99 breakdown to the binary's output.
 /// Built from the same post-join records as the main tables, so it is
-/// byte-identical at any --threads N.  Sweep binaries pass the records of
+/// byte-identical at any --procs N.  Sweep binaries pass the records of
 /// every point they visited, accumulated in visit order.
 inline void print_phase_breakdown(
     const std::vector<exp::SessionRecord>& records) {

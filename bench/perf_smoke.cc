@@ -1,15 +1,15 @@
-// Performance smoke: runs the same Monte-Carlo population serially, over
-// worker threads, and over forked worker processes (both sharded by the
-// one chunk dealer, exp/shard_dispatch), verifies all records are
-// identical (the determinism contract) and unchanged with the anomaly
-// triggers off, prices the observability overhead over alternating
-// (plain, metrics) pairs of thread passes, and prints one JSON object
+// Performance smoke: runs the same Monte-Carlo population serially and over
+// forked worker processes (sharded by the chunk dealer,
+// exp/shard_dispatch), verifies all records are identical (the
+// determinism contract) and unchanged with the anomaly triggers off,
+// prices the observability overhead over alternating (plain, metrics)
+// pairs of multiprocess passes, and prints one JSON object
 // with sessions/sec plus the aggregate metrics registry so successive
 // runs build a perf trajectory (tools/run_perf_smoke.sh appends it to
 // bench_history/; tools/bench_gate.py gates the throughput numbers,
 // including the multiprocess sessions_per_sec_np datapoint).
 //
-// Usage: perf_smoke [sessions] [seed] [--threads N] [--procs N]
+// Usage: perf_smoke [sessions] [seed] [--procs N]
 //        (N=0 -> hardware; --procs defaults to a 2-worker datapoint)
 #include <chrono>
 #include <cstdio>
@@ -40,7 +40,7 @@ double run_timed(const PopulationConfig& cfg, std::vector<SessionRecord>* out,
 
 // Formats microseconds as fixed-point milliseconds.  All inputs are
 // integer-derived (histogram means/percentiles over integer buckets), so
-// the string is identical across runs and thread counts.
+// the string is identical across runs and worker counts.
 std::string ms(double us) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", us / 1000.0);
@@ -50,7 +50,7 @@ std::string ms(double us) {
 // Per-scheme mean FFCT (ms) and per-scheme-per-phase {p50,p90,p99} (ms)
 // from the aggregate registry.  These two objects are the QoE half of the
 // perf trajectory: tools/bench_gate.py compares them across runs, so they
-// must stay deterministic at any --threads N (they are: the parent folds
+// must stay deterministic at any --procs N (they are: the parent folds
 // the registry in index order and percentiles are pure functions of the
 // counts).
 void summarize_qoe(const obs::MetricsRegistry& registry,
@@ -137,14 +137,10 @@ int main(int argc, char** argv) {
   auto cfg = bench::default_population(args);
   bench::apply_dispatch(args, &cfg);
 
-  const size_t par_threads =
-      args.threads == 1 ? std::thread::hardware_concurrency() : args.threads;
-
   // apply_dispatch copies --procs into the config; only the multiprocess
-  // pass below may fork, or every in-process pass would silently measure
-  // the forked runner instead.
+  // passes below may fork, or the serial pass would silently measure the
+  // forked runner instead.
   cfg.processes = 1;
-  cfg.threads = 1;
   std::vector<SessionRecord> serial_records;
   const uint64_t allocs_before = util::heap_alloc_count();
   const double serial_sec = run_timed(cfg, &serial_records);
@@ -173,22 +169,14 @@ int main(int argc, char** argv) {
   const std::vector<SessionRecord> recorder_off_records = run_population(cfg);
   cfg.flight_recorder = true;
 
-  // Thread pass: worker threads stream serialized records back over
-  // pipes to the chunk dealer, which reassembles them index-addressed.
-  cfg.threads = par_threads;
-  std::vector<SessionRecord> parallel_records;
-  const double parallel_sec = run_timed(cfg, &parallel_records);
-
-  // Multiprocess pass: the same dealer and wire codec with forked
-  // workers — the identical-records check below extends the determinism
-  // contract across the process boundary.
+  // Multiprocess pass: forked workers stream serialized records back over
+  // pipes to the chunk dealer, which reassembles them index-addressed —
+  // the identical-records check below extends the determinism contract
+  // across the process boundary.
   const size_t procs = args.procs == 1 ? 2 : args.procs;
-  cfg.threads = 1;
   cfg.processes = procs;
   std::vector<SessionRecord> procs_records;
   const double procs_sec = run_timed(cfg, &procs_records);
-  cfg.processes = 1;
-  cfg.threads = par_threads;
 
   const std::vector<uint8_t> serial_bytes = record_bytes(serial_records);
   for (SessionRecord& rec : serial_records) {
@@ -198,11 +186,10 @@ int main(int argc, char** argv) {
     rec.anomaly_ffct_dumps = 0;
   }
   const bool deterministic =
-      serial_bytes == record_bytes(parallel_records) &&
       serial_bytes == record_bytes(procs_records) &&
       record_bytes(serial_records) == record_bytes(recorder_off_records);
 
-  // Overhead pairs, over worker threads: a plain pass and one with the
+  // Overhead pairs, over forked workers: a plain pass and one with the
   // full observability stack on (phase spans + the parent's index-order
   // registry fold).  One pass against one other reads host noise as
   // overhead, so the overhead is the median of the per-pair ratios, and
@@ -213,7 +200,7 @@ int main(int argc, char** argv) {
   constexpr int kOverheadPairs = 4;
   // Stamped into the record: bench_gate.py compares metrics_overhead only
   // between records measured the same way.
-  constexpr const char* kOverheadMethod = "paired_median_4";
+  constexpr const char* kOverheadMethod = "paired_median_4_procs";
   PopulationConfig metrics_cfg = cfg;
   metrics_cfg.collect_metrics = true;
   obs::MetricsRegistry registry;
@@ -237,8 +224,6 @@ int main(int argc, char** argv) {
   const double metrics_sec = metrics_secs.percentile(50);
 
   const double n = static_cast<double>(args.sessions);
-  const size_t effective_threads =
-      par_threads == 0 ? std::thread::hardware_concurrency() : par_threads;
   const size_t effective_procs =
       procs == 0 ? std::thread::hardware_concurrency() : procs;
   std::ostringstream metrics_json;
@@ -252,7 +237,6 @@ int main(int argc, char** argv) {
       "  \"bench\": \"perf_smoke\",\n"
       "  \"sessions\": %zu,\n"
       "  \"seed\": %llu,\n"
-      "  \"threads\": %zu,\n"
       "  \"procs\": %zu,\n"
       "  \"hardware_concurrency\": %u,\n"
       "  \"cpu_family\": \"%s\",\n"
@@ -261,13 +245,10 @@ int main(int argc, char** argv) {
       "  \"cpu_mhz\": \"%s\",\n"
       "  \"peak_rss_mb\": %.1f,\n"
       "  \"serial_sec\": %.3f,\n"
-      "  \"parallel_sec\": %.3f,\n"
       "  \"procs_sec\": %.3f,\n"
       "  \"metrics_sec\": %.3f,\n"
       "  \"sessions_per_sec_1t\": %.1f,\n"
-      "  \"sessions_per_sec_nt\": %.1f,\n"
       "  \"sessions_per_sec_np\": %.1f,\n"
-      "  \"speedup\": %.2f,\n"
       "  \"metrics_overhead\": %.3f,\n"
       "  \"metrics_overhead_method\": \"%s\",\n"
       "  \"allocs_per_session\": %.1f,\n"
@@ -278,16 +259,14 @@ int main(int argc, char** argv) {
       "  \"metrics\": %s\n"
       "}\n",
       args.sessions, static_cast<unsigned long long>(args.seed),
-      effective_threads, effective_procs,
+      effective_procs,
       std::thread::hardware_concurrency(),
       util::json_escape(cpu.family).c_str(),
       util::json_escape(cpu.model).c_str(),
       util::json_escape(cpu.stepping).c_str(),
       util::json_escape(cpu.mhz).c_str(),
       static_cast<double>(obs::peak_rss_bytes().value_or(0)) / 1e6,
-      serial_sec, parallel_sec, procs_sec, metrics_sec, n / serial_sec,
-      n / parallel_sec, n / procs_sec,
-      serial_sec / parallel_sec,
+      serial_sec, procs_sec, metrics_sec, n / serial_sec, n / procs_sec,
       metrics_overhead, kOverheadMethod, allocs_per_session,
       arena_bytes_per_session, deterministic ? "true" : "false",
       ffct_json.c_str(), phases_json.c_str(), metrics_json.str().c_str());

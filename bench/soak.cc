@@ -45,7 +45,7 @@ struct SoakArgs : bench::DispatchArgs {
 [[noreturn]] void soak_usage(const char* prog, const char* msg) {
   std::fprintf(stderr,
                "error: %s\nusage: %s [sessions] [seed] [--sessions N] "
-               "[--flush-every N] [--seed N] [--threads N] [--procs N] "
+               "[--flush-every N] [--seed N] [--procs N] "
                "[--chunk N] [--retry-dead-shards] "
                "[--flush-out FILE] [--anomaly-dir DIR] "
                "[--anomaly-ffct-ms N]\n",
@@ -149,7 +149,7 @@ void on_flush(uint64_t sessions_done, std::string* extra, void* arg) {
     *extra += buf;
   }
   // Chunk-scheduler telemetry rides every flush line when a dispatcher is
-  // driving the sweep (--threads N or --procs N, N > 1): per-worker
+  // driving the sweep (--procs N, N > 1): per-worker
   // completed chunk counts plus the busy-worker high-watermark.
   // wira_exporterd turns these into wira_dispatch_* Prometheus families.
   if (m->dispatch.workers_spawned > 0) {
@@ -256,7 +256,6 @@ int main(int argc, char** argv) {
       "  \"sessions\": %zu,\n"
       "  \"flush_every\": %zu,\n"
       "  \"seed\": %llu,\n"
-      "  \"threads\": %zu,\n"
       "  \"procs\": %zu,\n"
       "  \"hardware_concurrency\": %u,\n"
       "  \"elapsed_sec\": %.3f,\n"
@@ -269,7 +268,7 @@ int main(int argc, char** argv) {
       "  \"aggregate\": %s\n"
       "}\n",
       args.sessions, args.flush_every,
-      static_cast<unsigned long long>(args.seed), args.threads, args.procs,
+      static_cast<unsigned long long>(args.seed), args.procs,
       std::thread::hardware_concurrency(), elapsed,
       elapsed > 0 ? static_cast<double>(args.sessions) / elapsed : 0.0,
       allocs > 0 ? static_cast<double>(allocs) / runs : 0.0,

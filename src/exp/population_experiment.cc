@@ -104,7 +104,7 @@ void record_session_metrics(obs::MetricsRegistry& m, const SessionRecord& rec,
     }
   }
   // Folded from the record (not counted at the failing open) so serial,
-  // threaded, multiprocess and salvage-retry runs all agree exactly.
+  // multiprocess and salvage-retry runs all agree exactly.
   if (rec.trace_open_failures > 0) {
     m.inc("trace.open_failed", rec.trace_open_failures);
   }
@@ -134,7 +134,7 @@ enum class AnomalyTrigger { kNone, kStall, kCornerCase, kDecodeError, kFfct };
 /// the highest-priority condition wins, so each run yields at most one
 /// dump with an unambiguous label.  Reads only counters the run keeps
 /// whether or not it is traced, so it is a pure function of the session —
-/// every execution mode (serial / threads / procs / salvage-retry)
+/// every execution mode (serial / procs / salvage-retry)
 /// computes the same triggers, which is what keeps records byte-identical.
 AnomalyTrigger anomaly_trigger(const PopulationConfig& config,
                                const SessionResult& res) {
@@ -214,10 +214,11 @@ void CrashReplay::discard() {
 
 /// Simulates session `i` of the population sweep.  All randomness derives
 /// from (config.seed, i) and `population` is read-only, so sessions are
-/// independent: every worker (thread or forked child) calls this and the
-/// result is identical to the serial loop.  `ws` is the caller's recycled
-/// session machinery (one per worker): reusing it across sessions is what
-/// keeps steady-state heap allocations bounded (DESIGN.md §6).
+/// independent: every worker (forked child or the parent's retry) calls
+/// this and the result is identical to the serial loop.  `ws` is the
+/// caller's recycled session machinery (one per worker): reusing it across
+/// sessions is what keeps steady-state heap allocations bounded (DESIGN.md
+/// §6).
 SessionRecord run_one_session(const PopulationConfig& config,
                               const popgen::Population& population,
                               size_t i, SessionWorkspace& ws,
@@ -416,13 +417,16 @@ void run_population(const PopulationConfig& config,
         "run_population: remote workers are not supported; leave workers "
         "empty");
   }
+  if (config.threads != 1) {
+    throw std::invalid_argument(
+        "run_population: worker threads are not supported; set processes "
+        "for a parallel sweep");
+  }
   internal::prepare_trace_dir(config);
   internal::prepare_anomaly_dir(config);
-  if (clamp_threads(config.processes, config.sessions) > 1 ||
-      clamp_threads(config.threads, config.sessions) > 1) {
-    // Shard dispatch (exp/shard_dispatch): worker threads or pipe
-    // children behind one dynamic chunk dealer and index-addressed
-    // reassembly.
+  if (clamp_threads(config.processes, config.sessions) > 1) {
+    // Shard dispatch (exp/shard_dispatch): forked workers behind one
+    // dynamic chunk dealer and index-addressed reassembly.
     dispatch_population_stream(config, metrics, sink);
     return;
   }

@@ -31,8 +31,8 @@ inline constexpr size_t kNoSessionIndex = static_cast<size_t>(-1);
 /// flush JSONL, where wira_exporterd turns it into
 /// wira_dispatch_chunks_total{worker=...} / wira_dispatch_worker_busy.
 struct DispatchStats {
-  /// Worker threads or processes actually started (empty assignments are
-  /// skipped, so this is min(requested workers, number of chunks)).
+  /// Worker processes actually forked (empty assignments are skipped, so
+  /// this is min(requested workers, number of chunks)).
   size_t workers_spawned = 0;
   /// High-watermark of workers holding an in-flight chunk at once.
   size_t busy_workers = 0;
@@ -46,15 +46,13 @@ struct PopulationConfig {
   uint64_t seed = 1;
   size_t sessions = 300;
   size_t num_groups = 64;
-  /// Worker threads for the session sweep: 1 = serial (default),
-  /// 0 = one per hardware thread, N = exactly N.  Threads are one of the
-  /// two shard channel kinds: each runs the shard worker loop over a pipe
-  /// pair, behind the same chunk dealer, failure taxonomy and salvage as
-  /// `processes` (exp/shard_dispatch).  Ignored when processes > 1.
+  /// Must stay 1: run_population throws std::invalid_argument otherwise.
+  /// Parallel sweeps fork workers (`processes`); the field is kept only
+  /// because perfbench/sweep.cc sets it, and it goes with the next change
+  /// to the benchmark.
   size_t threads = 1;
-  /// Worker *processes* for the session sweep (the crash-containing shard
-  /// unit): 1 = in-process (default; `threads` decides serial vs worker
-  /// threads), 0 = one per hardware thread, N = fork exactly N workers.
+  /// Worker processes for the session sweep: 1 = the serial in-process
+  /// loop (default), 0 = one per hardware thread, N = fork exactly N.
   /// Workers pull index chunks (see `chunk`) from a shared queue and
   /// stream serialized records back over a pipe (exp/record_codec);
   /// per-index seeding and index-addressed reassembly make the output
@@ -62,7 +60,7 @@ struct PopulationConfig {
   /// worker that dies (crash, signal, truncated stream, thrown session)
   /// is detected and named; see retry_dead_shards.
   size_t processes = 1;
-  /// Sessions per dispatch chunk for every worker kind; must be positive.
+  /// Sessions per dispatch chunk; must be positive.
   /// Workers pull the next chunk when idle, so one expensive stretch of
   /// indices never gates the sweep.  Small chunks keep the tail balanced
   /// (the last chunks finish close together); each chunk costs only one
@@ -132,8 +130,8 @@ struct PopulationConfig {
   /// the worker-failure paths without patching the runner.
   size_t fail_at_index = kNoSessionIndex;
   /// raise(SIGKILL) when a forked worker reaches this session index.
-  /// Honored only by workers that own their process (forked children),
-  /// never by worker threads, so the test process itself never dies.
+  /// Honored only by forked workers, never by the serial loop, so the
+  /// test process itself never dies.
   size_t kill_at_index = kNoSessionIndex;
   /// raise(crash_after_signal), with its default disposition, after a
   /// forked worker *finishes* this session index (its record already
@@ -157,7 +155,7 @@ struct SessionRecord {
   /// Anomaly triggers across this session's scheme runs
   /// (at most one per (session, scheme), labeled by the highest-priority
   /// trigger: stall > corner_case > decode_error > ffct).  Deterministic
-  /// functions of the session, so serial/threaded/multiprocess/retry runs
+  /// functions of the session, so serial/multiprocess/retry runs
   /// agree bit-exactly; surfaced as `anomaly.dumps.<trigger>` counters.
   uint64_t anomaly_stall_dumps = 0;
   uint64_t anomaly_corner_dumps = 0;
@@ -177,8 +175,8 @@ struct ShardDeath {
                             ///< 1", "truncated record stream", ...
 };
 
-/// Thrown by a sharded run_population (threads or processes;
-/// retry_dead_shards off) when one or more workers die.  Carries
+/// Thrown by a sharded run_population (processes > 1, retry_dead_shards
+/// off) when one or more workers die.  Carries
 /// everything the caller needs to salvage: the index-addressed records
 /// that did arrive (missing slots are default-constructed) and the exact
 /// indices still owed.
@@ -213,15 +211,15 @@ void record_session_metrics(obs::MetricsRegistry& m, const SessionRecord& rec,
 /// Runs the population sweep.  When `metrics` is non-null, per-scheme
 /// counters and histograms (FFCT, corner-case rates, and — with
 /// config.collect_metrics — the per-phase breakdown) are accumulated into
-/// it.  Sharded runs (worker threads or forked processes) send every
-/// record back through the versioned record codec, and the parent folds
-/// the registry in index order as records reach the sink, so `--threads
-/// N` / `--procs N` output is byte-identical to serial.  A thin wrapper:
+/// it.  Sharded runs (forked worker processes) send every record back
+/// through the versioned record codec, and the parent folds the registry
+/// in index order as records reach the sink, so `--procs N` output is
+/// byte-identical to serial.  A thin wrapper:
 /// a CollectSink plus the sink overload below, whose failure contract it
 /// shares; on PopulationShardError it moves the records the sink already
 /// holds into `salvaged`, so the salvage covers every arrived index.
-/// Throws std::invalid_argument when config.chunk is 0 or config.workers
-/// is non-empty.
+/// Throws std::invalid_argument when config.chunk is 0, config.threads
+/// is not 1 or config.workers is non-empty.
 std::vector<SessionRecord> run_population(const PopulationConfig& config,
                                           obs::MetricsRegistry* metrics);
 
@@ -230,7 +228,7 @@ std::vector<SessionRecord> run_population(const PopulationConfig& config,
 /// dropped, so the sweep holds O(workers · chunk) records at any instant
 /// instead of O(sessions) — this is the million-session soak path.
 /// Records, their order, and the metrics aggregate are byte-identical at
-/// any `threads`/`processes` setting.
+/// any `processes` setting.
 ///
 /// Failure contract (any sharded run): when a worker dies and
 /// retry_dead_shards is off, dispatch stops dealing queued chunks,

@@ -2,8 +2,8 @@
 // population_experiment.cc and the shard dispatcher (exp/shard_dispatch).
 // Everything here is an implementation detail: the functions live in
 // population_experiment.cc and keep their exact serial semantics — the
-// dispatcher reuses them so every execution mode (serial, threads, pipe
-// workers, TCP workers, salvage retry) runs the same session code.
+// dispatcher reuses them so every execution mode (serial, forked workers,
+// salvage retry) runs the same session code.
 #pragma once
 
 #include "exp/population_experiment.h"

@@ -30,7 +30,7 @@ namespace wira::exp {
 ///
 /// Contract: on_record is called exactly once per session, in strictly
 /// increasing index order, and never concurrently (the runner serializes
-/// calls no matter how many threads or processes produced the records) —
+/// calls no matter how many worker processes produced the records) —
 /// sinks need not be thread-safe.  The record is moved from after the
 /// call, so sinks may scavenge it.  on_complete fires once after the last
 /// record of a fully successful sweep; on failure the sweep throws

@@ -1,7 +1,7 @@
 // Per-session JSONL export (--metrics-out): one JSON object per
 // (session, scheme) pair, written after the population sweep completes so
 // the file content is a pure function of the records — byte-identical at
-// any --threads N.  Durations are integer nanoseconds; phase spans sum to
+// any --procs N.  Durations are integer nanoseconds; phase spans sum to
 // exactly ffct_ns (see obs::ffct_phases).
 #pragma once
 

@@ -94,8 +94,8 @@ struct ManualInitConfig;
 /// message.  Results are bit-identical to workspace-free runs — the reset
 /// contract is "indistinguishable from a fresh loop".
 ///
-/// Not thread-safe: one workspace per worker thread/process, like the
-/// loop it owns.
+/// Not thread-safe: one workspace per worker process, like the loop it
+/// owns.
 class SessionWorkspace {
  public:
   SessionWorkspace() = default;

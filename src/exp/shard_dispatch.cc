@@ -1,10 +1,10 @@
-// Dynamic chunk dispatcher over two shard transports (DESIGN.md §6).  See
+// Dynamic chunk dispatcher over forked shard workers (DESIGN.md §6).  See
 // shard_dispatch.h for the scheduling and transport contracts; this file
-// holds the worker loop (shared by worker threads and forked children),
-// the two channel implementations, and the dispatch driver.  Both ends
-// read their incoming stream through one exp::FrameReader: the worker
-// blocks on its control stream (next_control), the parent parses each
-// record stream as poll() reports data (ChunkDispatcher::parse).
+// holds the worker loop a forked child runs, the pipe channel the parent
+// holds for it, and the dispatch driver.  Both ends read their incoming
+// stream through one exp::FrameReader: the worker blocks on its control
+// stream (next_control), the parent parses each record stream as poll()
+// reports data (ChunkDispatcher::parse).
 #include "exp/shard_dispatch.h"
 
 #include <poll.h>
@@ -21,8 +21,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <system_error>
-#include <thread>
 #include <utility>
 
 #include "exp/population_internal.h"
@@ -66,7 +64,9 @@ std::vector<Chunk> make_chunks(size_t sessions, size_t chunk_size) {
 
 size_t clamp_threads(size_t requested, size_t n) {
   if (requested == 0) {
-    requested = std::max<size_t>(1, std::thread::hardware_concurrency());
+    // Online CPUs: what hardware_concurrency() reports on glibc.
+    requested = static_cast<size_t>(
+        std::max<long>(1, sysconf(_SC_NPROCESSORS_ONLN)));
   }
   return std::max<size_t>(1, std::min(requested, n));
 }
@@ -85,18 +85,17 @@ bool next_control(FrameReader& reader, int fd, FrameView* view) {
   }
 }
 
-/// Shared worker loop body: reads kChunkAssign/kEnd control frames from
+/// Worker loop body: reads kChunkAssign/kEnd control frames from
 /// control_fd, runs each assigned chunk through the serial session code,
 /// and streams one kSessionRecord frame per completed session (plus a
-/// final kEnd) to data_fd.  A forked child owns its process and honors
-/// the signal-raising fault hooks; a thread worker shares the parent's
-/// process and does not.  A non-null `crash` makes this a crash replay
-/// (internal::CrashReplay).  Returns 0 clean, 1 a session threw (the
-/// exception text in *error), 2 control-protocol violation, 3 data write
-/// failed (parent gone).
-int run_worker_loop(const PopulationConfig& config, int control_fd,
-                    int data_fd, bool owns_process,
-                    internal::CrashReplay* crash, std::string* error) {
+/// final kEnd) to data_fd.  It owns its process, so it honors the
+/// signal-raising fault hooks.  A non-null `crash` makes this a crash
+/// replay (internal::CrashReplay).  Returns 0 clean, 1 a session threw
+/// (reported on stderr, since the exit status alone cannot carry it), 2
+/// control-protocol violation, 3 data write failed (parent gone).
+int run_worker_loop(const PopulationConfig& config, size_t worker,
+                    int control_fd, int data_fd,
+                    internal::CrashReplay* crash) {
   FrameReader control;
   std::vector<uint8_t> out;
   try {
@@ -127,7 +126,7 @@ int run_worker_loop(const PopulationConfig& config, int control_fd,
       const Chunk chunk = todo.front();
       todo.pop_front();
       for (size_t i = chunk.begin; i < chunk.end; ++i) {
-        if (owns_process && i == config.kill_at_index) {
+        if (i == config.kill_at_index) {
           // Fault injection: flush what we have (header included) so the
           // parent sees a well-formed prefix, then die like a crash would.
           (void)internal::write_all(data_fd, out.data(), out.size());
@@ -143,7 +142,7 @@ int run_worker_loop(const PopulationConfig& config, int control_fd,
                      out);
         if (!internal::write_all(data_fd, out.data(), out.size())) return 3;
         out.clear();
-        if (owns_process && i == config.crash_after_index) {
+        if (i == config.crash_after_index) {
           // Die of the signal itself, as an unhandled crash would, even
           // where a handler for it is installed (a sanitizer's).
           std::signal(config.crash_after_signal, SIG_DFL);
@@ -155,63 +154,32 @@ int run_worker_loop(const PopulationConfig& config, int control_fd,
     if (!internal::write_all(data_fd, out.data(), out.size())) return 3;
     return 0;
   } catch (const std::exception& e) {
-    *error = e.what();
+    std::fprintf(stderr, "wira population worker %zu: %s\n", worker,
+                 e.what());
     return 1;
   } catch (...) {
-    *error = "unknown exception";
+    std::fprintf(stderr, "wira population worker %zu: unknown exception\n",
+                 worker);
     return 1;
   }
 }
 
-/// Worker loop of a forked pipe child.  It owns its process: a write to a
-/// vanished parent must fail (exit 3) instead of raising SIGPIPE, and a
-/// throwing session is reported on stderr, since the exit status alone
-/// cannot carry it.  With `crash_replay` the child re-runs a dead shard's
-/// chunk as a crash replay (DESIGN.md §7): each (session, scheme) streams
-/// into anomaly_dir, and only a replay that dies leaves its in-flight
-/// crash_session_<i>_<scheme> pair behind.
+/// Body of a forked pipe child.  A write to a vanished parent must fail
+/// (exit 3) instead of raising SIGPIPE.  With `crash_replay` the child
+/// re-runs a dead shard's chunk as a crash replay (DESIGN.md §7): each
+/// (session, scheme) streams into anomaly_dir, and only a replay that dies
+/// leaves its in-flight crash_session_<i>_<scheme> pair behind.
 int run_shard_worker(const PopulationConfig& config, size_t worker,
                      int control_fd, int data_fd, bool crash_replay) {
   std::signal(SIGPIPE, SIG_IGN);
   internal::CrashReplay crash;
-  std::string error;
-  const int code =
-      run_worker_loop(config, control_fd, data_fd, /*owns_process=*/true,
-                      crash_replay ? &crash : nullptr, &error);
-  if (code == 1) {
-    std::fprintf(stderr, "wira population worker %zu: %s\n", worker,
-                 error.c_str());
-  }
+  const int code = run_worker_loop(config, worker, control_fd, data_fd,
+                                   crash_replay ? &crash : nullptr);
   crash.discard();  // still alive: nothing crashed
   return code;
 }
 
 // ---- transports ---------------------------------------------------------
-
-/// One parent<->worker byte channel: a worker thread or a forked child.
-/// The dispatcher only needs a readable fd for record frames, a
-/// control-frame writer, a hard-kill lever for cleanup, and a terminal
-/// classification.
-class ShardChannel {
- public:
-  virtual ~ShardChannel() = default;
-
-  /// Fd the worker's record stream arrives on (poll()-able).
-  virtual int data_fd() const = 0;
-  /// Closes the parent-side read end (idempotent).
-  virtual void close_data() = 0;
-  /// Ships control bytes (assignments / end marker).  Failure means the
-  /// worker is gone; its death is classified from the data stream.
-  virtual bool send_control(const uint8_t* data, size_t n) = 0;
-  /// Forcibly stops the worker (cleanup after a defect): a signal for a
-  /// process, closed streams for a thread.  Harmless on an already-dead
-  /// worker.
-  virtual void hard_kill() = 0;
-  /// Reaps the worker and returns a dirty-exit reason ("killed by signal
-  /// 9", "exited with status 3", "threw: ...") or "" for a clean exit.
-  /// Call at most once, after EOF.
-  virtual std::string finish() = 0;
-};
 
 /// Opens one local worker's control pipe (parent writes cfds[1]) and data
 /// pipe (parent reads dfds[0]).  Throws, leaking nothing, on failure.
@@ -234,84 +202,15 @@ void close_fd(int* fd) {
   }
 }
 
-/// In-process worker: a std::thread running the worker loop over a
-/// control pipe and a data pipe, so it reaches the parser, reorder bound,
-/// metrics fold and salvage through the same frames a forked child
-/// sends.  It shares the parent's process, so the loop leaves
-/// process-wide state alone; the dispatcher's SigpipeGuard outlives the
-/// join and turns a closed data pipe into a failed write.
-class ThreadShardChannel final : public ShardChannel {
- public:
-  explicit ThreadShardChannel(const PopulationConfig& config) {
-    int cfds[2];
-    int dfds[2];
-    open_worker_pipes(cfds, dfds);
-    control_fd_ = cfds[1];
-    data_fd_ = dfds[0];
-    try {
-      thread_ = std::thread([this, &config, control_rd = cfds[0],
-                             data_wr = dfds[1]] {
-        status_ = run_worker_loop(config, control_rd, data_wr,
-                                  /*owns_process=*/false, nullptr, &error_);
-        close(control_rd);
-        close(data_wr);  // the parent's EOF
-      });
-    } catch (const std::system_error&) {
-      close(cfds[0]);
-      close(dfds[1]);
-      close_fd(&control_fd_);
-      close_fd(&data_fd_);
-      throw std::runtime_error("run_population: cannot start worker thread");
-    }
-  }
-
-  ~ThreadShardChannel() override {
-    hard_kill();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  // The thread holds `this`.
-  ThreadShardChannel(const ThreadShardChannel&) = delete;
-  ThreadShardChannel& operator=(const ThreadShardChannel&) = delete;
-
-  int data_fd() const override { return data_fd_; }
-  void close_data() override { close_fd(&data_fd_); }
-
-  bool send_control(const uint8_t* data, size_t n) override {
-    if (control_fd_ < 0) return false;
-    return internal::write_all(control_fd_, data, n);
-  }
-
-  // The worker's next control read sees EOF and its next record write
-  // fails, so it stops at the end of its current session.
-  void hard_kill() override {
-    close_fd(&control_fd_);
-    close_fd(&data_fd_);
-  }
-
-  std::string finish() override {
-    close_fd(&control_fd_);
-    thread_.join();
-    if (status_ == 0) return "";
-    if (status_ == 1) return "threw: " + error_;
-    return "exited with status " + std::to_string(status_);
-  }
-
- private:
-  int control_fd_ = -1;
-  int data_fd_ = -1;
-  // Written by the thread, read after the join.
-  int status_ = 0;
-  std::string error_;
-  std::thread thread_;
-};
-
-class PipeShardChannel : public ShardChannel {
+/// The parent's end of one forked worker: a control pipe it writes chunk
+/// assignments to, a data pipe the worker's record stream arrives on, and
+/// the pid that waitpid() classifies the worker's exit from.
+class PipeShardChannel {
  public:
   PipeShardChannel(pid_t pid, int control_fd, int data_fd)
       : pid_(pid), control_fd_(control_fd), data_fd_(data_fd) {}
 
-  ~PipeShardChannel() override {
+  ~PipeShardChannel() {
     close_fd(&control_fd_);
     close_fd(&data_fd_);
     if (!reaped_) {
@@ -323,17 +222,26 @@ class PipeShardChannel : public ShardChannel {
   }
 
   int control_fd() const { return control_fd_; }
-  int data_fd() const override { return data_fd_; }
-  void close_data() override { close_fd(&data_fd_); }
+  /// Fd the worker's record stream arrives on (poll()-able).
+  int data_fd() const { return data_fd_; }
+  /// Closes the parent-side read end (idempotent).
+  void close_data() { close_fd(&data_fd_); }
 
-  bool send_control(const uint8_t* data, size_t n) override {
+  /// Ships control bytes (assignments / end marker).  Failure means the
+  /// worker is gone; its death is classified from the data stream.
+  bool send_control(const uint8_t* data, size_t n) {
     if (control_fd_ < 0) return false;
     return internal::write_all(control_fd_, data, n);
   }
 
-  void hard_kill() override { kill(pid_, SIGKILL); }
+  /// Forcibly stops the worker (cleanup after a defect).  Harmless on an
+  /// already-dead worker.
+  void hard_kill() { kill(pid_, SIGKILL); }
 
-  std::string finish() override {
+  /// Reaps the worker and returns a dirty-exit reason ("killed by signal
+  /// 9", "exited with status 3") or "" for a clean exit.  Call at most
+  /// once, after EOF.
+  std::string finish() {
     close_fd(&control_fd_);
     int status = 0;
     while (waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
@@ -358,7 +266,7 @@ class PipeShardChannel : public ShardChannel {
 // ---- parent side --------------------------------------------------------
 
 struct WorkerState {
-  std::unique_ptr<ShardChannel> ch;
+  std::unique_ptr<PipeShardChannel> ch;
   std::deque<size_t> assigned;  ///< chunk ids; front is in flight
   size_t pos = 0;               ///< sessions completed of the front chunk
 
@@ -368,7 +276,7 @@ struct WorkerState {
   bool retired = false;   ///< dead worker whose sessions re-run in-process
   bool end_sent = false;  ///< kEnd control frame shipped
   std::string defect;         ///< first stream-level defect, latched
-  std::string finish_reason;  ///< from ShardChannel::finish()
+  std::string finish_reason;  ///< from PipeShardChannel::finish()
 
   /// Parsed records not yet handed to the sink, in index order.
   std::deque<std::pair<size_t, SessionRecord>> ready;
@@ -392,10 +300,7 @@ class ChunkDispatcher {
  public:
   explicit ChunkDispatcher(const PopulationConfig& config)
       : config_(config), stats_(config.dispatch_stats) {
-    // Channel kind: forked children when processes > 1, else threads.
-    size_t requested = clamp_threads(config.processes, config.sessions);
-    fork_ = requested > 1;
-    if (!fork_) requested = clamp_threads(config.threads, config.sessions);
+    const size_t requested = clamp_threads(config.processes, config.sessions);
     chunks_ = make_chunks(config.sessions, config.chunk);
     chunk_owner_.assign(chunks_.size(), -1);
     // S1: never materialize a worker that would get an empty assignment.
@@ -430,12 +335,11 @@ class ChunkDispatcher {
 
   void spawn() {
     workers_.resize(w_count_);
-    if (fork_) {
-      spawn_pipe_workers();
-    } else {
-      for (size_t w = 0; w < w_count_; ++w) {
-        workers_[w].ch = std::make_unique<ThreadShardChannel>(config_);
-      }
+    std::vector<int> parent_fds;  // earlier workers' parent-side fds
+    for (size_t w = 0; w < w_count_; ++w) {
+      workers_[w].ch = fork_worker(w, parent_fds, /*crash_replay=*/false);
+      parent_fds.push_back(workers_[w].ch->control_fd());
+      parent_fds.push_back(workers_[w].ch->data_fd());
     }
     // Stream header + the double-buffered initial deal: two rounds of one
     // chunk each, round-robin, so every worker starts with an in-flight
@@ -633,11 +537,8 @@ class ChunkDispatcher {
   /// replay that survives leaves no pair: the crash depended on something
   /// outside the session (state leaking between sessions, or the host),
   /// itself a finding worth the warning.
-  /// Thread workers share this process, so they cannot have crashed.
   void replay_crash(const ShardDeath& d, obs::MetricsRegistry* metrics) const {
-    if (!config_.flight_recorder || config_.anomaly_dir.empty() || !fork_) {
-      return;
-    }
+    if (!config_.flight_recorder || config_.anomaly_dir.empty()) return;
     const size_t end = std::min(d.died_at + 1, d.stripe_end);
     if (d.stripe_begin >= end) return;
     const std::unique_ptr<PipeShardChannel> ch =
@@ -721,17 +622,6 @@ class ChunkDispatcher {
     stats_->busy_workers = std::max(stats_->busy_workers, busy);
   }
 
-  void spawn_pipe_workers() {
-    std::vector<int> parent_fds;  // earlier workers' parent-side fds
-    for (size_t w = 0; w < w_count_; ++w) {
-      std::unique_ptr<PipeShardChannel> ch =
-          fork_worker(w, parent_fds, /*crash_replay=*/false);
-      parent_fds.push_back(ch->control_fd());
-      parent_fds.push_back(ch->data_fd());
-      workers_[w].ch = std::move(ch);
-    }
-  }
-
   /// Forks worker w over a fresh control/data pipe pair.  The child drops
   /// every parent-side fd in `inherited` so a sibling's EOF is not held
   /// open by it, runs run_shard_worker and _Exits with its code.
@@ -766,7 +656,6 @@ class ChunkDispatcher {
   std::vector<int> chunk_owner_;
   std::vector<WorkerState> workers_;
   size_t w_count_ = 0;
-  bool fork_ = false;  ///< pipe children; else threads
   size_t next_chunk_ = 0;
 };
 

@@ -1,5 +1,5 @@
 // Population dispatch on one host (DESIGN.md §6): dynamic chunk
-// scheduling over two shard transports.
+// scheduling over forked shard workers — one dealer, one channel kind.
 //
 // Scheduling: the parent cuts the session index space [0, sessions) into
 // contiguous chunks (PopulationConfig::chunk indices each) and keeps a
@@ -12,20 +12,18 @@
 // (config.seed, index), so stdout, metrics JSONL, and the parent's
 // registry are byte-identical to serial at any worker count or chunk size.
 //
-// Transport: a ShardChannel abstracts the parent<->worker byte streams.
-//   - thread (config.threads > 1): a std::thread in the parent's process
-//     runs the worker loop over a control pipe and a data pipe.  Its
-//     death reason is the exception a session threw ("threw: ...").
-//   - pipe (config.processes > 1): fork; the child inherits the config,
-//     a control pipe carries chunk assignments, a data pipe carries
-//     record frames back.  waitpid gives exact death diagnoses ("killed
-//     by signal 9", "exited with status 1").
+// Transport (config.processes > 1): each worker is a forked child that
+// inherits the config; a control pipe carries chunk assignments to it and
+// a data pipe carries record frames back.  waitpid gives exact death
+// diagnoses ("killed by signal 9", "exited with status 1"), and a crash
+// stays inside its worker, so the sweep can name it, salvage its records
+// and replay its session.
 //
-// Both speak exp/record_codec frames: control streams are
+// Both streams speak exp/record_codec frames: control streams are
 // [header][kChunkAssign...][kEnd], data streams are
 // [header][kSessionRecord...][kEnd] — one wire format, one reader
 // (exp::FrameReader), one failure taxonomy (PopulationShardError,
-// retry_dead_shards) and one salvage contract for both channel kinds.
+// retry_dead_shards) and one salvage contract.
 #pragma once
 
 #include <cstddef>
@@ -54,9 +52,8 @@ std::vector<Chunk> make_chunks(size_t sessions, size_t chunk_size);
 /// count (0 = hardware concurrency); always at least 1.
 size_t clamp_threads(size_t requested, size_t n);
 
-/// The multi-worker sweep behind both run_population overloads: starts
-/// workers (forked pipe children when processes > 1, else threads),
-/// dispatches chunks, and hands each completed chunk's records to `sink`
+/// The multi-worker sweep behind both run_population overloads: forks
+/// workers (`processes` of them, clamped), dispatches chunks, and hands each completed chunk's records to `sink`
 /// in strictly increasing index order, holding O(workers · chunk) records
 /// at any instant.  Metrics (when requested) are folded in that same index
 /// order — bit-identical to the serial fold.  A worker death follows

@@ -9,10 +9,9 @@ namespace wira {
 
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
-/// Process-wide log threshold.  Read on hot paths from bench worker
-/// threads (the parallel population runner), so it is backed by an atomic
-/// with relaxed ordering: levels are advisory and a racing set_log_level
-/// only affects which messages appear, never memory safety.
+/// Process-wide log threshold, backed by an atomic with relaxed ordering
+/// so any thread may read it: levels are advisory and a racing
+/// set_log_level only affects which messages appear, never memory safety.
 LogLevel log_level();
 void set_log_level(LogLevel level);
 

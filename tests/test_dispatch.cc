@@ -1,7 +1,6 @@
 // Tests for the population dispatch layer (DESIGN.md §6): the dynamic
-// chunk scheduler over both channel kinds (worker threads and forked
-// children), its DispatchStats telemetry, and the failure contract the
-// vector and sink overloads share.
+// chunk scheduler over forked workers, its DispatchStats telemetry, and
+// the failure contract the vector and sink overloads share.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -75,8 +74,7 @@ TEST(Chunks, ClampThreads) {
 }
 
 // The tentpole contract: stdout-order records AND the metrics aggregate
-// are byte-identical to serial at any (channel kind, worker count, chunk
-// size) point, because reassembly is index-addressed and per-session
+// are byte-identical to serial at any (worker count, chunk size) point, because reassembly is index-addressed and per-session
 // randomness derives only from (seed, index).  The vector overload is
 // the sink overload plus a CollectSink, so this also covers streamed
 // delivery.
@@ -89,26 +87,23 @@ TEST(Dispatch, ChunkMatrixMatchesSerialExactly) {
   std::ostringstream serial_js;
   serial_m.write_json(serial_js);
 
-  for (const bool fork : {true, false}) {
-    for (size_t n : {2u, 4u}) {
-      for (size_t chunk : {size_t{1}, size_t{5}, size_t{4096}}) {
-        PopulationConfig sharded_cfg = cfg;
-        (fork ? sharded_cfg.processes : sharded_cfg.threads) = n;
-        sharded_cfg.chunk = chunk;
-        const std::string label = std::to_string(n) +
-                                  (fork ? " procs" : " threads") +
-                                  ", chunk " + std::to_string(chunk);
-        obs::MetricsRegistry sharded_m;
-        const auto sharded = run_population(sharded_cfg, &sharded_m);
-        EXPECT_TRUE(records_equal(serial, sharded)) << label;
-        std::ostringstream ls, lp;
-        write_records_jsonl(serial, ls);
-        write_records_jsonl(sharded, lp);
-        EXPECT_EQ(ls.str(), lp.str()) << label;
-        std::ostringstream sharded_js;
-        sharded_m.write_json(sharded_js);
-        EXPECT_EQ(serial_js.str(), sharded_js.str()) << label;
-      }
+  for (size_t n : {2u, 4u}) {
+    for (size_t chunk : {size_t{1}, size_t{5}, size_t{4096}}) {
+      PopulationConfig sharded_cfg = cfg;
+      sharded_cfg.processes = n;
+      sharded_cfg.chunk = chunk;
+      const std::string label =
+          std::to_string(n) + " procs, chunk " + std::to_string(chunk);
+      obs::MetricsRegistry sharded_m;
+      const auto sharded = run_population(sharded_cfg, &sharded_m);
+      EXPECT_TRUE(records_equal(serial, sharded)) << label;
+      std::ostringstream ls, lp;
+      write_records_jsonl(serial, ls);
+      write_records_jsonl(sharded, lp);
+      EXPECT_EQ(ls.str(), lp.str()) << label;
+      std::ostringstream sharded_js;
+      sharded_m.write_json(sharded_js);
+      EXPECT_EQ(serial_js.str(), sharded_js.str()) << label;
     }
   }
 }
@@ -188,6 +183,10 @@ TEST(Dispatch, NonEmptyWorkersIsRejected) {
   cfg.workers = {"127.0.0.1:9701"};
   EXPECT_THROW(run_population(cfg), std::invalid_argument);
   cfg.processes = 2;
+  EXPECT_THROW(run_population(cfg), std::invalid_argument);
+  // Worker threads are gone the same way: `threads` must stay 1.
+  cfg.workers.clear();
+  cfg.threads = 2;
   EXPECT_THROW(run_population(cfg), std::invalid_argument);
 }
 

@@ -489,7 +489,7 @@ TEST(QlogEndToEnd, TraceSampleFilesValidate) {
   exp::PopulationConfig cfg;
   cfg.sessions = 4;
   cfg.seed = 11;
-  cfg.threads = 2;
+  cfg.processes = 2;
   cfg.trace_sample = 2;  // sessions 0 and 2, every scheme
   cfg.trace_dir = dir.string();
   cfg.collect_metrics = true;  // phase extraction next to a qlog sink

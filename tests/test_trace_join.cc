@@ -186,19 +186,19 @@ TEST(JoinVantages, RejectsBadPairs) {
 // ---------------------------------------------------------------------------
 // End to end: the acceptance criterion.  Run a small sampled population,
 // join every written pair, and require the joined split to equal the
-// in-session PhaseTimeline exactly — at 1 and 4 threads.
+// in-session PhaseTimeline exactly — serial and over 4 worker processes.
 
 TEST(JoinEndToEnd, EverySampledPairMatchesInSessionPhases) {
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
+  for (const size_t procs : {size_t{1}, size_t{4}}) {
     const std::filesystem::path dir =
         std::filesystem::path(::testing::TempDir()) /
-        ("wira_join_e2e_" + std::to_string(threads));
+        ("wira_join_e2e_" + std::to_string(procs));
     std::filesystem::remove_all(dir);
 
     exp::PopulationConfig cfg;
     cfg.sessions = 6;
     cfg.seed = 17;
-    cfg.threads = threads;
+    cfg.processes = procs;
     cfg.trace_sample = 1;  // every session, every scheme
     cfg.trace_dir = dir.string();
     cfg.collect_metrics = true;  // populates SessionResult::phases
@@ -233,7 +233,7 @@ TEST(JoinEndToEnd, EverySampledPairMatchesInSessionPhases) {
       }
     }
     // The population must actually exercise the contract.
-    EXPECT_GT(joined_pairs, 0u) << threads << " threads";
+    EXPECT_GT(joined_pairs, 0u) << procs << " procs";
     std::filesystem::remove_all(dir);
   }
 }

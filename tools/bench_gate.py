@@ -4,25 +4,25 @@
 Compares one bench/perf_smoke JSON (a BENCH_<date>.json file) against the
 median of the last K comparable records in bench_history/
 perf_trajectory.jsonl and exits non-zero when any guarded metric regressed
-past its budget.  "Comparable" means same session count, seed, thread
-count, worker-process count, hardware_concurrency and host CPU (family,
-model, stepping and clock, as perf_smoke reads them from /proc/cpuinfo):
-records from differently shaped runs or hosts are skipped (throughput is
-not comparable across thread counts, core counts or CPU types), so
+past its budget.  "Comparable" means same session count, seed,
+worker-process count, hardware_concurrency and host CPU (family, model,
+stepping and clock, as perf_smoke reads them from /proc/cpuinfo): records
+from differently shaped runs or hosts are skipped (throughput is not
+comparable across worker counts, core counts or CPU types), so
 resizing the smoke run or moving it to another host never trips the
 gate, it just restarts the history window.
 
 Guarded metrics and their default budgets:
 
   sessions_per_sec_1t   relative, --budget-throughput (default 0.15):
-  sessions_per_sec_nt   fail when current < median * (1 - budget).
-  sessions_per_sec_np   Wall-clock throughput is the noisy one (shared
+  sessions_per_sec_np   fail when current < median * (1 - budget).
+                        Wall-clock throughput is the noisy one (shared
                         container, turbo states), hence the wide budget;
                         widen it with the flag if the host is noisier.
                         _np is the multiprocess (--procs) datapoint; it is
-                        compared like the others when present in both the
-                        run and the history (records predating it are
-                        skipped with a note).
+                        compared when present in both the run and the
+                        history (records predating it are skipped with a
+                        note).
 
   ffct_ms.<scheme>      relative, --budget-ffct (default 0.02): fail when
                         current > median * (1 + budget).  The simulation
@@ -80,13 +80,11 @@ import sys
 
 GATED_THROUGHPUT = [
     "sessions_per_sec_1t",
-    "sessions_per_sec_nt",
     "sessions_per_sec_np",
 ]
 
 # Fields that must match for a history record to be comparable.
-COMPARABILITY_KEY = ("sessions", "seed", "threads", "procs",
-                     "hardware_concurrency", "cpu_family", "cpu_model",
+COMPARABILITY_KEY = ("sessions", "seed", "procs", "hardware_concurrency", "cpu_family", "cpu_model",
                      "cpu_stepping", "cpu_mhz")
 
 
@@ -232,16 +230,15 @@ def run_gate(current, history, args, out=sys.stdout):
             )
         return b
 
-    # On a single-core host the threaded/multiprocess passes measure
-    # scheduler contention, not speedup: their sessions/sec is serial
-    # throughput plus noise, so comparing it would gate on noise.  The
-    # serial datapoint (sessions_per_sec_1t) is still gated.
+    # On a single-core host the multiprocess pass measures scheduler
+    # contention, not speedup: its sessions/sec is serial throughput plus
+    # noise, so comparing it would gate on noise.  The serial datapoint
+    # (sessions_per_sec_1t) is still gated.
     single_core = current.get("hardware_concurrency") == 1
     for name in GATED_THROUGHPUT:
-        if single_core and name in ("sessions_per_sec_nt",
-                                    "sessions_per_sec_np"):
-            gate.note("%-28s skipped (single-core host: threaded speedup "
-                      "is not meaningful)" % name)
+        if single_core and name == "sessions_per_sec_np":
+            gate.note("%-28s skipped (single-core host: multiprocess "
+                      "speedup is not meaningful)" % name)
             continue
         cur = current.get(name)
         base = [r[name] for r in window if isinstance(r.get(name), (int, float))]
@@ -310,11 +307,9 @@ def self_test(args):
         return {
             "sessions": sessions,
             "seed": seed,
-            "threads": 4,
             "procs": 2,
             "hardware_concurrency": cores,
             "sessions_per_sec_1t": sps,
-            "sessions_per_sec_nt": sps * 1.8,
             "sessions_per_sec_np": sps * 1.7,
             "metrics_overhead": overhead,
             "allocs_per_session": allocs,
@@ -362,9 +357,9 @@ def self_test(args):
          {**rec(sps=10.0), "cpu_model": "143", "cpu_mhz": "2000.000"}, 0,
          [{**r, "cpu_model": "85", "cpu_mhz": "2500.000"} for r in history],
          "only 0 comparable"),
-        ("single-core host skips threaded speedup comparison",
-         {**rec(cores=1), "sessions_per_sec_nt": 1.0,
-          "sessions_per_sec_np": 1.0}, 0, single_core_history),
+        ("single-core host skips multiprocess speedup comparison",
+         {**rec(cores=1), "sessions_per_sec_np": 1.0}, 0,
+         single_core_history),
         ("single-core host still gates serial throughput",
          rec(sps=40.0, cores=1), 1, single_core_history),
         # Variance-derived budgets (median +/- k*MAD with the flag floors):
@@ -384,6 +379,13 @@ def self_test(args):
         ("overhead from another method is skipped",
          {**rec(overhead=0.02), "metrics_overhead_method": "paired_median_4"},
          0, [rec(overhead=-0.204)], "measured by another method"),
+        # ... nor to the pairs that ran over worker threads ...
+        ("thread-pass overhead is skipped by a procs-pass run",
+         {**rec(overhead=0.02),
+          "metrics_overhead_method": "paired_median_4_procs"},
+         0, [{**rec(overhead=-0.17),
+              "metrics_overhead_method": "paired_median_4"}] * 3,
+         "measured by another method"),
         # ... while a regression between same-method records still fails.
         ("same-method overhead regression still fails",
          {**rec(overhead=0.2), "metrics_overhead_method": "paired_median_4"},

@@ -20,8 +20,7 @@ DEFAULT_HISTORY = "bench_history/perf_trajectory.jsonl"
 # Scalar metrics worth a lane, in display order.
 DEFAULT_METRICS = [
     "sessions_per_sec_1t",
-    "sessions_per_sec_nt",
-    "speedup",
+    "sessions_per_sec_np",
     "metrics_overhead",
 ]
 TICKS = " .:-=+*#%@"

@@ -6,9 +6,9 @@
 # use-after-reset bugs are the failure class this script exists to catch;
 # run it after any change to the arena, the parser, or buffer recycling.
 # The gate label also covers the sharded population runner (test_exp's
-# Harness.Multiprocess* and test_dispatch fork real workers and start
-# worker threads, exercising the record codec + salvage/retry paths under
-# the sanitizers; worker children _Exit, so LSan only audits the parent).
+# Harness.Multiprocess* and test_dispatch fork real workers, exercising
+# the record codec + salvage/retry paths under the sanitizers; worker
+# children _Exit, so LSan only audits the parent).
 #
 # Usage: tools/run_asan.sh [extra ctest args...]
 set -euo pipefail
@@ -86,36 +86,26 @@ wait "${exporter_pid}"
 trap - EXIT
 echo "sanitized exporter scrape passed"
 
-# Forked-worker dispatch sweep under the sanitizers: fig11 over
-# --procs 2 at two chunk sizes.  This runs chunk assignment and record
-# reassembly over a real pipe channel with ASan watching both ends — the
+# Forked-worker dispatch sweep under the sanitizers: fig11 over 2 and 4
+# workers at two chunk sizes.  This runs chunk assignment and record
+# reassembly over real pipe channels with ASan watching both ends — the
 # forked workers are the same sanitized binary — and the stdout + metrics
 # JSONL must be byte-identical to the serial run.
 "${build_dir}/bench/fig11_overall" 40 3 \
   --metrics-out "${build_dir}/fig11_serial_metrics.jsonl" \
   > "${build_dir}/fig11_serial.txt"
-for chunk in 1 8; do
-  "${build_dir}/bench/fig11_overall" 40 3 --procs 2 --chunk "${chunk}" \
-    --metrics-out "${build_dir}/fig11_procs_metrics.jsonl" \
-    > "${build_dir}/fig11_procs.txt"
-  diff "${build_dir}/fig11_serial.txt" "${build_dir}/fig11_procs.txt"
-  diff "${build_dir}/fig11_serial_metrics.jsonl" \
-    "${build_dir}/fig11_procs_metrics.jsonl"
+for procs in 2 4; do
+  for chunk in 1 8; do
+    "${build_dir}/bench/fig11_overall" 40 3 --procs "${procs}" \
+      --chunk "${chunk}" \
+      --metrics-out "${build_dir}/fig11_procs_metrics.jsonl" \
+      > "${build_dir}/fig11_procs.txt"
+    diff "${build_dir}/fig11_serial.txt" "${build_dir}/fig11_procs.txt"
+    diff "${build_dir}/fig11_serial_metrics.jsonl" \
+      "${build_dir}/fig11_procs_metrics.jsonl"
+  done
 done
 echo "sanitized forked dispatch sweep passed"
-
-# The same sweep over worker threads: the thread shard channel shares
-# the parent's heap with its workers, so ASan sees both sides of every
-# record handoff in one process.  Same byte-identity check.
-for chunk in 1 8; do
-  "${build_dir}/bench/fig11_overall" 40 3 --threads 4 --chunk "${chunk}" \
-    --metrics-out "${build_dir}/fig11_threads_metrics.jsonl" \
-    > "${build_dir}/fig11_threads.txt"
-  diff "${build_dir}/fig11_serial.txt" "${build_dir}/fig11_threads.txt"
-  diff "${build_dir}/fig11_serial_metrics.jsonl" \
-    "${build_dir}/fig11_threads_metrics.jsonl"
-done
-echo "sanitized thread dispatch sweep passed"
 
 # Real-socket serving mode under the sanitizers: wira_proxyd serves all
 # four schemes over loopback UDP while a sanitized wira_loadgen runs a

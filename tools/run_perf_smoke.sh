@@ -4,12 +4,12 @@
 # root.  Each run also appends a one-line record to
 # bench_history/perf_trajectory.jsonl so the sessions/sec trajectory
 # accumulates across days, and the script FAILS if the run was not
-# deterministic (threaded or multiprocess records diverged from serial).
-# perf_smoke includes a --procs 2 pass by default, so every appended
-# trajectory record carries the multiprocess datapoint
-# (sessions_per_sec_np, gated by bench_gate.py alongside the others).
+# deterministic (multiprocess records diverged from serial).  perf_smoke
+# includes a --procs 2 pass by default, so every appended trajectory
+# record carries the multiprocess datapoint (sessions_per_sec_np, gated by
+# bench_gate.py alongside the serial one).
 #
-# Usage: tools/run_perf_smoke.sh [sessions] [seed] [--threads N] [--procs N]
+# Usage: tools/run_perf_smoke.sh [sessions] [seed] [--procs N]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -20,7 +20,7 @@ cmake --build "${build_dir}" -j "$(nproc)" \
   --target perf_smoke test_dispatch test_event_loop test_exp test_obs
 
 # Quick correctness gate before trusting the numbers (Dispatch covers the
-# thread and pipe shard channels the parallel passes run on).
+# forked shard workers the multiprocess passes run on).
 ctest --test-dir "${build_dir}" -R 'Dispatch|EventLoop|Harness' \
   --output-on-failure -j "$(nproc)"
 
@@ -41,7 +41,7 @@ mkdir -p "${history_dir}"
 trajectory="${history_dir}/perf_trajectory.jsonl"
 
 # Regression gate BEFORE the append: compare this run against the median
-# of recent comparable records (same sessions, seed, threads, procs,
+# of recent comparable records (same sessions, seed, procs,
 # hardware_concurrency and host CPU; see bench_gate.py).  A regressed run is
 # NOT appended, so it cannot drag the baseline down for the next run.
 # Budgets and their rationale: tools/bench_gate.py --help.

@@ -28,8 +28,7 @@ run_dir="${build_dir}/prof"
 rm -rf "${run_dir}"
 mkdir -p "${run_dir}"
 (cd "${run_dir}" &&
-  "${build_dir}/bench/fig11_overall" 200 1 --threads 1 \
-    > fig11.txt)
+  "${build_dir}/bench/fig11_overall" 200 1 > fig11.txt)
 gprof -b -p "${build_dir}/bench/fig11_overall" "${run_dir}/gmon.out" \
   > "${run_dir}/flat.txt"
 

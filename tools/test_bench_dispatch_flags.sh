@@ -4,7 +4,9 @@
 # of its forked workers is SIGKILLed as soon as it exists, and the binary
 # must exit 3 with an `error: ... killed by signal 9 ...` line on stderr.
 # The first binary must also reject an unknown flag (a typo, or the removed
-# `--workers`) by name with exit 2, not read it as a positional argument.
+# `--workers`) by name with exit 2, not read it as a positional argument,
+# and reject any `--threads` other than 1 with exit 2 and a pointer to
+# `--procs`.
 # Usage: test_bench_dispatch_flags.sh /path/to/sweep_binary...
 set -u
 
@@ -28,11 +30,16 @@ first_child() {
 }
 
 failures=0
-for flag in --bogus "--workers 127.0.0.1:1"; do
+threads_msg="error: --threads only accepts 1 (serial); use --procs N for a"
+threads_msg+=" parallel sweep"
+for flag in --bogus "--workers 127.0.0.1:1" "--threads 4" "--threads 0"; do
   # shellcheck disable=SC2086  # $flag is a flag plus its value
   (cd "$WORK" && exec "$1" 20 1 $flag) > /dev/null 2> "$WORK/flag.err"
   got=$?
-  want="error: unknown flag '${flag%% *}'"
+  case "$flag" in
+    --threads*) want="$threads_msg" ;;
+    *) want="error: unknown flag '${flag%% *}'" ;;
+  esac
   if [ "$got" -ne 2 ] || ! grep -qxF "$want" "$WORK/flag.err"; then
     echo "FAIL: $(basename "$1") $flag: expected exit 2 and \"$want\"," \
          "got $got:" >&2
@@ -71,5 +78,5 @@ for bin in "$@"; do
 done
 
 [ "$failures" -eq 0 ] || exit 1
-echo "bench dispatch flags: unknown flags rejected; $# binaries exit 3" \
-     "naming a SIGKILLed worker"
+echo "bench dispatch flags: unknown flags and --threads other than 1" \
+     "rejected; $# binaries exit 3 naming a SIGKILLed worker"
