@@ -3,14 +3,17 @@
 // exp/shard_dispatch), verifies all records are identical (the
 // determinism contract) and unchanged with the anomaly triggers off,
 // prices the observability overhead over alternating (plain, metrics)
-// pairs of multiprocess passes, and prints one JSON object
-// with sessions/sec plus the aggregate metrics registry so successive
-// runs build a perf trajectory (tools/run_perf_smoke.sh appends it to
-// bench_history/; tools/bench_gate.py gates the throughput numbers,
-// including the multiprocess sessions_per_sec_np datapoint).
+// pairs of multiprocess passes, and prints one JSON object with
+// sessions/sec, the CPU seconds of the serial and multiprocess passes
+// (serial_cpu_sec, procs_cpu_sec) and the aggregate metrics registry, so
+// successive runs build a perf trajectory (tools/run_perf_smoke.sh
+// appends it to bench_history/; tools/bench_gate.py gates the throughput
+// numbers, including the multiprocess sessions_per_sec_np datapoint).
 //
 // Usage: perf_smoke [sessions] [seed] [--procs N]
 //        (N=0 -> hardware; --procs defaults to a 2-worker datapoint)
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -36,6 +39,23 @@ double run_timed(const PopulationConfig& cfg, std::vector<SessionRecord>* out,
   *out = run_population(cfg, metrics);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
+}
+
+// User + system CPU seconds of this process and of its reaped children
+// (the forked shard workers, which run_population waits for before it
+// returns).  A pass's difference is its CPU cost, which a busy host
+// inflates far less than it does wall time.
+double cpu_seconds() {
+  double sec = 0;
+  for (const int who : {RUSAGE_SELF, RUSAGE_CHILDREN}) {
+    rusage ru{};
+    getrusage(who, &ru);
+    for (const timeval& tv : {ru.ru_utime, ru.ru_stime}) {
+      sec += static_cast<double>(tv.tv_sec) +
+             static_cast<double>(tv.tv_usec) / 1e6;
+    }
+  }
+  return sec;
 }
 
 // Formats microseconds as fixed-point milliseconds.  All inputs are
@@ -143,7 +163,9 @@ int main(int argc, char** argv) {
   cfg.processes = 1;
   std::vector<SessionRecord> serial_records;
   const uint64_t allocs_before = util::heap_alloc_count();
+  const double serial_cpu_before = cpu_seconds();
   const double serial_sec = run_timed(cfg, &serial_records);
+  const double serial_cpu_sec = cpu_seconds() - serial_cpu_before;
   const uint64_t allocs_serial = util::heap_alloc_count() - allocs_before;
 
   // Allocation accounting over the serial pass: operator-new calls (live
@@ -176,7 +198,9 @@ int main(int argc, char** argv) {
   const size_t procs = args.procs == 1 ? 2 : args.procs;
   cfg.processes = procs;
   std::vector<SessionRecord> procs_records;
+  const double procs_cpu_before = cpu_seconds();
   const double procs_sec = run_timed(cfg, &procs_records);
+  const double procs_cpu_sec = cpu_seconds() - procs_cpu_before;
 
   const std::vector<uint8_t> serial_bytes = record_bytes(serial_records);
   for (SessionRecord& rec : serial_records) {
@@ -245,7 +269,9 @@ int main(int argc, char** argv) {
       "  \"cpu_mhz\": \"%s\",\n"
       "  \"peak_rss_mb\": %.1f,\n"
       "  \"serial_sec\": %.3f,\n"
+      "  \"serial_cpu_sec\": %.3f,\n"
       "  \"procs_sec\": %.3f,\n"
+      "  \"procs_cpu_sec\": %.3f,\n"
       "  \"metrics_sec\": %.3f,\n"
       "  \"sessions_per_sec_1t\": %.1f,\n"
       "  \"sessions_per_sec_np\": %.1f,\n"
@@ -266,7 +292,8 @@ int main(int argc, char** argv) {
       util::json_escape(cpu.stepping).c_str(),
       util::json_escape(cpu.mhz).c_str(),
       static_cast<double>(obs::peak_rss_bytes().value_or(0)) / 1e6,
-      serial_sec, procs_sec, metrics_sec, n / serial_sec, n / procs_sec,
+      serial_sec, serial_cpu_sec, procs_sec, procs_cpu_sec, metrics_sec,
+      n / serial_sec, n / procs_sec,
       metrics_overhead, kOverheadMethod, allocs_per_session,
       arena_bytes_per_session, deterministic ? "true" : "false",
       ffct_json.c_str(), phases_json.c_str(), metrics_json.str().c_str());

@@ -100,6 +100,13 @@ void PlayerClient::on_stream_data(std::span<const uint8_t> data) {
   }
   if (!data.empty()) last_data_at_ = loop_.now();
   metrics_.total_bytes_received += data.size();
+  // Once every tracked frame is recorded (and the first video byte seen,
+  // which track_frames == 0 still reports), nothing reads the demuxer
+  // again: the live tail is only counted.
+  if (metrics_.frame_complete_at.size() >= config_.track_frames &&
+      metrics_.first_frame_byte_at != kNoTime) {
+    return;
+  }
   if (config_.container == media::Container::kMpegTs) {
     ts_demux_.feed(data);
   } else {

@@ -1,5 +1,6 @@
 // Live-streaming player client: connects (0-RTT when the server config is
-// cached), sends the play request, demuxes the arriving FLV stream, tracks
+// cached), sends the play request, demuxes the arriving FLV or MPEG-TS
+// stream up to its last tracked frame (the rest is only counted), tracks
 // first-frame / follow-up-frame completion, and stores transport cookies.
 #pragma once
 

@@ -6,7 +6,8 @@
 //
 // The sampler keeps no per-packet table: on_packet_sent returns the
 // packet's snapshot, the caller stores it with its own sent-packet record
-// (quic::Connection keeps it in the sent_ node) and hands it back on ack.
+// (quic::Connection keeps it in the packet's sent_ entry) and hands it
+// back on ack.
 // A lost packet's snapshot is simply dropped with its record.
 #pragma once
 

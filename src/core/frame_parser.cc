@@ -11,6 +11,17 @@ namespace {
 using media::kFlvHeaderSize;
 using media::kFlvPreviousTagSize;
 using media::kFlvTagHeaderSize;
+
+/// Moves bytes from data[pos..] into `buf` until it holds `want` bytes or
+/// `data` runs out, advancing `pos`; true once `buf` holds `want` bytes.
+bool fill_to(std::vector<uint8_t>& buf, size_t want,
+             std::span<const uint8_t> data, size_t& pos) {
+  const size_t n = std::min(want - std::min(want, buf.size()),
+                            data.size() - pos);
+  buf.insert(buf.end(), data.begin() + pos, data.begin() + pos + n);
+  pos += n;
+  return buf.size() >= want;
+}
 }  // namespace
 
 void FrameParser::sniff() {
@@ -52,9 +63,7 @@ std::optional<uint64_t> FrameParser::feed(std::span<const uint8_t> data) {
   while (pos < data.size() || state_ == State::kSniff) {
     switch (state_) {
       case State::kSniff: {
-        while (header_buf_.size() < 3 && pos < data.size()) {
-          header_buf_.push_back(data[pos++]);
-        }
+        fill_to(header_buf_, 3, data, pos);
         sniff();
         if (state_ == State::kSniff) return std::nullopt;  // need more
         if (state_ == State::kFailed) return std::nullopt;
@@ -62,10 +71,9 @@ std::optional<uint64_t> FrameParser::feed(std::span<const uint8_t> data) {
       }
       case State::kFlvHeader: {
         // Accumulate the 9-byte header; buffered sniff bytes count.
-        while (header_buf_.size() < kFlvHeaderSize && pos < data.size()) {
-          header_buf_.push_back(data[pos++]);
+        if (!fill_to(header_buf_, kFlvHeaderSize, data, pos)) {
+          return std::nullopt;
         }
-        if (header_buf_.size() < kFlvHeaderSize) return std::nullopt;
         // HeaderLen from the DataOffset field (bytes 5..8, big-endian).
         const uint64_t header_len =
             static_cast<uint64_t>(header_buf_[5]) << 24 |
@@ -89,11 +97,9 @@ std::optional<uint64_t> FrameParser::feed(std::span<const uint8_t> data) {
       }
       case State::kPrevTagSize: {
         // FF_Size += PreviousTagSizeLen (Algorithm 1).
-        while (header_buf_.size() < kFlvPreviousTagSize &&
-               pos < data.size()) {
-          header_buf_.push_back(data[pos++]);
+        if (!fill_to(header_buf_, kFlvPreviousTagSize, data, pos)) {
+          return std::nullopt;
         }
-        if (header_buf_.size() < kFlvPreviousTagSize) return std::nullopt;
         ff_size_ += kFlvPreviousTagSize;
         header_buf_.clear();
         state_ = State::kTagHeader;
@@ -102,10 +108,9 @@ std::optional<uint64_t> FrameParser::feed(std::span<const uint8_t> data) {
       case State::kTagHeader: {
         // "Obtain FrameType / FrameSize": 11-byte FLV tag header; hold the
         // partial header when it straddles a feed boundary.
-        while (header_buf_.size() < kFlvTagHeaderSize && pos < data.size()) {
-          header_buf_.push_back(data[pos++]);
+        if (!fill_to(header_buf_, kFlvTagHeaderSize, data, pos)) {
+          return std::nullopt;
         }
-        if (header_buf_.size() < kFlvTagHeaderSize) return std::nullopt;
         const uint8_t tag_type = header_buf_[0];
         const uint64_t frame_size =
             static_cast<uint64_t>(header_buf_[1]) << 16 |
@@ -148,11 +153,9 @@ std::optional<uint64_t> FrameParser::feed(std::span<const uint8_t> data) {
       case State::kTsCell: {
         // Accumulate one 188-byte cell (only this much is ever buffered),
         // then inspect its header.
-        while (header_buf_.size() < media::kTsPacketSize &&
-               pos < data.size()) {
-          header_buf_.push_back(data[pos++]);
+        if (!fill_to(header_buf_, media::kTsPacketSize, data, pos)) {
+          return std::nullopt;
         }
-        if (header_buf_.size() < media::kTsPacketSize) return std::nullopt;
         auto ff = process_ts_cell(header_buf_);
         header_buf_.clear();
         ts_cells_done_++;

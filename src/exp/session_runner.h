@@ -83,7 +83,7 @@ struct ManualInitConfig;
 /// that machinery once per worker: run_session(config, workspace) resets
 /// the loop (capacities retained, see sim::EventLoop::reset) and reuses
 /// it.  Per-packet state comes from capacity the loop keeps across
-/// sessions — pooled datagram and chunk buffers, sent-packet nodes (with
+/// sessions — pooled datagram and chunk buffers, sent-packet rings (with
 /// the rate sampler's snapshot inside), reassembly segments — so a warm
 /// session's allocations do not grow with the packets it sends
 /// (AllocScaling.*).  Chunks and datagrams still in flight when a session

@@ -14,11 +14,7 @@ Connection::Connection(sim::EventLoop& loop, ConnectionConfig config,
       send_datagram_(std::move(send_datagram)),
       cc_(cc::make_controller(config.cc_algo)),
       pacer_(kPacerBurst),
-      sent_cache_(loop.scratch<SentNodeCache>()) {}
-
-Connection::~Connection() {
-  while (!sent_.empty()) park_sent_node(sent_.extract(sent_.begin()));
-}
+      sent_(loop.scratch<SentPacketTable::Cache>()) {}
 
 // ---------------------------------------------------------------- handshake
 
@@ -44,7 +40,7 @@ void Connection::connect(const ClientConnectOptions& opts) {
 void Connection::send_crypto_message(const HandshakeMessage& msg,
                                      PacketType packet_type) {
   // The frame borrows `wire`; send_packet serializes synchronously (and
-  // copies the crypto bytes into SentPacketInfo), so the local suffices.
+  // copies the crypto bytes into sent_), so the local suffices.
   const std::vector<uint8_t> wire = serialize_handshake(msg);
   CryptoFrame frame;
   frame.data = wire;
@@ -274,47 +270,21 @@ void Connection::pump() {
   }
 }
 
-Connection::SentPacketInfo& Connection::acquire_sent_slot(PacketNumber pn) {
-  std::vector<SentMap::node_type>& nodes = sent_cache_.nodes;
-  if (!nodes.empty()) {
-    auto nh = std::move(nodes.back());
-    nodes.pop_back();
-    nh.key() = pn;
-    return sent_.insert(std::move(nh)).position->second;
-  }
-  return sent_.emplace(pn, SentPacketInfo{}).first->second;
-}
-
-Connection::SentMap::iterator Connection::release_sent_node(
-    SentMap::iterator it) {
-  auto next = std::next(it);
-  park_sent_node(sent_.extract(it));
-  return next;
-}
-
-void Connection::park_sent_node(SentMap::node_type&& node) {
-  if (sent_cache_.nodes.size() < SentNodeCache::kMaxNodes) {
-    sent_cache_.nodes.push_back(std::move(node));
-  }
-}
-
 PacketNumber Connection::send_packet(Packet packet, bool bypass_pacer) {
   packet.packet_number = next_packet_number_++;
   const PacketNumber pn = packet.packet_number;
 
-  // Retransmittable packets are tracked in a recycled sent_ node (vector
-  // capacity retained); pure ACKs are not tracked.  Only retransmittable
-  // packets carry stream or crypto frames.
+  // Retransmittable packets are tracked in sent_ (recycled ring
+  // capacity); pure ACKs are not tracked and leave holes.  Only
+  // retransmittable packets carry stream or crypto frames.
   const bool retransmittable = packet.retransmittable();
-  SentPacketInfo* info = retransmittable ? &acquire_sent_slot(pn) : nullptr;
+  SentPacketTable::Entry* info = retransmittable ? &sent_.add(pn) : nullptr;
   if (info != nullptr) {
     info->sent_time = now();
-    info->stream_refs.clear();
-    info->crypto_data.clear();
     for (const Frame& f : packet.frames) {
       if (const auto* sf = std::get_if<StreamFrame>(&f)) {
-        info->stream_refs.push_back(
-            StreamRef{sf->stream_id, sf->offset, sf->data.size(), sf->fin});
+        sent_.add_stream_ref(SentPacketTable::StreamRef{
+            sf->stream_id, sf->offset, sf->data.size(), sf->fin});
         stats_.stream_bytes_sent += sf->data.size();
       } else if (const auto* cf = std::get_if<CryptoFrame>(&f)) {
         // Explicit copy: the span dies with the packet, the retransmit
@@ -443,14 +413,10 @@ void Connection::handle_ack(const AckFrame& ack) {
   bool bw_app_limited = false;
 
   // Collect newly acked packets.
-  for (auto it = sent_.begin(); it != sent_.end();) {
-    const PacketNumber pn = it->first;
-    if (pn > ack.largest_acked) break;
-    if (!ack.covers(pn)) {
-      ++it;
-      continue;
-    }
-    const SentPacketInfo& info = it->second;
+  for (PacketNumber pn = sent_.first(); pn <= ack.largest_acked;
+       pn = sent_.next(pn)) {
+    if (!ack.covers(pn)) continue;
+    const SentPacketTable::Entry& info = sent_.at(pn);
     event.acked.push_back(cc::AckedPacket{pn, info.bytes, info.sent_time});
     bytes_in_flight_ -= std::min(bytes_in_flight_, info.bytes);
     stats_.packets_acked++;
@@ -463,11 +429,12 @@ void Connection::handle_ack(const AckFrame& ack) {
       best_bw = sample.bandwidth;
       bw_app_limited = sample.app_limited;
     }
-    for (const StreamRef& ref : info.stream_refs) {
-      send_stream(ref.stream_id)
-          .on_range_acked(ref.offset, ref.length, ref.fin);
-    }
-    it = release_sent_node(it);
+    sent_.for_each_stream_ref(
+        info, [this](const SentPacketTable::StreamRef& ref) {
+          send_stream(ref.stream_id)
+              .on_range_acked(ref.offset, ref.length, ref.fin);
+        });
+    sent_.erase(pn);
   }
 
   if (event.acked.empty()) return;
@@ -521,10 +488,11 @@ void Connection::detect_losses(PacketNumber largest_acked,
       kTimeReorderingFraction * static_cast<double>(rtt_for_threshold));
   TimeNs next_loss_time = kNoTime;
 
-  for (auto it = sent_.begin(); it != sent_.end();) {
-    const PacketNumber pn = it->first;
-    if (pn >= largest_acked) break;
-    const SentPacketInfo& info = it->second;
+  // requeue_lost_payload erases `pn` and may add a (larger) packet, so
+  // the walk goes by packet number, not by reference.
+  for (PacketNumber pn = sent_.first(); pn < largest_acked;
+       pn = sent_.next(pn)) {
+    const SentPacketTable::Entry& info = sent_.at(pn);
     const bool packet_thresh =
         largest_acked - pn >= static_cast<PacketNumber>(
                                   kPacketReorderingThreshold);
@@ -534,27 +502,31 @@ void Connection::detect_losses(PacketNumber largest_acked,
       lost.push_back(cc::LostPacket{pn, info.bytes});
       stats_.packets_lost++;
       trace(trace::EventType::kPacketLost, pn, info.bytes);
-      requeue_lost_payload(info);
-      it = release_sent_node(it);
-    } else {
-      if (next_loss_time == kNoTime || lost_at < next_loss_time) {
-        next_loss_time = lost_at;
-      }
-      ++it;
+      requeue_lost_payload(pn);
+    } else if (next_loss_time == kNoTime || lost_at < next_loss_time) {
+      next_loss_time = lost_at;
     }
   }
   if (next_loss_time != kNoTime) arm_loss_timer(next_loss_time);
 }
 
-void Connection::requeue_lost_payload(const SentPacketInfo& info) {
+void Connection::requeue_lost_payload(PacketNumber pn) {
+  SentPacketTable::Entry& info = sent_.at(pn);
   bytes_in_flight_ -= std::min(bytes_in_flight_, info.bytes);
-  for (const StreamRef& ref : info.stream_refs) {
-    send_stream(ref.stream_id).on_range_lost(ref.offset, ref.length, ref.fin);
-    stats_.stream_bytes_retransmitted += ref.length;
-  }
-  if (!info.crypto_data.empty()) {
+  sent_.for_each_stream_ref(
+      info, [this](const SentPacketTable::StreamRef& ref) {
+        send_stream(ref.stream_id)
+            .on_range_lost(ref.offset, ref.length, ref.fin);
+        stats_.stream_bytes_retransmitted += ref.length;
+      });
+  // The crypto re-send adds a packet, which may grow the ring or land in
+  // this very slot, so its bytes move out of the ring first (a swap: both
+  // buffers keep their capacity).
+  resend_crypto_.swap(info.crypto_data);
+  sent_.erase(pn);
+  if (!resend_crypto_.empty()) {
     CryptoFrame f;
-    f.data = info.crypto_data;
+    f.data = resend_crypto_;
     Packet p(&loop_.arena());
     p.type = PacketType::kInitial;
     p.conn_id = config_.conn_id;
@@ -586,6 +558,7 @@ void Connection::mark_closed() {
   cancel_timer(loss_timer_);
   cancel_timer(pto_timer_);
   cancel_timer(send_timer_);
+  sent_.release();
 }
 
 void Connection::arm_loss_timer(TimeNs when) {
@@ -637,13 +610,7 @@ void Connection::on_pto() {
   pto_count_ = std::min(pto_count_ + 1, 6);
 
   // Probe: treat the oldest in-flight packet's payload as needing resend.
-  // Extract (not erase) so the node can be recycled at the end; the node
-  // must stay out of the free list until after requeue_lost_payload's
-  // crypto re-send, whose frame span borrows the node's crypto_data —
-  // recycling earlier would let send_packet assign into the very buffer
-  // the span points at.
-  auto nh = sent_.extract(sent_.begin());
-  requeue_lost_payload(nh.mapped());
+  requeue_lost_payload(sent_.first());
   if (pto_count_ >= 2) {
     cc_->on_retransmission_timeout(now());
     trace_cc_state();
@@ -654,9 +621,6 @@ void Connection::on_pto() {
   // Nothing pending (e.g. pure-probe case): keep the timer armed while
   // packets remain in flight.
   if (!sent_.empty() && !pto_timer_) arm_pto();
-
-  // Safe to recycle now — no borrowed span into the node is live anymore.
-  park_sent_node(std::move(nh));
 }
 
 }  // namespace wira::quic

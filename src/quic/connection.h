@@ -24,6 +24,7 @@
 #include "quic/packet.h"
 #include "quic/pacer.h"
 #include "quic/rtt.h"
+#include "quic/sent_packet_table.h"
 #include "quic/stream.h"
 #include "quic/types.h"
 #include "sim/event_loop.h"
@@ -66,8 +67,6 @@ class Connection {
 
   Connection(sim::EventLoop& loop, ConnectionConfig config,
              SendDatagramFn send_datagram);
-  /// Parks the remaining sent_ nodes in the loop's SentNodeCache.
-  ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
@@ -144,31 +143,6 @@ class Connection {
   void set_clock(const net::Clock* clock) { clock_ = clock; }
 
  private:
-  struct StreamRef {
-    StreamId stream_id;
-    uint64_t offset;
-    uint64_t length;
-    bool fin;
-  };
-  struct SentPacketInfo {
-    TimeNs sent_time = 0;
-    uint64_t bytes = 0;
-    cc::PacketState rate;  ///< delivery-rate snapshot, read back on ack
-    std::vector<StreamRef> stream_refs;
-    std::vector<uint8_t> crypto_data;  ///< handshake message to re-send
-  };
-  using SentMap = std::map<PacketNumber, SentPacketInfo>;
-  /// Retired sent_ nodes, one cache per event loop (EventLoop::scratch)
-  /// shared by every connection on it and kept across loop resets, so a
-  /// recycled session's per-packet tracking allocates neither map nodes
-  /// nor the stream_refs/crypto_data vectors inside them.  Every field
-  /// of a recycled node is overwritten before use.
-  struct SentNodeCache {
-    /// Bounds parked memory (nodes above the cap are simply freed).
-    static constexpr size_t kMaxNodes = 1024;
-    std::vector<SentMap::node_type> nodes;
-  };
-
   // Handshake machinery.
   void send_crypto_message(const HandshakeMessage& msg,
                            PacketType packet_type);
@@ -193,11 +167,10 @@ class Connection {
   void handle_stream(const StreamFrame& frame);
   void detect_losses(PacketNumber largest_acked,
                      std::vector<cc::LostPacket>& lost);
-  /// Takes a lost (or PTO-probed) packet out of flight and queues its
-  /// payload again: stream ranges become resendable, crypto data is
-  /// re-sent at once.  `info` must stay alive until this returns — the
-  /// crypto re-send borrows info.crypto_data.
-  void requeue_lost_payload(const SentPacketInfo& info);
+  /// Takes lost (or PTO-probed) packet `pn` out of flight and out of
+  /// sent_, and queues its payload again: stream ranges become
+  /// resendable, crypto data is re-sent at once.
+  void requeue_lost_payload(PacketNumber pn);
 
   // Timers.
   void arm_pto();
@@ -205,19 +178,8 @@ class Connection {
   void arm_loss_timer(TimeNs when);
   void on_loss_timer();
   void cancel_timer(std::optional<sim::EventId>& id);
-  /// Marks the connection closed and cancels every timer.
+  /// Marks the connection closed, cancels every timer and releases sent_.
   void mark_closed();
-
-  // sent_ node recycling through the loop's SentNodeCache: the
-  // steady-state send path performs no heap allocation.
-  /// Inserts `pn` with a recycled (or fresh) slot and returns it; caller
-  /// fills the fields.  Vectors in the slot are cleared, not shrunk.
-  SentPacketInfo& acquire_sent_slot(PacketNumber pn);
-  /// Erases `*it`, parking its node in the cache; returns the next
-  /// iterator.
-  SentMap::iterator release_sent_node(SentMap::iterator it);
-  /// Parks an extracted node in the cache (freed when the cache is full).
-  void park_sent_node(SentMap::node_type&& node);
 
   /// Current time through the optional clock override (see set_clock).
   TimeNs now() const { return clock_ != nullptr ? clock_->now() : loop_.now(); }
@@ -250,8 +212,10 @@ class Connection {
 
   // Packet number spaces (single space).
   PacketNumber next_packet_number_ = 1;
-  SentMap sent_;  ///< retransmittable only
-  SentNodeCache& sent_cache_;  ///< the loop's scratch, outlives us
+  SentPacketTable sent_;  ///< retransmittable only
+  /// A lost packet's crypto bytes during their re-send, which may grow
+  /// sent_ or reuse the lost packet's slot (see requeue_lost_payload).
+  std::vector<uint8_t> resend_crypto_;
   uint64_t bytes_in_flight_ = 0;
   PacketNumber largest_acked_ = 0;
 

@@ -133,16 +133,18 @@ class EventLoop {
 
   /// Type-keyed scratch objects that persist across reset(): freelists,
   /// node graveyards, pooled containers — anything whose *capacity* should
-  /// survive session recycling (exp::SessionWorkspace).  Today that is
-  /// quic::RecvSegmentCache (reassembly segments) and the sent-packet
-  /// node cache of quic::Connection, which each connection looks up once
-  /// at construction and refills when destroyed.  The first
-  /// scratch<T>() default-constructs the loop's T; later calls return the
-  /// same instance.  Contract: a scratch object must hold capacity-only
-  /// state — recycled values have to be fully overwritten before reuse,
-  /// and reset() never touches it, so it must not own anything a pending
-  /// event still refers to.  A reset loop then stays indistinguishable
-  /// from a fresh one.
+  /// survive session recycling (exp::SessionWorkspace).  Among them are
+  /// quic::RecvSegmentCache (reassembly segments) and the spare rings of
+  /// quic::SentPacketTable::Cache: each connection's sent-packet table
+  /// takes a ring (slots and stream refs) at construction and parks it
+  /// at close or destruction, so concurrent connections on one loop (a
+  /// session's two, or wira_proxyd's dozens) each reuse a retired ring.
+  /// The first scratch<T>() default-constructs the loop's T; later calls
+  /// return the same instance.  Contract: a scratch object must hold
+  /// capacity-only state — recycled values have to be fully overwritten
+  /// before reuse, and reset() never touches it, so it must not own
+  /// anything a pending event still refers to.  A reset loop then stays
+  /// indistinguishable from a fresh one.
   template <typename T>
   T& scratch() {
     const std::type_index key(typeid(T));

@@ -343,5 +343,79 @@ TEST(App, PhaseMarksAreFirstTraceEvents) {
   }
 }
 
+// The client demuxes only up to its last tracked frame.  A client that
+// tracks k frames must report exactly what an 8-frame client reports for
+// its first k, over a long, lossy path whose live tail (retransmissions,
+// receive stalls a round trip long) keeps flowing long after the cut.
+struct TrackedRun {
+  PlayerClient::Metrics metrics;
+  uint32_t stalls = 0;
+};
+
+TrackedRun run_tracking(media::Container container, uint32_t track_frames) {
+  ClientConfig client_cfg;
+  client_cfg.container = container;
+  client_cfg.track_frames = track_frames;
+  sim::PathConfig path_cfg;
+  path_cfg.rtt = milliseconds(300);
+  path_cfg.extra_loss.loss_rate = 0.03;
+  Rig rig({}, client_cfg, path_cfg);
+  rig.prime_zero_rtt();
+  rig.client->start();
+  rig.loop.run_until(seconds(8));
+  return {rig.client->metrics(), rig.client->stalls_observed()};
+}
+
+TEST(App, DemuxCutoffKeepsTrackedFrameMetrics) {
+  uint32_t stalls = 0;
+  for (const media::Container container :
+       {media::Container::kFlv, media::Container::kMpegTs}) {
+    const char* name = container == media::Container::kFlv ? "FLV" : "TS";
+    const TrackedRun full = run_tracking(container, 8);
+    ASSERT_EQ(full.metrics.frame_complete_at.size(), 8u) << name;
+    stalls += full.stalls;
+    for (const uint32_t k : {1u, 4u}) {
+      const TrackedRun cut = run_tracking(container, k);
+      ASSERT_EQ(cut.metrics.frame_complete_at.size(), k) << name << " " << k;
+      for (uint32_t i = 1; i <= k; ++i) {
+        EXPECT_EQ(cut.metrics.frame_time(i), full.metrics.frame_time(i))
+            << name << " " << k << " frame " << i;
+      }
+      EXPECT_EQ(cut.metrics.first_frame_bytes, full.metrics.first_frame_bytes)
+          << name << " " << k;
+      EXPECT_EQ(cut.metrics.first_frame_byte_at,
+                full.metrics.first_frame_byte_at)
+          << name << " " << k;
+      EXPECT_EQ(cut.metrics.total_bytes_received,
+                full.metrics.total_bytes_received)
+          << name << " " << k;
+      EXPECT_EQ(cut.stalls, full.stalls) << name << " " << k;
+    }
+    // The live tail flowed well past the tracked frames.
+    EXPECT_GT(full.metrics.total_bytes_received,
+              4 * full.metrics.first_frame_bytes)
+        << name;
+  }
+  // Stall detection ran in the compared tails.
+  EXPECT_GT(stalls, 0u);
+}
+
+TEST(App, UntrackedClientStillReportsFirstVideoByte) {
+  for (const media::Container container :
+       {media::Container::kFlv, media::Container::kMpegTs}) {
+    const char* name = container == media::Container::kFlv ? "FLV" : "TS";
+    const TrackedRun none = run_tracking(container, 0);
+    const TrackedRun one = run_tracking(container, 1);
+    EXPECT_TRUE(none.metrics.frame_complete_at.empty()) << name;
+    ASSERT_NE(none.metrics.first_frame_byte_at, kNoTime) << name;
+    EXPECT_EQ(none.metrics.first_frame_byte_at,
+              one.metrics.first_frame_byte_at)
+        << name;
+    EXPECT_EQ(none.metrics.total_bytes_received,
+              one.metrics.total_bytes_received)
+        << name;
+  }
+}
+
 }  // namespace
 }  // namespace wira::app

@@ -296,6 +296,9 @@ TEST(Connection, CloseStopsTraffic) {
   EXPECT_TRUE(p.server->closed());
   EXPECT_TRUE(p.client->closed());
   EXPECT_EQ(p.server->stats().packets_sent, sent_at_close);
+  // A closed connection never reads its sent packets again: both rings
+  // are back in the loop's cache while the connections still exist.
+  EXPECT_EQ(p.loop.scratch<SentPacketTable::Cache>().spares.size(), 2u);
 }
 
 TEST(Connection, RttEstimateConverges) {

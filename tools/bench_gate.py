@@ -57,6 +57,11 @@ relative budget (max(flag budget, k * MAD) for absolute metrics), with
 --mad-k defaulting to 4.0.  The flag values above are *floors*: a noisy
 host widens its own budgets instead of flapping the gate, while a tight
 history keeps the documented defaults — budgets never shrink below them.
+A widened relative budget is capped at MAX_RELATIVE_BUDGET (0.5), so a
+window whose records span a several-fold change (a noisy host, or
+records from before a large optimization) still leaves a limit the run
+can fail: half the median for throughput, 1.5x for the higher-fails
+metrics.  Without the cap a lower-fails limit could go negative.
 
 Directionality is enforced: improvements (faster, lower FFCT) never fail.
 Metrics absent from history (e.g. ffct_ms before it was recorded) are
@@ -110,16 +115,22 @@ def mad(vals):
     return median([abs(v - m) for v in vals])
 
 
+# Widest relative budget the history's variance may set (see the module
+# docstring); below 1.0, so a lower-fails limit stays positive.
+MAX_RELATIVE_BUDGET = 0.5
+
+
 def effective_budget(floor, base_vals, mad_k, absolute):
     """max(floor, k*MAD) for absolute metrics, max(floor, k*MAD/|median|)
-    for relative ones.  The flag-provided budget is a floor, never a cap."""
+    for relative ones, the widening capped at MAX_RELATIVE_BUDGET.  The
+    flag-provided budget is a floor, never a cap."""
     spread = mad(base_vals)
     if absolute:
         return max(floor, mad_k * spread)
     baseline = median(base_vals)
     if baseline == 0:
         return floor
-    return max(floor, mad_k * spread / abs(baseline))
+    return max(floor, min(MAX_RELATIVE_BUDGET, mad_k * spread / abs(baseline)))
 
 
 def load_history(path):
@@ -328,6 +339,14 @@ def self_test(args):
     flat_history = [rec() for _ in range(5)]
     single_core_history = [rec(sps=50.0 + d, cores=1)
                            for d in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    # The comparable window a 4-core host actually held (median 77.3
+    # sessions/s, MAD 25.1: k*MAD/median = 1.3), whose allocs_per_session
+    # still spanned the records from before pooled buffers (990.3, 342.9,
+    # 341.9; median 341.9, k*MAD/median = 2.39).  Uncapped, both budgets
+    # passed any run: the throughput limit was -23.1.
+    wide_history = [rec(sps=s, allocs=a) for s, a in
+                    ((51.3, 990.3), (72.3, 342.9), (132.5, 341.9),
+                     (77.3, 137.9), (102.4, 119.9))]
     # (name, current, expected exit) — an optional 4th element substitutes
     # the history for that case, an optional 5th is a note the gate must
     # print.
@@ -373,6 +392,15 @@ def self_test(args):
          rec(sps=44.0, overhead=0.12), 0, flat_history),
         ("floor budgets still fail real regressions on flat history",
          rec(sps=40.0), 1, flat_history),
+        ("wide history: throughput at 40% of the median fails",
+         rec(sps=0.4 * 77.3, allocs=119.9), 1, wide_history,
+         "budget widened to 0.5"),
+        ("wide history: throughput at 60% of the median passes",
+         rec(sps=0.6 * 77.3, allocs=119.9), 0, wide_history),
+        ("wide history: allocs back at 990.3 fail",
+         rec(sps=77.3, allocs=990.3), 1, wide_history),
+        ("wide history: allocs at 1.4x the median pass",
+         rec(sps=77.3, allocs=1.4 * 341.9), 0, wide_history),
         # metrics_overhead is compared only between records measured by the
         # same method: a paired-median run must not be held to one noisy
         # single-pass reading (which had no method stamp) ...
